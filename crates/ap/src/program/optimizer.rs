@@ -3,26 +3,26 @@
 //! The mapped dataflow is compiled once and replayed forever (see the
 //! parent module), which makes it worth optimizing the way real
 //! accelerator stacks do: rewrite the trace, then let the plan cache
-//! amortize the rewrite over every subsequent vector. Four passes run,
-//! gated by [`OptLevel`]:
+//! amortize the rewrite over every subsequent vector. Four passes run
+//! at [`OptLevel::Full`]; [`OptLevel::None`] runs none:
 //!
-//! 1. **Shift/copy fusion** (`Basic`) — a `ShrConst` whose shifted
+//! 1. **Shift/copy fusion** — a `ShrConst` whose shifted
 //!    field is next consumed by a single in-range `Copy` and then fully
 //!    overwritten folds into the copy's source window: the controller
 //!    reads the pre-shift columns directly instead of physically moving
 //!    every plane.
-//! 2. **Constant-multiplier folding** (`Full`) — a
+//! 2. **Constant-multiplier folding** — a
 //!    `Broadcast(Const)` feeding `Mul` as the multiplier becomes
 //!    [`ApOp::MulConst`]: zero bits of the constant issue no LUT sweep
 //!    at all and set bits run ungated, while the gated multiply must
 //!    spend full compare cycles per multiplier bit to discover its
 //!    gates.
-//! 3. **Division fusion and batching** (`Full`) — restoring `Divide`
+//! 3. **Division fusion and batching** — restoring `Divide`
 //!    ops become [`ApOp::FusedDivide`] (per-iteration remainder shifts
 //!    replaced by window renaming with one canonicalization sweep), and
 //!    adjacent fused divisions sharing a divisor batch into a single
 //!    arena pass.
-//! 4. **Dead-write elimination** (`Basic`) — a backward plane-liveness
+//! 4. **Dead-write elimination** — a backward plane-liveness
 //!    scan over field column ranges removes `Broadcast`/`Load`/`Copy`
 //!    writes that are fully overwritten before any read. Liveness
 //!    starts *full* at the end of the trace, so any plane visible when
@@ -61,28 +61,25 @@ use crate::{CycleStats, DivStyle, Field};
 pub enum OptLevel {
     /// No rewriting: replay the trace exactly as recorded.
     None,
-    /// Structure-preserving passes only: shift/copy fusion, dead-write
-    /// elimination, and hoistable-broadcast marking.
-    Basic,
-    /// Everything: `Basic` plus constant-multiplier folding and fused,
-    /// batched division.
+    /// Every pass: shift/copy fusion, constant-multiplier folding,
+    /// fused and batched division, dead-write elimination, and
+    /// hoistable-broadcast marking.
     #[default]
     Full,
 }
 
 impl OptLevel {
     /// Environment variable selecting the optimization level at
-    /// runtime: `none`/`0`, `basic`/`1`, or `full`/`2`. Unset or
-    /// unparsable values fall back to [`OptLevel::Full`].
+    /// runtime: `none`/`0` or `full`/`2`. Unset or unparsable values
+    /// fall back to [`OptLevel::Full`].
     pub const ENV: &'static str = "SOFTMAP_OPT";
 
     /// Parses an override string (case-insensitive; numeric aliases
-    /// `0`/`1`/`2` accepted). Returns `Option::None` for anything else.
+    /// `0`/`2` accepted). Returns `Option::None` for anything else.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
             "none" | "0" => Some(Self::None),
-            "basic" | "1" => Some(Self::Basic),
             "full" | "2" => Some(Self::Full),
             _ => None,
         }
@@ -103,7 +100,7 @@ impl OptLevel {
             WARN.call_once(|| {
                 eprintln!(
                     "softmap: invalid {}={raw:?}; accepted values are \
-                     none/0, basic/1, full/2 — keeping the default (full)",
+                     none/0, full/2 — keeping the default (full)",
                     Self::ENV
                 );
             });
@@ -119,8 +116,8 @@ impl OptLevel {
     /// therefore prune the opt axis to the single configured level
     /// instead of compiling a candidate per level.
     #[must_use]
-    pub const fn ladder() -> [Self; 3] {
-        [Self::None, Self::Basic, Self::Full]
+    pub const fn ladder() -> [Self; 2] {
+        [Self::None, Self::Full]
     }
 }
 
@@ -200,12 +197,10 @@ pub fn optimize(program: &mut ApProgram, level: OptLevel) -> PassReport {
         return report;
     }
     report.shr_fused = fuse_shr_copy(&mut program.ops);
-    if level == OptLevel::Full {
-        report.muls_folded = fold_mul_const(&mut program.ops);
-        let (fused, batched) = fuse_divides(&mut program.ops);
-        report.divides_fused = fused;
-        report.divides_batched = batched;
-    }
+    report.muls_folded = fold_mul_const(&mut program.ops);
+    let (fused, batched) = fuse_divides(&mut program.ops);
+    report.divides_fused = fused;
+    report.divides_batched = batched;
     report.dead_writes = eliminate_dead_writes(&mut program.ops, program.config.cols);
     // Hoist marking runs last so the recorded indices survive every
     // op-removing pass above.
@@ -665,8 +660,8 @@ mod tests {
     fn parse_accepts_aliases_and_rejects_garbage() {
         assert_eq!(OptLevel::parse("none"), Some(OptLevel::None));
         assert_eq!(OptLevel::parse("0"), Some(OptLevel::None));
-        assert_eq!(OptLevel::parse(" Basic "), Some(OptLevel::Basic));
-        assert_eq!(OptLevel::parse("1"), Some(OptLevel::Basic));
+        assert_eq!(OptLevel::parse(" Basic "), None);
+        assert_eq!(OptLevel::parse("1"), None);
         assert_eq!(OptLevel::parse("FULL"), Some(OptLevel::Full));
         assert_eq!(OptLevel::parse("2"), Some(OptLevel::Full));
         assert_eq!(OptLevel::parse("fast"), None);
@@ -717,9 +712,7 @@ mod tests {
             rec.broadcast(f[2], 0).unwrap();
             rec.read(f[3], 0).unwrap();
         });
-        let report = optimize(&mut program, OptLevel::Basic);
-        assert_eq!(report.shr_fused, 1);
-        assert!(report.changed());
+        assert_eq!(fuse_shr_copy(&mut program.ops), 1);
         assert!(!program
             .ops
             .iter()
@@ -748,8 +741,7 @@ mod tests {
             rec.copy(f[2].sub(0, 8), f[3]).unwrap();
             rec.read(f[3], 0).unwrap();
         });
-        let report = optimize(&mut program, OptLevel::Basic);
-        assert_eq!(report.shr_fused, 0);
+        assert_eq!(fuse_shr_copy(&mut program.ops), 0);
         assert!(program
             .ops
             .iter()
@@ -776,16 +768,6 @@ mod tests {
             .unwrap();
         assert_eq!(bits, 1365);
         assert_eq!(width, 13);
-        // Basic leaves multiplies alone.
-        let (mut program2, _) = record_with(4, 80, &[6, 13, 20], &[1, 2, 3, 4], |rec, f| {
-            rec.load(f[0], 0).unwrap();
-            rec.broadcast(f[1], 1365).unwrap();
-            rec.mul(f[0], f[1], f[2]).unwrap();
-            rec.read(f[2], 0).unwrap();
-        });
-        let report2 = optimize(&mut program2, OptLevel::Basic);
-        assert_eq!(report2.muls_folded, 0);
-        assert!(program2.ops.iter().any(|op| matches!(op, ApOp::Mul { .. })));
     }
 
     #[test]
@@ -812,8 +794,7 @@ mod tests {
             rec.add_into(f[0], f[1]).unwrap();
             rec.read(f[0], 0).unwrap();
         });
-        let report = optimize(&mut program, OptLevel::Basic);
-        assert_eq!(report.dead_writes, 1);
+        assert_eq!(eliminate_dead_writes(&mut program.ops, 40), 1);
         let broadcasts: Vec<u64> = program
             .ops
             .iter()
@@ -836,8 +817,7 @@ mod tests {
             rec.broadcast(f[1], 5).unwrap();
             rec.read(f[0], 0).unwrap();
         });
-        let report = optimize(&mut program, OptLevel::Basic);
-        assert_eq!(report.dead_writes, 0);
+        assert_eq!(eliminate_dead_writes(&mut program.ops, 40), 0);
         assert_eq!(program.ops.len(), 3);
     }
 
@@ -920,11 +900,10 @@ mod tests {
         rec.broadcast_reg(m, local).unwrap(); // per-shard: NOT hoistable
         rec.sub_assert_clean(x, m).unwrap();
         rec.read(x, 0).unwrap();
-        let mut program = rec.finish().unwrap();
-        let report = optimize(&mut program, OptLevel::Basic);
-        assert_eq!(report.hoisted, 2);
-        assert_eq!(program.hoisted().len(), 2);
-        for &i in program.hoisted() {
+        let program = rec.finish().unwrap();
+        let hoisted = mark_hoistable(program.ops());
+        assert_eq!(hoisted.len(), 2);
+        for &i in &hoisted {
             assert!(matches!(program.ops()[i as usize], ApOp::Broadcast { .. }));
         }
     }

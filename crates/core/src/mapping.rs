@@ -19,15 +19,30 @@
 //! (and zero heap allocations through a warmed [`TileState`]). The
 //! compiled program also answers analytic cost queries without touching
 //! a CAM: see [`ApSoftmax::static_cost`].
+//!
+//! # One generator, one executor, one lookup
+//!
+//! A vector longer than one tile runs **sharded** across the device's
+//! tile grid, in three phases per shard — min search, exponential with
+//! a partial sum, divide — around two cross-tile reductions (see the
+//! `fanout` submodule). One generator issues every program: the
+//! whole-vector dataflow and each shard phase, resident (pinned tiles at
+//! one union geometry) or re-staged. One sharded executor runs every
+//! mode — direct issue, compile, replay — with the host-worker count as
+//! a parameter: one worker on the calling thread for
+//! [`ApSoftmax::execute_codes_into`], several when
+//! [`crate::SoftmaxServer`] fans a long request out. One plan lookup
+//! (tile slot → shared cache → compile lock → re-check → compile →
+//! insert) resolves whole-vector, sharded, and autotuned entries alike.
 
 use std::sync::Arc;
 
 use softmap_ap::batch::{self, BatchStats};
-use softmap_ap::device::{self, DeviceConfig};
+use softmap_ap::device::DeviceConfig;
 use softmap_ap::program::{optimizer, ExecIo, ProgramScratch, Recorder};
 use softmap_ap::{
     ApConfig, ApCore, ApError, ApProgram, ApTile, CycleStats, DivStyle, ExecBackend, Field,
-    OptLevel, Overflow, PassReport, RegId,
+    OptLevel, Overflow, RegId,
 };
 use softmap_softmax::{IntSoftmax, PrecisionConfig, SumMode};
 
@@ -40,6 +55,7 @@ pub(crate) mod autotune;
 pub(crate) mod fanout;
 
 pub use autotune::AUTOTUNE_ENV;
+use fanout::{ShardExec, ShardScratch};
 
 /// How vector elements are packed into AP rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -308,7 +324,8 @@ pub struct VectorCost {
 /// Reusable per-worker execution state for the pooled path: one
 /// persistent simulated tile ([`ApTile`]), the host-side staging
 /// buffers (quantized codes, packed half-vectors), the program
-/// scratch (registers + reduction sums), and a one-entry cached-plan
+/// scratch (registers + reduction sums), the sharded executor's
+/// per-host-worker tile pools and buffers, and a one-entry cached-plan
 /// slot so steady-state replay touches no lock.
 ///
 /// SoftmAP's deployment model streams many vectors through fixed
@@ -346,29 +363,8 @@ pub struct TileState {
 }
 
 /// The tile-local cached-plan slot: (cache identity token, shape key,
-/// plan — whole-vector program or sharded vector plan).
+/// plan — whole-vector program, sharded vector plan, or tuned entry).
 type PlanSlot = ((u64, u64), PlanKey, CachedPlan);
-
-/// Reusable per-worker buffers for sharded execution: the shard
-/// partition, the per-shard scalars exchanged over the reduction
-/// network, the per-shard per-phase cycle counts the wave scheduler
-/// consumes, and the scheduler's tile-load scratch. All capacities
-/// persist across vectors, so steady-state sharded execution performs
-/// zero heap allocations.
-#[derive(Debug, Clone, Default)]
-struct ShardScratch {
-    ranges: Vec<(usize, usize)>,
-    minima: Vec<u64>,
-    partials: Vec<u64>,
-    phase_cycles: [Vec<u64>; 3],
-    loads: Vec<u64>,
-    /// Persistent tile-per-shard pool for resident execution: shard
-    /// `i` owns `tiles[i]` for the vector's lifetime, so neither the
-    /// simulated arenas nor the host-side staging buffers are
-    /// rewritten between phases. The pool only grows (never shrinks),
-    /// keeping steady-state resident execution zero-alloc.
-    tiles: Vec<ApTile>,
-}
 
 impl TileState {
     /// Creates an empty state (buffers grow on first use).
@@ -425,10 +421,11 @@ thread_local! {
         std::cell::RefCell::new(TileState::new());
 }
 
-/// The per-half fields of the exponential sub-dataflow (steps 1–13) —
-/// shared between the whole-vector program and the sharded exp phase.
+/// One half-vector's fields in the dataflow layout (see
+/// [`ApSoftmax::phase_widths`]): the exponential sub-dataflow's working
+/// fields plus the result column.
 #[derive(Clone, Copy)]
-struct ExpFields {
+struct HalfFields {
     /// Working value: |code|, then `neg_vstable`, then `r`.
     x: Field,
     /// Barrett quotient.
@@ -439,17 +436,45 @@ struct ExpFields {
     t: Field,
     /// `v_approx`.
     vapprox: Field,
+    /// The result (the paper's `R` column, `2M + 12` bits).
+    res: Field,
 }
 
-/// Whole-vector per-half fields: the exp sub-dataflow plus the final
-/// result (the paper's `R` column, `2M + 12` bits). Also the per-half
-/// layout of the resident shard phases, which allocate the *union*
-/// geometry in every phase so column ranges line up across phase
-/// boundaries (the residency contract).
-#[derive(Clone, Copy)]
-struct HalfFields {
-    exp: ExpFields,
-    res: Field,
+impl From<[Field; 6]> for HalfFields {
+    fn from([x, q, work, t, vapprox, res]: [Field; 6]) -> Self {
+        Self {
+            x,
+            q,
+            work,
+            t,
+            vapprox,
+            res,
+        }
+    }
+}
+
+/// Allocates fields of the given widths in order.
+fn alloc_fields<const N: usize>(
+    ap: &mut ApCore,
+    widths: [usize; N],
+) -> Result<[Field; N], ApError> {
+    let mut fields = [Field::new(0, 0); N];
+    for (f, w) in fields.iter_mut().zip(widths) {
+        *f = ap.alloc_field(w)?;
+    }
+    Ok(fields)
+}
+
+/// One direct-issue execution of a dataflow program: its cost, the
+/// columns its layout uses, the value of its result register (the sum,
+/// the shard minimum, or the partial sum), the recorded program with
+/// that register when recording, and the per-half fields it ran on.
+struct Issued {
+    stats: CycleStats,
+    cols_used: usize,
+    result: u64,
+    program: Option<(ApProgram, RegId)>,
+    fields: [HalfFields; 2],
 }
 
 /// Accumulates one step's cost into the named entry of `steps`
@@ -464,58 +489,33 @@ fn accumulate_step(steps: &mut Vec<StepStats>, name: &'static str, stats: CycleS
     }
 }
 
-/// Whether shard `i` is a *follower*: every shard after the first
-/// occurrence of its shape shares that leader's device-wide drivers.
-/// On the re-staging path followers ride the broadcast of
-/// shard-invariant operands for free
-/// ([`ApProgram::replay_resident`]); on the resident path they
-/// execute the whole phase in SIMD lockstep and are charged only
-/// their input staging ([`ApProgram::replay_lockstep`]). Leaders pay
-/// full price (their recording execution anchors the phase program's
-/// cost). The rule is a pure function of the partition, so
-/// compile-time totals and replay totals agree.
-fn shard_follower(ranges: &[(usize, usize)], i: usize) -> bool {
-    let len = ranges[i].1 - ranges[i].0;
-    ranges[..i].iter().any(|&(s, e)| e - s == len)
-}
-
-/// How one shard's phase program replays: full price (leaders), the
-/// hoisted-broadcast discount (re-staged followers), or the
-/// wave-lockstep discount (resident followers).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PhaseReplay {
-    Full,
-    Hoisted,
-    Lockstep,
-}
-
-/// Replay pricing for shard `i` of a partition under a residency mode.
-fn phase_replay(ranges: &[(usize, usize)], i: usize, resident: bool) -> PhaseReplay {
-    match (shard_follower(ranges, i), resident) {
-        (false, _) => PhaseReplay::Full,
-        (true, false) => PhaseReplay::Hoisted,
-        (true, true) => PhaseReplay::Lockstep,
+/// Words per row of a layout.
+fn words_per_row(layout: Layout) -> usize {
+    match layout {
+        Layout::TwoWordsPerRow => 2,
+        Layout::OneWordPerRow => 1,
     }
 }
 
-/// How one sharded pass executes each shard's phase program.
-enum ShardExec<'a> {
-    /// Issue every op directly (no cache, no recording) — the
-    /// differential-testing baseline.
-    Direct,
-    /// Replay the cached sharded plan's phase programs.
-    Replay(&'a ShardedPlan),
-    /// Get-or-record each shard shape's phase program while executing,
-    /// collecting the `Arc`s for the sharded plan under construction.
-    Compile(&'a mut ShardPlanBuilder),
-}
-
-/// Phase-program `Arc`s collected while compiling a sharded plan.
-#[derive(Default)]
-struct ShardPlanBuilder {
-    min_plans: Vec<Arc<CompiledPlan>>,
-    exp_plans: Vec<Arc<CompiledPlan>>,
-    div_plans: Vec<Arc<CompiledPlan>>,
+/// Packs the |code| magnitudes of a vector (or shard) into its
+/// half-vectors under `layout` — the first `rows` codes into `half0`
+/// and, when packed two words per row, the rest into `half1` (the sign
+/// is implicit in the paper's non-positive input convention). Returns
+/// `(packed, rows)`.
+fn pack_halves(
+    layout: Layout,
+    codes: &[i64],
+    half0: &mut Vec<u64>,
+    half1: &mut Vec<u64>,
+) -> (bool, usize) {
+    let (packed, rows) = ApSoftmax::packing_of(layout, codes.len());
+    half0.clear();
+    half0.extend(codes[..rows].iter().map(|&c| c.unsigned_abs()));
+    half1.clear();
+    if packed {
+        half1.extend(codes[rows..].iter().map(|&c| c.unsigned_abs()));
+    }
+    (packed, rows)
 }
 
 impl ApSoftmax {
@@ -800,12 +800,8 @@ impl ApSoftmax {
         if len == 0 {
             return Err(CoreError::EmptyInput);
         }
-        let (_, rows) = self.packing(len);
-        if rows <= self.device.rows_per_tile {
-            return Ok(1);
-        }
-        self.effective_partition(len, ranges)?;
-        Ok(ranges.len())
+        self.partition_into(len, ranges)?;
+        Ok(ranges.len().max(1))
     }
 
     /// The underlying scalar specification.
@@ -939,41 +935,32 @@ impl ApSoftmax {
         codes: &[i64],
         run: &mut ApSoftmaxRun,
     ) -> Result<(), CoreError> {
-        self.execute_codes_mode(state, codes, run, self.plan_mode)
-    }
-
-    /// Words per row of the selected layout.
-    fn words_per_row(&self) -> usize {
-        match self.layout {
-            Layout::TwoWordsPerRow => 2,
-            Layout::OneWordPerRow => 1,
-        }
+        self.execute_codes_mode(state, codes, run, self.plan_mode, 1)
     }
 
     /// Whether a vector of `len` elements is packed two words per row
-    /// under the selected layout, and the rows it then occupies.
-    fn packing(&self, len: usize) -> (bool, usize) {
-        Self::packing_of(self.layout, len)
-    }
-
-    /// [`ApSoftmax::packing`] for an arbitrary layout — replaying a
-    /// tuned plan packs by the *winner's* layout, not the configured
-    /// one.
+    /// under `layout` (a tuned plan packs by the *winner's* layout, not
+    /// the configured one), and the rows it then occupies.
     fn packing_of(layout: Layout, len: usize) -> (bool, usize) {
         let packed = layout == Layout::TwoWordsPerRow && len.is_multiple_of(2) && len >= 2;
         (packed, if packed { len / 2 } else { len })
     }
 
-    /// The shared entry point: routes through the capacity-bounded
-    /// device — a vector that fits one tile packs into half-vectors and
-    /// replays (or directly issues) the whole-vector dataflow; a longer
-    /// vector executes **sharded** across the tile grid.
+    /// The shared entry point: validates the codes, then issues the
+    /// dataflow op by op ([`PlanMode::DirectIssue`]) or resolves the
+    /// vector's cache entry through [`ApSoftmax::lookup`] — compiling
+    /// it on a miss, which executes this vector — and replays it. A
+    /// vector that fits one tile runs the whole-vector dataflow; a
+    /// longer one runs sharded across the tile grid
+    /// ([`ApSoftmax::run_sharded`]), fanned over up to `workers` host
+    /// workers when it replays.
     fn execute_codes_mode(
         &self,
         state: &mut TileState,
         codes: &[i64],
         run: &mut ApSoftmaxRun,
         mode: PlanMode,
+        workers: usize,
     ) -> Result<(), CoreError> {
         if codes.is_empty() {
             return Err(CoreError::EmptyInput);
@@ -981,147 +968,320 @@ impl ApSoftmax {
         // Validate codes through the scalar spec's range check (cheap:
         // no full trace).
         self.sm.validate_codes(codes)?;
-        if mode == PlanMode::Cached && self.autotune {
-            return self.execute_autotuned(state, codes, run);
+        // The untuned shard partition; a tuned entry carries its
+        // winner's.
+        let mut ranges = std::mem::take(&mut state.shard.ranges);
+        ranges.clear();
+        let result = if mode == PlanMode::Cached && self.autotune {
+            Ok(())
+        } else {
+            self.partition_into(codes.len(), &mut ranges)
         }
-        let (packed, rows) = self.packing(codes.len());
-        if rows > self.device.rows_per_tile {
-            return self.execute_sharded(state, codes, run, mode);
+        .and_then(|()| self.execute_partitioned(state, codes, run, mode, workers, &ranges));
+        state.shard.ranges = ranges;
+        result
+    }
+
+    /// [`ApSoftmax::execute_codes_mode`] once the untuned partition is
+    /// known (`ranges` is empty for a whole vector and for a tuned
+    /// lookup).
+    fn execute_partitioned(
+        &self,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+        mode: PlanMode,
+        workers: usize,
+        ranges: &[(usize, usize)],
+    ) -> Result<(), CoreError> {
+        let whole = ranges.is_empty();
+        if mode == PlanMode::DirectIssue {
+            // Direct issue stays on the re-staging path: residency is a
+            // plan-level optimization, and the direct-vs-replay
+            // differential baseline keeps characterizing the re-staged
+            // contract exactly.
+            return if whole {
+                self.execute_whole(state, codes, self.layout, None, run, false)
+                    .map(drop)
+            } else {
+                self.run_sharded(
+                    &mut state.shard,
+                    codes,
+                    run,
+                    ShardExec::Direct,
+                    ranges,
+                    false,
+                    self.layout,
+                    1,
+                )
+                .map(drop)
+            };
         }
-        let total_len = codes.len();
-        // Pack the |code| magnitudes of each half-vector (the sign is
-        // implicit in the paper's non-positive input convention).
-        state.half0.clear();
-        state
-            .half0
-            .extend(codes[..rows].iter().map(|&c| c.unsigned_abs()));
-        state.half1.clear();
-        if packed {
-            state
-                .half1
-                .extend(codes[rows..].iter().map(|&c| c.unsigned_abs()));
+        let key = self.vector_key(codes.len(), ranges, self.autotune);
+        let (entry, compiled) = self.lookup(state, key, |state| {
+            if key.tuned {
+                self.search_mappings(codes)
+            } else if whole {
+                self.compile_whole(state, codes, run)
+            } else {
+                self.compile_sharded(state, codes, run, ranges, key.resident)
+            }
+        })?;
+        if compiled && !key.tuned {
+            // Compiling executed this vector.
+            return Ok(());
         }
+        self.replay_entry(&entry, self.layout, state, codes, run, workers)
+    }
+
+    /// The one plan lookup behind every cached execution: the tile's
+    /// slot (lock-free), then the shared cache, then — under the
+    /// compile lock, after a re-check so workers racing on the same
+    /// fresh shape converge on one plan — `compile`, whose plan is
+    /// inserted. The slot is stamped with the token captured before the
+    /// lookup, so a `clear_plans()` racing in after the insert still
+    /// invalidates it on its next vector. Returns the entry and whether
+    /// `compile` produced it.
+    fn lookup(
+        &self,
+        state: &mut TileState,
+        key: PlanKey,
+        compile: impl FnOnce(&mut TileState) -> Result<CachedPlan, CoreError>,
+    ) -> Result<(CachedPlan, bool), CoreError> {
+        let token = self.plans.slot_token();
+        if let Some((slot_token, slot_key, plan)) = &state.plan {
+            if *slot_token == token && *slot_key == key {
+                self.plans.note_hit();
+                return Ok((plan.clone(), false));
+            }
+        }
+        let mut compiled = false;
+        let plan = match self.plans.get(&key) {
+            Some(plan) => plan,
+            None => {
+                let _compiling = self.plans.lock_for_compile();
+                match self.plans.get(&key) {
+                    Some(plan) => plan,
+                    None => {
+                        let plan = compile(state)?;
+                        self.plans.insert(key, plan.clone());
+                        compiled = true;
+                        plan
+                    }
+                }
+            }
+        };
+        state.plan = Some((token, key, plan.clone()));
+        Ok((plan, compiled))
+    }
+
+    /// Replays a cache entry: a whole-vector program or a sharded plan
+    /// (across up to `workers` host workers) packed by `layout`, or a
+    /// tuned entry's winner under the winner's layout. Zero-alloc in
+    /// steady state.
+    fn replay_entry(
+        &self,
+        entry: &CachedPlan,
+        layout: Layout,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+        workers: usize,
+    ) -> Result<(), CoreError> {
+        match entry {
+            CachedPlan::Program(plan) => self
+                .execute_whole(state, codes, layout, Some(plan), run, false)
+                .map(drop),
+            CachedPlan::Sharded(plan) => self
+                .run_sharded(
+                    &mut state.shard,
+                    codes,
+                    run,
+                    ShardExec::Replay(plan),
+                    &plan.ranges,
+                    plan.resident,
+                    layout,
+                    workers,
+                )
+                .map(drop),
+            CachedPlan::Tuned(tuned) => {
+                self.replay_entry(&tuned.plan, tuned.choice.layout, state, codes, run, workers)
+            }
+        }
+    }
+
+    /// Executes one whole vector on `state`'s tile, packed by `layout`:
+    /// replays `plan` (load → replay → read, no per-op host dispatch;
+    /// bit- and cycle-exact versus direct issue by the program-replay
+    /// contract) or, without one, issues the dataflow op by op —
+    /// recording the trace when `record`. Writes the outcome into
+    /// `run`'s reused buffers.
+    fn execute_whole(
+        &self,
+        state: &mut TileState,
+        codes: &[i64],
+        layout: Layout,
+        plan: Option<&CompiledPlan>,
+        run: &mut ApSoftmaxRun,
+        record: bool,
+    ) -> Result<Option<(ApProgram, RegId)>, CoreError> {
         let TileState {
             tile,
             half0,
             half1,
             scratch,
-            plan: plan_slot,
             ..
         } = state;
-        let halves_arr: [&[u64]; 2] = [half0.as_slice(), half1.as_slice()];
-        let halves = if packed {
-            &halves_arr[..]
-        } else {
-            &halves_arr[..1]
-        };
-
-        if mode == PlanMode::DirectIssue {
-            self.issue_once(tile, scratch, halves, rows, total_len, run, false)?;
-            return Ok(());
-        }
-
-        let key = PlanKey {
-            len: total_len,
-            layout: self.layout,
-            div: self.div_style,
-            opt: self.opt_level,
-            phase: PlanPhase::Vector,
-            resident: false,
-            tuned: false,
-        };
-        let token = self.plans.slot_token();
-        if let Some((slot_token, slot_key, CachedPlan::Program(plan))) = plan_slot.as_ref() {
-            if *slot_token == token && *slot_key == key {
-                self.plans.note_hit();
-                let plan = Arc::clone(plan);
-                return self.replay_plan(&plan, tile, scratch, halves, total_len, run);
+        let (packed, rows) = pack_halves(layout, codes, half0, half1);
+        let halves = [half0.as_slice(), half1.as_slice()];
+        let halves = &halves[..1 + usize::from(packed)];
+        let ApSoftmaxRun {
+            codes: out,
+            vapprox,
+            steps,
+            ..
+        } = run;
+        out.clear();
+        vapprox.clear();
+        steps.clear();
+        let mut outs = [out, vapprox];
+        let io = ExecIo::new(halves, &mut outs);
+        let (stats, cols_used, sum, program) = match plan {
+            Some(plan) => {
+                let ap = tile.acquire(plan.program().config(), self.backend)?;
+                plan.program().replay(ap, io, scratch, |name, stats| {
+                    steps.push(StepStats { name, stats });
+                })?;
+                let sum = scratch.reg(plan.result_reg());
+                (ap.stats(), plan.cols_used(), sum, None)
             }
-        }
-        if let Some(CachedPlan::Program(plan)) = self.plans.get(&key) {
-            *plan_slot = Some((token, key, CachedPlan::Program(Arc::clone(&plan))));
-            return self.replay_plan(&plan, tile, scratch, halves, total_len, run);
-        }
-        // Cache miss: take the compile lock and re-check, so workers
-        // racing on the same fresh shape converge on one plan (one
-        // compile per batch, not one per worker).
-        let compile_guard = self.plans.lock_for_compile();
-        if let Some(CachedPlan::Program(plan)) = self.plans.get(&key) {
-            drop(compile_guard);
-            *plan_slot = Some((token, key, CachedPlan::Program(Arc::clone(&plan))));
-            return self.replay_plan(&plan, tile, scratch, halves, total_len, run);
-        }
-        // Still missing: record the trace while executing this vector.
+            None => {
+                let issued = self.issue_phase(
+                    PlanPhase::Vector,
+                    false,
+                    tile,
+                    scratch,
+                    io,
+                    halves.len(),
+                    rows,
+                    steps,
+                    record,
+                )?;
+                (
+                    issued.stats,
+                    issued.cols_used,
+                    issued.result,
+                    issued.program,
+                )
+            }
+        };
+        run.frac_bits = self.sm.widths().frac_bits();
+        run.sum = sum;
+        run.total = stats;
+        run.rows = rows;
+        run.cols_used = cols_used;
+        run.shards = 1;
+        run.waves = 1;
+        run.latency_cycles = stats.cycles();
+        run.reduction = CycleStats::default();
+        Ok(program)
+    }
+
+    /// Compiles the whole-vector plan for this vector: records the
+    /// trace while executing it, runs the optimizer pipeline — when the
+    /// pipeline rewrote the trace, one recost execution of the fused
+    /// schedule overwrites this vector's run — and attaches the
+    /// blocking plan.
+    fn compile_whole(
+        &self,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+    ) -> Result<CachedPlan, CoreError> {
         let started = std::time::Instant::now();
         let (mut program, sum_reg) = self
-            .issue_once(tile, scratch, halves, rows, total_len, run, true)?
+            .execute_whole(state, codes, self.layout, None, run, true)?
             .expect("recording execution returns a program");
         let report = optimizer::optimize(&mut program, self.opt_level);
         if report.changed() {
-            // The pass pipeline rewrote the trace and invalidated the
-            // recorded costs: one recost execution charges the fused
-            // schedule and overwrites this vector's run with it.
-            self.recost_whole(&mut program, sum_reg, tile, scratch, halves, total_len, run)?;
+            let TileState {
+                tile,
+                half0,
+                half1,
+                scratch,
+                ..
+            } = state;
+            let halves = [half0.as_slice(), half1.as_slice()];
+            let halves = &halves[..if half1.is_empty() { 1 } else { 2 }];
+            let ApSoftmaxRun {
+                codes: out,
+                vapprox,
+                steps,
+                ..
+            } = run;
+            out.clear();
+            vapprox.clear();
+            steps.clear();
+            let mut outs = [out, vapprox];
+            let io = ExecIo::new(halves, &mut outs);
+            run.total = self.recost(&mut program, tile, scratch, io, &[], steps)?;
+            run.sum = scratch.reg(sum_reg);
+            run.latency_cycles = run.total.cycles();
         }
         self.apply_blocking(&mut program);
-        let plan = Arc::new(CompiledPlan::new(
+        Ok(CachedPlan::Program(Arc::new(CompiledPlan::new(
             program,
             sum_reg,
             run.rows,
             run.cols_used,
             report,
             started.elapsed().as_secs_f64() * 1e6,
-        ));
-        self.plans
-            .insert(key, CachedPlan::Program(Arc::clone(&plan)));
-        drop(compile_guard);
-        // Stamp the slot with the token captured before the lookup: a
-        // clear_plans() racing in after the insert must still
-        // invalidate this slot on its next vector.
-        *plan_slot = Some((token, key, CachedPlan::Program(plan)));
-        Ok(())
+        ))))
+    }
+
+    /// Re-executes a freshly optimized program once
+    /// ([`ApProgram::recost`]): the recorded per-op costs described the
+    /// unoptimized trace, so one execution of the fused schedule
+    /// re-anchors the program's static cost; its steps accumulate into
+    /// `steps`. A resident shard phase reads planes a previous phase
+    /// left in its tile: `prestage` re-creates that pre-phase state on
+    /// the recost's cleared tile by loading `(field, data)` pairs first
+    /// and then resetting the statistics, so the prestage loads — which
+    /// a resident replay never performs — are not charged. The recost
+    /// total still matches a resident replay exactly because write
+    /// costs are content-independent: charging a program on a
+    /// cleared-then-prestaged tile and on a re-armed tile with stale
+    /// scratch planes prices identically. Returns the fused schedule's
+    /// stats.
+    fn recost(
+        &self,
+        program: &mut ApProgram,
+        tile: &mut ApTile,
+        scratch: &mut ProgramScratch,
+        io: ExecIo<'_, '_>,
+        prestage: &[(Field, &[u64])],
+        steps: &mut Vec<StepStats>,
+    ) -> Result<CycleStats, CoreError> {
+        let ap = tile.acquire(program.config(), self.backend)?;
+        for &(field, data) in prestage {
+            ap.load(field, data)?;
+        }
+        if !prestage.is_empty() {
+            ap.reset_stats();
+        }
+        program.recost(ap, io, scratch, |name, stats| {
+            accumulate_step(steps, name, stats);
+        })?;
+        Ok(ap.stats())
     }
 
     fn cfg(&self) -> &PrecisionConfig {
         self.sm.config()
     }
 
-    /// Column budget for one half-vector's fields.
-    fn half_width(&self) -> usize {
-        let m = self.cfg().m as usize;
-        let w = self.sm.widths();
-        let work = (3 * m + 2).max(w.poly as usize + 1);
-        m + w.q as usize + work + m + w.vapprox as usize + w.result as usize
-    }
-
-    /// Column budget of one half-vector's exp-phase fields (the
-    /// whole-vector budget minus the result column).
-    fn exp_half_width(&self) -> usize {
-        let m = self.cfg().m as usize;
-        let w = self.sm.widths();
-        let work = (3 * m + 2).max(w.poly as usize + 1);
-        m + w.q as usize + work + m + w.vapprox as usize
-    }
-
-    fn alloc_exp_half(&self, ap: &mut ApCore) -> Result<ExpFields, CoreError> {
-        let m = self.cfg().m as usize;
-        let w = self.sm.widths();
-        let work_w = (3 * m + 2).max(w.poly as usize + 1);
-        Ok(ExpFields {
-            x: ap.alloc_field(m)?,
-            q: ap.alloc_field(w.q as usize)?,
-            work: ap.alloc_field(work_w)?,
-            t: ap.alloc_field(m)?,
-            vapprox: ap.alloc_field(w.vapprox as usize)?,
-        })
-    }
-
-    fn alloc_half(&self, ap: &mut ApCore) -> Result<HalfFields, CoreError> {
-        let w = self.sm.widths();
-        Ok(HalfFields {
-            exp: self.alloc_exp_half(ap)?,
-            res: ap.alloc_field(w.result as usize)?,
-        })
+    /// Width of the reduction sum (the divisor).
+    fn sum_bits(&self) -> u32 {
+        self.sm.constants().effective_sum_bits(self.cfg())
     }
 
     fn overflow_mode(&self) -> Overflow {
@@ -1132,1463 +1292,217 @@ impl ApSoftmax {
         }
     }
 
-    /// Executes the dataflow once by direct issue, optionally recording
-    /// the trace into a program. `halves` hold the |code| magnitudes of
-    /// each half-vector (one or two), each of length `rows`. Executes
-    /// on the pooled `tile` and writes everything into `run`'s reused
-    /// buffers.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_once(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        rows: usize,
-        total_len: usize,
-        run: &mut ApSoftmaxRun,
-        record: bool,
-    ) -> Result<Option<(softmap_ap::ApProgram, RegId)>, CoreError> {
-        let m = self.cfg().m as usize;
-        let w = *self.sm.widths();
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-
-        // Tile geometry: per-half fields + shared operand/sum/divisor
-        // fields + reserved carry/flag + scratch headroom for division.
-        let shared = (2 * m + 1) + sum_bits + sum_bits + m;
-        let scratch_cols = 2 * (sum_bits + 2) + 2 * (w.result as usize + w.vapprox as usize + 2);
-        let cols = 2 + halves.len() * self.half_width() + shared + scratch_cols;
-        let ap = tile.acquire(ApConfig::new(rows, cols), self.backend)?;
-
-        let mut field_slots: [Option<HalfFields>; 2] = [None, None];
-        for slot in field_slots.iter_mut().take(halves.len()) {
-            *slot = Some(self.alloc_half(ap)?);
-        }
-        // Shared operand field (holds µ, vln2, vb, vc in turn), the
-        // per-row pair-sum field, the broadcast divisor, and the min.
-        let op = ap.alloc_field(2 * m + 1)?;
-        let sumw = ap.alloc_field(sum_bits)?;
-        let den = ap.alloc_field(sum_bits)?;
-        let minf = ap.alloc_field(m)?;
-        let cols_used = den.end();
-
-        let sum_reg;
-        let program;
-        {
-            let ApSoftmaxRun {
-                codes,
-                vapprox,
-                steps,
-                ..
-            } = run;
-            codes.clear();
-            vapprox.clear();
-            steps.clear();
-            let mut outs: [&mut Vec<u64>; 2] = [codes, vapprox];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| steps.push(StepStats { name, stats });
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(halves, &mut outs),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            sum_reg =
-                self.issue_dataflow(&mut rec, &field_slots[..halves.len()], op, sumw, den, minf)?;
-            program = rec.finish();
-        }
-        run.codes.truncate(total_len);
-        run.vapprox.truncate(total_len);
-        run.frac_bits = w.frac_bits();
-        run.sum = scratch.reg(sum_reg);
-        run.total = ap.stats();
-        run.rows = rows;
-        run.cols_used = cols_used;
-        Self::finish_unsharded(run);
-        Ok(program.map(|p| (p, sum_reg)))
-    }
-
-    /// Stamps the single-tile device view onto an unsharded run.
-    fn finish_unsharded(run: &mut ApSoftmaxRun) {
-        run.shards = 1;
-        run.waves = 1;
-        run.latency_cycles = run.total.cycles();
-        run.reduction = CycleStats::default();
-    }
-
-    /// Replays a cached plan: load → replay → read, no per-op host
-    /// dispatch. Bit- and cycle-exact versus [`PlanMode::DirectIssue`]
-    /// by the program-replay contract.
-    fn replay_plan(
-        &self,
-        plan: &CompiledPlan,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        total_len: usize,
-        run: &mut ApSoftmaxRun,
-    ) -> Result<(), CoreError> {
-        let ap = tile.acquire(plan.program().config(), self.backend)?;
-        {
-            let ApSoftmaxRun {
-                codes,
-                vapprox,
-                steps,
-                ..
-            } = run;
-            codes.clear();
-            vapprox.clear();
-            steps.clear();
-            let mut outs: [&mut Vec<u64>; 2] = [codes, vapprox];
-            plan.program().replay(
-                ap,
-                ExecIo::new(halves, &mut outs),
-                scratch,
-                |name, stats| steps.push(StepStats { name, stats }),
-            )?;
-        }
-        run.codes.truncate(total_len);
-        run.vapprox.truncate(total_len);
-        run.frac_bits = self.sm.widths().frac_bits();
-        run.sum = scratch.reg(plan.result_reg());
-        run.total = ap.stats();
-        run.rows = plan.rows();
-        run.cols_used = plan.cols_used();
-        Self::finish_unsharded(run);
-        Ok(())
-    }
-
-    /// Re-executes a freshly optimized whole-vector program once
-    /// ([`ApProgram::recost`]): the recorded per-op costs described the
-    /// unoptimized trace, so one execution of the fused schedule
-    /// re-anchors the program's static cost and overwrites `run` with
-    /// the optimized outcome this vector returns.
-    #[allow(clippy::too_many_arguments)]
-    fn recost_whole(
-        &self,
-        program: &mut ApProgram,
-        sum_reg: RegId,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        total_len: usize,
-        run: &mut ApSoftmaxRun,
-    ) -> Result<(), CoreError> {
-        let ap = tile.acquire(program.config(), self.backend)?;
-        {
-            let ApSoftmaxRun {
-                codes,
-                vapprox,
-                steps,
-                ..
-            } = run;
-            codes.clear();
-            vapprox.clear();
-            steps.clear();
-            let mut outs: [&mut Vec<u64>; 2] = [codes, vapprox];
-            program.recost(
-                ap,
-                ExecIo::new(halves, &mut outs),
-                scratch,
-                |name, stats| {
-                    steps.push(StepStats { name, stats });
-                },
-            )?;
-        }
-        run.codes.truncate(total_len);
-        run.vapprox.truncate(total_len);
-        run.sum = scratch.reg(sum_reg);
-        run.total = ap.stats();
-        Self::finish_unsharded(run);
-        Ok(())
-    }
-
-    // ---- sharded long-sequence execution --------------------------------
-
-    /// Executes a vector that exceeds one tile's row capacity, sharded
-    /// across the device's tile grid. The dataflow has two cross-tile
-    /// synchronization points (Fig. 5 adapted to a tile grid):
-    ///
-    /// 1. **min phase** — every shard loads its slice and runs the
-    ///    bit-serial min search; the shard minima combine over the
-    ///    reduction network into the global minimum,
-    /// 2. **exp phase** — every shard re-stages its slice, subtracts
-    ///    the global minimum (arriving as a program *scalar input*),
-    ///    runs the integer exponential, and tree-reduces its partial
-    ///    sum; the partials combine over the network (in the scalar
-    ///    spec's overflow mode) into the divisor,
-    /// 3. **divide phase** — every shard stages its `v_approx` slice
-    ///    and divides by the broadcast divisor.
-    ///
-    /// Bit-exactness versus the scalar spec holds because the global
-    /// minimum is the min of shard minima and the saturating/wrapping
-    /// sum of non-negative values is order-independent. The cost
-    /// contract charges each phase's staging (tiles do not retain state
-    /// across global synchronization points) plus the deterministic
-    /// reduction-network formula; the device critical path adds wave
-    /// scheduling when shards exceed the grid.
-    fn execute_sharded(
-        &self,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-        mode: PlanMode,
-    ) -> Result<(), CoreError> {
-        let mut ranges = std::mem::take(&mut state.shard.ranges);
-        let part = self.effective_partition(codes.len(), &mut ranges);
-        let result =
-            part.and_then(|()| self.execute_sharded_with(state, codes, run, mode, &ranges));
-        state.shard.ranges = ranges;
-        result
-    }
-
-    /// The shard partition this mapping executes `len` elements with:
-    /// the candidate-view override when the autotuner is evaluating a
-    /// specific partition, the device's greedy default otherwise.
-    fn effective_partition(
+    /// Writes the shard partition a vector of `len` elements executes
+    /// with under the configured mapping into `ranges` — empty when the
+    /// vector fits one tile: the candidate-view override when the
+    /// autotuner is evaluating a specific partition, the device's
+    /// greedy default otherwise.
+    fn partition_into(
         &self,
         len: usize,
         ranges: &mut Vec<(usize, usize)>,
     ) -> Result<(), CoreError> {
+        ranges.clear();
+        if Self::packing_of(self.layout, len).1 <= self.device.rows_per_tile {
+            return Ok(());
+        }
         if let Some(ov) = &self.partition_override {
-            ranges.clear();
             ranges.extend_from_slice(ov);
             return Ok(());
         }
         self.device
-            .partition_into(len, self.words_per_row(), ranges)
+            .partition_into(len, words_per_row(self.layout), ranges)
             .map_err(CoreError::Ap)
     }
 
-    fn execute_sharded_with(
-        &self,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-        mode: PlanMode,
-        ranges: &[(usize, usize)],
-    ) -> Result<(), CoreError> {
-        if mode == PlanMode::DirectIssue {
-            // Direct issue stays on the re-staging path: residency is
-            // a plan-level optimization, and the direct-vs-replay
-            // differential baseline keeps characterizing PR 5's
-            // contract exactly.
-            return self.run_sharded(
-                state,
-                codes,
-                run,
-                ranges,
-                ShardExec::Direct,
-                false,
-                self.layout,
-            );
-        }
-        let resident = self.resident_for(ranges.len());
-        let vkey = PlanKey {
-            len: codes.len(),
-            layout: self.layout,
-            div: self.div_style,
-            opt: self.opt_level,
-            phase: PlanPhase::Vector,
-            resident,
-            tuned: false,
-        };
-        let token = self.plans.slot_token();
-        if let Some((slot_token, slot_key, CachedPlan::Sharded(plan))) = state.plan.as_ref() {
-            if *slot_token == token && *slot_key == vkey {
-                self.plans.note_hit();
-                let plan = Arc::clone(plan);
-                return self.run_sharded(
-                    state,
-                    codes,
-                    run,
-                    ranges,
-                    ShardExec::Replay(&plan),
-                    resident,
-                    self.layout,
-                );
+    // ---- the dataflow generator -----------------------------------------
+
+    /// The field widths of `phase`'s program, in allocation order: each
+    /// half's `[x, q, work, t, vapprox, res]`, the shared
+    /// `[op, sumw, den, minf]`, and the scratch headroom past them. The
+    /// whole-vector program and every resident shard phase allocate
+    /// every field — the **union** geometry, whose column ranges mean
+    /// the same thing in every phase, so planes written by one phase
+    /// are readable by the next (the residency contract in
+    /// `softmap_ap::program`). A re-staged shard phase gives the fields
+    /// it never touches zero width, squeezing their columns out, and
+    /// reserves only the headroom its own reduction or division needs.
+    fn phase_widths(&self, phase: PlanPhase, resident: bool) -> ([usize; 6], [usize; 4], usize) {
+        let m = self.cfg().m as usize;
+        let w = self.sm.widths();
+        let sum = self.sum_bits() as usize;
+        let (q, vap, res) = (w.q as usize, w.vapprox as usize, w.result as usize);
+        let work = (3 * m + 2).max(w.poly as usize + 1);
+        let reduce = sum + 2;
+        let divide = sum + 2 + 2 * (res + vap + 2);
+        match (phase, resident) {
+            (PlanPhase::ShardMin, false) => ([m, 0, 0, 0, 0, 0], [0; 4], 0),
+            (PlanPhase::ShardExp, false) => {
+                ([m, q, work, m, vap, 0], [2 * m + 1, sum, sum, m], reduce)
             }
+            (PlanPhase::ShardDiv, false) => ([0, 0, 0, 0, vap, res], [0, 0, sum, 0], divide),
+            _ => (
+                [m, q, work, m, vap, res],
+                [2 * m + 1, sum, sum, m],
+                reduce + divide,
+            ),
         }
-        if let Some(CachedPlan::Sharded(plan)) = self.plans.get(&vkey) {
-            state.plan = Some((token, vkey, CachedPlan::Sharded(Arc::clone(&plan))));
-            return self.run_sharded(
-                state,
-                codes,
-                run,
-                ranges,
-                ShardExec::Replay(&plan),
-                resident,
-                self.layout,
-            );
-        }
-        // Vector-shape miss: compile under the lock so racing workers
-        // converge on one sharded plan (phase programs compiled along
-        // the way are themselves cached and shared).
-        let compile_guard = self.plans.lock_for_compile();
-        if let Some(CachedPlan::Sharded(plan)) = self.plans.get(&vkey) {
-            drop(compile_guard);
-            state.plan = Some((token, vkey, CachedPlan::Sharded(Arc::clone(&plan))));
-            return self.run_sharded(
-                state,
-                codes,
-                run,
-                ranges,
-                ShardExec::Replay(&plan),
-                resident,
-                self.layout,
-            );
-        }
-        let started = std::time::Instant::now();
-        let mut builder = ShardPlanBuilder::default();
-        self.run_sharded(
-            state,
-            codes,
-            run,
-            ranges,
-            ShardExec::Compile(&mut builder),
-            resident,
-            self.layout,
-        )?;
-        let plan = Arc::new(ShardedPlan {
-            ranges: ranges.to_vec(),
-            min_plans: builder.min_plans,
-            exp_plans: builder.exp_plans,
-            div_plans: builder.div_plans,
-            steps: run.steps.clone(),
-            total: run.total,
-            reduction: run.reduction,
-            latency_cycles: run.latency_cycles,
-            waves: run.waves,
-            rows: run.rows,
-            cols_used: run.cols_used,
-            compile_micros: started.elapsed().as_secs_f64() * 1e6,
-            resident,
-        });
-        self.plans
-            .insert(vkey, CachedPlan::Sharded(Arc::clone(&plan)));
-        drop(compile_guard);
-        state.plan = Some((token, vkey, CachedPlan::Sharded(plan)));
-        Ok(())
     }
 
-    /// The three sharded passes; `exec` selects direct issue, cached
-    /// replay, or compile (get-or-record each shard shape's phase
-    /// program while executing). `resident` selects the residency
-    /// plan: shard tiles pinned across phases (from the per-shard tile
-    /// pool), phase-boundary staging elided, followers charged in
-    /// lockstep — versus the PR 5 re-staging path. `layout` is the row
-    /// packing the shards stage under — the configured layout on every
-    /// path except tuned replay, which packs by the winner's layout.
+    /// Issues one program of the dataflow through a [`Recorder`] (which
+    /// either just executes it or also captures the trace), with step
+    /// costs accumulating into `steps`: the sixteen whole-vector steps
+    /// of Fig. 5 ([`PlanPhase::Vector`]), or one phase of the sharded
+    /// dataflow (see [`ApSoftmax::run_sharded`]) — the min search, the
+    /// exponential with its partial sum (the global minimum is scalar
+    /// input 0, `v_approx` output slot 0), or the division (the sum is
+    /// scalar input 0, the codes output slot 0). A `resident` shard
+    /// phase runs at the union geometry on its pinned tile: the min
+    /// phase acquires it and loads the score planes (the only host
+    /// staging of the resident lifetime); the exp and divide phases
+    /// re-arm it and find their inputs in place. A re-staged phase
+    /// acquires a cleared tile at its compact geometry and stages its
+    /// inputs (`halves` input slots of `rows` rows).
     #[allow(clippy::too_many_arguments)]
-    fn run_sharded(
+    fn issue_phase(
         &self,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-        ranges: &[(usize, usize)],
-        mut exec: ShardExec<'_>,
+        phase: PlanPhase,
         resident: bool,
-        layout: Layout,
-    ) -> Result<(), CoreError> {
-        // A cached sharded plan is only valid for the exact partition
-        // (and residency mode) it was compiled at; the phase-program
-        // vectors are indexed by shard position below.
-        if let ShardExec::Replay(plan) = &exec {
-            if plan.ranges != ranges || plan.resident != resident {
-                return Err(CoreError::BadWorkload(
-                    "cached sharded plan does not match the device partition".into(),
-                ));
-            }
-        }
-        let shards = ranges.len();
-        let total_len = codes.len();
-        let m_bits = self.cfg().m;
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg());
-        let w = *self.sm.widths();
-
-        let TileState {
-            tile,
-            half0,
-            half1,
-            scratch,
-            shard,
-            ..
-        } = state;
-        let ShardScratch {
-            minima,
-            partials,
-            phase_cycles,
-            loads,
-            tiles: shard_tiles,
-            ..
-        } = shard;
-        let ApSoftmaxRun {
-            codes: out_codes,
-            vapprox: out_vap,
-            steps,
-            ..
-        } = run;
-        out_codes.clear();
-        out_vap.clear();
-        steps.clear();
-        minima.clear();
-        partials.clear();
-        for pc in phase_cycles.iter_mut() {
-            pc.clear();
-        }
-        if resident && shard_tiles.len() < shards {
-            // The pool only grows; steady-state resident execution
-            // re-acquires existing arenas with zero allocations.
-            shard_tiles.resize_with(shards, ApTile::new);
-        }
-        let mut total = CycleStats::default();
-        let mut rows_max = 0usize;
-        let mut cols_max = 0usize;
-
-        // Pass 1: per-shard min search. Resident shards acquire their
-        // pinned tile at the shared union geometry here (the one clear
-        // of the vector's lifetime); passes 2 and 3 only re-arm it.
-        for (i, &(s, e)) in ranges.iter().enumerate() {
-            let (packed, rows) = Self::packing_of(layout, e - s);
-            rows_max = rows_max.max(rows);
-            half0.clear();
-            half0.extend(codes[s..s + rows].iter().map(|&c| c.unsigned_abs()));
-            half1.clear();
-            if packed {
-                half1.extend(codes[s + rows..e].iter().map(|&c| c.unsigned_abs()));
-            }
-            let halves_arr: [&[u64]; 2] = [half0.as_slice(), half1.as_slice()];
-            let halves = if packed {
-                &halves_arr[..]
-            } else {
-                &halves_arr[..1]
-            };
-            let tile_i: &mut ApTile = if resident {
-                &mut shard_tiles[i]
-            } else {
-                &mut *tile
-            };
-            let (stats, cols_used, minv) = match &mut exec {
-                ShardExec::Direct => {
-                    let (stats, cols, minv, _) =
-                        self.issue_min_phase(tile_i, scratch, halves, rows, steps, false)?;
-                    (stats, cols, minv)
-                }
-                ShardExec::Replay(plan) => {
-                    let p = &plan.min_plans[i];
-                    let mut outs: [&mut Vec<u64>; 0] = [];
-                    let stats = self.replay_shard_phase(
-                        p,
-                        tile_i,
-                        scratch,
-                        halves,
-                        &[],
-                        &mut outs,
-                        steps,
-                        phase_replay(ranges, i, resident),
-                        false,
-                    )?;
-                    (stats, p.cols_used(), scratch.reg(p.result_reg()))
-                }
-                ShardExec::Compile(builder) => {
-                    let key = self.shard_key(e - s, PlanPhase::ShardMin, resident);
-                    if let Some(CachedPlan::Program(p)) = self.plans.peek(&key) {
-                        let mut outs: [&mut Vec<u64>; 0] = [];
-                        let stats = self.replay_shard_phase(
-                            &p,
-                            tile_i,
-                            scratch,
-                            halves,
-                            &[],
-                            &mut outs,
-                            steps,
-                            phase_replay(ranges, i, resident),
-                            false,
-                        )?;
-                        let minv = scratch.reg(p.result_reg());
-                        builder.min_plans.push(Arc::clone(&p));
-                        (stats, p.cols_used(), minv)
-                    } else {
-                        let steps_snapshot = steps.clone();
-                        let started = std::time::Instant::now();
-                        let (stats, cols, _, prog) = if resident {
-                            self.issue_resident_min_phase(
-                                tile_i, scratch, halves, rows, steps, true,
-                            )?
-                        } else {
-                            self.issue_min_phase(tile_i, scratch, halves, rows, steps, true)?
-                        };
-                        let (mut program, reg) = prog.expect("recording returns a program");
-                        let mut outs: [&mut Vec<u64>; 0] = [];
-                        let (report, stats, minv) = self.optimize_phase(
-                            &mut program,
-                            reg,
-                            tile_i,
-                            scratch,
-                            halves,
-                            &[],
-                            &mut outs,
-                            &[],
-                            &[],
-                            steps,
-                            steps_snapshot,
-                            stats,
-                        )?;
-                        let p = Arc::new(CompiledPlan::new(
-                            program,
-                            reg,
-                            rows,
-                            cols,
-                            report,
-                            started.elapsed().as_secs_f64() * 1e6,
-                        ));
-                        self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
-                        builder.min_plans.push(p);
-                        (stats, cols, minv)
-                    }
-                }
-            };
-            minima.push(minv);
-            phase_cycles[0].push(stats.cycles());
-            cols_max = cols_max.max(cols_used);
-            total.accumulate(&stats);
-        }
-
-        // Cross-tile min over the reduction network.
-        let global_min = minima.iter().copied().min().expect("shards >= 1");
-        let red_min = self.device.reduction_network(shards, m_bits);
-        accumulate_step(steps, "device: cross-tile min", red_min);
-        total.accumulate(&red_min);
-
-        // Pass 2: per-shard exp + partial sum (global min arrives as a
-        // program scalar input). Resident shards re-arm their pinned
-        // tile: the score planes written by the min phase are the exp
-        // phase's input, so no host staging and no `Load` ops happen —
-        // the halves are only (re)packed on the compile path, where
-        // the optimizer's recost needs them to prestage a cleared
-        // tile.
-        let no_inputs: [&[u64]; 0] = [];
-        for (i, &(s, e)) in ranges.iter().enumerate() {
-            let (packed, rows) = Self::packing_of(layout, e - s);
-            let stage_hosts = !resident || matches!(exec, ShardExec::Compile(_));
-            half0.clear();
-            half1.clear();
-            if stage_hosts {
-                half0.extend(codes[s..s + rows].iter().map(|&c| c.unsigned_abs()));
-                if packed {
-                    half1.extend(codes[s + rows..e].iter().map(|&c| c.unsigned_abs()));
-                }
-            }
-            let halves_arr: [&[u64]; 2] = [half0.as_slice(), half1.as_slice()];
-            let halves = if packed {
-                &halves_arr[..]
-            } else {
-                &halves_arr[..1]
-            };
-            let halves_n = halves.len();
-            let replay_inputs: &[&[u64]] = if resident { &no_inputs } else { halves };
-            let tile_i: &mut ApTile = if resident {
-                &mut shard_tiles[i]
-            } else {
-                &mut *tile
-            };
-            let scalars = [global_min];
-            let (stats, cols_used, partial) = match &mut exec {
-                ShardExec::Direct => {
-                    let (stats, cols, partial, _) = self.issue_exp_phase(
-                        tile_i, scratch, halves, rows, &scalars, out_vap, steps, false,
-                    )?;
-                    (stats, cols, partial)
-                }
-                ShardExec::Replay(plan) => {
-                    let p = &plan.exp_plans[i];
-                    let mut outs: [&mut Vec<u64>; 1] = [out_vap];
-                    let stats = self.replay_shard_phase(
-                        p,
-                        tile_i,
-                        scratch,
-                        replay_inputs,
-                        &scalars,
-                        &mut outs,
-                        steps,
-                        phase_replay(ranges, i, resident),
-                        resident,
-                    )?;
-                    (stats, p.cols_used(), scratch.reg(p.result_reg()))
-                }
-                ShardExec::Compile(builder) => {
-                    let key = self.shard_key(e - s, PlanPhase::ShardExp, resident);
-                    if let Some(CachedPlan::Program(p)) = self.plans.peek(&key) {
-                        let mut outs: [&mut Vec<u64>; 1] = [out_vap];
-                        let stats = self.replay_shard_phase(
-                            &p,
-                            tile_i,
-                            scratch,
-                            replay_inputs,
-                            &scalars,
-                            &mut outs,
-                            steps,
-                            phase_replay(ranges, i, resident),
-                            resident,
-                        )?;
-                        let partial = scratch.reg(p.result_reg());
-                        builder.exp_plans.push(Arc::clone(&p));
-                        (stats, p.cols_used(), partial)
-                    } else {
-                        let steps_snapshot = steps.clone();
-                        let vap_mark = out_vap.len();
-                        let started = std::time::Instant::now();
-                        let (stats, cols, _, prog) = if resident {
-                            self.issue_resident_exp_phase(
-                                tile_i, scratch, halves_n, rows, &scalars, out_vap, steps, true,
-                            )?
-                        } else {
-                            self.issue_exp_phase(
-                                tile_i, scratch, halves, rows, &scalars, out_vap, steps, true,
-                            )?
-                        };
-                        let (mut program, reg) = prog.expect("recording returns a program");
-                        let mut outs: [&mut Vec<u64>; 1] = [out_vap];
-                        // The resident recost re-creates the pre-phase
-                        // plane state on a cleared tile by prestaging
-                        // the score planes the min phase left behind.
-                        let prestage: Vec<(Field, &[u64])> = if resident {
-                            (0..halves_n)
-                                .map(|h| (self.resident_x_field(h), halves[h]))
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let (report, stats, partial) = self.optimize_phase(
-                            &mut program,
-                            reg,
-                            tile_i,
-                            scratch,
-                            replay_inputs,
-                            &scalars,
-                            &mut outs,
-                            &[vap_mark],
-                            &prestage,
-                            steps,
-                            steps_snapshot,
-                            stats,
-                        )?;
-                        let p = Arc::new(CompiledPlan::new(
-                            program,
-                            reg,
-                            rows,
-                            cols,
-                            report,
-                            started.elapsed().as_secs_f64() * 1e6,
-                        ));
-                        self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
-                        builder.exp_plans.push(p);
-                        (stats, cols, partial)
-                    }
-                }
-            };
-            partials.push(partial);
-            phase_cycles[1].push(stats.cycles());
-            cols_max = cols_max.max(cols_used);
-            total.accumulate(&stats);
-        }
-
-        // Cross-tile sum over the reduction network, in the scalar
-        // spec's overflow mode.
-        let combined = self.combine_partials(partials)?;
-        let red_sum = self.device.reduction_network(shards, sum_bits);
-        accumulate_step(steps, "device: cross-tile sum", red_sum);
-        total.accumulate(&red_sum);
-
-        // Pass 3: per-shard divide by the broadcast divisor. Resident
-        // shards divide the `v_approx` planes the exp phase left in
-        // their pinned tiles, so the host never re-stages them.
-        for (i, &(s, e)) in ranges.iter().enumerate() {
-            let (packed, rows) = Self::packing_of(layout, e - s);
-            let stage_hosts = !resident || matches!(exec, ShardExec::Compile(_));
-            let vap = &out_vap[s..e];
-            let vap_halves_arr: [&[u64]; 2] = [&vap[..rows], &vap[rows.min(vap.len())..]];
-            let vap_halves_all = if packed {
-                &vap_halves_arr[..]
-            } else {
-                &vap_halves_arr[..1]
-            };
-            let halves_n = vap_halves_all.len();
-            let vap_halves: &[&[u64]] = if stage_hosts {
-                vap_halves_all
-            } else {
-                &no_inputs
-            };
-            let replay_inputs: &[&[u64]] = if resident { &no_inputs } else { vap_halves };
-            let tile_i: &mut ApTile = if resident {
-                &mut shard_tiles[i]
-            } else {
-                &mut *tile
-            };
-            let scalars = [combined];
-            let (stats, cols_used) = match &mut exec {
-                ShardExec::Direct => {
-                    let (stats, cols, _) = self.issue_div_phase(
-                        tile_i, scratch, vap_halves, rows, &scalars, out_codes, steps, false,
-                    )?;
-                    (stats, cols)
-                }
-                ShardExec::Replay(plan) => {
-                    let p = &plan.div_plans[i];
-                    let mut outs: [&mut Vec<u64>; 1] = [out_codes];
-                    let stats = self.replay_shard_phase(
-                        p,
-                        tile_i,
-                        scratch,
-                        replay_inputs,
-                        &scalars,
-                        &mut outs,
-                        steps,
-                        phase_replay(ranges, i, resident),
-                        resident,
-                    )?;
-                    (stats, p.cols_used())
-                }
-                ShardExec::Compile(builder) => {
-                    let key = self.shard_key(e - s, PlanPhase::ShardDiv, resident);
-                    if let Some(CachedPlan::Program(p)) = self.plans.peek(&key) {
-                        let mut outs: [&mut Vec<u64>; 1] = [out_codes];
-                        let stats = self.replay_shard_phase(
-                            &p,
-                            tile_i,
-                            scratch,
-                            replay_inputs,
-                            &scalars,
-                            &mut outs,
-                            steps,
-                            phase_replay(ranges, i, resident),
-                            resident,
-                        )?;
-                        builder.div_plans.push(Arc::clone(&p));
-                        (stats, p.cols_used())
-                    } else {
-                        let steps_snapshot = steps.clone();
-                        let codes_mark = out_codes.len();
-                        let started = std::time::Instant::now();
-                        let (stats, cols, prog) = if resident {
-                            self.issue_resident_div_phase(
-                                tile_i, scratch, halves_n, rows, &scalars, out_codes, steps, true,
-                            )?
-                        } else {
-                            self.issue_div_phase(
-                                tile_i, scratch, vap_halves, rows, &scalars, out_codes, steps, true,
-                            )?
-                        };
-                        let (mut program, reg) = prog.expect("recording returns a program");
-                        let mut outs: [&mut Vec<u64>; 1] = [out_codes];
-                        // Recost on a cleared tile prestages the
-                        // `v_approx` planes the exp phase persisted.
-                        let prestage: Vec<(Field, &[u64])> = if resident {
-                            (0..halves_n)
-                                .map(|h| (self.resident_vapprox_field(h), vap_halves_all[h]))
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let (report, stats, _) = self.optimize_phase(
-                            &mut program,
-                            reg,
-                            tile_i,
-                            scratch,
-                            replay_inputs,
-                            &scalars,
-                            &mut outs,
-                            &[codes_mark],
-                            &prestage,
-                            steps,
-                            steps_snapshot,
-                            stats,
-                        )?;
-                        let p = Arc::new(CompiledPlan::new(
-                            program,
-                            reg,
-                            rows,
-                            cols,
-                            report,
-                            started.elapsed().as_secs_f64() * 1e6,
-                        ));
-                        self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
-                        builder.div_plans.push(p);
-                        (stats, cols)
-                    }
-                }
-            };
-            phase_cycles[2].push(stats.cycles());
-            cols_max = cols_max.max(cols_used);
-            total.accumulate(&stats);
-        }
-        debug_assert_eq!(out_codes.len(), total_len);
-        debug_assert_eq!(out_vap.len(), total_len);
-
-        // Device view: critical path = per-phase wave makespans plus
-        // the reduction-network cycles. Under residency the followers'
-        // per-phase cycles are tiny (input staging only) or zero, so
-        // the makespan collapses to the per-wave leader.
-        let mut latency = red_min.cycles() + red_sum.cycles();
-        for pc in phase_cycles.iter() {
-            latency += device::wave_makespan(pc, self.device.tiles, loads);
-        }
-        let mut reduction = red_min;
-        reduction.accumulate(&red_sum);
-
-        run.frac_bits = w.frac_bits();
-        run.sum = combined;
-        run.total = total;
-        run.rows = rows_max;
-        run.cols_used = cols_max;
-        run.shards = shards;
-        run.waves = self.device.waves(shards);
-        run.latency_cycles = latency;
-        run.reduction = reduction;
-        Ok(())
-    }
-
-    fn shard_key(&self, shard_len: usize, phase: PlanPhase, resident: bool) -> PlanKey {
-        PlanKey {
-            len: shard_len,
-            layout: self.layout,
-            div: self.div_style,
-            opt: self.opt_level,
-            phase,
-            resident,
-            tuned: false,
-        }
-    }
-
-    /// Combines per-shard partial sums over the reduction network in
-    /// the scalar spec's overflow mode — bit-identical to the
-    /// whole-vector reduction because saturating/wrapping addition of
-    /// non-negative values is order-independent.
-    fn combine_partials(&self, partials: &[u64]) -> Result<u64, CoreError> {
-        self.combine_partials_from(partials.iter().copied())
-    }
-
-    /// [`ApSoftmax::combine_partials`] over any per-shard value source
-    /// — the shard-parallel fan-out combines straight from its atomic
-    /// deposit array without staging a slice.
-    fn combine_partials_from(&self, partials: impl Iterator<Item = u64>) -> Result<u64, CoreError> {
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg());
-        let mask: u128 = if sum_bits >= 128 {
-            u128::MAX
-        } else {
-            (1u128 << sum_bits) - 1
-        };
-        let exact: u128 = partials.map(u128::from).sum();
-        match self.overflow_mode() {
-            Overflow::Error => {
-                if exact > mask {
-                    Err(CoreError::Ap(ApError::WidthOverflow {
-                        value: u64::try_from(exact).unwrap_or(u64::MAX),
-                        width: sum_bits as usize,
-                    }))
-                } else {
-                    Ok(exact as u64)
-                }
-            }
-            Overflow::Saturate => Ok(exact.min(mask) as u64),
-            Overflow::Wrap => Ok((exact & mask) as u64),
-        }
-    }
-
-    /// Replays one shard-phase program on a tile. `mode` selects the
-    /// pricing (see [`phase_replay`]); `rearm` keeps the tile's CAM
-    /// cells across the call (resident phases re-arm their pinned tile
-    /// instead of clearing it, so the previous phase's output planes
-    /// survive as this phase's inputs).
-    #[allow(clippy::too_many_arguments)]
-    fn replay_shard_phase<'d>(
-        &self,
-        plan: &CompiledPlan,
         tile: &mut ApTile,
         scratch: &mut ProgramScratch,
-        inputs: &[&'d [u64]],
-        scalars: &[u64],
-        outs: &mut [&'d mut Vec<u64>],
+        io: ExecIo<'_, '_>,
+        halves: usize,
+        rows: usize,
         steps: &mut Vec<StepStats>,
-        mode: PhaseReplay,
-        rearm: bool,
-    ) -> Result<CycleStats, CoreError> {
-        let config = plan.program().config();
+        record: bool,
+    ) -> Result<Issued, CoreError> {
+        let (half, shared, headroom) = self.phase_widths(phase, resident);
+        let cols =
+            2 + halves * half.iter().sum::<usize>() + shared.iter().sum::<usize>() + headroom;
+        let config = ApConfig::new(rows, cols);
+        let rearm = resident && matches!(phase, PlanPhase::ShardExp | PlanPhase::ShardDiv);
         let ap = if rearm {
             tile.rearm_resident(config, self.backend)?
         } else {
             tile.acquire(config, self.backend)?
         };
-        let io = ExecIo::new(inputs, outs).with_scalars(scalars);
-        let on_step = |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-        match mode {
-            PhaseReplay::Full => plan.program().replay(ap, io, scratch, on_step)?,
-            PhaseReplay::Hoisted => plan.program().replay_resident(ap, io, scratch, on_step)?,
-            PhaseReplay::Lockstep => plan.program().replay_lockstep(ap, io, scratch, on_step)?,
+        let mut fields = [HalfFields::from([Field::new(0, 0); 6]); 2];
+        for f in fields.iter_mut().take(halves) {
+            *f = alloc_fields(ap, half)?.into();
         }
-        Ok(ap.stats())
-    }
-
-    /// Optimizes a freshly recorded shard-phase program. When the pass
-    /// pipeline changed the trace, the recording execution's outputs
-    /// and step deltas no longer describe it: they are rolled back (to
-    /// `out_marks` / `steps_snapshot`) and one recost execution of the
-    /// fused schedule replaces them, also re-anchoring the program's
-    /// static cost. A resident phase reads planes a previous phase left
-    /// in the tile; `prestage` re-creates that pre-phase state on the
-    /// recost's cleared tile by loading `(field, data)` pairs before
-    /// the run (and resetting the statistics, so the prestage loads —
-    /// which a resident replay never performs — are not charged). The
-    /// recost total still matches a resident replay exactly because
-    /// write costs are content-independent: charging a program on a
-    /// cleared-then-prestaged tile and on a re-armed tile with stale
-    /// scratch planes prices identically. Returns the pass report plus
-    /// the (possibly re-derived) phase stats and result scalar.
-    #[allow(clippy::too_many_arguments)]
-    fn optimize_phase<'d>(
-        &self,
-        program: &mut ApProgram,
-        reg: RegId,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        inputs: &[&'d [u64]],
-        scalars: &[u64],
-        outs: &mut [&'d mut Vec<u64>],
-        out_marks: &[usize],
-        prestage: &[(Field, &[u64])],
-        steps: &mut Vec<StepStats>,
-        steps_snapshot: Vec<StepStats>,
-        stats: CycleStats,
-    ) -> Result<(PassReport, CycleStats, u64), CoreError> {
-        let report = optimizer::optimize(program, self.opt_level);
-        if !report.changed() {
-            self.apply_blocking(program);
-            return Ok((report, stats, scratch.reg(reg)));
-        }
-        *steps = steps_snapshot;
-        for (out, &mark) in outs.iter_mut().zip(out_marks) {
-            out.truncate(mark);
-        }
-        let ap = tile.acquire(program.config(), self.backend)?;
-        for &(field, data) in prestage {
-            ap.load(field, data)?;
-        }
-        if !prestage.is_empty() {
-            ap.reset_stats();
-        }
-        program.recost(
-            ap,
-            ExecIo::new(inputs, outs).with_scalars(scalars),
-            scratch,
-            |name, stats| accumulate_step(steps, name, stats),
-        )?;
-        self.apply_blocking(program);
-        Ok((report, ap.stats(), scratch.reg(reg)))
-    }
-
-    /// Min phase: load the shard's halves and min-search them. Returns
-    /// (stats, cols_used, shard minimum, recorded program).
-    #[allow(clippy::type_complexity)]
-    fn issue_min_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        rows: usize,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, u64, Option<(ApProgram, RegId)>), CoreError> {
-        let m = self.cfg().m as usize;
-        let cols = 2 + halves.len() * m;
-        let ap = tile.acquire(ApConfig::new(rows, cols), self.backend)?;
-        let mut fields: [Option<Field>; 2] = [None, None];
-        for slot in fields.iter_mut().take(halves.len()) {
-            *slot = Some(ap.alloc_field(m)?);
-        }
-        let cols_used = fields
-            .iter()
-            .flatten()
-            .last()
-            .map_or(0, softmap_ap::Field::end);
-        let min_reg;
-        let program;
-        {
-            let mut outs: [&mut Vec<u64>; 0] = [];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(halves, &mut outs),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            for (slot, f) in fields.iter().flatten().enumerate() {
-                rec.load(*f, slot)?;
+        let [op, sumw, den, minf] = alloc_fields(ap, shared)?;
+        let hs = &fields[..halves];
+        let mut on_step =
+            |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
+        let mut rec = Recorder::new(ap, io, scratch, &mut on_step, record);
+        let reg = match phase {
+            PlanPhase::Vector => {
+                // Step 1: write v (as magnitudes |code|).
+                Self::issue_loads(&mut rec, hs.iter().map(|f| f.x))?;
+                rec.step("1: write v");
+                // Step 1b/2: find min |code| (= max v) and subtract it.
+                let min = Self::issue_min_search(&mut rec, hs);
+                Self::issue_stabilize(&mut rec, hs, minf, min, "2: subtract max")?;
+                // Steps 3-13: the integer exponential.
+                self.issue_exp_approx(&mut rec, hs, op)?;
+                // Step 14: reduction over all rows.
+                let sum = self.issue_partial_reduce(&mut rec, hs, sumw, den, "14: reduction")?;
+                // Steps 15-16: copy Σ to all rows, divide, and read the
+                // codes (slot 0), then `v_approx` (slot 1), in input
+                // order (halves are concatenated).
+                self.issue_divide(&mut rec, hs, den, sum, "15: copy sum")?;
+                for f in hs {
+                    rec.read(f.vapprox, 1)?;
+                }
+                sum
             }
-            rec.step("shard: write v");
-            let mut reg: Option<RegId> = None;
-            for f in fields.iter().flatten() {
-                let r = rec.min_search(*f);
-                reg = Some(match reg {
-                    Some(prev) => rec.reg_min(prev, r),
-                    None => r,
-                });
+            PlanPhase::ShardMin => {
+                Self::issue_loads(&mut rec, hs.iter().map(|f| f.x))?;
+                rec.step("shard: write v");
+                let min = Self::issue_min_search(&mut rec, hs);
+                rec.step("shard: min search");
+                min
             }
-            min_reg = reg.expect("at least one half");
-            rec.step("shard: min search");
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((
-            stats,
+            PlanPhase::ShardExp => {
+                if !rearm {
+                    Self::issue_loads(&mut rec, hs.iter().map(|f| f.x))?;
+                    rec.step("shard: rewrite v");
+                }
+                let min = rec.reg_input(0)?;
+                Self::issue_stabilize(&mut rec, hs, minf, min, "2: subtract max")?;
+                self.issue_exp_approx(&mut rec, hs, op)?;
+                let sum =
+                    self.issue_partial_reduce(&mut rec, hs, sumw, den, "14: partial reduction")?;
+                for f in hs {
+                    rec.read(f.vapprox, 0)?;
+                }
+                sum
+            }
+            PlanPhase::ShardDiv => {
+                let mark = if rearm {
+                    "shard: write divisor"
+                } else {
+                    Self::issue_loads(&mut rec, hs.iter().map(|f| f.vapprox))?;
+                    "shard: write v_approx + divisor"
+                };
+                let sum = rec.reg_input(0)?;
+                self.issue_divide(&mut rec, hs, den, sum, mark)?;
+                sum
+            }
+        };
+        let program = rec.finish();
+        // A whole-vector plan's columns run through the divisor field, a
+        // shard phase's through the minimum field.
+        let cols_used = if phase == PlanPhase::Vector {
+            den.end()
+        } else {
+            minf.end()
+        };
+        Ok(Issued {
+            stats: ap.stats(),
             cols_used,
-            scratch.reg(min_reg),
-            program.map(|p| (p, min_reg)),
-        ))
+            result: scratch.reg(reg),
+            program: program.map(|p| (p, reg)),
+            fields,
+        })
     }
 
-    /// Exp phase: re-stage the shard, subtract the global minimum
-    /// (scalar input 0), run the integer exponential, tree-reduce the
-    /// partial sum, and read `v_approx` out (output slot 0). Returns
-    /// (stats, cols_used, partial sum, recorded program).
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn issue_exp_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        rows: usize,
-        scalars: &[u64],
-        vap_out: &mut Vec<u64>,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, u64, Option<(ApProgram, RegId)>), CoreError> {
-        let m = self.cfg().m as usize;
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-        let shared = (2 * m + 1) + sum_bits + sum_bits + m;
-        let cols = 2 + halves.len() * self.exp_half_width() + shared + (sum_bits + 2);
-        let ap = tile.acquire(ApConfig::new(rows, cols), self.backend)?;
-        let mut exp_arr: [Option<ExpFields>; 2] = [None, None];
-        for slot in exp_arr.iter_mut().take(halves.len()) {
-            *slot = Some(self.alloc_exp_half(ap)?);
-        }
-        let exp = &exp_arr[..halves.len()];
-        let op = ap.alloc_field(2 * m + 1)?;
-        let sumw = ap.alloc_field(sum_bits)?;
-        let den = ap.alloc_field(sum_bits)?;
-        let minf = ap.alloc_field(m)?;
-        let cols_used = minf.end();
-        let sum_reg;
-        let program;
-        {
-            let mut outs: [&mut Vec<u64>; 1] = [vap_out];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(halves, &mut outs).with_scalars(scalars),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            for (slot, f) in exp.iter().flatten().enumerate() {
-                rec.load(f.x, slot)?;
-            }
-            rec.step("shard: rewrite v");
-            let g = rec.reg_input(0)?;
-            Self::issue_stabilize(&mut rec, exp, minf, g, "2: subtract max")?;
-            self.issue_exp_approx(&mut rec, exp, op)?;
-            sum_reg =
-                self.issue_partial_reduce(&mut rec, exp, sumw, den, "14: partial reduction")?;
-            for f in exp.iter().flatten() {
-                rec.read(f.vapprox, 0)?;
-            }
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((
-            stats,
-            cols_used,
-            scratch.reg(sum_reg),
-            program.map(|p| (p, sum_reg)),
-        ))
-    }
-
-    /// Divide phase: stage the shard's `v_approx` slice, broadcast the
-    /// clamped divisor (scalar input 0), divide, and read the codes out
-    /// (output slot 0). Returns (stats, cols_used, recorded program).
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn issue_div_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        vap_halves: &[&[u64]],
-        rows: usize,
-        scalars: &[u64],
-        codes_out: &mut Vec<u64>,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, Option<(ApProgram, RegId)>), CoreError> {
-        let w = *self.sm.widths();
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-        let per_half = w.vapprox as usize + w.result as usize;
-        let scratch_cols = (sum_bits + 2) + 2 * (w.result as usize + w.vapprox as usize + 2);
-        let cols = 2 + vap_halves.len() * per_half + sum_bits + scratch_cols;
-        let ap = tile.acquire(ApConfig::new(rows, cols), self.backend)?;
-        let mut fields: [Option<(Field, Field)>; 2] = [None, None];
-        for slot in fields.iter_mut().take(vap_halves.len()) {
-            *slot = Some((
-                ap.alloc_field(w.vapprox as usize)?,
-                ap.alloc_field(w.result as usize)?,
-            ));
-        }
-        let den = ap.alloc_field(sum_bits)?;
-        let cols_used = den.end();
-        let sum_reg;
-        let program;
-        {
-            let mut outs: [&mut Vec<u64>; 1] = [codes_out];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(vap_halves, &mut outs).with_scalars(scalars),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            for (slot, (vap, _)) in fields.iter().flatten().enumerate() {
-                rec.load(*vap, slot)?;
-            }
-            sum_reg = rec.reg_input(0)?;
-            let den_reg = rec.reg_max1(sum_reg);
-            rec.broadcast_reg(den, den_reg)?;
-            rec.step("shard: write v_approx + divisor");
-            let f_bits = w.frac_bits() as usize;
-            for (vap, res) in fields.iter().flatten() {
-                rec.divide(*vap, den, *res, f_bits, self.div_style)?;
-            }
-            rec.step("16: divide");
-            for (_, res) in fields.iter().flatten() {
-                rec.read(*res, 0)?;
-            }
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((stats, cols_used, program.map(|p| (p, sum_reg))))
-    }
-
-    /// The **union** tile geometry every resident shard phase runs at:
-    /// the whole-vector layout of [`ApSoftmax::issue_once`] (per-half
-    /// [`HalfFields`], then the shared operand/sum/divisor/min fields,
-    /// then division scratch headroom). All three resident phase
-    /// programs allocate these fields in the identical order, so a
-    /// column range means the same thing in every phase and planes
-    /// written by one phase are readable by the next (the residency
-    /// contract in `softmap_ap::program`).
-    fn resident_config(&self, halves: usize, rows: usize) -> ApConfig {
-        let m = self.cfg().m as usize;
-        let w = self.sm.widths();
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-        let shared = (2 * m + 1) + sum_bits + sum_bits + m;
-        let scratch_cols = 2 * (sum_bits + 2) + 2 * (w.result as usize + w.vapprox as usize + 2);
-        let cols = 2 + halves * self.half_width() + shared + scratch_cols;
-        ApConfig::new(rows, cols)
-    }
-
-    /// Allocates the union layout on a (cleared or re-armed) core.
-    /// Returns the per-half fields and the shared
-    /// (`op`, `sumw`, `den`, `minf`) fields, in allocation order.
-    #[allow(clippy::type_complexity)]
-    fn alloc_resident_fields(
-        &self,
-        ap: &mut ApCore,
-        halves: usize,
-    ) -> Result<([Option<HalfFields>; 2], Field, Field, Field, Field), CoreError> {
-        let m = self.cfg().m as usize;
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-        let mut slots: [Option<HalfFields>; 2] = [None, None];
-        for slot in slots.iter_mut().take(halves) {
-            *slot = Some(self.alloc_half(ap)?);
-        }
-        let op = ap.alloc_field(2 * m + 1)?;
-        let sumw = ap.alloc_field(sum_bits)?;
-        let den = ap.alloc_field(sum_bits)?;
-        let minf = ap.alloc_field(m)?;
-        Ok((slots, op, sumw, den, minf))
-    }
-
-    /// Column range of half `h`'s score plane (`x`) in the union
-    /// layout — what the min phase loads and the exp phase consumes in
-    /// place. Used to prestage the optimizer's recost tile.
-    fn resident_x_field(&self, half: usize) -> Field {
-        let m = self.cfg().m as usize;
-        Field::new(2 + half * self.half_width(), m)
-    }
-
-    /// Column range of half `h`'s `v_approx` plane in the union
-    /// layout — what the exp phase writes and the divide phase consumes
-    /// in place.
-    fn resident_vapprox_field(&self, half: usize) -> Field {
-        let m = self.cfg().m as usize;
-        let w = self.sm.widths();
-        let work_w = (3 * m + 2).max(w.poly as usize + 1);
-        let offset = m + w.q as usize + work_w + m;
-        Field::new(2 + half * self.half_width() + offset, w.vapprox as usize)
-    }
-
-    /// Resident min phase: acquire the shard's pinned tile at the
-    /// union geometry, load the score planes (the only host staging the
-    /// resident lifetime performs), and min-search them. Same return
-    /// shape as [`ApSoftmax::issue_min_phase`].
-    #[allow(clippy::type_complexity)]
-    fn issue_resident_min_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        rows: usize,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, u64, Option<(ApProgram, RegId)>), CoreError> {
-        let ap = tile.acquire(self.resident_config(halves.len(), rows), self.backend)?;
-        let (fields, _op, _sumw, _den, minf) = self.alloc_resident_fields(ap, halves.len())?;
-        let cols_used = minf.end();
-        let min_reg;
-        let program;
-        {
-            let mut outs: [&mut Vec<u64>; 0] = [];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(halves, &mut outs),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            for (slot, f) in fields.iter().flatten().enumerate() {
-                rec.load(f.exp.x, slot)?;
-            }
-            rec.step("shard: write v");
-            let mut reg: Option<RegId> = None;
-            for f in fields.iter().flatten() {
-                let r = rec.min_search(f.exp.x);
-                reg = Some(match reg {
-                    Some(prev) => rec.reg_min(prev, r),
-                    None => r,
-                });
-            }
-            min_reg = reg.expect("at least one half");
-            rec.step("shard: min search");
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((
-            stats,
-            cols_used,
-            scratch.reg(min_reg),
-            program.map(|p| (p, min_reg)),
-        ))
-    }
-
-    /// Resident exp phase: re-arm the pinned tile (score planes stay
-    /// put — **no** staging loads), subtract the global minimum (scalar
-    /// input 0) in place, run the integer exponential, tree-reduce the
-    /// partial sum, and read `v_approx` out (output slot 0). Same
-    /// return shape as [`ApSoftmax::issue_exp_phase`].
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn issue_resident_exp_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: usize,
-        rows: usize,
-        scalars: &[u64],
-        vap_out: &mut Vec<u64>,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, u64, Option<(ApProgram, RegId)>), CoreError> {
-        let ap = tile.rearm_resident(self.resident_config(halves, rows), self.backend)?;
-        let (fields, op, sumw, den, minf) = self.alloc_resident_fields(ap, halves)?;
-        let cols_used = minf.end();
-        let mut exp_arr: [Option<ExpFields>; 2] = [None, None];
-        for (slot, f) in fields.iter().flatten().enumerate() {
-            exp_arr[slot] = Some(f.exp);
-        }
-        let exp = &exp_arr[..halves];
-        let sum_reg;
-        let program;
-        {
-            let inputs: [&[u64]; 0] = [];
-            let mut outs: [&mut Vec<u64>; 1] = [vap_out];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(&inputs, &mut outs).with_scalars(scalars),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            let g = rec.reg_input(0)?;
-            Self::issue_stabilize(&mut rec, exp, minf, g, "2: subtract max")?;
-            self.issue_exp_approx(&mut rec, exp, op)?;
-            sum_reg =
-                self.issue_partial_reduce(&mut rec, exp, sumw, den, "14: partial reduction")?;
-            for f in exp.iter().flatten() {
-                rec.read(f.vapprox, 0)?;
-            }
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((
-            stats,
-            cols_used,
-            scratch.reg(sum_reg),
-            program.map(|p| (p, sum_reg)),
-        ))
-    }
-
-    /// Resident divide phase: re-arm the pinned tile (`v_approx`
-    /// planes stay put — **no** staging loads), broadcast the clamped
-    /// divisor (scalar input 0), divide, and read the codes out
-    /// (output slot 0). Same return shape as
-    /// [`ApSoftmax::issue_div_phase`].
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn issue_resident_div_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: usize,
-        rows: usize,
-        scalars: &[u64],
-        codes_out: &mut Vec<u64>,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, Option<(ApProgram, RegId)>), CoreError> {
-        let w = *self.sm.widths();
-        let ap = tile.rearm_resident(self.resident_config(halves, rows), self.backend)?;
-        let (fields, _op, _sumw, den, minf) = self.alloc_resident_fields(ap, halves)?;
-        let cols_used = minf.end();
-        let sum_reg;
-        let program;
-        {
-            let inputs: [&[u64]; 0] = [];
-            let mut outs: [&mut Vec<u64>; 1] = [codes_out];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(&inputs, &mut outs).with_scalars(scalars),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            sum_reg = rec.reg_input(0)?;
-            let den_reg = rec.reg_max1(sum_reg);
-            rec.broadcast_reg(den, den_reg)?;
-            rec.step("shard: write divisor");
-            let f_bits = w.frac_bits() as usize;
-            for f in fields.iter().flatten() {
-                rec.divide(f.exp.vapprox, den, f.res, f_bits, self.div_style)?;
-            }
-            rec.step("16: divide");
-            for f in fields.iter().flatten() {
-                rec.read(f.res, 0)?;
-            }
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((stats, cols_used, program.map(|p| (p, sum_reg))))
-    }
-
-    /// The sixteen dataflow steps of Fig. 5, issued through a
-    /// [`Recorder`] (which either just executes them or additionally
-    /// captures the trace). Returns the register holding the reduction
-    /// sum.
-    fn issue_dataflow(
-        &self,
+    /// Loads input slot `k` into the `k`-th field.
+    fn issue_loads(
         rec: &mut Recorder<'_, '_>,
-        fields: &[Option<HalfFields>],
-        op: Field,
-        sumw: Field,
-        den: Field,
-        minf: Field,
-    ) -> Result<RegId, ApError> {
-        let w = *self.sm.widths();
-        let mut exp_arr: [Option<ExpFields>; 2] = [None, None];
-        let mut halves = 0;
-        for f in fields.iter().flatten() {
-            exp_arr[halves] = Some(f.exp);
-            halves += 1;
+        fields: impl Iterator<Item = Field>,
+    ) -> Result<(), ApError> {
+        for (slot, f) in fields.enumerate() {
+            rec.load(f, slot)?;
         }
-        let exp = &exp_arr[..halves];
+        Ok(())
+    }
 
-        // Step 1: write v (as magnitudes |code|; the sign is implicit in
-        // the paper's non-positive input convention).
-        for (slot, f) in exp.iter().flatten().enumerate() {
-            rec.load(f.x, slot)?;
-        }
-        rec.step("1: write v");
-
-        // Step 1b/2: find min |code| (= max v) and subtract it:
-        // x := neg_vstable = |code| - min. The fold over halves runs in
-        // program registers.
-        let mut min_reg: Option<RegId> = None;
-        for f in exp.iter().flatten() {
+    /// The bit-serial min search over every half's `x`, folded in
+    /// program registers. Returns the register holding the minimum.
+    fn issue_min_search(rec: &mut Recorder<'_, '_>, halves: &[HalfFields]) -> RegId {
+        let mut min: Option<RegId> = None;
+        for f in halves {
             let r = rec.min_search(f.x);
-            min_reg = Some(match min_reg {
+            min = Some(match min {
                 Some(prev) => rec.reg_min(prev, r),
                 None => r,
             });
         }
-        let min_reg = min_reg.expect("at least one half");
-        Self::issue_stabilize(rec, exp, minf, min_reg, "2: subtract max")?;
-
-        // Steps 3-13: the integer exponential (shared with the sharded
-        // exp phase).
-        self.issue_exp_approx(rec, exp, op)?;
-
-        // Step 14: reduction over all rows.
-        let sum_reg = self.issue_partial_reduce(rec, exp, sumw, den, "14: reduction")?;
-
-        // Step 15: copy Σ to all rows (broadcast divisor). A wrapped sum
-        // of zero is clamped to 1, mirroring the scalar divisor clamp.
-        let den_reg = rec.reg_max1(sum_reg);
-        rec.broadcast_reg(den, den_reg)?;
-        rec.step("15: copy sum");
-
-        // Step 16: divide.
-        let f_bits = w.frac_bits() as usize;
-        for f in fields.iter().flatten() {
-            rec.divide(f.exp.vapprox, den, f.res, f_bits, self.div_style)?;
-        }
-        rec.step("16: divide");
-
-        // Gather outputs in input order (halves are concatenated),
-        // appending into the run's reused buffers.
-        for f in fields.iter().flatten() {
-            rec.read(f.res, 0)?;
-        }
-        for f in fields.iter().flatten() {
-            rec.read(f.exp.vapprox, 1)?;
-        }
-        Ok(sum_reg)
+        min.expect("at least one half")
     }
 
     /// Broadcast the (global or per-vector) minimum from `min_reg` and
     /// subtract it from every `x`: `x := neg_vstable = |code| - min`.
     fn issue_stabilize(
         rec: &mut Recorder<'_, '_>,
-        exp: &[Option<ExpFields>],
+        halves: &[HalfFields],
         minf: Field,
         min_reg: RegId,
         mark: &'static str,
     ) -> Result<(), ApError> {
         rec.broadcast_reg(minf, min_reg)?;
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.sub_assert_clean(f.x, minf)?;
         }
         rec.step(mark);
@@ -2601,7 +1515,7 @@ impl ApSoftmax {
     fn issue_exp_approx(
         &self,
         rec: &mut Recorder<'_, '_>,
-        exp: &[Option<ExpFields>],
+        halves: &[HalfFields],
         op: Field,
     ) -> Result<(), ApError> {
         let consts = *self.sm.constants();
@@ -2611,7 +1525,7 @@ impl ApSoftmax {
         // Steps 3-4: write µ, Barrett multiply + shift -> q̂.
         rec.broadcast(op, consts.mu)?;
         rec.step("3: write mu");
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.mul(f.x, op, f.work)?;
             rec.shr_const(f.work, 2 * m)?;
             rec.copy(f.work.sub(0, w.q as usize), f.q)?;
@@ -2621,26 +1535,26 @@ impl ApSoftmax {
         // Steps 5-6: write vln2, multiply q̂ · vln2.
         rec.broadcast(op, consts.vln2)?;
         rec.step("5: write vln2");
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.mul(f.q, op.sub(0, w.vln2 as usize), f.work)?;
         }
         rec.step("6: multiply q*vln2");
 
         // Step 7: subtract -> r = neg_vstable - q̂·vln2 (fits M bits).
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.sub_assert_clean(f.x, f.work.sub(0, m))?;
         }
         rec.step("7: subtract (vcorr)");
 
         // Steps 8-9: write vb, add: t = vb - r (saturating at zero).
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.broadcast(f.t, consts.vb)?;
             rec.saturating_sub_into(f.t, f.x)?;
         }
         rec.step("8-9: write vb, add vcorr");
 
         // Steps 10-11: copy + multiply -> t².
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.mul(f.t, f.t, f.work)?;
         }
         rec.step("10-11: copy, square");
@@ -2648,7 +1562,7 @@ impl ApSoftmax {
         // Steps 12-13: write vc, add, then variable shift by q̂.
         rec.broadcast(op, consts.vc)?;
         rec.step("12: write vc");
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.add_into(f.work.sub(0, w.poly as usize), op.sub(0, w.vc as usize))?;
             rec.shr_variable(f.work.sub(0, w.poly as usize), f.q)?;
             rec.copy(f.work.sub(0, w.vapprox as usize), f.vapprox)?;
@@ -2667,23 +1581,47 @@ impl ApSoftmax {
     fn issue_partial_reduce(
         &self,
         rec: &mut Recorder<'_, '_>,
-        exp: &[Option<ExpFields>],
+        halves: &[HalfFields],
         sumw: Field,
         den: Field,
         mark: &'static str,
     ) -> Result<RegId, ApError> {
         let w = *self.sm.widths();
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-        let vap_low = (w.vapprox as usize).min(sum_bits);
-        let vap0 = exp[0].as_ref().expect("half 0 allocated").vapprox;
-        rec.copy(vap0.sub(0, vap_low), sumw)?;
-        if let Some(f1) = exp.get(1).and_then(Option::as_ref) {
+        let vap_low = (w.vapprox as usize).min(self.sum_bits() as usize);
+        rec.copy(halves[0].vapprox.sub(0, vap_low), sumw)?;
+        if let Some(f1) = halves.get(1) {
             rec.add_into(sumw, f1.vapprox.sub(0, vap_low))?;
         }
         let rows = rec.rows();
         let sum_reg = rec.reduce_sum(sumw, den, rows, self.overflow_mode())?;
         rec.step(mark);
         Ok(sum_reg)
+    }
+
+    /// Broadcast the divisor — the sum in `sum_reg`, a wrapped zero
+    /// clamped to 1 like the scalar divisor clamp — into `den` (step
+    /// `mark`), divide every half's `v_approx` by it (step 16), and read
+    /// the codes out to output slot 0.
+    fn issue_divide(
+        &self,
+        rec: &mut Recorder<'_, '_>,
+        halves: &[HalfFields],
+        den: Field,
+        sum_reg: RegId,
+        mark: &'static str,
+    ) -> Result<(), ApError> {
+        let den_reg = rec.reg_max1(sum_reg);
+        rec.broadcast_reg(den, den_reg)?;
+        rec.step(mark);
+        let f_bits = self.sm.widths().frac_bits() as usize;
+        for f in halves {
+            rec.divide(f.vapprox, den, f.res, f_bits, self.div_style)?;
+        }
+        rec.step("16: divide");
+        for f in halves {
+            rec.read(f.res, 0)?;
+        }
+        Ok(())
     }
 
     // ---- analytic cost queries ------------------------------------------
@@ -2697,57 +1635,54 @@ impl ApSoftmax {
         (0..len).map(|i| -((i % 97) as f64) * 7.0 / 97.0).collect()
     }
 
-    /// Resolves the vector-level cache entry for length `len`,
-    /// compiling one from [`ApSoftmax::representative_scores`] on this
-    /// thread's pooled tile if the shape has not been seen yet.
-    /// The cache key a vector of `len` elements executes under:
-    /// whole-vector entries are never resident (a single tile re-stages
-    /// by definition); sharded entries carry the effective residency of
-    /// their partition, mirroring `execute_sharded_with`.
-    fn vector_key(&self, len: usize) -> Result<PlanKey, CoreError> {
-        if self.autotune {
-            return Ok(self.tuned_key(len));
-        }
-        let (_, rows) = self.packing(len);
-        let resident = if rows > self.device.rows_per_tile {
-            let mut ranges = Vec::new();
-            self.effective_partition(len, &mut ranges)?;
-            self.resident_for(ranges.len())
-        } else {
-            false
-        };
-        Ok(PlanKey {
-            len,
-            layout: self.layout,
-            div: self.div_style,
-            opt: self.opt_level,
-            phase: PlanPhase::Vector,
-            resident,
-            tuned: false,
-        })
-    }
-
-    /// The key an autotuned vector-level entry lives under: the
-    /// configured axes plus the `tuned` flag (the winner's layout /
-    /// partition / residency live *inside* the [`TunedPlan`], so the
-    /// key stays a pure function of the configuration).
-    pub(crate) fn tuned_key(&self, len: usize) -> PlanKey {
+    /// The cache key a vector of `len` elements executes under, given
+    /// its untuned shard partition `ranges` (empty when it fits one
+    /// tile, and for a tuned key): sharded entries carry the effective
+    /// residency of their partition; whole-vector entries are never
+    /// resident (a single tile re-stages by definition); a tuned entry
+    /// carries the configured axes plus the `tuned` flag — the winner's
+    /// layout, partition, and residency live *inside* the
+    /// [`TunedPlan`], so the key stays a pure function of the
+    /// configuration.
+    fn vector_key(&self, len: usize, ranges: &[(usize, usize)], tuned: bool) -> PlanKey {
         PlanKey {
             len,
             layout: self.layout,
             div: self.div_style,
             opt: self.opt_level,
             phase: PlanPhase::Vector,
-            resident: false,
-            tuned: true,
+            resident: !ranges.is_empty() && self.resident_for(ranges.len()),
+            tuned,
         }
     }
 
+    /// The cache key of the `phase` program for shards of `len`
+    /// elements.
+    fn shard_key(&self, len: usize, phase: PlanPhase, resident: bool) -> PlanKey {
+        PlanKey {
+            phase,
+            resident,
+            ..self.vector_key(len, &[], false)
+        }
+    }
+
+    /// The key a cached vector of `len` elements resolves under.
+    fn cached_key(&self, len: usize) -> Result<PlanKey, CoreError> {
+        let mut ranges = Vec::new();
+        if !self.autotune {
+            self.partition_into(len, &mut ranges)?;
+        }
+        Ok(self.vector_key(len, &ranges, self.autotune))
+    }
+
+    /// Resolves the vector-level cache entry for length `len`,
+    /// compiling one from [`ApSoftmax::representative_scores`] on this
+    /// thread's pooled tile if the shape has not been seen yet.
     fn resolve_vector_entry(&self, len: usize) -> Result<CachedPlan, CoreError> {
         if len == 0 {
             return Err(CoreError::EmptyInput);
         }
-        let key = self.vector_key(len)?;
+        let key = self.cached_key(len)?;
         // Observer lookup: a cost query is not a replay, so it must
         // not count as a cache hit.
         if let Some(plan) = self.plans.peek(&key) {
@@ -2759,7 +1694,7 @@ impl ApSoftmax {
             let mut run = ApSoftmaxRun::default();
             let mut codes = std::mem::take(&mut state.codes);
             self.sm.quantize_into(&scores, &mut codes);
-            let result = self.execute_codes_mode(&mut state, &codes, &mut run, PlanMode::Cached);
+            let result = self.execute_codes_mode(&mut state, &codes, &mut run, PlanMode::Cached, 1);
             state.codes = codes;
             result
         })?;
@@ -3672,6 +2607,24 @@ mod tests {
         assert_eq!(stats.plans, 1, "cap 1 holds one entry");
         assert_eq!(stats.compiles, 3, "each swap recompiles");
         assert_eq!(stats.evictions, 2, "both swaps must be counted");
+    }
+
+    #[test]
+    fn sharded_block_stats_report_engagement_from_the_phase_programs() {
+        // 2048-row shards clear the 512-row admission floor; 64-row
+        // shards stay op-by-op, though their regions are still planned.
+        let long = ApSoftmax::new(PrecisionConfig::paper_best())
+            .unwrap()
+            .with_blocked(true);
+        let stats = long.sharded_plan(16384).unwrap().block_stats().unwrap();
+        assert!(stats.engaged, "{stats}");
+        let tiny = ApSoftmax::new(PrecisionConfig::paper_best())
+            .unwrap()
+            .with_blocked(true)
+            .with_device(DeviceConfig::new(4, 64));
+        let stats = tiny.sharded_plan(512).unwrap().block_stats().unwrap();
+        assert!(!stats.engaged, "{stats}");
+        assert!(stats.regions >= 1, "{stats}");
     }
 
     #[test]

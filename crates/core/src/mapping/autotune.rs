@@ -52,7 +52,7 @@
 use std::sync::Arc;
 
 use super::{
-    ApSoftmax, ApSoftmaxRun, CoreError, Layout, PlanMode, ShardExec, TileState, VectorCost,
+    words_per_row, ApSoftmax, ApSoftmaxRun, CoreError, Layout, PlanMode, TileState, VectorCost,
 };
 use crate::plan::{CachedPlan, CandidateScore, MappingChoice, TunedPlan};
 
@@ -101,55 +101,15 @@ struct Candidate {
 const BALANCED_SPREAD: usize = 2;
 
 impl ApSoftmax {
-    /// The cached-mode entry point when autotuning is on: resolve (or
-    /// search and install) the shape's [`TunedPlan`], then replay its
-    /// winner. Mirrors the slot/get/lock protocol of the untuned
-    /// compile paths so the steady state stays lock-free and
-    /// zero-alloc.
-    pub(crate) fn execute_autotuned(
-        &self,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-    ) -> Result<(), CoreError> {
-        let key = self.tuned_key(codes.len());
-        let token = self.plans.slot_token();
-        if let Some((slot_token, slot_key, CachedPlan::Tuned(plan))) = state.plan.as_ref() {
-            if *slot_token == token && *slot_key == key {
-                self.plans.note_hit();
-                let plan = Arc::clone(plan);
-                return self.replay_tuned(&plan, state, codes, run);
-            }
-        }
-        if let Some(CachedPlan::Tuned(plan)) = self.plans.get(&key) {
-            state.plan = Some((token, key, CachedPlan::Tuned(Arc::clone(&plan))));
-            return self.replay_tuned(&plan, state, codes, run);
-        }
-        // Shape miss: search under the compile lock so racing workers
-        // run one search, not one each.
-        let compile_guard = self.plans.lock_for_compile();
-        if let Some(CachedPlan::Tuned(plan)) = self.plans.get(&key) {
-            drop(compile_guard);
-            state.plan = Some((token, key, CachedPlan::Tuned(Arc::clone(&plan))));
-            return self.replay_tuned(&plan, state, codes, run);
-        }
-        let tuned = self.search_mappings(codes)?;
-        self.plans
-            .note_autotune(tuned.scores.len() as u64, tuned.improved());
-        self.plans
-            .insert(key, CachedPlan::Tuned(Arc::clone(&tuned)));
-        drop(compile_guard);
-        state.plan = Some((token, key, CachedPlan::Tuned(Arc::clone(&tuned))));
-        self.replay_tuned(&tuned, state, codes, run)
-    }
-
     /// Compiles and scores every candidate mapping for this input,
-    /// returning the winner wrapped in a [`TunedPlan`]. Candidates
-    /// execute on throwaway views (fresh scratch cache each, so the
-    /// main cache sees exactly one insert per tuned shape) against the
-    /// *actual* input, which both anchors the winner's static cost to
-    /// it and verifies bit-exactness against the default mapping.
-    fn search_mappings(&self, codes: &[i64]) -> Result<Arc<TunedPlan>, CoreError> {
+    /// returning the winner wrapped in a [`TunedPlan`] (the tuned
+    /// entry's compile step in [`ApSoftmax::lookup`], counted in the
+    /// autotune statistics). Candidates execute on throwaway views
+    /// (fresh scratch cache each, so the main cache sees exactly one
+    /// insert per tuned shape) against the *actual* input, which both
+    /// anchors the winner's static cost to it and verifies
+    /// bit-exactness against the default mapping.
+    pub(super) fn search_mappings(&self, codes: &[i64]) -> Result<CachedPlan, CoreError> {
         let started = std::time::Instant::now();
         let len = codes.len();
         let candidates = self.enumerate_candidates(len);
@@ -162,7 +122,7 @@ impl ApSoftmax {
             let view = self.candidate_view(cand);
             let mut crun = ApSoftmaxRun::default();
             if let Err(e) =
-                view.execute_codes_mode(&mut scratch_state, codes, &mut crun, PlanMode::Cached)
+                view.execute_codes_mode(&mut scratch_state, codes, &mut crun, PlanMode::Cached, 1)
             {
                 if default_cost.is_none() {
                     // The default mapping (candidate zero) must work;
@@ -185,7 +145,7 @@ impl ApSoftmax {
                     }
                 }
             }
-            let vkey = view.vector_key(len)?;
+            let vkey = view.cached_key(len)?;
             let entry = view
                 .plans
                 .peek(&vkey)
@@ -228,14 +188,17 @@ impl ApSoftmax {
         let (winner_cost, choice, plan) = best
             .ok_or_else(|| CoreError::BadWorkload("autotune search scored no candidate".into()))?;
         let default_cost = default_cost.expect("default candidate scored");
-        Ok(Arc::new(TunedPlan {
+        let tuned = TunedPlan {
             choice,
             plan,
             winner_cost,
             default_cost,
             scores,
             compile_micros: started.elapsed().as_secs_f64() * 1e6,
-        }))
+        };
+        self.plans
+            .note_autotune(tuned.scores.len() as u64, tuned.improved());
+        Ok(CachedPlan::Tuned(Arc::new(tuned)))
     }
 
     /// Enumerates the candidate mappings for a vector of `len`
@@ -262,10 +225,7 @@ impl ApSoftmax {
             if rows <= self.device.rows_per_tile {
                 continue; // whole-vector under this layout: no partition axis
             }
-            let wpr = match layout {
-                Layout::TwoWordsPerRow => 2,
-                Layout::OneWordPerRow => 1,
-            };
+            let wpr = words_per_row(layout);
             let mut default_ranges = Vec::new();
             if self
                 .device
@@ -311,62 +271,5 @@ impl ApSoftmax {
         view.partition_override = cand.partition.clone();
         view.plans = Arc::new(crate::plan::PlanCache::new());
         view
-    }
-
-    /// Replays a tuned plan's winner: packs the input by the winner's
-    /// layout (not the configured one) and takes the ordinary
-    /// whole-vector or sharded replay path. Zero-alloc in steady state,
-    /// like any other replay.
-    fn replay_tuned(
-        &self,
-        tuned: &TunedPlan,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-    ) -> Result<(), CoreError> {
-        match &tuned.plan {
-            CachedPlan::Program(plan) => {
-                let plan = Arc::clone(plan);
-                let total_len = codes.len();
-                let (packed, rows) = Self::packing_of(tuned.choice.layout, total_len);
-                state.half0.clear();
-                state
-                    .half0
-                    .extend(codes[..rows].iter().map(|&c| c.unsigned_abs()));
-                state.half1.clear();
-                if packed {
-                    state
-                        .half1
-                        .extend(codes[rows..].iter().map(|&c| c.unsigned_abs()));
-                }
-                let TileState {
-                    tile,
-                    half0,
-                    half1,
-                    scratch,
-                    ..
-                } = state;
-                let halves_arr: [&[u64]; 2] = [half0.as_slice(), half1.as_slice()];
-                let halves = if packed {
-                    &halves_arr[..]
-                } else {
-                    &halves_arr[..1]
-                };
-                self.replay_plan(&plan, tile, scratch, halves, total_len, run)
-            }
-            CachedPlan::Sharded(plan) => {
-                let plan = Arc::clone(plan);
-                self.run_sharded(
-                    state,
-                    codes,
-                    run,
-                    &plan.ranges,
-                    ShardExec::Replay(&plan),
-                    plan.resident,
-                    tuned.choice.layout,
-                )
-            }
-            CachedPlan::Tuned(_) => unreachable!("tuned plans never nest"),
-        }
     }
 }

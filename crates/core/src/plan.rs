@@ -272,7 +272,8 @@ impl ShardedPlan {
 
     /// Aggregated region-blocking statistics across the distinct phase
     /// programs (each `Arc`-shared program counted once), or `None`
-    /// when the plan was compiled with blocking disabled.
+    /// when the plan was compiled with blocking disabled. `engaged` is
+    /// set when any phase program replays strip-mined.
     #[must_use]
     pub fn block_stats(&self) -> Option<softmap_ap::BlockStats> {
         let mut agg: Option<softmap_ap::BlockStats> = None;
@@ -306,6 +307,7 @@ impl ShardedPlan {
             a.strip_blocks_max = a.strip_blocks_max.max(s.strip_blocks_max);
             a.gathers_elided += s.gathers_elided;
             a.scatters_elided += s.scatters_elided;
+            a.engaged |= s.engaged;
         }
         agg
     }
@@ -349,7 +351,6 @@ impl fmt::Display for MappingChoice {
         };
         let opt = match self.opt {
             OptLevel::None => "opt=none",
-            OptLevel::Basic => "opt=basic",
             OptLevel::Full => "opt=full",
         };
         write!(f, "{layout} {div} {opt}")?;

@@ -6,12 +6,11 @@
 //! ```text
 //!  clients ──▶ submission queue ──▶ wave packing ──▶ workers
 //!  submit()     bounded ring         admission:       persistent
-//!  try_submit()  (backpressure:       claim shard      TileState /
-//!                 block or            tiles, pack       FanoutState,
-//!                 QueueFull)          concurrent        resident plan
-//!                                     requests into     replay; shard-
-//!                                     one device wave   parallel fan-out
-//!                                                       for long vectors
+//!  try_submit()  (backpressure:       claim shard      TileState,
+//!                 block or            tiles, pack       resident plan
+//!                 QueueFull)          concurrent        replay; shard-
+//!                                     requests into     parallel fan-out
+//!                                     one device wave   for long vectors
 //! ```
 //!
 //! *Continuous* batching: admission runs at every submission and every
@@ -27,9 +26,10 @@
 //!
 //! Requests are **bit-exact** versus the non-serving path: workers
 //! execute the same cached plans through [`ApSoftmax`], and a long
-//! vector fans its three phases across workers over disjoint output
-//! slices (`mapping::fanout`) so a single 32k request cannot stall the
-//! queue behind it. First sight of a shape warms the plan cache at
+//! vector's shards fan across host workers over disjoint output slices
+//! — the one sharded executor (`mapping::fanout`) with
+//! `tile_parallelism(shards)` workers instead of one — so a single 32k
+//! request cannot stall the queue behind it. First sight of a shape warms the plan cache at
 //! construction via [`ApSoftmax::warmup`]; the steady-state submit →
 //! execute → collect loop performs zero heap allocations for
 //! whole-vector requests (asserted by the counting-allocator test).
@@ -69,7 +69,6 @@ use std::thread::JoinHandle;
 use softmap_ap::batch;
 use softmap_ap::device::TileClocks;
 
-use crate::mapping::fanout::FanoutState;
 use crate::{ApSoftmax, ApSoftmaxRun, CacheStats, CoreError, TileState};
 
 /// Environment variable overriding the serving worker-thread count
@@ -714,13 +713,12 @@ fn shutdown(shared: &Shared, handles: &mut Vec<JoinHandle<()>>) {
 /// settling for the queue head.
 const AFFINITY_SCAN: usize = 8;
 
-/// One worker: persistent [`TileState`] + [`FanoutState`], pulling
+/// One worker: a persistent [`TileState`], pulling
 /// admitted requests until shutdown drains the queue. Prefers a request
 /// matching the last executed length (plan-slot and buffer affinity)
 /// from the front of the admitted ring.
 fn worker_loop(shared: &Shared) {
     let mut tile = TileState::new();
-    let mut fan = FanoutState::default();
     let mut codes: Vec<i64> = Vec::new();
     let mut run = ApSoftmaxRun::default();
     let mut last_len = 0usize;
@@ -748,19 +746,14 @@ fn worker_loop(shared: &Shared) {
             }
         };
 
-        let res = if shared.shard_parallel && shards > 1 {
-            shared.mapping.execute_codes_fanout(
-                &mut tile,
-                &mut fan,
-                &codes,
-                &mut run,
-                batch::tile_parallelism(shards),
-            )
+        let workers = if shared.shard_parallel && shards > 1 {
+            batch::tile_parallelism(shards)
         } else {
-            shared
-                .mapping
-                .execute_codes_into(&mut tile, &codes, &mut run)
+            1
         };
+        let res = shared
+            .mapping
+            .execute_codes_fanout(&mut tile, &codes, &mut run, workers);
         last_len = codes.len();
 
         let mut q = shared.state.lock().expect("serving queue poisoned");

@@ -74,7 +74,7 @@ fn static_cost_tracks_simulated_at_every_opt_level() {
     // optimizer can produce, per step and in total.
     let cfg = PrecisionConfig::paper_best();
     let len = 256;
-    for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
+    for level in [OptLevel::None, OptLevel::Full] {
         let mapping = ApSoftmax::new(cfg)
             .unwrap()
             .with_backend(ExecBackend::FastWord)
@@ -152,7 +152,7 @@ fn resident_static_cost_tracks_simulated_at_every_opt_level() {
     // cost (total and per step/phase) equals actually simulating the
     // representative input — and undercuts the re-staged plan's work
     // by at least 10%.
-    for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
+    for level in [OptLevel::None, OptLevel::Full] {
         for len in [8192usize, 16384] {
             let mut totals = [0u64; 2];
             for (slot, resident) in [(0, true), (1, false)] {
