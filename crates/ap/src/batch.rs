@@ -21,8 +21,7 @@
 //! ```
 
 pub use softmap_par::{
-    fan_out_with, parallel_map, parallel_map_with, tile_parallelism, try_parallel_map,
-    try_parallel_map_with,
+    parallel_map, parallel_map_with, tile_parallelism, try_parallel_map, try_parallel_map_with,
 };
 
 use crate::device;

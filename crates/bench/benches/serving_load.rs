@@ -10,7 +10,13 @@
 //!   percentiles, submission to collection,
 //! * `serving/wall_speedup_x1000` — sequential wall time over served
 //!   wall time (×1000; ~1000 on a single-core host, where the worker
-//!   pool degenerates to one worker).
+//!   pool degenerates to one worker),
+//! * `serving/idle_p50_us_<len>` / `serving/idle_p90_us_<len>` — the
+//!   idle series: lone 8192- and 16384-score requests on an idle
+//!   2-worker server, one ticket in flight, submission to collection.
+//!   It measures how much an idle worker helping with a long request's
+//!   shard chunks buys; the helped-chunk counts print beside it (and,
+//!   for the loaded run, in the admission line).
 //!
 //! Host-invariant records (the `serving` gate in `scripts/bench_ap.sh`
 //! runs on these; they are *device-model* quantities — simulated
@@ -47,6 +53,10 @@ const PATTERN: [usize; 12] = [64, 256, 64, 1024, 64, 4096, 256, 64, 8192, 1024, 
 
 /// Outstanding requests the closed-loop client keeps in flight.
 const WINDOW: usize = 48;
+
+/// The idle series' request lengths: two and four shard tiles on the
+/// default grid at the paper's two words per row.
+const IDLE_LENS: [usize; 2] = [8192, 16384];
 
 /// Appends a record to the `CRITERION_JSON` stream in the harness's
 /// `{"bench":..., "ns_per_iter":...}` shape so `scripts/bench_ap.sh`
@@ -193,4 +203,47 @@ fn main() {
     emit("serving/occupancy_x1000", (occupancy * 1000.0) as u64);
     emit("serving/waves_formed", stats.waves_formed);
     emit("serving/coalesced", stats.coalesced);
+
+    idle_series(if quick { 40 } else { 200 });
+}
+
+/// Lone long requests on an idle 2-worker server, one ticket in flight:
+/// each length's latency p50 and p90 over `samples` requests, after a
+/// few warm ones.
+fn idle_series(samples: usize) {
+    let server = SoftmaxServer::new(
+        mapping(),
+        ServeConfig {
+            workers: 2,
+            queue_depth: 2,
+            warmup_shapes: IDLE_LENS.to_vec(),
+            shard_parallel: true,
+        },
+    )
+    .unwrap();
+    let mut run = ApSoftmaxRun::default();
+    for (salt, &len) in IDLE_LENS.iter().enumerate() {
+        let r = row(len, salt);
+        for _ in 0..5 {
+            server.submit(&r).unwrap().wait_into(&mut run).unwrap();
+        }
+        let helped_before = server.stats().helped_chunks;
+        let mut lat_us: Vec<f64> = Vec::with_capacity(samples);
+        for _ in 0..samples {
+            let submitted = Instant::now();
+            server.submit(&r).unwrap().wait_into(&mut run).unwrap();
+            lat_us.push(submitted.elapsed().as_secs_f64() * 1e6);
+        }
+        let helped = server.stats().helped_chunks - helped_before;
+        lat_us.sort_by(f64::total_cmp);
+        let pct = |p: f64| lat_us[((lat_us.len() - 1) as f64 * p) as usize];
+        let (p50, p90) = (pct(0.50), pct(0.90));
+        println!(
+            "  idle {len}: p50 {p50:.0} us, p90 {p90:.0} us over {samples} lone \
+             requests ({} shards), {helped} chunks helped",
+            run.shards
+        );
+        emit(&format!("serving/idle_p50_us_{len}"), p50 as u64);
+        emit(&format!("serving/idle_p90_us_{len}"), p90 as u64);
+    }
 }

@@ -40,6 +40,8 @@ pub mod serve;
 
 mod deploy;
 
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
 pub use deploy::{ApDeployment, ApWorkloadCost, WorkloadModel};
 pub use llm_bridge::ApMappedSoftmax;
 pub use mapping::{
@@ -69,6 +71,22 @@ pub enum CoreError {
     Ap(softmap_ap::ApError),
     /// An error from the scalar softmax specification.
     Softmax(softmap_softmax::SoftmaxError),
+    /// Executing a served request panicked (the panic hook reported
+    /// the message); the server keeps serving the other requests.
+    Panicked,
+}
+
+/// Locks `m`, recovering the guard from a thread that panicked while
+/// holding it. Panics are caught per request and chunk (see [`serve`]);
+/// no queue update can be left half-done, and a chunk a panic may have
+/// left half-done is discarded with its job.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] with [`lock`]'s recovery.
+pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 impl core::fmt::Display for CoreError {
@@ -79,6 +97,7 @@ impl core::fmt::Display for CoreError {
             Self::QueueFull => write!(f, "serving queue is full (backpressure)"),
             Self::Ap(e) => write!(f, "AP error: {e}"),
             Self::Softmax(e) => write!(f, "softmax error: {e}"),
+            Self::Panicked => write!(f, "execution panicked"),
         }
     }
 }

@@ -28,10 +28,10 @@
 //! `fanout` submodule). One generator issues every program: the
 //! whole-vector dataflow and each shard phase, resident (pinned tiles at
 //! one union geometry) or re-staged. One sharded executor runs every
-//! mode — direct issue, compile, replay — with the host-worker count as
-//! a parameter: one worker on the calling thread for
-//! [`ApSoftmax::execute_codes_into`], several when
-//! [`crate::SoftmaxServer`] fans a long request out. One plan lookup
+//! mode — direct issue, compile, replay — over chunks of shards: one
+//! chunk on the calling thread for [`ApSoftmax::execute_codes_into`],
+//! one per worker when [`crate::SoftmaxServer`] replays a long request,
+//! which idle workers may then help with. One plan lookup
 //! (tile slot → shared cache → compile lock → re-check → compile →
 //! insert) resolves whole-vector, sharded, and autotuned entries alike.
 
@@ -55,7 +55,7 @@ pub(crate) mod autotune;
 pub(crate) mod fanout;
 
 pub use autotune::AUTOTUNE_ENV;
-use fanout::{ShardExec, ShardScratch};
+use fanout::{ShardExec, ShardJob, ShardScratch};
 
 /// How vector elements are packed into AP rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -371,6 +371,18 @@ impl TileState {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A state whose sharded replays split into up to `chunks` chunks.
+    pub(crate) fn with_chunks(chunks: usize) -> Self {
+        let mut state = Self::new();
+        state.shard.job = Arc::new(ShardJob::new(chunks));
+        state
+    }
+
+    /// The job a serving owner posts for helpers.
+    pub(crate) fn job(&self) -> &Arc<ShardJob> {
+        &self.shard.job
     }
 
     /// The underlying tile slot (observer access).
@@ -935,7 +947,7 @@ impl ApSoftmax {
         codes: &[i64],
         run: &mut ApSoftmaxRun,
     ) -> Result<(), CoreError> {
-        self.execute_codes_mode(state, codes, run, self.plan_mode, 1)
+        self.execute_codes_mode(state, codes, run, self.plan_mode, None)
     }
 
     /// Whether a vector of `len` elements is packed two words per row
@@ -952,15 +964,15 @@ impl ApSoftmax {
     /// it on a miss, which executes this vector — and replays it. A
     /// vector that fits one tile runs the whole-vector dataflow; a
     /// longer one runs sharded across the tile grid
-    /// ([`ApSoftmax::run_sharded`]), fanned over up to `workers` host
-    /// workers when it replays.
+    /// ([`ApSoftmax::run_sharded`]), its replay open to serving helpers
+    /// when `wake` is given.
     fn execute_codes_mode(
         &self,
         state: &mut TileState,
         codes: &[i64],
         run: &mut ApSoftmaxRun,
         mode: PlanMode,
-        workers: usize,
+        wake: Option<&dyn Fn()>,
     ) -> Result<(), CoreError> {
         if codes.is_empty() {
             return Err(CoreError::EmptyInput);
@@ -977,7 +989,7 @@ impl ApSoftmax {
         } else {
             self.partition_into(codes.len(), &mut ranges)
         }
-        .and_then(|()| self.execute_partitioned(state, codes, run, mode, workers, &ranges));
+        .and_then(|()| self.execute_partitioned(state, codes, run, mode, wake, &ranges));
         state.shard.ranges = ranges;
         result
     }
@@ -991,7 +1003,7 @@ impl ApSoftmax {
         codes: &[i64],
         run: &mut ApSoftmaxRun,
         mode: PlanMode,
-        workers: usize,
+        wake: Option<&dyn Fn()>,
         ranges: &[(usize, usize)],
     ) -> Result<(), CoreError> {
         let whole = ranges.is_empty();
@@ -1012,7 +1024,7 @@ impl ApSoftmax {
                     ranges,
                     false,
                     self.layout,
-                    1,
+                    None,
                 )
                 .map(drop)
             };
@@ -1031,7 +1043,7 @@ impl ApSoftmax {
             // Compiling executed this vector.
             return Ok(());
         }
-        self.replay_entry(&entry, self.layout, state, codes, run, workers)
+        self.replay_entry(&entry, self.layout, state, codes, run, wake)
     }
 
     /// The one plan lookup behind every cached execution: the tile's
@@ -1076,7 +1088,7 @@ impl ApSoftmax {
     }
 
     /// Replays a cache entry: a whole-vector program or a sharded plan
-    /// (across up to `workers` host workers) packed by `layout`, or a
+    /// (open to serving helpers given `wake`) packed by `layout`, or a
     /// tuned entry's winner under the winner's layout. Zero-alloc in
     /// steady state.
     fn replay_entry(
@@ -1086,7 +1098,7 @@ impl ApSoftmax {
         state: &mut TileState,
         codes: &[i64],
         run: &mut ApSoftmaxRun,
-        workers: usize,
+        wake: Option<&dyn Fn()>,
     ) -> Result<(), CoreError> {
         match entry {
             CachedPlan::Program(plan) => self
@@ -1101,11 +1113,11 @@ impl ApSoftmax {
                     &plan.ranges,
                     plan.resident,
                     layout,
-                    workers,
+                    wake,
                 )
                 .map(drop),
             CachedPlan::Tuned(tuned) => {
-                self.replay_entry(&tuned.plan, tuned.choice.layout, state, codes, run, workers)
+                self.replay_entry(&tuned.plan, tuned.choice.layout, state, codes, run, wake)
             }
         }
     }
@@ -1694,7 +1706,8 @@ impl ApSoftmax {
             let mut run = ApSoftmaxRun::default();
             let mut codes = std::mem::take(&mut state.codes);
             self.sm.quantize_into(&scores, &mut codes);
-            let result = self.execute_codes_mode(&mut state, &codes, &mut run, PlanMode::Cached, 1);
+            let result =
+                self.execute_codes_mode(&mut state, &codes, &mut run, PlanMode::Cached, None);
             state.codes = codes;
             result
         })?;

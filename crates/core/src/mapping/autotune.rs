@@ -121,8 +121,8 @@ impl ApSoftmax {
         for cand in &candidates {
             let view = self.candidate_view(cand);
             let mut crun = ApSoftmaxRun::default();
-            if let Err(e) =
-                view.execute_codes_mode(&mut scratch_state, codes, &mut crun, PlanMode::Cached, 1)
+            let state = &mut scratch_state;
+            if let Err(e) = view.execute_codes_mode(state, codes, &mut crun, PlanMode::Cached, None)
             {
                 if default_cost.is_none() {
                     // The default mapping (candidate zero) must work;

@@ -1,5 +1,6 @@
 //! The sharded executor: one long vector's three phases across its
-//! shards, with the shards fanned over host workers.
+//! shards, with the shards split into chunks that idle serving workers
+//! may help with.
 //!
 //! A vector whose rows exceed one tile runs **sharded** across the
 //! device's tile grid. The dataflow has two cross-tile synchronization
@@ -29,33 +30,32 @@
 //!
 //! [`ApSoftmax::run_sharded`] is the one executor for every mode —
 //! direct issue, compile (record, optimize, and cache each shard
-//! shape's phase program), and cached replay — and every host-worker
-//! count. The shards split into contiguous per-worker chunks; worker
-//! `j` owns its chunk's tiles, staging buffers, and output slices, and
-//! runs each phase's shards through the one per-shard body
-//! ([`ApSoftmax::shard_phase`]). Worker 0 runs on the calling thread,
-//! so [`ApSoftmax::execute_codes_into`] executes with one worker and
-//! spawns nothing; the serving layer replays with
-//! `tile_parallelism(shards)` workers, spawned once per vector. The
-//! workers meet at a barrier at each of the two synchronization points,
-//! where each combines the shard results every worker deposited. A
-//! failing worker raises a shared flag and keeps meeting the barriers
-//! without doing further work, so no worker waits for one that
-//! stopped, and the lowest-indexed worker's error is returned. Results
-//! are bit-exact and cost-identical at every worker count: the shard
-//! programs, replay pricing ([`phase_replay`]), reduction charges, and
-//! wave-scheduled latency are the same, merely evaluated concurrently,
-//! and the calling thread merges the accounting in shard order.
+//! shape's phase program), and cached replay. The shards split into
+//! contiguous chunks of a [`ShardJob`], each owning its tiles, buffers,
+//! outputs, and accounting behind one lock and running its shards
+//! through the one per-shard body ([`ApSoftmax::shard_phase`]). The
+//! thread executing the vector (the *owner*) opens a phase, runs chunks
+//! until none is unclaimed, waits only for those a *helper* claimed,
+//! and runs the cross-tile combine once. Inline
+//! [`ApSoftmax::execute_codes_into`] is one chunk; a serving replay
+//! picked while a worker idles has one per worker, which idle workers
+//! claim ([`ShardJob::claim`] reads the chunk and its phase under one
+//! lock). A sync point returns the lowest failing chunk's error (the
+//! first failing shard's, as on one chunk) and opens no further phase.
+//! Results are bit-exact and cost-identical at every chunk and helper
+//! count: the shard programs, replay pricing ([`phase_replay`]),
+//! reduction charges, and wave-scheduled latency are the same, and the
+//! owner merges the accounting in shard order.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 
 use softmap_ap::program::{optimizer, ExecIo, ProgramScratch};
-use softmap_ap::{batch, device, ApError, ApTile, CycleStats, Field, Overflow};
+use softmap_ap::{device, ApError, ApTile, CycleStats, Field, Overflow};
 
 use super::{accumulate_step, pack_halves, ApSoftmax, ApSoftmaxRun, Layout, StepStats, TileState};
 use crate::plan::{CachedPlan, CompiledPlan, PlanPhase, ShardedPlan};
-use crate::CoreError;
+use crate::{lock, wait, CoreError};
 
 /// The three shard phases, in order.
 const PHASES: [PlanPhase; 3] = [
@@ -65,46 +65,63 @@ const PHASES: [PlanPhase; 3] = [
 ];
 
 /// The sharded executor's reusable state inside a [`TileState`]: the
-/// shard partition, the per-shard results the two cross-tile
-/// reductions combine, the per-phase shard cycle counts the wave
-/// scheduler consumes, the scheduler's tile-load scratch, and one
-/// [`WorkerScratch`] per host worker. All capacities persist across
+/// shard partition, the per-phase shard cycle counts the wave
+/// scheduler consumes, the scheduler's tile-load scratch, and the
+/// [`ShardJob`] holding the chunks. All capacities persist across
 /// vectors, so steady-state sharded execution performs zero heap
 /// allocations.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(super) struct ShardScratch {
     pub(super) ranges: Vec<(usize, usize)>,
-    deposits: Deposits,
     phase_cycles: [Vec<u64>; 3],
     loads: Vec<u64>,
-    workers: Vec<WorkerScratch>,
+    pub(super) job: Arc<ShardJob>,
 }
 
-/// Per-shard result slots — the shard minima, then the partial sums —
-/// written by the workers concurrently and read by every worker after
-/// the phase barrier.
-#[derive(Debug, Default)]
-struct Deposits(Vec<AtomicU64>);
-
-impl Clone for Deposits {
+impl Clone for ShardScratch {
+    /// The clone gets a fresh job of its own, with as many chunks.
     fn clone(&self) -> Self {
-        Self(
-            self.0
-                .iter()
-                .map(|d| AtomicU64::new(d.load(Ordering::Relaxed)))
-                .collect(),
-        )
+        let job = Arc::new(ShardJob::new(self.job.chunks.len()));
+        Self {
+            job,
+            ..Self::default()
+        }
     }
 }
 
-/// One host worker's share of a sharded vector: its tile pool (shard
-/// `first + k` of its chunk pins `tiles[k]` for the vector's lifetime
-/// when resident; re-staged shards share `tiles[0]`), staging buffers,
-/// program scratch, the outputs of its chunk, and its accounting for
-/// the calling thread — per phase the steps, shard cycles, and compiled
-/// phase programs; the work, the widest layout, and the first error.
+/// A sharded vector's chunks as tasks (see the module docs), reused
+/// across vectors: a posted vector's codes, its control, and its chunks.
+#[derive(Debug)]
+pub(crate) struct ShardJob {
+    codes: RwLock<Vec<i64>>,
+    /// The open phase (see [`Claim`]) and the chunks helpers are running.
+    ctl: Mutex<(Claim, usize)>,
+    /// A helper finished its chunk.
+    done: Condvar,
+    chunks: Vec<Mutex<Chunk>>,
+}
+
+/// A claimed chunk and its phase; in the job's control, the open phase
+/// and next unclaimed chunk (`plan` only set for a posted replay).
 #[derive(Debug, Clone, Default)]
-struct WorkerScratch {
+pub(crate) struct Claim {
+    plan: Option<Arc<ShardedPlan>>,
+    layout: Layout,
+    /// The phase's index into [`PHASES`].
+    p: usize,
+    /// The global minimum (exp) or the combined sum (divide).
+    scalar: u64,
+    chunks: usize,
+    chunk: usize,
+}
+
+/// One chunk's share of a sharded vector: its tile pool (shard
+/// `first + k` pins `tiles[k]` for the vector's lifetime when resident;
+/// re-staged shards share `tiles[0]`), buffers, outputs, and accounting
+/// — per phase the steps, shard cycles, and compiled programs; the
+/// work, widest layout, shard minimum, partial sum, and first error.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
     tiles: Vec<ApTile>,
     scratch: ProgramScratch,
     half0: Vec<u64>,
@@ -116,7 +133,76 @@ struct WorkerScratch {
     plans: [Vec<Arc<CompiledPlan>>; 3],
     total: CycleStats,
     cols: usize,
+    min: u64,
+    sum: u128,
     err: Option<CoreError>,
+}
+
+impl Default for ShardJob {
+    fn default() -> Self {
+        Self::new(1)
+    }
+}
+
+impl ShardJob {
+    /// A job of `chunks` chunks (at least one).
+    pub(crate) fn new(chunks: usize) -> Self {
+        Self {
+            codes: RwLock::default(),
+            ctl: Mutex::default(),
+            done: Condvar::new(),
+            chunks: (0..chunks.max(1)).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// The codes a posted vector runs on (a serving owner's request's).
+    pub(crate) fn codes(&self) -> RwLockWriteGuard<'_, Vec<i64>> {
+        self.codes.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims a chunk of the open phase; a helper claims only a posted
+    /// replay's, and counts as helping until it finishes.
+    pub(crate) fn claim(&self, helper: bool) -> Option<Claim> {
+        let mut ctl = lock(&self.ctl);
+        let (open, helping) = &mut *ctl;
+        if open.chunk >= open.chunks || (helper && open.plan.is_none()) {
+            return None;
+        }
+        *helping += usize::from(helper);
+        let claim = open.clone();
+        open.chunk += 1;
+        Some(claim)
+    }
+
+    /// Runs a helper's claimed chunk. A panic becomes the chunk's
+    /// error, so its owner never waits forever.
+    pub(crate) fn help(&self, mapping: &ApSoftmax, claim: Claim) {
+        let (c, plan) = (claim.chunk, claim.plan.clone().expect("a posted replay"));
+        let codes = self.codes.read().unwrap_or_else(PoisonError::into_inner);
+        let ctx = PhaseCtx {
+            exec: ShardExec::Replay(&plan),
+            codes: &codes,
+            ranges: &plan.ranges,
+            resident: plan.resident,
+            claim,
+        };
+        let mut w = lock(&self.chunks[c]);
+        if catch_unwind(AssertUnwindSafe(|| mapping.chunk_phase(&ctx, c, &mut w))).is_err() {
+            w.err = Some(CoreError::Panicked);
+        }
+        drop((w, codes));
+        lock(&self.ctl).1 -= 1;
+        self.done.notify_one();
+    }
+
+    /// Closes the open phase to claims; waits for the chunks helpers run.
+    pub(crate) fn close(&self) {
+        let mut ctl = lock(&self.ctl);
+        ctl.0.chunk = ctl.0.chunks;
+        while ctl.1 > 0 {
+            ctl = wait(&self.done, ctl);
+        }
+    }
 }
 
 /// How the executor obtains each shard's phase program.
@@ -126,29 +212,20 @@ pub(super) enum ShardExec<'a> {
     /// differential-testing baseline.
     Direct,
     /// Replay the cached sharded plan's phase programs.
-    Replay(&'a ShardedPlan),
+    Replay(&'a Arc<ShardedPlan>),
     /// Replay the phase program cached for the shard's shape, or
     /// record, optimize, and cache one while executing.
     Compile,
 }
 
-/// What a worker reads: the vector's shards and how to run them, the
-/// phase running, and the phase's scalar input.
-#[derive(Clone, Copy)]
+/// What a chunk reads: the vector's shards, how to run them, and the
+/// phase running.
 struct PhaseCtx<'a> {
     exec: ShardExec<'a>,
-    /// The running phase's index into [`PHASES`].
-    p: usize,
     codes: &'a [i64],
     ranges: &'a [(usize, usize)],
-    layout: Layout,
     resident: bool,
-    workers: usize,
-    /// The min and exp phases' per-shard results, in that order.
-    deposits: &'a [AtomicU64],
-    /// The phase's scalar input: the global minimum (exp) or the
-    /// combined sum (divide).
-    scalar: u64,
+    claim: Claim,
 }
 
 /// Whether shard `i` is a *follower*: every shard after the first
@@ -186,24 +263,17 @@ fn phase_replay(ranges: &[(usize, usize)], i: usize, resident: bool) -> PhaseRep
 }
 
 impl ApSoftmax {
-    /// [`ApSoftmax::execute_codes_into`] with a sharded vector's
-    /// shards fanned across up to `workers` host workers when it
-    /// replays a cached plan (compiling, direct issue, and whole
-    /// vectors run on the calling thread). One worker is exactly
-    /// `execute_codes_into`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ApSoftmax::execute_codes_into`]; the lowest-indexed failing
-    /// worker's error.
-    pub(crate) fn execute_codes_fanout(
+    /// Serving's entry point: executes the codes in `state`'s job, a
+    /// sharded replay's phases open to the helpers `wake` rouses.
+    pub(crate) fn execute_posted(
         &self,
         state: &mut TileState,
-        codes: &[i64],
         run: &mut ApSoftmaxRun,
-        workers: usize,
+        wake: Option<&dyn Fn()>,
     ) -> Result<(), CoreError> {
-        self.execute_codes_mode(state, codes, run, self.plan_mode, workers)
+        let job = Arc::clone(&state.shard.job);
+        let codes = job.codes.read().unwrap_or_else(PoisonError::into_inner);
+        self.execute_codes_mode(state, &codes, run, self.plan_mode, wake)
     }
 
     /// Compiles the sharded plan for this vector by executing it once
@@ -225,7 +295,7 @@ impl ApSoftmax {
             ranges,
             resident,
             self.layout,
-            1,
+            None,
         )?;
         Ok(CachedPlan::Sharded(Arc::new(ShardedPlan {
             ranges: ranges.to_vec(),
@@ -245,16 +315,15 @@ impl ApSoftmax {
     }
 
     /// The sharded executor (see the module docs): the three phases of
-    /// `codes` over the shards `ranges`, split into `workers`
-    /// contiguous chunks (clamped to the shard count) that run
-    /// concurrently and meet at the two cross-tile synchronization
-    /// points. `exec` selects direct issue, compile, or replay;
-    /// `resident` the residency plan (shard tiles pinned across phases,
-    /// phase-boundary staging elided, followers charged in lockstep)
-    /// versus the re-staging path; `layout` the row packing the shards
-    /// stage under (a tuned winner's, on tuned replay). Returns the
-    /// phase programs compile mode collected, per phase in shard order
-    /// (empty otherwise).
+    /// `codes` over the shards `ranges`. `exec` selects direct issue,
+    /// compile, or replay; `resident` the residency plan (shard tiles
+    /// pinned across phases, phase-boundary staging elided, followers
+    /// charged in lockstep) versus the re-staging path; `layout` the row
+    /// packing the shards stage under (a tuned winner's, on tuned
+    /// replay). A replay given `wake` splits into the job's chunks (at
+    /// most one per shard) and posts each phase to helpers; anything
+    /// else runs one chunk. Returns the phase programs compile mode
+    /// collected, per phase in shard order (empty otherwise).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn run_sharded(
         &self,
@@ -265,50 +334,49 @@ impl ApSoftmax {
         ranges: &[(usize, usize)],
         resident: bool,
         layout: Layout,
-        workers: usize,
+        wake: Option<&dyn Fn()>,
     ) -> Result<[Vec<Arc<CompiledPlan>>; 3], CoreError> {
-        let shards = ranges.len();
-        let workers = workers.clamp(1, shards);
-        if shard.workers.len() < workers {
-            shard.workers.resize_with(workers, WorkerScratch::default);
-        }
-        if shard.deposits.0.len() < 2 * shards {
-            shard.deposits.0.resize_with(2 * shards, AtomicU64::default);
-        }
-        let pool = &mut shard.workers[..workers];
-        // Worker 0 reads its outputs straight into the run's buffers;
-        // the other workers' chunks are appended after the last phase.
-        std::mem::swap(&mut pool[0].codes, &mut run.codes);
-        std::mem::swap(&mut pool[0].vapprox, &mut run.vapprox);
-        let ctx = PhaseCtx {
+        let (shards, job) = (ranges.len(), &*shard.job);
+        let posted = match exec {
+            ShardExec::Replay(plan) => wake.zip(Some(plan)),
+            _ => None,
+        };
+        let chunks = posted.map_or(1, |_| job.chunks.len().min(shards));
+        let claim = Claim {
+            plan: posted.map(|(_, plan)| Arc::clone(plan)),
+            layout,
+            chunks,
+            ..Claim::default()
+        };
+        let mut ctx = PhaseCtx {
             exec,
-            p: 0,
             codes,
             ranges,
-            layout,
             resident,
-            workers,
-            deposits: &shard.deposits.0[..2 * shards],
-            scalar: 0,
+            claim,
         };
-        let barrier = Barrier::new(workers);
-        let failed = AtomicBool::new(false);
-        batch::fan_out_with(pool, |j, w| self.run_worker(ctx, j, w, &barrier, &failed));
-        let (first, rest) = pool.split_first_mut().expect("at least one worker");
-        for w in rest.iter() {
+        // Chunk 0 reads its outputs straight into the run's buffers; the
+        // other chunks' are appended after the last phase.
+        let mut first = lock(&job.chunks[0]);
+        std::mem::swap(&mut first.codes, &mut run.codes);
+        std::mem::swap(&mut first.vapprox, &mut run.vapprox);
+        drop(first);
+        let sum = self.run_phases(job, &mut ctx, posted.map(|(wake, _)| wake));
+        let mut first = lock(&job.chunks[0]);
+        for chunk in &job.chunks[1..chunks] {
+            let w = lock(chunk);
             first.codes.extend_from_slice(&w.codes);
             first.vapprox.extend_from_slice(&w.vapprox);
         }
         std::mem::swap(&mut first.codes, &mut run.codes);
         std::mem::swap(&mut first.vapprox, &mut run.vapprox);
-        if let Some(err) = pool.iter_mut().find_map(|w| w.err.take()) {
-            return Err(err);
-        }
+        drop(first);
+        run.sum = sum?;
         debug_assert_eq!(run.codes.len(), codes.len());
 
-        // Merge the workers' accounting in shard order, phase by phase
+        // Merge the chunks' accounting in shard order, phase by phase
         // with the cross-tile reductions in between: identical step
-        // names, totals, and first-appearance order at any worker count.
+        // names, totals, and first-appearance order at any chunk count.
         let mut compiled: [Vec<Arc<CompiledPlan>>; 3] = Default::default();
         let mut total = CycleStats::default();
         let mut reduction = CycleStats::default();
@@ -321,12 +389,17 @@ impl ApSoftmax {
         run.steps.clear();
         for (p, phase_cycles) in shard.phase_cycles.iter_mut().enumerate() {
             phase_cycles.clear();
-            for w in pool.iter_mut() {
+            for chunk in &job.chunks[..chunks] {
+                let mut w = lock(chunk);
                 for st in &w.steps[p] {
                     accumulate_step(&mut run.steps, st.name, st.stats);
                 }
                 phase_cycles.extend_from_slice(&w.cycles[p]);
                 compiled[p].append(&mut w.plans[p]);
+                if p == 0 {
+                    total.accumulate(&w.total);
+                    cols = cols.max(w.cols);
+                }
             }
             // Device view: critical path = per-phase wave makespans plus
             // the reduction-network cycles. Under residency the
@@ -340,14 +413,8 @@ impl ApSoftmax {
                 latency += red.cycles();
             }
         }
-        for w in pool.iter() {
-            total.accumulate(&w.total);
-            cols = cols.max(w.cols);
-        }
         total.accumulate(&reduction);
-        let partials = &ctx.deposits[shards..];
         run.frac_bits = self.sm.widths().frac_bits();
-        run.sum = self.combine_partials(partials.iter().map(|d| d.load(Ordering::Relaxed)))?;
         run.total = total;
         run.rows = ranges
             .iter()
@@ -362,93 +429,94 @@ impl ApSoftmax {
         Ok(compiled)
     }
 
-    /// Worker `j`'s share of a vector: its chunk of each phase, shards
-    /// `j·S/W .. (j+1)·S/W`. After the min and exp phases every worker
-    /// meets the others at the barrier — every shard's result is then
-    /// deposited — and combines the deposits itself (the same fold, so
-    /// all workers agree). Once any worker has failed, the others skip
-    /// their remaining work but still meet every barrier, so no worker
-    /// ever waits for one that stopped.
-    fn run_worker(
+    /// The owner's side of the phases (see the module docs), each
+    /// announced through `wake` to helpers of a posted replay. Returns
+    /// the combined sum.
+    fn run_phases(
         &self,
-        mut ctx: PhaseCtx<'_>,
-        j: usize,
-        w: &mut WorkerScratch,
-        barrier: &Barrier,
-        failed: &AtomicBool,
-    ) {
-        let shards = ctx.ranges.len();
-        let (first, end) = (j * shards / ctx.workers, (j + 1) * shards / ctx.workers);
-        w.codes.clear();
-        w.vapprox.clear();
-        w.total = CycleStats::default();
-        w.cols = 0;
-        w.err = None;
-        // The pool only grows; steady-state execution re-acquires
-        // existing arenas with zero allocations.
-        let tiles = if ctx.resident { end - first } else { 1 };
-        if w.tiles.len() < tiles {
-            w.tiles.resize_with(tiles, ApTile::new);
-        }
-        let base = ctx.ranges[first].0;
-        // `failed` and the deposits publish nothing but themselves, and
-        // the barrier orders every write before every read.
+        job: &ShardJob,
+        ctx: &mut PhaseCtx<'_>,
+        wake: Option<&dyn Fn()>,
+    ) -> Result<u64, CoreError> {
         for (p, &phase) in PHASES.iter().enumerate() {
-            ctx.p = p;
-            w.steps[p].clear();
-            w.cycles[p].clear();
-            w.plans[p].clear();
-            if !failed.load(Ordering::Relaxed) {
-                let chunk =
-                    (first..end).try_for_each(|i| self.shard_phase(&ctx, w, i, i - first, base));
-                if let Err(e) = chunk {
-                    w.err = Some(e);
-                    failed.store(true, Ordering::Relaxed);
-                }
+            ctx.claim.p = p;
+            lock(&job.ctl).0 = ctx.claim.clone();
+            if let Some(wake) = wake {
+                wake();
             }
-            if phase == PlanPhase::ShardDiv {
-                break;
+            while let Some(claim) = job.claim(false) {
+                self.chunk_phase(ctx, claim.chunk, &mut lock(&job.chunks[claim.chunk]));
             }
-            barrier.wait();
-            if failed.load(Ordering::Relaxed) {
-                continue;
+            job.close();
+            let (mut min, mut sum, mut err) = (u64::MAX, 0, None);
+            for chunk in &job.chunks[..ctx.claim.chunks] {
+                let mut w = lock(chunk);
+                min = min.min(w.min);
+                sum += w.sum;
+                err = err.or(w.err.take());
             }
-            let results = ctx.deposits[p * shards..(p + 1) * shards]
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed));
-            let scalar = if phase == PlanPhase::ShardMin {
-                Ok(results.min().expect("shards >= 1"))
-            } else {
-                self.combine_partials(results)
-            };
-            match scalar {
-                Ok(scalar) => ctx.scalar = scalar,
-                Err(e) => {
-                    w.err = Some(e);
-                    failed.store(true, Ordering::Relaxed);
-                }
+            if let Some(e) = err {
+                return Err(e);
+            }
+            match phase {
+                PlanPhase::ShardMin => ctx.claim.scalar = min,
+                PlanPhase::ShardExp => ctx.claim.scalar = self.combine_partials(sum)?,
+                _ => {}
             }
         }
+        Ok(ctx.claim.scalar)
+    }
+
+    /// Chunk `c`'s share of the running phase: shards `c·S/n ..
+    /// (c+1)·S/n` through the per-shard body. The first phase resets the
+    /// chunk for a new vector; a failing shard stops the chunk.
+    fn chunk_phase(&self, ctx: &PhaseCtx<'_>, c: usize, w: &mut Chunk) {
+        #[cfg(test)]
+        tests::inject_panic(ctx.codes.len());
+        let shards = ctx.ranges.len();
+        let (p, chunks) = (ctx.claim.p, ctx.claim.chunks);
+        let (first, end) = (c * shards / chunks, (c + 1) * shards / chunks);
+        if p == 0 {
+            w.codes.clear();
+            w.vapprox.clear();
+            w.total = CycleStats::default();
+            w.cols = 0;
+            // The pool only grows; steady-state execution re-acquires
+            // existing arenas with zero allocations.
+            let tiles = if ctx.resident { end - first } else { 1 };
+            if w.tiles.len() < tiles {
+                w.tiles.resize_with(tiles, ApTile::new);
+            }
+        }
+        w.steps[p].clear();
+        w.cycles[p].clear();
+        w.plans[p].clear();
+        (w.min, w.sum) = (u64::MAX, 0);
+        let base = ctx.ranges[first].0;
+        let res = (first..end).try_for_each(|i| self.shard_phase(ctx, w, i, i - first, base));
+        w.err = res.err();
     }
 
     /// One shard's share of one phase — the per-shard body of every
-    /// mode and worker count: pack the shard's inputs, pick its tile,
+    /// mode and chunk count: pack the shard's inputs, pick its tile,
     /// replay its phase program (or issue the phase, and in compile
-    /// mode record, optimize, and cache its program), and deposit the
-    /// result scalar, cycles, and steps. `slot` is the shard's index in
-    /// the worker's chunk, whose outputs start at element `base`.
+    /// mode record, optimize, and cache its program), and fold the
+    /// result scalar into the chunk's, with its cycles and steps. `slot`
+    /// is the shard's index in the chunk, whose outputs start at
+    /// element `base`.
     fn shard_phase(
         &self,
         ctx: &PhaseCtx<'_>,
-        w: &mut WorkerScratch,
+        w: &mut Chunk,
         i: usize,
         slot: usize,
         base: usize,
     ) -> Result<(), CoreError> {
-        let (phase, resident) = (PHASES[ctx.p], ctx.resident);
+        let (p, layout) = (ctx.claim.p, ctx.claim.layout);
+        let (phase, resident) = (PHASES[p], ctx.resident);
         let (s, e) = ctx.ranges[i];
-        let (packed, rows) = Self::packing_of(ctx.layout, e - s);
-        let WorkerScratch {
+        let (packed, rows) = Self::packing_of(layout, e - s);
+        let Chunk {
             tiles,
             scratch,
             half0,
@@ -460,7 +528,7 @@ impl ApSoftmax {
             plans,
             ..
         } = w;
-        let (steps, plans) = (&mut steps[ctx.p], &mut plans[ctx.p]);
+        let (steps, plans) = (&mut steps[p], &mut plans[p]);
         let tile = &mut tiles[if resident { slot } else { 0 }];
         let key = self.shard_key(e - s, phase, resident);
         let peeked;
@@ -488,14 +556,14 @@ impl ApSoftmax {
             ([&vap[..rows], &vap[rows.min(vap.len())..]], Some(codes))
         } else {
             if !rearm || program.is_none() {
-                pack_halves(ctx.layout, &ctx.codes[s..e], half0, half1);
+                pack_halves(layout, &ctx.codes[s..e], half0, half1);
             }
             let out = (phase == PlanPhase::ShardExp).then_some(vapprox);
             ([half0.as_slice(), half1.as_slice()], out)
         };
         let halves = &halves[..1 + usize::from(packed)];
         let inputs: &[&[u64]] = if rearm { &[] } else { halves };
-        let scalar = [ctx.scalar];
+        let scalar = [ctx.claim.scalar];
         let scalars: &[u64] = if phase == PlanPhase::ShardMin {
             &[]
         } else {
@@ -576,11 +644,12 @@ impl ApSoftmax {
             }
             (stats, issued.cols_used, result)
         };
-        // The divide phase has no deposit slots.
-        if let Some(slot) = ctx.deposits.get(ctx.p * ctx.ranges.len() + i) {
-            slot.store(result, Ordering::Relaxed);
+        match phase {
+            PlanPhase::ShardMin => w.min = w.min.min(result),
+            PlanPhase::ShardExp => w.sum += u128::from(result),
+            _ => {}
         }
-        cycles[ctx.p].push(stats.cycles());
+        cycles[p].push(stats.cycles());
         w.total.accumulate(&stats);
         w.cols = w.cols.max(cols);
         Ok(())
@@ -617,18 +686,18 @@ impl ApSoftmax {
         Ok(ap.stats())
     }
 
-    /// Combines per-shard partial sums over the reduction network in
-    /// the scalar spec's overflow mode — bit-identical to the
-    /// whole-vector reduction because saturating/wrapping addition of
-    /// non-negative values is order-independent.
-    fn combine_partials(&self, partials: impl Iterator<Item = u64>) -> Result<u64, CoreError> {
+    /// Combines the exact sum of the per-shard partial sums over the
+    /// reduction network in the scalar spec's overflow mode —
+    /// bit-identical to the whole-vector reduction because
+    /// saturating/wrapping addition of non-negative values is
+    /// order-independent.
+    fn combine_partials(&self, exact: u128) -> Result<u64, CoreError> {
         let sum_bits = self.sum_bits();
         let mask: u128 = if sum_bits >= 128 {
             u128::MAX
         } else {
             (1u128 << sum_bits) - 1
         };
-        let exact: u128 = partials.map(u128::from).sum();
         match self.overflow_mode() {
             Overflow::Error => {
                 if exact > mask {
@@ -647,10 +716,25 @@ impl ApSoftmax {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use softmap_ap::{DeviceConfig, ExecBackend};
     use softmap_softmax::{PrecisionConfig, SumMode};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    /// Test hooks, one per test that injects a panic: the next chunk of
+    /// a vector of a hook's length panics (once).
+    pub(crate) static PANIC_LEN: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+
+    pub(super) fn inject_panic(len: usize) {
+        let hit = |hook: &AtomicUsize| {
+            hook.compare_exchange(len, 0, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+        };
+        if PANIC_LEN.iter().any(hit) {
+            panic!("injected chunk panic");
+        }
+    }
 
     fn scores(len: usize) -> Vec<f64> {
         (0..len).map(|i| -(((i * 7) % 97) as f64) * 0.07).collect()
@@ -662,9 +746,39 @@ mod tests {
         codes
     }
 
+    /// Executes `codes` on `state` as a serving owner does (codes moved
+    /// into the posted job), while `helpers` threads run the serving
+    /// help loop — claim a chunk, help with it — until it returns.
+    fn execute_helped(
+        sm: &ApSoftmax,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+        helpers: usize,
+    ) -> Result<(), CoreError> {
+        let job = Arc::clone(state.job());
+        *job.codes() = codes.to_vec();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..helpers {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Acquire) {
+                        match job.claim(true) {
+                            Some(claim) => job.help(sm, claim),
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                });
+            }
+            let res = sm.execute_posted(state, run, Some(&|| {}));
+            stop.store(true, Ordering::Release);
+            res
+        })
+    }
+
     /// Field-by-field run equality: bit-exact outputs *and* identical
-    /// cost accounting (the fan-out merely evaluates the same plan
-    /// concurrently).
+    /// cost accounting (chunks and helpers merely evaluate the same plan
+    /// in pieces).
     fn assert_runs_equal(a: &ApSoftmaxRun, b: &ApSoftmaxRun, what: &str) {
         assert_eq!(a.codes, b.codes, "{what}: codes");
         assert_eq!(a.vapprox, b.vapprox, "{what}: vapprox");
@@ -696,44 +810,44 @@ mod tests {
             sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
             sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
             assert!(seq.shards > 1, "48 scores on 8-row tiles must shard");
-            let mut fan_state = TileState::new();
-            // More workers than shards clamps; odd counts exercise the
-            // uneven contiguous chunking.
-            for threads in [2, 3, 16] {
-                let mut out = ApSoftmaxRun::default();
-                sm.execute_codes_fanout(&mut fan_state, &codes, &mut out, threads)
-                    .unwrap();
-                assert_runs_equal(
-                    &out,
-                    &seq,
-                    &format!("resident={resident} threads={threads}"),
-                );
+            // More chunks than shards clamps; odd counts exercise the
+            // uneven contiguous chunking. Each state serves every helper
+            // count in turn.
+            for chunks in [2, 3, 16] {
+                let mut fan_state = TileState::with_chunks(chunks);
+                for helpers in 0..=2 {
+                    let mut out = ApSoftmaxRun::default();
+                    execute_helped(&sm, &mut fan_state, &codes, &mut out, helpers).unwrap();
+                    let what = format!("resident={resident} chunks={chunks} helpers={helpers}");
+                    assert_runs_equal(&out, &seq, &what);
+                }
             }
         }
     }
 
     #[test]
     fn fanout_replays_the_autotuned_sharded_winner() {
-        // Default mapping autotunes: the fan-out must resolve the tuned
+        // Default mapping autotunes: helped chunks must resolve the tuned
         // entry's sharded winner and replay under the winning layout.
         let sm = ApSoftmax::new(PrecisionConfig::paper_best())
             .unwrap()
             .with_backend(ExecBackend::FastWord)
             .with_device(DeviceConfig::new(2, 8));
         let codes = quantized(&sm, 48);
-        let mut state = TileState::new();
+        let mut state = TileState::with_chunks(2);
         let mut seq = ApSoftmaxRun::default();
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
-        let hits_before = sm.plan_stats().hits;
-        let mut out = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &codes, &mut out, 2)
-            .unwrap();
-        assert_runs_equal(&out, &seq, "tuned winner");
-        assert!(
-            sm.plan_stats().hits > hits_before,
-            "the fan-out replay must count as a plan-cache hit"
-        );
+        for helpers in 0..=2 {
+            let hits_before = sm.plan_stats().hits;
+            let mut out = ApSoftmaxRun::default();
+            execute_helped(&sm, &mut state, &codes, &mut out, helpers).unwrap();
+            assert_runs_equal(&out, &seq, &format!("tuned winner, helpers={helpers}"));
+            assert!(
+                sm.plan_stats().hits > hits_before,
+                "the helped replay must count as a plan-cache hit"
+            );
+        }
     }
 
     #[test]
@@ -744,15 +858,20 @@ mod tests {
             .unwrap()
             .with_backend(ExecBackend::FastWord);
         let codes = quantized(&sm, 16384);
-        let mut state = TileState::new();
+        let mut state = TileState::with_chunks(4);
         let mut seq = ApSoftmaxRun::default();
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         assert!(seq.shards > 1);
-        let mut out = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &codes, &mut out, 4)
-            .unwrap();
-        assert_runs_equal(&out, &seq, "default grid 16384");
+        for helpers in 0..=2 {
+            let mut out = ApSoftmaxRun::default();
+            execute_helped(&sm, &mut state, &codes, &mut out, helpers).unwrap();
+            assert_runs_equal(
+                &out,
+                &seq,
+                &format!("default grid 16384, helpers={helpers}"),
+            );
+        }
     }
 
     #[test]
@@ -763,12 +882,11 @@ mod tests {
             .with_backend(ExecBackend::FastWord)
             .with_device(DeviceConfig::new(2, 8));
         let codes = quantized(&sm, 48);
-        let mut state = TileState::new();
+        let mut state = TileState::with_chunks(4);
 
-        // First sight of a shape: the fallback compiles it.
+        // First sight of a shape: the owner compiles it on one chunk.
         let mut first = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &codes, &mut first, 4)
-            .unwrap();
+        execute_helped(&sm, &mut state, &codes, &mut first, 2).unwrap();
         assert!(
             sm.plan_stats().compiles >= 1,
             "the sequential fallback must compile the shape"
@@ -777,30 +895,27 @@ mod tests {
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         assert_eq!(first.codes, seq.codes, "compile and replay stay bit-exact");
 
-        // The shape is cached now; a second fan-out takes the parallel
-        // path and matches the sequential replay exactly.
+        // The shape is cached now; a second helped run posts its chunks
+        // and matches the sequential replay exactly.
         let mut out = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &codes, &mut out, 4)
-            .unwrap();
+        execute_helped(&sm, &mut state, &codes, &mut out, 2).unwrap();
         assert_runs_equal(&out, &seq, "post-compile fan-out");
 
-        // A single effective worker replays sequentially.
+        // A job of one chunk replays sequentially whatever the helpers.
         let mut one = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &codes, &mut one, 1)
-            .unwrap();
-        assert_runs_equal(&one, &seq, "threads=1 fallback");
+        execute_helped(&sm, &mut TileState::with_chunks(1), &codes, &mut one, 1).unwrap();
+        assert_runs_equal(&one, &seq, "one-chunk fallback");
 
         // Unsharded shapes route to the whole-vector path.
         let short = quantized(&sm, 8);
         let mut whole = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &short, &mut whole, 4)
-            .unwrap();
+        execute_helped(&sm, &mut state, &short, &mut whole, 2).unwrap();
         assert_eq!(whole.shards, 1, "8 scores fit one 8-row tile");
 
         // Empty input errors identically to the sequential entry point.
         let mut sink = ApSoftmaxRun::default();
         assert!(matches!(
-            sm.execute_codes_fanout(&mut state, &[], &mut sink, 2),
+            execute_helped(&sm, &mut state, &[], &mut sink, 2),
             Err(CoreError::EmptyInput)
         ));
     }
@@ -840,13 +955,12 @@ mod tests {
                 resident,
                 "{len} scores on {device:?}"
             );
-            for workers in [1, 2, 3] {
-                let what = format!("{len} scores, {workers} workers");
-                let mut state = TileState::new();
+            for (chunks, helpers) in [(1, 0), (2, 1), (3, 2), (3, 0)] {
+                let what = format!("{len} scores, {chunks} chunks, {helpers} helpers");
+                let mut state = TileState::with_chunks(chunks);
                 let mut run = ApSoftmaxRun::default();
-                let err = sm
-                    .execute_codes_fanout(&mut state, &flat_codes, &mut run, workers)
-                    .unwrap_err();
+                let err =
+                    execute_helped(&sm, &mut state, &flat_codes, &mut run, helpers).unwrap_err();
                 assert_eq!(
                     err,
                     CoreError::Ap(ApError::WidthOverflow {
@@ -855,10 +969,56 @@ mod tests {
                     }),
                     "{what}"
                 );
-                sm.execute_codes_fanout(&mut state, &peaked_codes, &mut run, workers)
-                    .unwrap();
+                execute_helped(&sm, &mut state, &peaked_codes, &mut run, helpers).unwrap();
                 assert_runs_equal(&run, &want, &what);
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_helped_chunk_fails_its_vector_without_hanging() {
+        // The wake hook helps on the owner's thread, so a helper claims
+        // chunk 0 of every phase deterministically; the injected panic
+        // hits it in the min phase, and the owner returns the panic as
+        // the vector's error at the first sync point.
+        let sm = ApSoftmax::new(PrecisionConfig::paper_best())
+            .unwrap()
+            .with_autotune(false)
+            .with_backend(ExecBackend::FastWord)
+            .with_device(DeviceConfig::new(2, 8));
+        let codes = quantized(&sm, 52);
+        let mut want = ApSoftmaxRun::default();
+        sm.execute_codes_into(&mut TileState::new(), &codes, &mut want)
+            .unwrap();
+        sm.execute_codes_into(&mut TileState::new(), &codes, &mut want)
+            .unwrap();
+        let mut state = TileState::with_chunks(3);
+        let job = Arc::clone(state.job());
+        *job.codes() = codes.clone();
+        let wake = || {
+            if let Some(claim) = job.claim(true) {
+                job.help(&sm, claim);
+            }
+        };
+        PANIC_LEN[0].store(codes.len(), Ordering::Relaxed);
+        let mut run = ApSoftmaxRun::default();
+        let err = sm
+            .execute_posted(&mut state, &mut run, Some(&wake))
+            .unwrap_err();
+        assert_eq!(err, CoreError::Panicked);
+        assert_eq!(PANIC_LEN[0].load(Ordering::Relaxed), 0, "the hook fired");
+        // The helped path itself is sound: the next vector replays
+        // bit- and cost-exact on a fresh state.
+        let mut fresh = TileState::with_chunks(3);
+        let fresh_job = Arc::clone(fresh.job());
+        *fresh_job.codes() = codes.clone();
+        let wake = || {
+            if let Some(claim) = fresh_job.claim(true) {
+                fresh_job.help(&sm, claim);
+            }
+        };
+        sm.execute_posted(&mut fresh, &mut run, Some(&wake))
+            .unwrap();
+        assert_runs_equal(&run, &want, "helped on the owner's thread");
     }
 }

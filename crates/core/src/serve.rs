@@ -8,9 +8,9 @@
 //!  submit()     bounded ring         admission:       persistent
 //!  try_submit()  (backpressure:       claim shard      TileState,
 //!                 block or            tiles, pack       resident plan
-//!                 QueueFull)          concurrent        replay; shard-
-//!                                     requests into     parallel fan-out
-//!                                     one device wave   for long vectors
+//!                 QueueFull)          concurrent        replay; idle
+//!                                     requests into     workers help
+//!                                     one device wave   with chunks
 //! ```
 //!
 //! *Continuous* batching: admission runs at every submission and every
@@ -25,14 +25,16 @@
 //! simulated makespan and tile-occupancy ratio.
 //!
 //! Requests are **bit-exact** versus the non-serving path: workers
-//! execute the same cached plans through [`ApSoftmax`], and a long
-//! vector's shards fan across host workers over disjoint output slices
-//! — the one sharded executor (`mapping::fanout`) with
-//! `tile_parallelism(shards)` workers instead of one — so a single 32k
-//! request cannot stall the queue behind it. First sight of a shape warms the plan cache at
-//! construction via [`ApSoftmax::warmup`]; the steady-state submit →
-//! execute → collect loop performs zero heap allocations for
-//! whole-vector requests (asserted by the counting-allocator test).
+//! execute the same cached plans through [`ApSoftmax`]. A long request
+//! picked while a worker is idle replays as one chunk of shards per
+//! worker (`mapping::fanout`), which idle workers may claim: a lone
+//! long request spreads over an idle server, no work changes threads
+//! under load, and no thread is created after [`SoftmaxServer::new`].
+//! Configured shapes are precompiled via [`ApSoftmax::warmup`]; the
+//! steady-state submit → execute → collect loop performs zero heap
+//! allocations (asserted by the counting-allocator test). A panic fails
+//! its request alone ([`CoreError::Panicked`]); the worker continues
+//! afresh.
 //!
 //! # Knobs
 //!
@@ -63,13 +65,14 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use softmap_ap::batch;
 use softmap_ap::device::TileClocks;
 
-use crate::{ApSoftmax, ApSoftmaxRun, CacheStats, CoreError, TileState};
+use crate::mapping::fanout::ShardJob;
+use crate::{lock, wait, ApSoftmax, ApSoftmaxRun, CacheStats, CoreError, TileState};
 
 /// Environment variable overriding the serving worker-thread count
 /// (positive integer; default: the host's available parallelism).
@@ -125,9 +128,10 @@ pub struct ServeConfig {
     /// Vector lengths to precompile at startup ([`ApSoftmax::warmup`]),
     /// so first-sight traffic replays instead of compiling.
     pub warmup_shapes: Vec<usize>,
-    /// Fan a sharded request's three phases across workers over
-    /// disjoint output slices (default `true`). `false` keeps every
-    /// request on a single worker.
+    /// Let idle workers take this server's shard chunks (default
+    /// `true`): a sharded replay picked while a worker is idle splits
+    /// into one chunk per worker for idle workers to claim. `false` (and
+    /// a busy server) runs every request as one chunk.
     pub shard_parallel: bool,
 }
 
@@ -181,6 +185,8 @@ pub struct ServeStats {
     pub makespan_cycles: u64,
     /// Tiles in the device grid.
     pub tiles: u64,
+    /// Shard chunks idle workers claimed from others' requests.
+    pub helped_chunks: u64,
 }
 
 impl ServeStats {
@@ -202,14 +208,15 @@ impl core::fmt::Display for ServeStats {
         write!(
             f,
             "{} queued, {} completed, {} waves ({} coalesced, {} backpressure), \
-             occupancy {:.2} over {} tiles",
+             occupancy {:.2} over {} tiles, {} helped chunks",
             self.queued,
             self.completed,
             self.waves_formed,
             self.coalesced,
             self.backpressure,
             self.occupancy(),
-            self.tiles
+            self.tiles,
+            self.helped_chunks
         )
     }
 }
@@ -269,6 +276,11 @@ struct QueueState {
     backpressure: u64,
     /// Scratch for [`ApSoftmax::shard_count_into`] at submission.
     scratch_ranges: Vec<(usize, usize)>,
+    /// Running requests' jobs, whose chunks idle workers may claim.
+    posted: Vec<Arc<ShardJob>>,
+    /// Workers asleep on `work_cv`.
+    idle: usize,
+    helped_chunks: u64,
 }
 
 impl QueueState {
@@ -344,13 +356,13 @@ impl Ticket {
     /// then.
     pub fn wait_into(mut self, run: &mut ApSoftmaxRun) -> Result<(), CoreError> {
         let shared = Arc::clone(&self.shared);
-        let mut q = shared.state.lock().expect("serving queue poisoned");
+        let mut q = lock(&shared.state);
         loop {
             let slot = &q.slots[self.slot];
             if slot.seq == self.seq && slot.status == SlotStatus::Done {
                 break;
             }
-            q = shared.done_cv.wait(q).expect("serving queue poisoned");
+            q = wait(&shared.done_cv, q);
         }
         self.collected = true;
         let slot = &mut q.slots[self.slot];
@@ -386,9 +398,7 @@ impl Drop for Ticket {
         if self.collected {
             return;
         }
-        let Ok(mut q) = self.shared.state.lock() else {
-            return;
-        };
+        let mut q = lock(&self.shared.state);
         let slot = &mut q.slots[self.slot];
         if slot.seq != self.seq {
             return;
@@ -475,6 +485,9 @@ impl SoftmaxServer {
             coalesced: 0,
             backpressure: 0,
             scratch_ranges: Vec::new(),
+            posted: Vec::with_capacity(workers),
+            idle: 0,
+            helped_chunks: 0,
         };
         let shared = Arc::new(Shared {
             mapping,
@@ -490,7 +503,7 @@ impl SoftmaxServer {
             let sh = Arc::clone(&shared);
             let spawned = std::thread::Builder::new()
                 .name(format!("softmap-serve-{w}"))
-                .spawn(move || worker_loop(&sh));
+                .spawn(move || worker_loop(&sh, workers));
             match spawned {
                 Ok(h) => handles.push(h),
                 Err(e) => {
@@ -532,7 +545,7 @@ impl SoftmaxServer {
             return Err(CoreError::EmptyInput);
         }
         let shared = &self.shared;
-        let mut q = shared.state.lock().expect("serving queue poisoned");
+        let mut q = lock(&shared.state);
         if q.shutdown {
             return Err(CoreError::BadWorkload("serving queue is shut down".into()));
         }
@@ -545,7 +558,7 @@ impl SoftmaxServer {
                 if q.shutdown {
                     return Err(CoreError::BadWorkload("serving queue is shut down".into()));
                 }
-                q = shared.space_cv.wait(q).expect("serving queue poisoned");
+                q = wait(&shared.space_cv, q);
             }
         }
         let idx = q.free.pop_front().expect("free ring non-empty");
@@ -647,13 +660,9 @@ impl SoftmaxServer {
     }
 
     /// The serving counters and device-time ledger.
-    ///
-    /// # Panics
-    ///
-    /// If the queue mutex was poisoned by a panicking worker.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        let q = self.shared.state.lock().expect("serving queue poisoned");
+        let q = lock(&self.shared.state);
         ServeStats {
             queued: q.queued,
             completed: q.completed,
@@ -663,19 +672,16 @@ impl SoftmaxServer {
             busy_cycles: q.clocks.busy(),
             makespan_cycles: q.clocks.makespan(),
             tiles: q.clocks.tiles() as u64,
+            helped_chunks: q.helped_chunks,
         }
     }
 
     /// The device model's [`ApSoftmax::cache_stats`] with this server's
     /// serving counters filled in.
-    ///
-    /// # Panics
-    ///
-    /// If the queue mutex was poisoned by a panicking worker.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         let mut cs = self.shared.mapping.cache_stats();
-        let q = self.shared.state.lock().expect("serving queue poisoned");
+        let q = lock(&self.shared.state);
         cs.queued = q.queued;
         cs.waves_formed = q.waves_formed;
         cs.coalesced = q.coalesced;
@@ -699,9 +705,7 @@ impl Drop for SoftmaxServer {
 /// Flags shutdown, wakes everyone, and joins the workers (which drain
 /// every accepted request first).
 fn shutdown(shared: &Shared, handles: &mut Vec<JoinHandle<()>>) {
-    if let Ok(mut q) = shared.state.lock() {
-        q.shutdown = true;
-    }
+    lock(&shared.state).shutdown = true;
     shared.work_cv.notify_all();
     shared.space_cv.notify_all();
     for h in handles.drain(..) {
@@ -713,26 +717,37 @@ fn shutdown(shared: &Shared, handles: &mut Vec<JoinHandle<()>>) {
 /// settling for the queue head.
 const AFFINITY_SCAN: usize = 8;
 
-/// One worker: a persistent [`TileState`], pulling
-/// admitted requests until shutdown drains the queue. Prefers a request
-/// matching the last executed length (plan-slot and buffer affinity)
-/// from the front of the admitted ring.
-fn worker_loop(shared: &Shared) {
-    let mut tile = TileState::new();
-    let mut codes: Vec<i64> = Vec::new();
+/// One worker: a persistent [`TileState`] (up to one chunk per worker),
+/// pulling admitted requests until shutdown drains the queue. Prefers a
+/// request matching the last executed length (plan-slot and buffer
+/// affinity) from the front of the admitted ring; with none admitted,
+/// helps with a posted chunk before it sleeps.
+fn worker_loop(shared: &Shared, workers: usize) {
+    let mut tile = TileState::with_chunks(workers);
     let mut run = ApSoftmaxRun::default();
     let mut last_len = 0usize;
+    // Rouses idle workers once a posted job opens a phase (after their
+    // last look, which holds the queue lock).
+    let wake = || {
+        drop(lock(&shared.state));
+        shared.work_cv.notify_all();
+    };
     loop {
-        let (idx, shards) = {
-            let mut q = shared.state.lock().expect("serving queue poisoned");
+        let (idx, shards, helped) = {
+            let mut q = lock(&shared.state);
             loop {
                 if let Some(pos) = pick_admitted(&q, last_len) {
                     let idx = q.admitted.remove(pos).expect("picked in range");
+                    // Split into chunks only if some worker is idle to help.
+                    let helped = shared.shard_parallel && q.idle > 0;
+                    if helped {
+                        q.posted.push(Arc::clone(tile.job()));
+                    }
                     let slot = &mut q.slots[idx];
                     slot.status = SlotStatus::Running;
-                    std::mem::swap(&mut slot.codes, &mut codes);
+                    std::mem::swap(&mut slot.codes, &mut *tile.job().codes());
                     std::mem::swap(&mut slot.run, &mut run);
-                    break (idx, slot.shards);
+                    break (idx, slot.shards, helped);
                 }
                 if q.shutdown && q.pending.is_empty() && q.admitted.is_empty() {
                     return;
@@ -740,23 +755,39 @@ fn worker_loop(shared: &Shared) {
                 // Robustness: re-run admission before sleeping, so a
                 // missed wake-up cannot strand pending work.
                 q.admit(shared.device_tiles, &shared.work_cv);
-                if q.admitted.is_empty() {
-                    q = shared.work_cv.wait(q).expect("serving queue poisoned");
+                if !q.admitted.is_empty() {
+                    continue;
+                }
+                let help = q
+                    .posted
+                    .iter()
+                    .find_map(|job| Some((Arc::clone(job), job.claim(true)?)));
+                if let Some((job, claim)) = help {
+                    q.helped_chunks += 1;
+                    drop(q);
+                    job.help(&shared.mapping, claim);
+                    q = lock(&shared.state);
+                } else {
+                    q.idle += 1;
+                    q = wait(&shared.work_cv, q);
+                    q.idle -= 1;
                 }
             }
         };
 
-        let workers = if shared.shard_parallel && shards > 1 {
-            batch::tile_parallelism(shards)
-        } else {
-            1
-        };
-        let res = shared
-            .mapping
-            .execute_codes_fanout(&mut tile, &codes, &mut run, workers);
-        last_len = codes.len();
+        let wake = helped.then_some(&wake as &dyn Fn());
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            shared.mapping.execute_posted(&mut tile, &mut run, wake)
+        }))
+        .unwrap_or_else(|_| {
+            // Keeps helpers off the job the fresh state below replaces.
+            tile.job().close();
+            Err(CoreError::Panicked)
+        });
+        let panicked = res == Err(CoreError::Panicked);
 
-        let mut q = shared.state.lock().expect("serving queue poisoned");
+        let mut q = lock(&shared.state);
+        q.posted.retain(|job| !Arc::ptr_eq(job, tile.job()));
         let need = shards.clamp(1, shared.device_tiles);
         q.tiles_claimed -= need;
         q.completed += 1;
@@ -765,8 +796,9 @@ fn worker_loop(shared: &Shared) {
             q.clocks.assign(shards, latency);
         }
         let slot = &mut q.slots[idx];
-        std::mem::swap(&mut slot.codes, &mut codes);
+        std::mem::swap(&mut slot.codes, &mut *tile.job().codes());
         std::mem::swap(&mut slot.run, &mut run);
+        last_len = slot.len;
         slot.err = res.err();
         if slot.abandoned {
             slot.status = SlotStatus::Free;
@@ -780,6 +812,9 @@ fn worker_loop(shared: &Shared) {
             q.admit(shared.device_tiles, &shared.work_cv);
             drop(q);
             shared.done_cv.notify_all();
+        }
+        if panicked {
+            tile = TileState::with_chunks(workers);
         }
     }
 }
@@ -797,4 +832,154 @@ fn pick_admitted(q: &QueueState, last_len: usize) -> Option<usize> {
         }
     }
     Some(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mapping::fanout::tests::PANIC_LEN;
+    use crate::Layout;
+    use softmap_ap::{ApError, DeviceConfig, ExecBackend};
+    use softmap_softmax::{PrecisionConfig, SumMode};
+    use std::sync::atomic::Ordering;
+
+    fn scores(len: usize, salt: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| -(((i * 7 + salt * 13) % 97) as f64) * 0.07)
+            .collect()
+    }
+
+    /// The run an inline replay of `row` produces on a fresh mapping.
+    fn inline(mapping: &ApSoftmax, row: &[f64]) -> ApSoftmaxRun {
+        let mut state = TileState::new();
+        let mut run = ApSoftmaxRun::default();
+        mapping
+            .execute_floats_into(&mut state, row, &mut run)
+            .unwrap();
+        mapping
+            .execute_floats_into(&mut state, row, &mut run)
+            .unwrap();
+        run
+    }
+
+    fn assert_exact(got: &ApSoftmaxRun, want: &ApSoftmaxRun, what: &str) {
+        assert_eq!(got.codes, want.codes, "{what}: codes");
+        assert_eq!(got.vapprox, want.vapprox, "{what}: vapprox");
+        assert_eq!(got.steps, want.steps, "{what}: steps");
+        assert_eq!(got.total, want.total, "{what}: total");
+        assert_eq!(got.latency_cycles, want.latency_cycles, "{what}: latency");
+    }
+
+    /// The queue invariants once every ticket is collected.
+    fn assert_settled(server: &SoftmaxServer, completed: u64) {
+        assert_eq!(
+            lock(&server.shared.state).tiles_claimed,
+            0,
+            "tile claims released"
+        );
+        let stats = server.stats();
+        assert_eq!(stats.completed, completed, "{stats}");
+        assert_eq!(
+            stats.waves_formed + stats.coalesced,
+            stats.completed,
+            "{stats}"
+        );
+    }
+
+    #[test]
+    fn a_panicking_request_fails_alone_and_the_server_keeps_serving() {
+        let mapping = || {
+            ApSoftmax::new(PrecisionConfig::paper_best())
+                .unwrap()
+                .with_autotune(false)
+                .with_backend(ExecBackend::FastWord)
+                .with_device(DeviceConfig::new(4, 8))
+        };
+        // 60 scores run in 4 shards; the hook panics the first chunk of
+        // a 60-score vector that runs, on its owner or on a helper.
+        let lens = [6usize, 44, 60, 20, 44];
+        let cfg = ServeConfig {
+            workers: 2,
+            queue_depth: 8,
+            warmup_shapes: lens.to_vec(),
+            shard_parallel: true,
+        };
+        let server = SoftmaxServer::new(mapping(), cfg).unwrap();
+        let reference = mapping();
+        PANIC_LEN[1].store(60, Ordering::Relaxed);
+        let tickets: Vec<_> = lens
+            .iter()
+            .enumerate()
+            .map(|(salt, &len)| server.submit(&scores(len, salt)).unwrap())
+            .collect();
+        for (salt, (&len, ticket)) in lens.iter().zip(tickets).enumerate() {
+            let got = ticket.wait();
+            if len == 60 {
+                let err = got.unwrap_err();
+                assert_eq!(err, CoreError::Panicked);
+            } else {
+                let want = inline(&reference, &scores(len, salt));
+                assert_exact(&got.unwrap(), &want, &format!("len {len}"));
+            }
+        }
+        assert_eq!(PANIC_LEN[1].load(Ordering::Relaxed), 0, "the hook fired");
+        assert_settled(&server, lens.len() as u64);
+        // Both workers keep serving, sharded requests included.
+        for salt in 0..4 {
+            let got = server.submit(&scores(60, salt)).unwrap().wait().unwrap();
+            assert_exact(
+                &got,
+                &inline(&reference, &scores(60, salt)),
+                "after the panic",
+            );
+        }
+        assert_settled(&server, lens.len() as u64 + 4);
+    }
+
+    #[test]
+    fn a_failing_sharded_request_errors_and_the_next_replays_exactly() {
+        // The executor's failing vector, served: a 14-bit exact sum that
+        // a flat vector overflows at the combine (8 re-staged shards)
+        // or in a chunk's replay (4 resident shards).
+        let cfg = PrecisionConfig::new(6, 0, 8).with_sum_mode(SumMode::Exact);
+        for (device, len) in [
+            (DeviceConfig::new(4, 64), 512),
+            (DeviceConfig::new(4, 512), 2048),
+        ] {
+            let mapping = || {
+                ApSoftmax::new(cfg)
+                    .unwrap()
+                    .with_autotune(false)
+                    .with_backend(ExecBackend::FastWord)
+                    .with_layout(Layout::OneWordPerRow)
+                    .with_device(device)
+            };
+            let server = SoftmaxServer::new(
+                mapping(),
+                ServeConfig {
+                    workers: 2,
+                    queue_depth: 4,
+                    warmup_shapes: Vec::new(),
+                    shard_parallel: true,
+                },
+            )
+            .unwrap();
+            let peaked: Vec<f64> = (0..len).map(|i| if i == 0 { 0.0 } else { -8.0 }).collect();
+            let want = inline(&mapping(), &peaked);
+            // The first peaked request compiles the shape on its worker.
+            server.submit(&peaked).unwrap().wait().unwrap();
+            let err = server.submit(&vec![0.0; len]).unwrap().wait().unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::Ap(ApError::WidthOverflow {
+                    value: 28672,
+                    width: 14
+                }),
+                "{len} scores"
+            );
+            let got = server.submit(&peaked).unwrap().wait().unwrap();
+            assert_exact(&got, &want, &format!("{len} scores after the error"));
+            assert_settled(&server, 3);
+        }
+    }
 }

@@ -294,6 +294,48 @@ fn main() {
         println!("tile_alloc: serving ok ({stats})");
     }
 
+    // Serving a sharded request whose chunks an idle worker may help
+    // with: on an idle 2-worker server, a warmed 16384-score request
+    // (the default grid shards it) must not allocate either, whichever
+    // worker owns it and whichever chunks the other one claims.
+    {
+        let long: Vec<f64> = (0..16384).map(|i| -f64::from(i % 97) * 0.07).collect();
+        let mapping = ApSoftmax::new(PrecisionConfig::paper_best())
+            .unwrap()
+            .with_backend(ExecBackend::FastWord);
+        let server = softmap::SoftmaxServer::new(
+            mapping,
+            softmap::ServeConfig {
+                workers: 2,
+                queue_depth: 2,
+                warmup_shapes: vec![long.len()],
+                shard_parallel: true,
+            },
+        )
+        .unwrap();
+        let mut run = ApSoftmaxRun::default();
+        for _ in 0..8 {
+            let ticket = server.submit(&long).unwrap();
+            ticket.wait_into(&mut run).unwrap();
+        }
+        assert!(run.shards > 1, "16384 scores must shard");
+        let reference = run.codes.clone();
+        let allocs = count_allocs(|| {
+            for _ in 0..5 {
+                let ticket = server.submit(&long).unwrap();
+                ticket.wait_into(&mut run).unwrap();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "steady-state helped sharded serving must not allocate (got {allocs} over 5 requests)"
+        );
+        assert_eq!(run.codes, reference, "helped replay must stay bit-exact");
+        let stats = server.stats();
+        assert_eq!(stats.completed, 13, "every submission must complete");
+        println!("tile_alloc: helped sharded serving ok ({stats})");
+    }
+
     // Sanity: the counter itself works.
     let sanity = count_allocs(|| {
         let v: Vec<u64> = Vec::with_capacity(32);

@@ -12,7 +12,7 @@
 //! (`std::thread::scope`): no locks on the hot path, deterministic
 //! input-ordered results, and panics in worker jobs propagate.
 //!
-//! Three families of entry points:
+//! Two families of entry points:
 //!
 //! * [`parallel_map`] / [`try_parallel_map`] — stateless jobs,
 //! * [`parallel_map_with`] / [`try_parallel_map_with`] — jobs that
@@ -20,13 +20,6 @@
 //!   `init` closure and handed to every job that thread claims). This
 //!   is how the AP layers keep one persistent simulated tile per
 //!   worker instead of allocating a tile per vector.
-//! * [`fan_out_with`] — the phase fan-out primitive: one closure
-//!   invocation per pre-built worker argument, with the workers
-//!   expected to coordinate among themselves (barriers, shared
-//!   atomics captured by the closure). This is how shard-parallel
-//!   execution fans the phases of one long vector across workers
-//!   over disjoint output slices while respecting the cross-tile
-//!   sync points.
 //!
 //! The fallible variants cancel early: once any job fails, workers
 //! stop claiming new indices. Because indices are claimed in order,
@@ -240,39 +233,6 @@ where
     Ok(collected.into_iter().map(|(_, r)| r).collect())
 }
 
-/// Runs `f(index, arg)` once per argument, each on its own worker —
-/// argument 0 on the calling thread, the rest on scoped threads. The
-/// caller pre-builds one argument per worker (persistent state plus
-/// any disjoint `&mut` output slices carved out of a shared buffer),
-/// so unlike [`parallel_map_with`] there is no job queue: every worker
-/// runs exactly once, and the workers synchronize among themselves
-/// through whatever the closure captures (a [`std::sync::Barrier`]
-/// for phase boundaries, atomics for cross-worker scalar exchange).
-///
-/// This is the phase fan-out primitive behind shard-parallel sharded
-/// execution: the three phases of one long softmax vector run
-/// lockstep across workers, meeting at the two cross-tile reduction
-/// sync points. With zero or one argument no thread is spawned.
-///
-/// Panics in `f` propagate to the caller.
-pub fn fan_out_with<A, F>(args: &mut [A], f: F)
-where
-    A: Send,
-    F: Fn(usize, &mut A) + Sync,
-{
-    match args {
-        [] => {}
-        [only] => f(0, only),
-        [first, rest @ ..] => std::thread::scope(|scope| {
-            let f = &f;
-            for (j, arg) in rest.iter_mut().enumerate() {
-                scope.spawn(move || f(j + 1, arg));
-            }
-            f(0, first);
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,54 +349,6 @@ mod tests {
         );
         assert_eq!(ok.unwrap(), items);
         assert_eq!(total.load(Ordering::Relaxed), items.len());
-    }
-
-    #[test]
-    fn fan_out_runs_every_worker_once_over_disjoint_slices() {
-        // The shard-parallel shape: a shared output buffer carved into
-        // disjoint ragged slices, one per worker, written in parallel.
-        let mut out = vec![0u64; 10];
-        let (a, rest) = out.split_at_mut(3);
-        let (b, c) = rest.split_at_mut(4);
-        let mut args: Vec<(u64, &mut [u64])> = vec![(1, a), (2, b), (3, c)];
-        fan_out_with(&mut args, |j, (tag, slice)| {
-            assert_eq!(j + 1, *tag as usize);
-            for s in slice.iter_mut() {
-                *s = *tag;
-            }
-        });
-        drop(args);
-        assert_eq!(out, [1, 1, 1, 2, 2, 2, 2, 3, 3, 3]);
-    }
-
-    #[test]
-    fn fan_out_synchronizes_phases_through_a_barrier() {
-        // Workers meet at a barrier between two phases; every phase-2
-        // read must observe every phase-1 write (the cross-tile sync
-        // point contract).
-        let n = 4;
-        let barrier = std::sync::Barrier::new(n);
-        let deposits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let mut sums = vec![0usize; n];
-        let mut args: Vec<&mut usize> = sums.iter_mut().collect();
-        fan_out_with(&mut args, |j, sum| {
-            deposits[j].store(j + 1, Ordering::Relaxed);
-            barrier.wait();
-            **sum = deposits.iter().map(|d| d.load(Ordering::Relaxed)).sum();
-        });
-        drop(args);
-        assert_eq!(sums, vec![10; n]);
-    }
-
-    #[test]
-    fn fan_out_handles_empty_and_single() {
-        fan_out_with::<u32, _>(&mut [], |_, _| unreachable!());
-        let mut one = [7u32];
-        fan_out_with(&mut one, |j, v| {
-            assert_eq!(j, 0);
-            *v += 1;
-        });
-        assert_eq!(one, [8]);
     }
 
     #[test]

@@ -52,7 +52,8 @@
 # (serving/device_speedup_x1000 >= 1300), keep the tile grid >= 40%
 # occupied (serving/occupancy_x1000 >= 400), and actually batch
 # (serving/waves_formed >= 1, serving/coalesced >= 1). Wall-clock
-# serving records (throughput_rps, p50/p99) are recorded but not gated.
+# serving records (throughput_rps, p50/p99, and the idle series'
+# idle_p50/p90_us_<len>) are recorded but not gated.
 #
 # All gates run in --quick too. Set SOFTMAP_SHARD_GATE=0 /
 # SOFTMAP_OPT_GATE=0 / SOFTMAP_RESIDENT_GATE=0 / SOFTMAP_AUTOTUNE_GATE=0
@@ -237,7 +238,8 @@ for seq in ("8192", "16384"):
         blocking[f"blocked_over_opbyop_shard_seq{seq}"] = round(blk / opbyop, 3)
 
 # Multi-tenant serving layer: wall-clock throughput/latency (host-
-# dependent, informational) plus the device-model schedule quality the
+# dependent, informational; the idle_* fields are lone long requests on
+# an idle 2-worker server) plus the device-model schedule quality the
 # serving gate runs on (host-invariant: simulated cycles and admission
 # counters from the load-gen bench).
 serving = {}
@@ -249,7 +251,11 @@ for key, label in [("serving/requests", "requests"),
                    ("serving/device_speedup_x1000", "device_speedup_x1000"),
                    ("serving/occupancy_x1000", "occupancy_x1000"),
                    ("serving/waves_formed", "waves_formed"),
-                   ("serving/coalesced", "coalesced")]:
+                   ("serving/coalesced", "coalesced"),
+                   ("serving/idle_p50_us_8192", "idle_p50_us_8192"),
+                   ("serving/idle_p90_us_8192", "idle_p90_us_8192"),
+                   ("serving/idle_p50_us_16384", "idle_p50_us_16384"),
+                   ("serving/idle_p90_us_16384", "idle_p90_us_16384")]:
     v = by_name.get(key)
     if v is not None:
         serving[label] = int(v)
