@@ -67,11 +67,13 @@ pub struct ApDeployment {
     /// Occupancy is unchanged either way — a resident vector holds the
     /// same `shards` tiles its waves would.
     pub resident: bool,
-    /// Whether the mapping autotuner searches candidate mappings per
-    /// shape ([`softmap_ap::DivStyle`]-preserving layout/partition
-    /// search; see `softmap::AUTOTUNE_ENV`). **Off by default at the
-    /// deployment level** so the paper-reproduction tables keep the
-    /// paper's fixed mapping byte-for-byte; opt in per deployment with
+    /// Whether each shape compiles the mapping the autotuner's rule
+    /// picks — one word per row, equal-length shards where the grid
+    /// allows, the configured [`softmap_ap::DivStyle`] — instead of
+    /// the paper's (see `softmap::mapping::autotune` and
+    /// `softmap::AUTOTUNE_ENV`). **Off by default at the deployment
+    /// level** so the paper-reproduction tables keep the paper's fixed
+    /// mapping byte-for-byte; opt in per deployment with
     /// `ApDeployment { autotune: true, ..ApDeployment::default() }`.
     /// (Bare [`crate::ApSoftmax`] mappings default to *on*.)
     pub autotune: bool,

@@ -49,8 +49,7 @@ pub use mapping::{
     AUTOTUNE_ENV, BLOCKED_ENV, RESIDENT_ENV,
 };
 pub use plan::{
-    AutotuneStats, CandidateScore, CompiledPlan, MappingChoice, PlanCache, PlanStats, ShardedPlan,
-    TunedPlan,
+    AutotuneStats, CompiledPlan, MappingChoice, PlanCache, PlanStats, ShardedPlan, TunedPlan,
 };
 pub use serve::{
     ServeConfig, ServeStats, SoftmaxServer, Ticket, SERVE_QUEUE_ENV, SERVE_WORKERS_ENV,
@@ -69,6 +68,10 @@ pub enum CoreError {
     QueueFull,
     /// An error from the AP simulator.
     Ap(softmap_ap::ApError),
+    /// The score at this index is NaN, or every score is −∞ (index 0):
+    /// the row has no softmax. Every real-score entry point applies
+    /// [`softmap_softmax::IntSoftmax::check_scores`] before quantizing.
+    NonFinite(usize),
     /// An error from the scalar softmax specification.
     Softmax(softmap_softmax::SoftmaxError),
     /// Executing a served request panicked (the panic hook reported
@@ -96,6 +99,7 @@ impl core::fmt::Display for CoreError {
             Self::BadWorkload(msg) => write!(f, "bad workload: {msg}"),
             Self::QueueFull => write!(f, "serving queue is full (backpressure)"),
             Self::Ap(e) => write!(f, "AP error: {e}"),
+            Self::NonFinite(i) => write!(f, "score {i} is NaN or the row's maximum is -inf"),
             Self::Softmax(e) => write!(f, "softmax error: {e}"),
             Self::Panicked => write!(f, "execution panicked"),
         }
@@ -122,6 +126,9 @@ impl From<softmap_ap::ApError> for CoreError {
 #[doc(hidden)]
 impl From<softmap_softmax::SoftmaxError> for CoreError {
     fn from(e: softmap_softmax::SoftmaxError) -> Self {
-        Self::Softmax(e)
+        match e {
+            softmap_softmax::SoftmaxError::NonFinite(i) => Self::NonFinite(i),
+            e => Self::Softmax(e),
+        }
     }
 }

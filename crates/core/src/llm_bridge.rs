@@ -234,6 +234,17 @@ mod tests {
     }
 
     #[test]
+    fn nan_rows_are_errors_inline_and_served() {
+        let ap = ApMappedSoftmax::new(PrecisionConfig::paper_best()).unwrap();
+        let server = SoftmaxServer::new(ap.mapping().clone(), Default::default()).unwrap();
+        let served = ap.clone().with_server(Arc::new(server));
+        let want = CoreError::NonFinite(1).to_string();
+        for sm in [&ap, &served] {
+            assert_eq!(sm.apply(&[0.0, f32::NAN, -3.0, -4.0]).unwrap_err(), want);
+        }
+    }
+
+    #[test]
     fn long_context_rows_shard_and_match_scalar() {
         // A 6000-score attention row exceeds one 2048-row tile (4096
         // packed scores) on the default device: the adapter shards it

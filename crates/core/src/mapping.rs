@@ -169,15 +169,15 @@ pub struct ApSoftmax {
     /// (strip-mined FastWord execution; see
     /// [`softmap_ap::ApProgram::plan_blocking`]).
     blocked: bool,
-    /// Whether cached compilation searches candidate mappings and
-    /// installs the statically cheapest one (see
-    /// [`crate::mapping::autotune`]).
+    /// Whether cached compilation compiles the mapping the autotuner's
+    /// rule picks per shape (see [`crate::mapping::autotune`]).
     autotune: bool,
     /// Set by [`ApSoftmax::with_layout`]: the caller pinned the layout
-    /// explicitly, so the autotuner must not search the layout axis.
+    /// explicitly, so the autotuner keeps it.
     layout_pinned: bool,
-    /// Internal candidate-view hook: when set, sharded execution uses
-    /// this partition instead of [`DeviceConfig::partition_into`].
+    /// Set on the autotuner's view of a balanced mapping: sharded
+    /// execution uses this partition instead of
+    /// [`DeviceConfig::partition_into`].
     partition_override: Option<Arc<Vec<(usize, usize)>>>,
     plans: Arc<PlanCache>,
 }
@@ -255,12 +255,13 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Currently cached entries compiled for resident execution.
     pub resident_entries: usize,
-    /// Shapes the autotuner searched candidate mappings for.
+    /// Shapes the autotuner compiled a mapping for.
     pub shapes_tuned: u64,
-    /// Candidate mappings compiled and scored across all searches.
+    /// Mappings the autotuner compiled: one per tuned shape.
     pub candidates_scored: u64,
-    /// Searches whose winner strictly beat the configured default
-    /// mapping in total work cycles.
+    /// Tuned shapes mapped differently from the configured default
+    /// (another layout or a balanced partition; see
+    /// [`TunedPlan::improved`]).
     pub tuned_wins: u64,
     /// Requests accepted into the serving queue (zero unless queried
     /// through a [`crate::SoftmaxServer`]).
@@ -394,7 +395,7 @@ impl TileState {
     /// The whole-vector plan cached in this tile's slot, if one has
     /// been resolved (`None` when the slot holds a sharded plan; see
     /// [`TileState::cached_sharded_plan`]). A tuned slot resolves to
-    /// its winner.
+    /// its compiled plan.
     #[must_use]
     pub fn cached_plan(&self) -> Option<&CompiledPlan> {
         match self.plan.as_ref() {
@@ -408,7 +409,7 @@ impl TileState {
     }
 
     /// The sharded vector plan cached in this tile's slot, if one has
-    /// been resolved. A tuned slot resolves to its winner.
+    /// been resolved. A tuned slot resolves to its compiled plan.
     #[must_use]
     pub fn cached_sharded_plan(&self) -> Option<&ShardedPlan> {
         match self.plan.as_ref() {
@@ -558,13 +559,15 @@ impl ApSoftmax {
 
     /// Enables or disables the mapping autotuner (the default is on,
     /// overridable via [`AUTOTUNE_ENV`]). Enabled, each cached shape's
-    /// first vector searches the candidate mappings enumerated by
-    /// the `mapping::autotune` layer, scores every candidate with the
-    /// static-cost contract, and installs the cheapest bit-exact plan;
-    /// further vectors replay the winner. Disabled, compilation uses
-    /// the configured mapping exactly as before the autotuner existed
-    /// — byte-identical plans, keys, and counters. Tuned entries live
-    /// under their own key axis, so toggling keeps the cache.
+    /// first vector compiles the one mapping the `mapping::autotune`
+    /// rule picks for its length — one word per row unless the layout
+    /// is pinned, equal-length shards where a split within two shards
+    /// of the minimum allows — and further vectors replay it. The rule
+    /// is checked against the compile-every-candidate search it
+    /// replaced. Disabled, compilation uses the configured mapping
+    /// exactly as before the autotuner existed — byte-identical plans,
+    /// keys, and counters. Tuned entries live under their own key axis,
+    /// so toggling keeps the cache.
     #[must_use]
     pub fn with_autotune(mut self, autotune: bool) -> Self {
         self.autotune = autotune;
@@ -779,10 +782,10 @@ impl ApSoftmax {
         self.plans.clear();
     }
 
-    /// Precompiles the plan for every vector length in `shapes` — and
-    /// autotunes each, when autotuning is enabled — so the first real
-    /// vector of a warmed shape replays instead of paying the compile
-    /// (or search) on the request path. The serving layer calls this
+    /// Precompiles the plan for every vector length in `shapes` — the
+    /// autotuner's mapping of each, when autotuning is enabled — so the
+    /// first real vector of a warmed shape replays instead of paying
+    /// the compile on the request path. The serving layer calls this
     /// at startup ([`crate::ServeConfig::warmup_shapes`]); it is also
     /// useful before latency-sensitive benchmarking. Shapes already
     /// cached are skipped; one compile is counted per fresh shape
@@ -831,7 +834,7 @@ impl ApSoftmax {
     ///
     /// # Errors
     ///
-    /// See [`ApSoftmax::execute_codes`].
+    /// See [`ApSoftmax::execute_floats_into`].
     pub fn execute_floats(&self, scores: &[f64]) -> Result<ApSoftmaxRun, CoreError> {
         THREAD_TILE.with(|state| {
             let mut state = state.borrow_mut();
@@ -848,7 +851,9 @@ impl ApSoftmax {
     ///
     /// # Errors
     ///
-    /// See [`ApSoftmax::execute_codes`].
+    /// [`CoreError::NonFinite`] for a NaN score or an all-−∞ row (see
+    /// [`IntSoftmax::check_scores`]); otherwise see
+    /// [`ApSoftmax::execute_codes`].
     pub fn execute_floats_into(
         &self,
         state: &mut TileState,
@@ -858,6 +863,7 @@ impl ApSoftmax {
         if scores.is_empty() {
             return Err(CoreError::EmptyInput);
         }
+        self.sm.check_scores(scores)?;
         let mut codes = std::mem::take(&mut state.codes);
         self.sm.quantize_into(scores, &mut codes);
         let result = self.execute_codes_into(state, &codes, run);
@@ -877,8 +883,8 @@ impl ApSoftmax {
     /// # Errors
     ///
     /// The first (by input order) failing vector's error; see
-    /// [`ApSoftmax::execute_codes`]. On failure the remaining vectors
-    /// are cancelled.
+    /// [`ApSoftmax::execute_floats_into`]. On failure the remaining
+    /// vectors are cancelled.
     pub fn execute_batch_floats(&self, batch: &[Vec<f64>]) -> Result<Vec<ApSoftmaxRun>, CoreError> {
         batch::try_parallel_map_with(batch, TileState::new, |state, scores| {
             let mut run = ApSoftmaxRun::default();
@@ -951,7 +957,7 @@ impl ApSoftmax {
     }
 
     /// Whether a vector of `len` elements is packed two words per row
-    /// under `layout` (a tuned plan packs by the *winner's* layout, not
+    /// under `layout` (a tuned plan packs by its *chosen* layout, not
     /// the configured one), and the rows it then occupies.
     fn packing_of(layout: Layout, len: usize) -> (bool, usize) {
         let packed = layout == Layout::TwoWordsPerRow && len.is_multiple_of(2) && len >= 2;
@@ -980,8 +986,7 @@ impl ApSoftmax {
         // Validate codes through the scalar spec's range check (cheap:
         // no full trace).
         self.sm.validate_codes(codes)?;
-        // The untuned shard partition; a tuned entry carries its
-        // winner's.
+        // The untuned shard partition; a tuned entry carries its own.
         let mut ranges = std::mem::take(&mut state.shard.ranges);
         ranges.clear();
         let result = if mode == PlanMode::Cached && self.autotune {
@@ -1032,14 +1037,14 @@ impl ApSoftmax {
         let key = self.vector_key(codes.len(), ranges, self.autotune);
         let (entry, compiled) = self.lookup(state, key, |state| {
             if key.tuned {
-                self.search_mappings(codes)
+                self.compile_tuned(state, codes, run)
             } else if whole {
                 self.compile_whole(state, codes, run)
             } else {
                 self.compile_sharded(state, codes, run, ranges, key.resident)
             }
         })?;
-        if compiled && !key.tuned {
+        if compiled {
             // Compiling executed this vector.
             return Ok(());
         }
@@ -1089,8 +1094,8 @@ impl ApSoftmax {
 
     /// Replays a cache entry: a whole-vector program or a sharded plan
     /// (open to serving helpers given `wake`) packed by `layout`, or a
-    /// tuned entry's winner under the winner's layout. Zero-alloc in
-    /// steady state.
+    /// tuned entry's plan under its chosen layout. Zero-alloc in steady
+    /// state.
     fn replay_entry(
         &self,
         entry: &CachedPlan,
@@ -1306,9 +1311,8 @@ impl ApSoftmax {
 
     /// Writes the shard partition a vector of `len` elements executes
     /// with under the configured mapping into `ranges` — empty when the
-    /// vector fits one tile: the candidate-view override when the
-    /// autotuner is evaluating a specific partition, the device's
-    /// greedy default otherwise.
+    /// vector fits one tile: the override when the autotuner compiles a
+    /// balanced partition, the device's greedy default otherwise.
     fn partition_into(
         &self,
         len: usize,
@@ -1652,7 +1656,7 @@ impl ApSoftmax {
     /// tile, and for a tuned key): sharded entries carry the effective
     /// residency of their partition; whole-vector entries are never
     /// resident (a single tile re-stages by definition); a tuned entry
-    /// carries the configured axes plus the `tuned` flag — the winner's
+    /// carries the configured axes plus the `tuned` flag — the chosen
     /// layout, partition, and residency live *inside* the
     /// [`TunedPlan`], so the key stays a pure function of the
     /// configuration.
@@ -1761,9 +1765,8 @@ impl ApSoftmax {
         }
     }
 
-    /// The autotuned plan for vectors of length `len` — the winning
-    /// mapping, its static cost, the configured default's cost, and
-    /// every candidate's score — compiling (searching) one from
+    /// The autotuned plan for vectors of length `len` — the chosen
+    /// mapping and its static cost — compiling one from
     /// [`ApSoftmax::representative_scores`] if the shape has not been
     /// seen yet.
     ///
@@ -1810,7 +1813,7 @@ impl ApSoftmax {
     }
 
     /// The static device view a cache entry answers with (a tuned
-    /// entry answers with its winner's recorded cost).
+    /// entry answers with its plan's recorded cost).
     fn entry_vector_cost(entry: &CachedPlan) -> VectorCost {
         match entry {
             CachedPlan::Program(p) => {
@@ -1843,8 +1846,8 @@ impl ApSoftmax {
     /// Propagates compilation (execution) errors.
     pub fn static_step_stats(&self, len: usize) -> Result<Vec<StepStats>, CoreError> {
         let entry = match self.resolve_vector_entry(len)? {
-            // A tuned entry replays its winner, so its step breakdown
-            // is the winner's.
+            // A tuned entry replays its plan, so its step breakdown is
+            // the plan's.
             CachedPlan::Tuned(t) => t.plan.clone(),
             other => other,
         };
@@ -2526,7 +2529,7 @@ mod tests {
     #[test]
     fn autotuned_strictly_beats_default_at_4096() {
         // The pinned strict-improvement length: 4096 packed fills one
-        // tile exactly; the tuner's one-word-per-row candidate runs the
+        // tile exactly; the tuner's one-word-per-row mapping runs the
         // sixteen-step dataflow once (sharded resident in lockstep)
         // instead of once per packed half, roughly halving cycles.
         let tuned = ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
@@ -2544,18 +2547,19 @@ mod tests {
             t.total.cycles(),
             u.total.cycles()
         );
-        // static == simulated for the winner, and the tuned entry
-        // records the search it won.
+        // static == simulated for the tuned plan, which beats the
+        // untuned mapping's static cost, compiling one mapping.
         let plan = tuned.tuned_plan(4096).unwrap();
         assert!(plan.improved());
         assert_eq!(plan.winner_cost().total, t.total);
-        assert_eq!(plan.default_cost().total, u.total);
-        assert!(plan.scores().len() >= 2, "search must have scored > 1");
+        let default = untuned.static_cost(4096).unwrap();
+        assert_eq!(default, u.total);
+        assert!(plan.winner_cost().total.cycles() < default.cycles());
         assert_eq!(tuned.static_cost(4096).unwrap(), t.total);
         let stats = tuned.cache_stats();
         assert_eq!(stats.shapes_tuned, 1);
         assert_eq!(stats.tuned_wins, 1);
-        assert!(stats.candidates_scored >= 2);
+        assert_eq!(stats.candidates_scored, 1);
         // The untuned view never consults the tuner.
         assert!(matches!(
             untuned.tuned_plan(4096),
@@ -2565,16 +2569,15 @@ mod tests {
 
     #[test]
     fn autotuned_pinned_layout_keeps_default_mapping() {
-        // with_layout pins the tuner's layout axis; with no partition
-        // alternatives for a whole-vector shape the search degenerates
-        // to the default candidate and the winner ties it.
+        // with_layout pins the tuner's layout; a whole-vector shape
+        // then has no alternative, so the rule compiles the default.
         let tuned = ApSoftmax::new(PrecisionConfig::paper_best())
             .unwrap()
             .with_layout(Layout::TwoWordsPerRow);
         let scores = ApSoftmax::representative_scores(256);
         tuned.execute_floats(&scores).unwrap();
         let plan = tuned.tuned_plan(256).unwrap();
-        assert_eq!(plan.scores().len(), 1, "pinned whole-vector: default only");
+        assert_eq!(tuned.cache_stats().candidates_scored, 1, "one compile");
         assert!(!plan.improved());
         assert_eq!(plan.choice().layout, Layout::TwoWordsPerRow);
         assert_eq!(tuned.cache_stats().tuned_wins, 0);
@@ -2615,7 +2618,7 @@ mod tests {
         let t2 = tuned.execute_floats(&scores).unwrap();
         assert_eq!(t1.codes, u1.codes);
         assert_eq!(t1.codes, t2.codes);
-        assert_eq!(t1.total, t2.total, "re-searched winner is deterministic");
+        assert_eq!(t1.total, t2.total, "recompiled tuned plan is deterministic");
         let stats = tuned.plan_stats();
         assert_eq!(stats.plans, 1, "cap 1 holds one entry");
         assert_eq!(stats.compiles, 3, "each swap recompiles");
@@ -2638,6 +2641,37 @@ mod tests {
         let stats = tiny.sharded_plan(512).unwrap().block_stats().unwrap();
         assert!(!stats.engaged, "{stats}");
         assert!(stats.regions >= 1, "{stats}");
+    }
+
+    #[test]
+    fn non_finite_scores_follow_the_spec_on_both_backends() {
+        let cfg = PrecisionConfig::paper_best();
+        let spec = IntSoftmax::new(cfg).unwrap();
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for backend in [ExecBackend::Microcode, ExecBackend::FastWord] {
+            let m = ApSoftmax::new(cfg).unwrap().with_backend(backend);
+            for (row, index) in [
+                (vec![0.0, nan, -3.0, -4.0], 1),
+                (vec![nan; 4], 0),
+                (vec![-inf; 4], 0),
+            ] {
+                assert_eq!(
+                    m.execute_floats(&row).unwrap_err(),
+                    CoreError::NonFinite(index)
+                );
+                let batch = m.execute_batch_floats(&[vec![0.0, -1.0], row]);
+                assert_eq!(batch.unwrap_err(), CoreError::NonFinite(index));
+            }
+            // Infinities that pass keep the spec's results, sharded too.
+            let mut long = ApSoftmax::representative_scores(6000);
+            long[17] = -inf;
+            for row in [vec![inf, 0.0, inf, -3.0], vec![0.0, -inf, -3.0, -4.0], long] {
+                let run = m.execute_floats(&row).unwrap();
+                let want = spec.run_floats(&row).unwrap();
+                assert_eq!(run.codes, want.codes, "{backend:?}");
+                assert_eq!(run.sum, want.sum, "{backend:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   recorded at compile time so static queries stay execution-free,
 //!   and
 //! * **tuned vector plans** ([`TunedPlan`]) installed by the mapping
-//!   autotuner (`crate::mapping::autotune`): the winning whole-vector
-//!   or sharded plan plus the [`MappingChoice`] it corresponds to and
-//!   the scores of every losing candidate. Tuned entries live under
+//!   autotuner (`crate::mapping::autotune`): the whole-vector or
+//!   sharded plan of the mapping its rule picked, plus the
+//!   [`MappingChoice`] it corresponds to. Tuned entries live under
 //!   their own `tuned` key axis so a tuned mapping and its pinned
 //!   paper-default baseline coexist in the same LRU.
 //!
@@ -313,28 +313,28 @@ impl ShardedPlan {
     }
 }
 
-/// The mapping an autotuned plan selected: the searched configuration
-/// axes plus the shard geometry of the winning plan. Returned by
+/// The mapping an autotuned plan selected: the configuration axes plus
+/// the shard geometry of the chosen plan. Returned by
 /// [`TunedPlan::choice`] and rendered (via `Display`) in the eval
 /// `autotune` table and `examples/backend_profile.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MappingChoice {
-    /// Row packing layout of the winning plan.
+    /// Row packing layout of the chosen plan.
     pub layout: Layout,
-    /// Division microcode style. Never searched: only the configured
+    /// Division microcode style. Never tuned: only the configured
     /// style preserves the mapping's exactness contract (the
     /// controller-reciprocal divider is within 1 ULP, not bit-exact).
     pub div: DivStyle,
-    /// Optimization level. Never searched: cost is non-increasing
-    /// along [`OptLevel::ladder`], so the configured level dominates.
+    /// Optimization level. Never tuned: cost is non-increasing along
+    /// [`OptLevel::ladder`], so the configured level dominates.
     pub opt: OptLevel,
-    /// Whether the winning plan executes resident (sharded shapes
-    /// only; `false` for whole-vector winners).
+    /// Whether the chosen plan executes resident (sharded shapes
+    /// only; `false` for whole-vector plans).
     pub resident: bool,
-    /// Shards the winning plan splits the vector into (1 =
+    /// Shards the chosen plan splits the vector into (1 =
     /// whole-vector).
     pub shards: usize,
-    /// Whether the winner uses a balanced shard partition instead of
+    /// Whether the plan uses a balanced shard partition instead of
     /// the device's greedy capacity-filling default.
     pub balanced: bool,
 }
@@ -372,73 +372,43 @@ impl fmt::Display for MappingChoice {
     }
 }
 
-/// One scored candidate from an autotune search. The winner and every
-/// losing candidate are recorded on the installed [`TunedPlan`], so
-/// "why did the tuner pick this" is answerable without re-searching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CandidateScore {
-    /// The candidate mapping.
-    pub choice: MappingChoice,
-    /// Static total work cycles of the candidate's compiled plan.
-    pub cycles: u64,
-    /// Static device critical-path cycles.
-    pub latency_cycles: u64,
-    /// Static cell events (the energy proxy).
-    pub cell_events: u64,
-}
-
-/// An autotuned vector-level cache entry: the winning compiled plan
-/// (whole-vector or sharded), the [`MappingChoice`] it realizes, its
-/// static cost next to the configured default's, and the full score
-/// table of the search.
+/// An autotuned vector-level cache entry: the compiled plan of the
+/// mapping the autotuner's rule picked (whole-vector or sharded), the
+/// [`MappingChoice`] it realizes, and its static cost.
 #[derive(Debug)]
 pub struct TunedPlan {
     pub(crate) choice: MappingChoice,
     pub(crate) plan: CachedPlan,
     pub(crate) winner_cost: VectorCost,
-    pub(crate) default_cost: VectorCost,
-    pub(crate) scores: Vec<CandidateScore>,
+    pub(crate) improved: bool,
     pub(crate) compile_micros: f64,
 }
 
 impl TunedPlan {
-    /// The winning mapping.
+    /// The chosen mapping.
     #[must_use]
     pub fn choice(&self) -> MappingChoice {
         self.choice
     }
 
-    /// Static cost of the winning plan (exact for the input the search
+    /// Static cost of the chosen plan (exact for the input it was
     /// compiled from; the static == simulated contract carries over
-    /// from the winner's plan kind).
+    /// from the plan kind).
     #[must_use]
     pub fn winner_cost(&self) -> &VectorCost {
         &self.winner_cost
     }
 
-    /// Static cost of the configured default mapping on the same
-    /// input, for comparison (the default candidate is always scored).
-    #[must_use]
-    pub fn default_cost(&self) -> &VectorCost {
-        &self.default_cost
-    }
-
-    /// Every candidate scored by the search, in enumeration order (the
-    /// configured default mapping first).
-    #[must_use]
-    pub fn scores(&self) -> &[CandidateScore] {
-        &self.scores
-    }
-
-    /// Whether the winner strictly beat the configured default in
-    /// total work cycles.
+    /// Whether the rule mapped this shape differently from the
+    /// configured default (another layout or a balanced partition) —
+    /// what [`crate::CacheStats::tuned_wins`] counts. The rule's oracle
+    /// test checks such a mapping never costs more than the default.
     #[must_use]
     pub fn improved(&self) -> bool {
-        self.winner_cost.total.cycles() < self.default_cost.total.cycles()
+        self.improved
     }
 
-    /// Wall-clock microseconds the whole search (every candidate
-    /// compile included) took.
+    /// Wall-clock microseconds the tuned compile took.
     #[must_use]
     pub fn compile_micros(&self) -> f64 {
         self.compile_micros
@@ -446,14 +416,14 @@ impl TunedPlan {
 }
 
 /// One cache entry: a single compiled program, a sharded plan, or an
-/// autotuned winner.
+/// autotuned plan.
 #[derive(Debug, Clone)]
 pub(crate) enum CachedPlan {
     /// A whole-vector or shard-phase program.
     Program(Arc<CompiledPlan>),
     /// A vector-level sharded plan.
     Sharded(Arc<ShardedPlan>),
-    /// A vector-level autotuned plan wrapping its winner.
+    /// A vector-level autotuned plan wrapping its compiled plan.
     Tuned(Arc<TunedPlan>),
 }
 
@@ -480,12 +450,12 @@ pub struct PlanStats {
 /// [`crate::ApSoftmax::cache_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AutotuneStats {
-    /// Shapes that went through a candidate search.
+    /// Shapes the autotuner compiled a mapping for.
     pub shapes_tuned: u64,
-    /// Candidate mappings compiled and scored across all searches.
+    /// Mappings the autotuner compiled: one per tuned shape.
     pub candidates_scored: u64,
-    /// Searches whose winner strictly beat the configured default
-    /// mapping in total work cycles.
+    /// Tuned shapes mapped differently from the configured default
+    /// (see [`TunedPlan::improved`]).
     pub wins: u64,
 }
 
@@ -654,12 +624,11 @@ impl PlanCache {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one finished autotune search: `candidates` mappings
-    /// scored, `win` when the winner strictly beat the default.
-    pub(crate) fn note_autotune(&self, candidates: u64, win: bool) {
+    /// Records one tuned shape (one mapping compiled), `win` when it
+    /// was mapped differently from the configured default.
+    pub(crate) fn note_autotune(&self, win: bool) {
         self.shapes_tuned.fetch_add(1, Ordering::Relaxed);
-        self.candidates_scored
-            .fetch_add(candidates, Ordering::Relaxed);
+        self.candidates_scored.fetch_add(1, Ordering::Relaxed);
         if win {
             self.tuned_wins.fetch_add(1, Ordering::Relaxed);
         }

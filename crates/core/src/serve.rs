@@ -523,8 +523,10 @@ impl SoftmaxServer {
     ///
     /// # Errors
     ///
-    /// [`CoreError::EmptyInput`] for an empty slice, a shard-partition
-    /// error for lengths the device cannot hold, or
+    /// [`CoreError::EmptyInput`] for an empty slice,
+    /// [`CoreError::NonFinite`] for a NaN score or an all-−∞ row (see
+    /// [`softmap_softmax::IntSoftmax::check_scores`]), a
+    /// shard-partition error for lengths the device cannot hold, or
     /// [`CoreError::BadWorkload`] after shutdown.
     pub fn submit(&self, scores: &[f64]) -> Result<Ticket, CoreError> {
         self.submit_inner(scores, true)
@@ -545,6 +547,7 @@ impl SoftmaxServer {
             return Err(CoreError::EmptyInput);
         }
         let shared = &self.shared;
+        shared.mapping.spec().check_scores(scores)?;
         let mut q = lock(&shared.state);
         if q.shutdown {
             return Err(CoreError::BadWorkload("serving queue is shut down".into()));
@@ -884,6 +887,28 @@ mod tests {
             stats.completed,
             "{stats}"
         );
+    }
+
+    #[test]
+    fn non_finite_scores_are_rejected_at_submission() {
+        let mapping = ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
+        let server = SoftmaxServer::new(mapping.clone(), ServeConfig::default()).unwrap();
+        let nan_probe = [0.0, f64::NAN, -3.0, -4.0];
+        assert_eq!(
+            server.submit(&nan_probe).unwrap_err(),
+            CoreError::NonFinite(1)
+        );
+        let all_neg_inf = [f64::NEG_INFINITY; 8];
+        assert_eq!(
+            server.try_submit(&all_neg_inf).unwrap_err(),
+            CoreError::NonFinite(0)
+        );
+        // The rejections took no slot; a finite row still serves exactly.
+        let row = [0.0, f64::NEG_INFINITY, -3.0, -4.0];
+        let mut run = ApSoftmaxRun::default();
+        server.submit(&row).unwrap().wait_into(&mut run).unwrap();
+        assert_exact(&run, &inline(&mapping, &row), "-inf row");
+        assert_eq!(server.stats().completed, 1);
     }
 
     #[test]

@@ -1,81 +1,50 @@
 //! Command-line driver regenerating the paper's tables and figures.
 //!
 //! ```text
-//! softmap-eval <experiment>
+//! softmap-eval [experiment...]
 //! experiments: fig1 table1 table2 table3 table4 fig6 fig7 fig8
 //!              table5 table6 area amdahl ablations decode longseq
 //!              autotune all
 //! ```
+//!
+//! Runs every named experiment in order; no name means `all`. An
+//! unknown name prints the usage and exits 2 before anything runs.
 
-use softmap_eval::fig678::Quantity;
-use softmap_eval::{
-    ablations, amdahl, area, autotune, decode, fig1, fig678, longseq, paper, table1, table2,
-    table34, table5, table6,
-};
+use softmap_eval::{render, EXPERIMENTS};
 
 fn run(which: &str) -> Result<(), Box<dyn std::error::Error>> {
-    match which {
-        "fig1" => print!("{}", fig1::render(&fig1::run())),
-        "table1" => print!("{}", table1::run().render()),
-        "table2" => print!("{}", table2::render(&table2::run())),
-        "table3" => {
-            let g = table34::run(table34::StandIn::A)?;
-            print!("{}", g.render(&paper::TABLE3_PPL, paper::TABLE3_FP_PPL));
+    if which == "all" {
+        for e in EXPERIMENTS {
+            println!("==== {e} ====");
+            print!("{}", render(e)?);
+            println!();
         }
-        "table4" => {
-            let g = table34::run(table34::StandIn::B)?;
-            print!("{}", g.render(&paper::TABLE4_PPL, paper::TABLE4_FP_PPL));
-        }
-        "fig6" => print!("{}", fig678::render_figure(Quantity::Energy)?),
-        "fig7" => print!("{}", fig678::render_figure(Quantity::Latency)?),
-        "fig8" => print!("{}", fig678::render_figure(Quantity::Edp)?),
-        "table5" => print!("{}", table5::render(&table5::run()?)),
-        "table6" => print!("{}", table6::render(&table6::run()?)),
-        "area" => print!("{}", area::render(&area::run()?)),
-        "amdahl" => print!("{}", amdahl::render(&amdahl::run()?)),
-        "ablations" => print!("{}", ablations::render(&ablations::run()?)),
-        "decode" => print!("{}", decode::render(&decode::run()?)),
-        "longseq" => print!("{}", longseq::render(&longseq::run()?)),
-        "autotune" => print!("{}", autotune::render(&autotune::run()?)),
-        "all" => {
-            for e in [
-                "fig1",
-                "table1",
-                "table2",
-                "table3",
-                "table4",
-                "fig6",
-                "fig7",
-                "fig8",
-                "table5",
-                "table6",
-                "area",
-                "amdahl",
-                "ablations",
-                "decode",
-                "longseq",
-                "autotune",
-            ] {
-                println!("==== {e} ====");
-                run(e)?;
-                println!();
-            }
-        }
-        other => {
-            eprintln!(
-                "unknown experiment '{other}'\n\
-                 usage: softmap-eval <fig1|table1|table2|table3|table4|fig6|fig7|fig8|table5|table6|area|amdahl|ablations|decode|longseq|autotune|all>"
-            );
-            std::process::exit(2);
-        }
+    } else {
+        print!("{}", render(which)?);
     }
     Ok(())
 }
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    if let Err(e) = run(&which) {
-        eprintln!("experiment '{which}' failed: {e}");
-        std::process::exit(1);
+    let mut names: Vec<String> = std::env::args().skip(1).collect();
+    if names.is_empty() {
+        names.push("all".into());
+    }
+    if let Some(other) = names
+        .iter()
+        .find(|n| *n != "all" && !EXPERIMENTS.contains(&n.as_str()))
+    {
+        eprintln!(
+            "unknown experiment '{other}'\n\
+             usage: softmap-eval [experiment...] (none = all), experiments: {}|all",
+            EXPERIMENTS.join("|")
+        );
+        std::process::exit(2);
+    }
+    for which in &names {
+        if let Err(e) = run(which) {
+            eprintln!("experiment '{which}' failed: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -3,12 +3,17 @@
 //!
 //! Each experiment module produces structured data plus an ASCII
 //! rendering with the paper's reported values alongside for comparison.
-//! The `softmap-eval` binary drives them:
+//! The `softmap-eval` binary drives them through [`render`], running
+//! every experiment named on its command line in order:
 //!
 //! ```text
 //! cargo run -p softmap-eval --release -- all
 //! cargo run -p softmap-eval --release -- fig7
+//! cargo run -p softmap-eval --release -- table2 table5 table6
 //! ```
+//!
+//! `tests/golden/` holds the expected output of every experiment that
+//! trains no model; `tests/golden.rs` compares each byte for byte.
 //!
 //! | Module | Paper content |
 //! |---|---|
@@ -54,3 +59,57 @@ pub mod table6;
 
 /// Convenience result alias for experiments.
 pub type EvalResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+/// Every experiment, in the order `softmap-eval all` runs them.
+pub const EXPERIMENTS: [&str; 16] = [
+    "fig1",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table5",
+    "table6",
+    "area",
+    "amdahl",
+    "ablations",
+    "decode",
+    "longseq",
+    "autotune",
+];
+
+/// Renders one experiment (a name from [`EXPERIMENTS`]) exactly as
+/// `softmap-eval <name>` prints it. `table3` and `table4` train their
+/// stand-in models first.
+///
+/// # Errors
+///
+/// Propagates the experiment's errors; an unknown name is an error.
+pub fn render(name: &str) -> EvalResult<String> {
+    use fig678::Quantity;
+    Ok(match name {
+        "fig1" => fig1::render(&fig1::run()),
+        "table1" => table1::run().render(),
+        "table2" => table2::render(&table2::run()),
+        "table3" => {
+            table34::run(table34::StandIn::A)?.render(&paper::TABLE3_PPL, paper::TABLE3_FP_PPL)
+        }
+        "table4" => {
+            table34::run(table34::StandIn::B)?.render(&paper::TABLE4_PPL, paper::TABLE4_FP_PPL)
+        }
+        "fig6" => fig678::render_figure(Quantity::Energy)?,
+        "fig7" => fig678::render_figure(Quantity::Latency)?,
+        "fig8" => fig678::render_figure(Quantity::Edp)?,
+        "table5" => table5::render(&table5::run()?),
+        "table6" => table6::render(&table6::run()?),
+        "area" => area::render(&area::run()?),
+        "amdahl" => amdahl::render(&amdahl::run()?),
+        "ablations" => ablations::render(&ablations::run()?),
+        "decode" => decode::render(&decode::run()?),
+        "longseq" => longseq::render(&longseq::run()?),
+        "autotune" => autotune::render(&autotune::run()?),
+        other => return Err(format!("unknown experiment '{other}'").into()),
+    })
+}

@@ -114,7 +114,9 @@ impl IntSoftmax {
 
     /// Allocation-free [`IntSoftmax::quantize`]: writes the codes into
     /// `out` (cleared first), reusing its capacity — the pooled
-    /// execution path's entry point.
+    /// execution path's entry point. It does not vet its input: run
+    /// [`IntSoftmax::check_scores`] first, or a NaN quantizes to the
+    /// row maximum.
     pub fn quantize_into(&self, v: &[f64], out: &mut Vec<i64>) {
         let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let s = self.cfg.scale();
@@ -124,6 +126,41 @@ impl IntSoftmax {
             let stable = (x - max).clamp(self.cfg.tc, 0.0);
             ((stable / s).round() as i64).clamp(lo, 0)
         }));
+    }
+
+    /// The input policy every real-score entry point applies before
+    /// quantizing: a NaN anywhere, or a row whose maximum is −∞ (all
+    /// scores −∞), has no softmax and is rejected.
+    ///
+    /// Other infinities pass and behave as their limits. +∞ scores
+    /// share the mass equally and every finite score gets the clip
+    /// code. A −∞ score beside a larger one quantizes to the clip code
+    /// (`TC`), like any score at least `|TC|` below the maximum, so it
+    /// gets the clip code's mass: exactly zero at
+    /// [`PrecisionConfig::paper_best`] and at every point of
+    /// [`crate::sweep::full_grid`] with its default `TC`. A shallower
+    /// `TC` set through [`PrecisionConfig::with_tc`] can leave the clip
+    /// code a non-zero exponential, and −∞ then gets that mass: `M = 4`
+    /// with `TC` ≥ −2, `M = 6` with `TC` from −4 to −2, and `M = 8`
+    /// with `TC` = −6 (of the integer `TC`s the constants accept).
+    ///
+    /// # Errors
+    ///
+    /// [`SoftmaxError::NonFinite`] with the first NaN's index, or 0 for
+    /// an all-−∞ row. An empty slice passes (the entry points reject it
+    /// as [`SoftmaxError::EmptyInput`]).
+    pub fn check_scores(&self, v: &[f64]) -> Result<(), SoftmaxError> {
+        // A branch-free pass the compiler vectorizes (a per-score early
+        // exit costs ten times as much); the index is sought only once a
+        // NaN is known to be there.
+        if v.iter().fold(false, |nan, &x| nan | x.is_nan()) {
+            let i = v.iter().position(|x| x.is_nan()).expect("a NaN was seen");
+            return Err(SoftmaxError::NonFinite(i));
+        }
+        if !v.is_empty() && v.iter().all(|&x| x == f64::NEG_INFINITY) {
+            return Err(SoftmaxError::NonFinite(0));
+        }
+        Ok(())
     }
 
     /// Runs the integer pipeline on quantized codes.
@@ -142,11 +179,13 @@ impl IntSoftmax {
     ///
     /// # Errors
     ///
-    /// As [`IntSoftmax::run_codes`].
+    /// As [`IntSoftmax::run_codes`], and [`SoftmaxError::NonFinite`]
+    /// for scores [`IntSoftmax::check_scores`] rejects.
     pub fn run_floats(&self, v: &[f64]) -> Result<IntSoftmaxOutput, SoftmaxError> {
         if v.is_empty() {
             return Err(SoftmaxError::EmptyInput);
         }
+        self.check_scores(v)?;
         self.run_codes(&self.quantize(v))
     }
 
@@ -307,6 +346,51 @@ mod tests {
 
     fn best() -> IntSoftmax {
         IntSoftmax::new(PrecisionConfig::paper_best()).unwrap()
+    }
+
+    #[test]
+    fn nan_and_all_neg_inf_rows_are_rejected_with_the_first_bad_index() {
+        let sm = best();
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for (row, index) in [
+            (vec![0.0, nan, -3.0, -4.0], 1),
+            (vec![nan; 3], 0),
+            (vec![-inf; 4], 0),
+            (vec![-inf, -inf, nan], 2),
+            (vec![inf, 0.0, nan, nan], 2),
+        ] {
+            assert_eq!(sm.check_scores(&row), Err(SoftmaxError::NonFinite(index)));
+            assert_eq!(sm.run_floats(&row), Err(SoftmaxError::NonFinite(index)));
+        }
+        assert_eq!(
+            sm.run_floats_batch(&[vec![0.0], vec![nan]]).unwrap_err(),
+            SoftmaxError::NonFinite(0)
+        );
+        assert_eq!(sm.check_scores(&[]), Ok(()));
+        assert_eq!(sm.run_floats(&[]), Err(SoftmaxError::EmptyInput));
+    }
+
+    #[test]
+    fn infinities_behave_as_their_limits() {
+        // +inf scores share the mass; the finite ones get the clip code.
+        let sm = best();
+        let (inf, clip) = (f64::INFINITY, PrecisionConfig::paper_best().tc - 1.0);
+        let out = sm.run_floats(&[inf, 0.0, inf, -3.0]).unwrap();
+        let two = sm.run_floats(&[0.0, clip, 0.0, clip]).unwrap();
+        assert_eq!(out.codes, two.codes);
+        assert_eq!(out.codes[0], out.codes[2]);
+        // -inf beside a larger score gets exactly zero mass at every
+        // grid point's default clip threshold.
+        for cfg in crate::sweep::full_grid() {
+            let sm = IntSoftmax::new(cfg).unwrap();
+            let out = sm.run_floats(&[0.0, -inf, -3.0, -4.0]).unwrap();
+            assert_eq!(out.codes[1], 0, "{}", cfg.label());
+        }
+        // A shallow clip threshold leaves the clip code (and -inf) mass.
+        let shallow = IntSoftmax::new(PrecisionConfig::paper_best().with_tc(-3.0)).unwrap();
+        let out = shallow.run_floats(&[0.0, -inf]).unwrap();
+        assert!(out.codes[1] > 0);
+        assert_eq!(out.codes, shallow.run_floats(&[0.0, -3.5]).unwrap().codes);
     }
 
     #[test]

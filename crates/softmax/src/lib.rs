@@ -59,6 +59,9 @@ pub enum SoftmaxError {
     EmptyInput,
     /// An input code is out of the quantizer's range.
     CodeOutOfRange(i64),
+    /// The score at this index is NaN, or every score is −∞ (index 0):
+    /// the row has no softmax. See [`IntSoftmax::check_scores`].
+    NonFinite(usize),
 }
 
 impl core::fmt::Display for SoftmaxError {
@@ -67,6 +70,7 @@ impl core::fmt::Display for SoftmaxError {
             Self::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
             Self::EmptyInput => write!(f, "input vector is empty"),
             Self::CodeOutOfRange(c) => write!(f, "quantized code {c} out of range"),
+            Self::NonFinite(i) => write!(f, "score {i} is NaN or the row's maximum is -inf"),
         }
     }
 }

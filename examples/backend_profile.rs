@@ -179,8 +179,9 @@ fn main() {
     println!("  cache: {}", cached.cache_stats());
     println!("  cache (re-staged mapping): {}", restaged.cache_stats());
 
-    // Mapping autotuner: search per shape, replay the winner. Prints
-    // the chosen mapping per shape and the tuner's cache statistics.
+    // Mapping autotuner: compile the rule's mapping per shape, replay
+    // it. Prints the chosen mapping per shape and the tuner's cache
+    // statistics.
     println!("mapping autotuner");
     let tuned = ApSoftmax::new(PrecisionConfig::paper_best())
         .unwrap()
@@ -191,19 +192,19 @@ fn main() {
             .collect();
         tuned
             .execute_floats_into(&mut state, &scores, &mut run)
-            .unwrap(); // first vector of the shape runs the search
+            .unwrap(); // first vector of the shape compiles the tuned plan
         time(&format!("autotuned replay len {len}"), 5, || {
             tuned
                 .execute_floats_into(&mut state, &scores, &mut run)
                 .unwrap();
         });
         let plan = tuned.tuned_plan(len).unwrap();
+        let default = tuned.clone().with_autotune(false).static_cost(len).unwrap();
         println!(
-            "  len {len}: chose [{}] — {} cyc vs default {} cyc ({} candidates, search {:.1} us)",
+            "  len {len}: chose [{}] — {} cyc vs default {} cyc (compile {:.1} us)",
             plan.choice(),
             plan.winner_cost().total.cycles(),
-            plan.default_cost().total.cycles(),
-            plan.scores().len(),
+            default.cycles(),
             plan.compile_micros()
         );
     }
