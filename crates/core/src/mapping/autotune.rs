@@ -15,12 +15,7 @@
 //!   SIMD lockstep: only the first shard of each distinct length pays
 //!   the dataflow's cycles. A partition with one shard length costs
 //!   about one tile's dataflow plus the reduction network, while the
-//!   greedy split's tail shard is a second leader. That second leader is
-//!   cheap when the tail is short: over at most 64 rows it reduces in at
-//!   most six tree levels, and its few rows hold few of the distinct
-//!   values that data-dependent passes (variable shifts, the divider's
-//!   restore) are issued for, so it undercuts the second half of a
-//!   packed equal split.
+//!   greedy split's tail shard is a second leader.
 //!
 //! # The rule
 //!
@@ -36,10 +31,14 @@
 //! 3. **Shards:** otherwise, the fewest shards `k` in
 //!    `k_min ..= min(k_min + 2, tiles)` that split the vector into
 //!    equal shards under that layout (reported as the greedy split when
-//!    the two are identical). Failing that, and only when the layout is
-//!    not pinned and the greedy split's tail shard holds more than 64
-//!    scores, the same test under two words per row, requiring even
-//!    equal shards. Failing that, the greedy split.
+//!    the two are identical); failing that, the greedy split.
+//!
+//! The rule never falls back to a packed equal split when one word per
+//! row has none. That split's second half costs about as much as the
+//! greedy tail's second leader — they differ by a few data-dependent
+//! passes (variable shifts, the divider's restore) — and up to 40,000
+//! scores the search picked it only where it saved at most 0.17% of a
+//! vector's cycles.
 //!
 //! Division style, optimization level and residency are never chosen:
 //! only the configured divider is bit-exact (the controller-reciprocal
@@ -66,11 +65,9 @@
 //! autotune` lengths, pinned layouts, a small tile grid, lengths past
 //! one wave, and a seeded sample of lengths up to 40,000, the rule must
 //! return the search's [`MappingChoice`] at the search's cost wherever
-//! the vector fits one tile or the rule finds equal shards under its
-//! first layout. Elsewhere — the packed split and the greedy one, whose
-//! costs differ from the alternatives' by a few data-dependent passes —
-//! it must cost no more than the configured default and at most 0.5%
-//! more than the search's winner. A cost-model change that moves a
+//! the vector fits one tile or the rule finds equal shards. Where it
+//! takes the greedy split it must cost no more than the configured
+//! default and at most 0.5% more than the search's winner. A cost-model change that moves a
 //! winner — such as charging lockstep followers their own cell events —
 //! fails that test instead of silently leaving the rule behind the
 //! cheapest mapping.
@@ -126,13 +123,6 @@ pub(crate) fn autotune_from_env() -> bool {
 /// How far past the minimum shard count the rule looks for an equal
 /// split (`k_min ..= k_min + EQUAL_SPREAD`, capped at the tile grid).
 const EQUAL_SPREAD: usize = 2;
-
-/// The longest tail shard for which the rule prefers the one-word
-/// greedy split to a packed equal split (see the module docs). Chosen
-/// by the oracle: over every length up to 40,000 it keeps the rule
-/// within 0.04% of the search, where the packed split alone was 2%
-/// off at 18,438 scores (a 6-score tail).
-const SHORT_TAIL: usize = 64;
 
 /// A shard partition other than the greedy one (`None`: the greedy
 /// split, or the whole vector).
@@ -199,20 +189,11 @@ impl ApSoftmax {
         if whole(layout) {
             return Ok((layout, None));
         }
-        let mut greedy = Vec::new();
         let wpr = words_per_row(layout);
+        let mut greedy = Vec::new();
         self.device.partition_into(len, wpr, &mut greedy)?;
-        if let Some(equal) = self.equal_split(len, wpr) {
-            return Ok((layout, (equal != greedy).then_some(equal)));
-        }
-        let short_tail = greedy.last().is_some_and(|&(s, e)| e - s <= SHORT_TAIL);
-        if !self.layout_pinned && !short_tail {
-            if let Some(equal) = self.equal_split(len, 2) {
-                self.device.partition_into(len, 2, &mut greedy)?;
-                return Ok((Layout::TwoWordsPerRow, (equal != greedy).then_some(equal)));
-            }
-        }
-        Ok((layout, None))
+        let equal = self.equal_split(len, wpr).filter(|equal| *equal != greedy);
+        Ok((layout, equal))
     }
 
     /// The split of `len` elements into the fewest equal shards `k` in
@@ -310,10 +291,9 @@ mod tests {
 
     /// Checks the rule against the oracle at every length and returns
     /// the lengths where they disagree. They must agree exactly when
-    /// the rule's plan is a whole vector or has equal shards under the
-    /// rule's first layout; elsewhere the rule must cost no more than
-    /// the configured default and at most 0.5% more than the search's
-    /// winner.
+    /// the rule's plan is a whole vector or has equal shards; elsewhere
+    /// the rule must cost no more than the configured default and at
+    /// most 0.5% more than the search's winner.
     fn disagreements(m: &ApSoftmax, lengths: impl IntoIterator<Item = usize>) -> Vec<usize> {
         let untuned = m.clone().with_autotune(false);
         let mut misses = Vec::new();
@@ -324,18 +304,13 @@ mod tests {
             if (rule, rule_cost) == (best, best_cost) {
                 continue;
             }
-            // The rule's first choice — a whole vector, or equal shards
-            // under the first layout rather than the packed fallback —
-            // must be the search's.
-            let first = match &tuned.plan {
-                CachedPlan::Sharded(p) => {
-                    (m.layout_pinned || rule.layout != m.layout)
-                        && p.ranges.iter().all(|&(s, e)| e - s == len / p.shards())
-                }
+            // A whole vector or an equal split must be the search's.
+            let exact = match &tuned.plan {
+                CachedPlan::Sharded(p) => p.ranges.iter().all(|&(s, e)| e - s == len / p.shards()),
                 _ => true,
             };
             assert!(
-                !first,
+                !exact,
                 "len {len}: rule [{rule}] {rule_cost:?} vs search [{best}] {best_cost:?}"
             );
             let (cycles, best_cycles) = (rule_cost.total.cycles(), best_cost.total.cycles());
@@ -401,9 +376,9 @@ mod tests {
     #[test]
     fn rule_stays_within_the_search_on_seeded_lengths() {
         // 160 lengths in 2..=40,000 from a fixed xorshift stream, then
-        // lengths where the rule without its short-tail test chose a
-        // packed split up to 2% costlier than the search's (18438) or
-        // missed the search's mapping.
+        // lengths where a rule that fell back to packed equal shards
+        // missed the search's mapping (by 2% at 18438), and the rule's
+        // widest miss up to 40,000 (9224, 0.17%).
         let mut x = 0x9E37_79B9_7F4A_7C15_u64;
         let seeded = (0..160).map(|_| {
             x ^= x << 13;
@@ -411,7 +386,7 @@ mod tests {
             x ^= x << 17;
             2 + (x % 39_999) as usize
         });
-        let known = [10250, 12290, 16394, 18438, 24588, 28674, 28780, 36872];
+        let known = [10250, 12290, 16394, 18438, 24588, 28674, 28780, 36872, 9224];
         let misses = disagreements(&mapping(), seeded.chain(known));
         eprintln!("seeded lengths where the rule and the search disagree: {misses:?}");
     }

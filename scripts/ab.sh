@@ -15,18 +15,18 @@
 # For every workload, seed and metric it prints both sides' median and
 # quartiles, the change/parent ratio of the medians, the pairs the
 # change won, and a verdict:
-#   gain        won >= 9 of every 10 pairs, and the median beats the
-#               parent's by more than the parent's quartile spread
+#   identical   every pair read exactly the same value
 #   REGRESSION  the median is worse than the parent's by more than the
 #               metric's bound
-#   identical   every pair read exactly the same value
+#   unresolved  the parent's quartile spread, relative to its median, is
+#               wider than the metric's bound, and not every change run
+#               beats every parent run: the pairs cannot tell
+#   gain        won >= 9 of every 10 pairs, and the median beats the
+#               parent's by more than the parent's quartile spread
 #   same        anything else
 # A workload whose change runs fail more operations, or report
-# correct=false, is a REGRESSION too. Exits 1 on any REGRESSION.
-#
-# Optional environment: AB_WORKLOADS (space-separated subset of the
-# workloads), AB_SEEDS (default "1 9001"), AB_SECONDS (overrides
-# run_seconds, for smoke runs).
+# correct=false, is a REGRESSION too. Exits 1 on any REGRESSION or
+# unresolved metric.
 set -euo pipefail
 
 rev="${1:?usage: scripts/ab.sh <rev> [pairs]}"
@@ -51,13 +51,9 @@ import json, os, statistics, subprocess, sys
 
 root, parent, pairs, out = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 bench = json.load(open(os.path.join(root, "BENCHMARK.json")))
-seconds = os.environ.get("AB_SECONDS", str(bench["run_seconds"]))
-seeds = os.environ.get("AB_SEEDS", "1 9001").split()
-names = [w["name"] for w in bench["workloads"]]
-workloads = os.environ.get("AB_WORKLOADS", " ".join(names)).split()
-for w in workloads:
-    if w not in names:
-        sys.exit(f"unknown workload {w!r}; BENCHMARK.json has {names}")
+seconds = str(bench["run_seconds"])
+seeds = ["1", "9001"]
+workloads = [w["name"] for w in bench["workloads"]]
 
 
 def command(seed, workload):
@@ -101,7 +97,7 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-regressed = False
+failing = False
 print(f"A/B {parent} (parent) vs {root} (change): {pairs} pairs, --seconds {seconds}")
 for (w, seed), runs in results.items():
     print(f"\n{w}, seed {seed}")
@@ -115,12 +111,15 @@ for (w, seed), runs in results.items():
         ratio = cm / pm if pm else float("nan")
         gap = (pm - cm) if lower else (cm - pm)
         worse = (cm > pm * (1 + m["bound"])) if lower else (cm < pm * (1 - m["bound"]))
-        if worse:
-            verdict, regressed = "REGRESSION", True
+        apart = max(c) < min(p) if lower else min(c) > max(p)
+        if p == c:
+            verdict = "identical"
+        elif worse:
+            verdict, failing = "REGRESSION", True
+        elif p3 - p1 > abs(pm) * m["bound"] and not apart:
+            verdict, failing = "unresolved", True
         elif wins * 10 >= 9 * len(runs) and gap > p3 - p1:
             verdict = "gain"
-        elif p == c:
-            verdict = "identical"
         else:
             verdict = "same"
         fmt = lambda a, b, d: f"{a:.4g} / {b:.4g} / {d:.4g}"
@@ -133,6 +132,6 @@ for (w, seed), runs in results.items():
     share = lambda side: sum(r[side]["failed"] for r in runs) / max(1, sum(r[side]["attempted"] for r in runs))
     if share("change") > share("parent") or not all(r["change"]["correct"] for r in runs):
         print("  REGRESSION: the change fails more operations or is not correct")
-        regressed = True
-sys.exit(1 if regressed else 0)
+        failing = True
+sys.exit(1 if failing else 0)
 PY
