@@ -67,10 +67,10 @@
 //! return the search's [`MappingChoice`] at the search's cost wherever
 //! the vector fits one tile or the rule finds equal shards. Where it
 //! takes the greedy split it must cost no more than the configured
-//! default and at most 0.5% more than the search's winner. A cost-model change that moves a
-//! winner — such as charging lockstep followers their own cell events —
-//! fails that test instead of silently leaving the rule behind the
-//! cheapest mapping.
+//! default and at most 0.5% more than the search's winner. A
+//! cost-model change that moves a winner — such as charging lockstep
+//! followers their own cell events — fails that test instead of
+//! silently leaving the rule behind the cheapest mapping.
 //!
 //! # Contracts
 //!
