@@ -32,6 +32,7 @@
 //! microprograms (the reciprocal divider, max/min search, the Fig. 5
 //! mapping) are written once and run on either backend.
 
+use crate::cam::tail_mask;
 use crate::program::{ApOp, BlockRegion, Operand};
 use crate::{ApCore, ApError, Field};
 
@@ -185,16 +186,6 @@ fn fused_sub_into(
         }
     }
     ev
-}
-
-/// The valid-rows mask for one 64-row block: all ones except the tail
-/// bits beyond `rows` in the final block (the arena-wide invariant).
-fn tail_mask(rows: usize, blk: usize, blocks: usize) -> u64 {
-    if blk + 1 == blocks && !rows.is_multiple_of(64) {
-        (1u64 << (rows % 64)) - 1
-    } else {
-        u64::MAX
-    }
 }
 
 impl ApCore {
@@ -655,23 +646,6 @@ impl ApCore {
             let (lo, hi) = sbuf.split_at_mut(src.start);
             (&hi[..src.end - src.start], &mut lo[acc])
         }
-    }
-
-    /// Word-parallel check that every live row of `field` holds a
-    /// non-zero value — the blocked-region preflight's stand-in for the
-    /// op-by-op zero-divisor scan (both are free observer accesses;
-    /// neither charges the cost model).
-    pub(crate) fn fw_field_all_nonzero(&self, field: Field) -> bool {
-        let bl = self.fw_blocks();
-        let rows = self.rows();
-        (0..bl).all(|blk| {
-            let mut acc = 0u64;
-            for col in field.start()..field.end() {
-                acc |= self.cam().plane_words(col)[blk];
-            }
-            let live = tail_mask(rows, blk, bl);
-            acc & live == live
-        })
     }
 
     /// Region-blocked strip-mined executor: runs one row-parallel

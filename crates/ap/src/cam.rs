@@ -5,20 +5,41 @@ use crate::{ApError, CycleStats, Field, RowSet};
 ///
 /// This is the bit-plane ↔ row-word converter behind the word-parallel
 /// host I/O paths: 64 rows move per inner operation instead of one
-/// cell.
+/// cell. The six butterfly rounds (`j` = 32, 16, …, 1) each swap the
+/// off-diagonal `j × j` sub-blocks of every `2j`-row block; writing a
+/// round as a walk over contiguous half-blocks lets the compiler
+/// vectorize it.
 pub(crate) fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32usize;
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            let t = (a[k] >> j ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-            k = (k + j + 1) & !j;
+    butterfly(a, 32, 0x0000_0000_FFFF_FFFF);
+    butterfly(a, 16, 0x0000_FFFF_0000_FFFF);
+    butterfly(a, 8, 0x00FF_00FF_00FF_00FF);
+    butterfly(a, 4, 0x0F0F_0F0F_0F0F_0F0F);
+    butterfly(a, 2, 0x3333_3333_3333_3333);
+    butterfly(a, 1, 0x5555_5555_5555_5555);
+}
+
+/// One transpose round: in each `2j`-row block, row `k` of the upper
+/// half trades its high `j`-bit groups (selected by `m << j`) with the
+/// low groups (`m`) of row `k + j` in the lower half.
+#[inline(always)]
+fn butterfly(a: &mut [u64; 64], j: usize, m: u64) {
+    for block in a.chunks_exact_mut(2 * j) {
+        let (lo, hi) = block.split_at_mut(j);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            let t = (*x >> j ^ *y) & m;
+            *x ^= t << j;
+            *y ^= t;
         }
-        j >>= 1;
-        m ^= m << j;
+    }
+}
+
+/// The valid-rows mask for one 64-row block: all ones except the tail
+/// bits beyond `rows` in the final block (the arena-wide invariant).
+pub(crate) fn tail_mask(rows: usize, blk: usize, blocks: usize) -> u64 {
+    if blk + 1 == blocks && !rows.is_multiple_of(64) {
+        (1u64 << (rows % 64)) - 1
+    } else {
+        u64::MAX
     }
 }
 
@@ -208,11 +229,18 @@ impl CamArray {
     /// `width` cycles). An empty `words` slice moves no data and
     /// charges zero cycles.
     ///
+    /// The width check is one OR over all words (every word fits the
+    /// field exactly when their OR does); only when it fails is the
+    /// first offending word sought, for the error. Each 64-row
+    /// block of words then becomes `width` plane words through one
+    /// 64×64 bit transpose.
+    ///
     /// # Errors
     ///
     /// * [`ApError::RowCapacity`] if more words than rows are supplied.
     /// * [`ApError::ColumnCapacity`] if the field exceeds the array.
-    /// * [`ApError::WidthOverflow`] if a word does not fit the field.
+    /// * [`ApError::WidthOverflow`] for the first word that does not fit
+    ///   the field.
     pub fn load_field(&mut self, field: Field, words: &[u64]) -> Result<(), ApError> {
         if field.end() > self.cols {
             return Err(ApError::ColumnCapacity {
@@ -226,13 +254,13 @@ impl CamArray {
                 available: self.rows,
             });
         }
-        for &w in words {
-            if w > field.max_value() {
-                return Err(ApError::WidthOverflow {
-                    value: w,
-                    width: field.width(),
-                });
-            }
+        let max = field.max_value();
+        if words.iter().fold(0, |acc, &w| acc | w) > max {
+            let &value = words.iter().find(|&&w| w > max).expect("a word overflows");
+            return Err(ApError::WidthOverflow {
+                value,
+                width: field.width(),
+            });
         }
         if words.is_empty() {
             // Nothing to drive: the controller issues no cycles.
@@ -248,8 +276,8 @@ impl CamArray {
         for blk in 0..words.len().div_ceil(64) {
             let base = blk * 64;
             let in_block = (words.len() - base).min(64);
-            buf.fill(0);
             buf[..in_block].copy_from_slice(&words[base..base + in_block]);
+            buf[in_block..].fill(0);
             transpose64(&mut buf);
             let valid = if in_block == 64 {
                 u64::MAX
@@ -316,7 +344,9 @@ impl CamArray {
 
     /// Appends `field`'s words (one per row) to `out` without
     /// allocating beyond `out`'s capacity — the pooled-tile read-out
-    /// path.
+    /// path. Each 64-row block's `width` plane words become its row
+    /// words through one 64×64 bit transpose (the inverse of
+    /// [`CamArray::load_field`]'s).
     ///
     /// # Panics
     ///
@@ -342,6 +372,47 @@ impl CamArray {
             let in_block = (self.rows - base).min(64);
             dst[base..base + in_block].copy_from_slice(&buf[..in_block]);
         }
+    }
+
+    /// Exact sum of `field`'s words over `rows`, taken straight from
+    /// the planes (free observer access): Σ_b popcount(plane_b ∧
+    /// rows) · 2^b. Each plane's count is the popcount of the blocks
+    /// the range touches less the bits outside it in the two edge
+    /// blocks; a `u128` holds any sum of 64-bit words a tile can have.
+    pub(crate) fn field_sum(&self, field: Field, rows: std::ops::Range<usize>) -> u128 {
+        assert!(
+            field.end() <= self.cols && rows.end <= self.rows,
+            "field {field} or rows {rows:?} out of range"
+        );
+        if rows.is_empty() {
+            return 0;
+        }
+        let (first, last) = (rows.start / 64, (rows.end - 1) / 64);
+        let below = !(u64::MAX << (rows.start % 64));
+        let above = !(u64::MAX >> (63 - (rows.end - 1) % 64));
+        let mut sum = 0u128;
+        for bit in 0..field.width() {
+            let plane = &self.arena[field.col(bit) * self.blocks..][first..=last];
+            let all: u64 = plane.iter().map(|w| u64::from(w.count_ones())).sum();
+            let outside =
+                (plane[0] & below).count_ones() + (plane[last - first] & above).count_ones();
+            sum += u128::from(all - u64::from(outside)) << bit;
+        }
+        sum
+    }
+
+    /// Whether every row of `field` holds a non-zero word: the OR of
+    /// the field's planes covers every row (free observer access). This
+    /// is the zero-divisor scan shared by both backends and by the
+    /// blocked executor's division preflight.
+    pub(crate) fn field_all_nonzero(&self, field: Field) -> bool {
+        assert!(field.end() <= self.cols, "field {field} out of range");
+        (0..self.blocks).all(|blk| {
+            let any = (field.start()..field.end())
+                .fold(0, |acc, col| acc | self.arena[col * self.blocks + blk]);
+            let live = tail_mask(self.rows, blk, self.blocks);
+            any & live == live
+        })
     }
 
     /// Reads one word from one row (free observer access).

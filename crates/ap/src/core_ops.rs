@@ -1189,7 +1189,10 @@ impl ApCore {
     /// `(n-1) · width · 3` per segment (each pairwise add touches the two
     /// operand rows and the result row across the field).
     ///
-    /// Values are computed exactly; the per-segment sum is also poked
+    /// Values are computed exactly, on the host, without reading rows
+    /// back: a segment's sum is Σ_b popcount(plane_b ∧ segment) · 2^b,
+    /// accumulated in `u128`, so no field width or segment length can
+    /// wrap it. The per-segment sum (after the overflow rule) is poked
     /// into the segment's first row at `sum_field` so subsequent steps
     /// (broadcast, division) can consume it in place.
     ///
@@ -1227,12 +1230,13 @@ impl ApCore {
     }
 
     /// Allocation-free [`ApCore::reduce_sum_2d_mode`]: per-segment sums
-    /// are written into `sums` (cleared first), and the row read-out
-    /// reuses an internal buffer.
+    /// are written into `sums` (cleared first).
     ///
     /// # Errors
     ///
-    /// As [`ApCore::reduce_sum_2d_mode`].
+    /// As [`ApCore::reduce_sum_2d_mode`]. A [`Overflow::Error`]
+    /// overflow reports the exact sum, saturated to `u64::MAX`, after
+    /// the segments before it have been written.
     pub fn reduce_sum_2d_mode_into(
         &mut self,
         field: Field,
@@ -1245,34 +1249,26 @@ impl ApCore {
         if segment_rows == 0 || !self.rows().is_multiple_of(segment_rows) {
             return Err(ApError::BadConfig("segment_rows must divide the row count"));
         }
-        let mut words = std::mem::take(&mut self.vals_a);
-        words.clear();
-        self.cam.read_field_append(field, &mut words);
-        let mut failed = None;
-        for seg in 0..self.rows() / segment_rows {
-            let base = seg * segment_rows;
-            let exact: u64 = words[base..base + segment_rows].iter().sum();
-            let sum = if exact > sum_field.max_value() {
+        let max = u128::from(sum_field.max_value());
+        for base in (0..self.rows()).step_by(segment_rows) {
+            let exact = self.cam.field_sum(field, base..base + segment_rows);
+            let sum = if exact <= max {
+                exact
+            } else {
                 match mode {
                     Overflow::Error => {
-                        failed = Some(ApError::WidthOverflow {
-                            value: exact,
+                        return Err(ApError::WidthOverflow {
+                            value: u64::try_from(exact).unwrap_or(u64::MAX),
                             width: sum_field.width(),
-                        });
-                        break;
+                        })
                     }
-                    Overflow::Saturate => sum_field.max_value(),
-                    Overflow::Wrap => exact & sum_field.max_value(),
+                    Overflow::Saturate => max,
+                    Overflow::Wrap => exact & max,
                 }
-            } else {
-                exact
             };
+            let sum = u64::try_from(sum).expect("at most the sum field's maximum");
             self.cam.poke_word(base, sum_field, sum);
             sums.push(sum);
-        }
-        self.vals_a = words;
-        if let Some(e) = failed {
-            return Err(e);
         }
         let stages = segment_rows.next_power_of_two().trailing_zeros() as u64;
         let cycles = 8 * stages + 1;
@@ -1318,14 +1314,8 @@ impl ApCore {
         if num.overlaps(&quot) || den.overlaps(&quot) || num.overlaps(&den) {
             return Err(ApError::FieldOverlap);
         }
-        // Zero-divisor scan through a reused buffer (free observer
-        // access, no allocation in steady state).
-        let mut dens = std::mem::take(&mut self.vals_p);
-        dens.clear();
-        self.cam.read_field_append(den, &mut dens);
-        let any_zero = dens.contains(&0);
-        self.vals_p = dens;
-        if any_zero {
+        // Zero-divisor scan on the planes (free observer access).
+        if !self.cam.field_all_nonzero(den) {
             return Err(ApError::DivisionByZero);
         }
         match style {
@@ -1335,11 +1325,13 @@ impl ApCore {
             DivStyle::Restoring => self.divide_restoring(num, den, quot, frac_bits),
             // The reciprocal microprogram is controller-driven: its
             // constituent ops (mul, shifts, copies, compares) dispatch
-            // per backend themselves, so the body is shared. It
-            // consumes the divisor words already staged above instead
-            // of re-reading the field.
+            // per backend themselves, so the body is shared. The
+            // controller reads the divisor words through a reused
+            // buffer (no allocation in steady state).
             DivStyle::ControllerReciprocal => {
                 let mut dens = std::mem::take(&mut self.vals_p);
+                dens.clear();
+                self.cam.read_field_append(den, &mut dens);
                 let result = self.divide_reciprocal(num, den, quot, frac_bits, &mut dens);
                 self.vals_p = dens;
                 result
@@ -1363,12 +1355,7 @@ impl ApCore {
                 return Err(ApError::FieldOverlap);
             }
         }
-        let mut dens = std::mem::take(&mut self.vals_p);
-        dens.clear();
-        self.cam.read_field_append(den, &mut dens);
-        let any_zero = dens.contains(&0);
-        self.vals_p = dens;
-        if any_zero {
+        if !self.cam.field_all_nonzero(den) {
             return Err(ApError::DivisionByZero);
         }
         self.fw_fused_divide(channels, den, frac_bits)
@@ -1475,8 +1462,8 @@ impl ApCore {
         Ok(())
     }
 
-    /// `dens` holds the divisor words read by [`ApCore::divide`]'s
-    /// zero scan; it is sorted and deduplicated in place (it is
+    /// `dens` holds the divisor words [`ApCore::divide`] read for the
+    /// controller; it is sorted and deduplicated in place (it is
     /// scratch, so no allocation happens in steady state).
     fn divide_reciprocal(
         &mut self,
@@ -1798,6 +1785,35 @@ mod tests {
             ap.reduce_sum_2d(f, sum, 4),
             Err(ApError::WidthOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn wide_reductions_sum_without_wrapping_on_both_backends() {
+        // u64::MAX + 3 = 2^64 + 2 does not fit a u64: the sum is exact
+        // in u128, so each overflow mode sees the true value.
+        for backend in [ExecBackend::Microcode, ExecBackend::FastWord] {
+            for (mode, want) in [
+                (
+                    Overflow::Error,
+                    Err(ApError::WidthOverflow {
+                        value: u64::MAX,
+                        width: 64,
+                    }),
+                ),
+                (Overflow::Saturate, Ok(vec![u64::MAX])),
+                (Overflow::Wrap, Ok(vec![2])),
+            ] {
+                let mut ap = ApCore::with_backend(ApConfig::new(2, 130), backend).unwrap();
+                let f = ap.alloc_field(64).unwrap();
+                let sum = ap.alloc_field(64).unwrap();
+                ap.load(f, &[u64::MAX, 3]).unwrap();
+                let got = ap.reduce_sum_2d_mode(f, sum, 2, mode);
+                assert_eq!(got, want, "{backend:?} {mode:?}");
+                if let Ok(sums) = got {
+                    assert_eq!(ap.read_row(0, sum), sums[0], "{backend:?} {mode:?}");
+                }
+            }
+        }
     }
 
     #[test]

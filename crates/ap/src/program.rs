@@ -1202,9 +1202,9 @@ fn op_writes_overlap(op: &ApOp, f: Field) -> bool {
 /// remainder scratch must fit the array, and every row's divisor must
 /// be non-zero *at the point the division runs*. When an earlier
 /// region op broadcast the divisor, the value resolves statically;
-/// when the divisor columns are untouched inside the region, a free
-/// word-parallel arena scan decides (subsuming the op-by-op engine's
-/// per-row zero scan); anything the preflight cannot resolve rejects
+/// when the divisor columns are untouched inside the region, the
+/// op-by-op engine's own zero scan (a free OR of the divisor planes)
+/// decides; anything the preflight cannot resolve rejects
 /// the region, and the op-by-op fallback raises the identical
 /// [`ApError::DivisionByZero`] at the identical op if it comes to
 /// that.
@@ -1226,7 +1226,7 @@ fn divide_admissible(core: &ApCore, prior: &[ApOp], regs: &[u64], den: Field) ->
             return false;
         }
     }
-    core.fw_field_all_nonzero(den)
+    core.cam().field_all_nonzero(den)
 }
 
 /// Marks a field's columns as read (arena-gathered unless already

@@ -208,14 +208,18 @@ proptest! {
 
     #[test]
     fn reductions_agree_in_every_overflow_mode(
-        xs in prop::collection::vec(0u64..256, 1..8),
-        log_seg in 0u32..4,
+        xs in prop::collection::vec(0u64..256, 1..301),
+        pick in any::<u64>(),
+        shift in 0u32..3,
     ) {
-        let seg = 1usize << log_seg;
-        let mut data = xs.clone();
-        while data.len() % seg != 0 {
-            data.push(0);
-        }
+        // Up to 300 rows and any segment length dividing them, so
+        // segments straddle 64-row blocks and tail masks; `shift` thins
+        // the values so that some segments fit the sum field and others
+        // overflow it.
+        let data: Vec<u64> = xs.iter().map(|x| x >> (3 * shift)).collect();
+        let n = data.len();
+        let divisors: Vec<usize> = (1..=n).filter(|&d| n.is_multiple_of(d)).collect();
+        let seg = divisors[(pick % divisors.len() as u64) as usize];
         for mode in [Overflow::Error, Overflow::Saturate, Overflow::Wrap] {
             let data = data.clone();
             assert_backends_agree(data.len(), 32, move |ap| {

@@ -8,6 +8,12 @@ fn core(rows: usize, cols: usize) -> ApCore {
     ApCore::new(ApConfig::new(rows, cols)).unwrap()
 }
 
+/// One of `n`'s divisors, chosen by `pick`.
+fn divisor(n: usize, pick: u64) -> usize {
+    let divisors: Vec<usize> = (1..=n).filter(|&d| n.is_multiple_of(d)).collect();
+    divisors[(pick % divisors.len() as u64) as usize]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -179,22 +185,22 @@ proptest! {
 
     #[test]
     fn reduction_matches_sum(
-        xs in prop::collection::vec(0u64..256, 1..7),
-        log_seg in 0u32..4,
+        data in prop::collection::vec(0u64..256, 1..301),
+        pick in any::<u64>(),
     ) {
-        // segments of 2^log_seg rows; pad the data to a multiple
-        let seg = 1usize << log_seg;
-        let mut data = xs.clone();
-        while data.len() % seg != 0 {
-            data.push(0);
-        }
+        // Up to 300 rows, so segments straddle 64-row blocks (96 of
+        // 192, 100 of 300) and end in partial tail blocks. The 17-bit
+        // sum field holds 300 · 255.
+        let seg = divisor(data.len(), pick);
         let mut ap = core(data.len(), 32);
         let f = ap.alloc_field(8).unwrap();
-        let sum = ap.alloc_field(16).unwrap();
+        let sum = ap.alloc_field(17).unwrap();
         ap.load(f, &data).unwrap();
         let sums = ap.reduce_sum_2d(f, sum, seg).unwrap();
+        prop_assert_eq!(sums.len(), data.len() / seg);
         for (i, chunk) in data.chunks(seg).enumerate() {
             prop_assert_eq!(sums[i], chunk.iter().sum::<u64>());
+            prop_assert_eq!(ap.read_row(i * seg, sum), sums[i]);
         }
     }
 

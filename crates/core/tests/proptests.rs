@@ -3,7 +3,7 @@
 //! like a cost function should.
 
 use proptest::prelude::*;
-use softmap::{ApDeployment, ApSoftmax, Layout, PlanMode, WorkloadModel};
+use softmap::{ApDeployment, ApSoftmax, CoreError, Layout, PlanMode, WorkloadModel};
 use softmap_ap::{DeviceConfig, DivStyle, ExecBackend, OptLevel};
 use softmap_softmax::{IntSoftmax, PrecisionConfig};
 
@@ -318,5 +318,39 @@ proptest! {
         // saturation, which cannot trigger at N=16 with <=32 elements)
         prop_assert!(total <= 1.0 + 1e-9, "total = {total}");
         prop_assert!(total > 0.5, "total = {total}");
+    }
+
+    #[test]
+    fn input_policy_agrees_on_both_backends(
+        base in prop::collection::vec(-9.0f64..1.0, 1..301),
+        injected in prop::collection::vec((0usize..3, any::<u64>()), 0..5),
+        all_neg_inf in 0u32..8,
+    ) {
+        // NaN, +inf and -inf at random positions, sometimes over a row
+        // of -inf: every entry point rejects the same first bad index
+        // or returns the same codes.
+        let mut row = base;
+        if all_neg_inf == 0 {
+            row.fill(f64::NEG_INFINITY);
+        }
+        for (kind, at) in injected {
+            let i = (at % row.len() as u64) as usize;
+            row[i] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind];
+        }
+        let cfg = PrecisionConfig::paper_best();
+        let spec = IntSoftmax::new(cfg)
+            .unwrap()
+            .run_floats(&row)
+            .map(|out| out.codes)
+            .map_err(CoreError::from);
+        for backend in [ExecBackend::Microcode, ExecBackend::FastWord] {
+            let m = ApSoftmax::new(cfg).unwrap().with_backend(backend);
+            let single = m.execute_floats(&row).map(|run| run.codes);
+            prop_assert_eq!(&single, &spec, "{:?} {:?}", backend, row);
+            let batch = m
+                .execute_batch_floats(std::slice::from_ref(&row))
+                .map(|runs| runs[0].codes.clone());
+            prop_assert_eq!(&batch, &spec, "{:?} batch {:?}", backend, row);
+        }
     }
 }

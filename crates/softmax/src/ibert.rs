@@ -113,19 +113,32 @@ impl IntSoftmax {
     }
 
     /// Allocation-free [`IntSoftmax::quantize`]: writes the codes into
-    /// `out` (cleared first), reusing its capacity — the pooled
+    /// `out` (resized to `v.len()`), reusing its capacity — the pooled
     /// execution path's entry point. It does not vet its input: run
     /// [`IntSoftmax::check_scores`] first, or a NaN quantizes to the
     /// row maximum.
+    ///
+    /// The per-score loop has no branch and no saturating cast, so it
+    /// vectorizes:
+    /// * `(x − max).min(0).max(TC)` clips; a NaN difference (a NaN
+    ///   score, or +∞ − +∞) becomes 0, the row maximum's code;
+    /// * rounding and the clamp to `[−2^(M−1), 0]` stay in `f64`;
+    /// * adding 2^52 + 2^51 puts the integer-valued result in the low
+    ///   mantissa bits, where subtracting the constant's own bit
+    ///   pattern reads it off exactly (any integer of magnitude below
+    ///   2^51 converts this way).
     pub fn quantize_into(&self, v: &[f64], out: &mut Vec<i64>) {
+        const MAGIC: f64 = 6_755_399_441_055_744.0; // 2^52 + 2^51
         let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let s = self.cfg.scale();
-        let lo = -self.cfg.max_code_magnitude();
+        let (s, tc) = (self.cfg.scale(), self.cfg.tc);
+        let lo = -self.cfg.max_code_magnitude() as f64;
         out.clear();
-        out.extend(v.iter().map(|&x| {
-            let stable = (x - max).clamp(self.cfg.tc, 0.0);
-            ((stable / s).round() as i64).clamp(lo, 0)
-        }));
+        out.resize(v.len(), 0);
+        for (code, &x) in out.iter_mut().zip(v) {
+            let stable = (x - max).min(0.0).max(tc);
+            let q = (stable / s).round().min(0.0).max(lo);
+            *code = (q + MAGIC).to_bits() as i64 - MAGIC.to_bits() as i64;
+        }
     }
 
     /// The input policy every real-score entry point applies before
@@ -222,19 +235,28 @@ impl IntSoftmax {
     /// every entry point (the AP mapping uses it to vet its inputs
     /// without paying for a full scalar trace).
     ///
+    /// One branch-free min/max fold decides; only when it fails is the
+    /// first out-of-range code sought, for the error.
+    ///
     /// # Errors
     ///
-    /// As [`IntSoftmax::run_codes`].
+    /// As [`IntSoftmax::run_codes`]; [`SoftmaxError::CodeOutOfRange`]
+    /// carries the first out-of-range code.
     pub fn validate_codes(&self, codes: &[i64]) -> Result<(), SoftmaxError> {
         if codes.is_empty() {
             return Err(SoftmaxError::EmptyInput);
         }
         let lo = -self.cfg.max_code_magnitude();
         let hi = self.cfg.max_code_magnitude() - 1;
-        for &c in codes {
-            if c < lo || c > hi {
-                return Err(SoftmaxError::CodeOutOfRange(c));
-            }
+        let (min, max) = codes.iter().fold((i64::MAX, i64::MIN), |(min, max), &c| {
+            (min.min(c), max.max(c))
+        });
+        if min < lo || max > hi {
+            let &c = codes
+                .iter()
+                .find(|&&c| c < lo || c > hi)
+                .expect("a code is out of range");
+            return Err(SoftmaxError::CodeOutOfRange(c));
         }
         Ok(())
     }
@@ -343,9 +365,74 @@ mod tests {
     use super::*;
     use crate::float_ref;
     use crate::metrics;
+    use proptest::prelude::*;
 
     fn best() -> IntSoftmax {
         IntSoftmax::new(PrecisionConfig::paper_best()).unwrap()
+    }
+
+    /// The quantizer's earlier formula (clamp, round, saturating cast,
+    /// integer clamp): the oracle for the branch-free one.
+    fn quantize_oracle(sm: &IntSoftmax, v: &[f64]) -> Vec<i64> {
+        let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let s = sm.cfg.scale();
+        let lo = -sm.cfg.max_code_magnitude();
+        v.iter()
+            .map(|&x| {
+                let stable = (x - max).clamp(sm.cfg.tc, 0.0);
+                ((stable / s).round() as i64).clamp(lo, 0)
+            })
+            .collect()
+    }
+
+    /// One score of a quantizer test row, from a drawn `(kind, k, f)`:
+    /// infinities, NaN, half-code ties `(k + ½)·S`, subnormals, huge
+    /// magnitudes, or an ordinary score.
+    fn score(cfg: &PrecisionConfig, (kind, k, f): (u32, i64, f64)) -> f64 {
+        match kind {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => f64::NAN,
+            3 => 0.0,
+            4 | 5 => (k as f64 + 0.5) * cfg.scale(),
+            6 => f * 1e-310,
+            7 => f.signum() * 1e300,
+            8 => f.signum() * f64::MAX,
+            _ => f,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn quantizer_matches_its_earlier_formula(
+            draws in prop::collection::vec((0u32..12, -140i64..3, -9.0f64..1.0), 1..48),
+            capped in any::<bool>(),
+        ) {
+            // A capped row has maximum exactly 0, so every tie score
+            // lands exactly halfway between two codes.
+            let mut configs = crate::sweep::full_grid();
+            configs.push(PrecisionConfig::paper_best().with_tc(-3.0));
+            configs.push(PrecisionConfig::new(4, 0, 16).with_tc(-2.0));
+            for cfg in configs {
+                let sm = IntSoftmax::new(cfg).unwrap();
+                let mut row: Vec<f64> = draws.iter().map(|&d| score(&cfg, d)).collect();
+                if capped {
+                    for x in &mut row {
+                        *x = -x.abs();
+                    }
+                    row.push(0.0);
+                }
+                prop_assert_eq!(
+                    sm.quantize(&row),
+                    quantize_oracle(&sm, &row),
+                    "{} {:?}",
+                    cfg.label(),
+                    row
+                );
+            }
+        }
     }
 
     #[test]

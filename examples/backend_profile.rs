@@ -1,12 +1,12 @@
 //! Quick per-primitive timing comparison of the two AP backends, using
 //! the pooled tile API (one [`ApTile`] reused across backends, no
-//! arena reallocation between programs), plus a compile-vs-replay
-//! profile of the full mapped dataflow.
+//! arena reallocation between programs), the host-side quantizer, plus
+//! a compile-vs-replay profile of the full mapped dataflow.
 //! Run: `cargo run --release --example backend_profile`
 
 use softmap::{ApSoftmax, ApSoftmaxRun, PlanMode, TileState};
-use softmap_ap::{ApConfig, ApTile, DivStyle, ExecBackend, Field};
-use softmap_softmax::PrecisionConfig;
+use softmap_ap::{ApConfig, ApTile, DivStyle, ExecBackend, Field, Overflow};
+use softmap_softmax::{IntSoftmax, PrecisionConfig};
 use std::time::Instant;
 
 fn time<F: FnMut()>(label: &str, reps: u32, mut f: F) -> f64 {
@@ -30,15 +30,17 @@ fn main() {
     // keeps every buffer's capacity (zero steady-state allocations).
     let mut tile = ApTile::new();
     let mut readout: Vec<u64> = Vec::new();
+    let mut sums: Vec<u64> = Vec::new();
     for backend in [ExecBackend::Microcode, ExecBackend::FastWord] {
         println!("{backend:?} @ {rows} rows");
-        let ap = tile.acquire(ApConfig::new(rows, 140), backend).unwrap();
+        let ap = tile.acquire(ApConfig::new(rows, 160), backend).unwrap();
         let a: Field = ap.alloc_field(17).unwrap();
         let b = ap.alloc_field(17).unwrap();
         let r = ap.alloc_field(36).unwrap();
         let q = ap.alloc_field(24).unwrap();
         let amt = ap.alloc_field(4).unwrap();
         let den = ap.alloc_field(8).unwrap();
+        let sum = ap.alloc_field(28).unwrap();
         ap.load(a, &xs).unwrap();
         ap.load(b, &ys).unwrap();
         ap.load(amt, &amts).unwrap();
@@ -69,7 +71,21 @@ fn main() {
             let _ = ap.max_search_value(a);
         });
         time("broadcast 17b", 50, || ap.broadcast(b, 12345).unwrap());
+        time("reduce_sum_2d 17b", 1000, || {
+            ap.reduce_sum_2d_mode_into(a, sum, rows, Overflow::Error, &mut sums)
+                .unwrap();
+        });
     }
+
+    // Host-side quantizer and code-range check at a long-context length.
+    println!("quantizer @ 16384 scores");
+    let sm = IntSoftmax::new(PrecisionConfig::paper_best()).unwrap();
+    let long: Vec<f64> = (0..16384)
+        .map(|i| -f64::from((i % 97) as u32) * 0.07)
+        .collect();
+    let mut codes = Vec::new();
+    time("quantize_into", 200, || sm.quantize_into(&long, &mut codes));
+    time("validate_codes", 200, || sm.validate_codes(&codes).unwrap());
 
     // Full dataflow: direct per-vector issue vs cached-plan replay on
     // the pooled execute path (the compile-once/replay-many contract).
@@ -150,9 +166,6 @@ fn main() {
     // (resident) and re-staged plans, then summarize the plan cache in
     // one line (the single `cache_stats` probe).
     println!("sharded residency @ len 16384");
-    let long: Vec<f64> = (0..16384)
-        .map(|i| -f64::from((i % 97) as u32) * 0.07)
-        .collect();
     let restaged = cached.clone().with_resident(false);
     cached
         .execute_floats_into(&mut state, &long, &mut run)
