@@ -52,9 +52,9 @@
 //! unchanged — minima and partial sums still traverse the reduction
 //! network above. When the vector needs more than one wave, a tile
 //! cannot stay pinned (the next wave's shard evicts it), so execution
-//! falls back to the re-staged path automatically, per vector; the
-//! `SOFTMAP_RESIDENT=0` knob (or `ApSoftmax::with_resident(false)`)
-//! forces that path for differential testing.
+//! falls back to the re-staged path automatically, per vector;
+//! `ApSoftmax::with_resident(false)` forces that path for differential
+//! testing and the re-staged baselines.
 
 use crate::stats::CycleStats;
 use crate::ApError;

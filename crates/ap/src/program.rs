@@ -891,11 +891,6 @@ fn summarize(ops: &[ApOp], costs: &[CycleStats]) -> TraceSummary {
 // Region-blocked execution planning
 // ---------------------------------------------------------------------------
 
-/// Environment variable overriding the blocked executor's strip width,
-/// in 64-row blocks (`auto` or a positive integer). See
-/// [`strip_from_env`].
-pub const STRIP_ENV: &str = "SOFTMAP_STRIP";
-
 /// Strip-image byte budget for automatic strip sizing: the blocked
 /// executor picks the widest strip whose footprint-plane image stays
 /// within this (comfortably L2-resident), so a whole region's ops run
@@ -908,7 +903,7 @@ const STRIP_TARGET_BYTES: usize = 48 * 1024;
 /// Auto-sizing floor, in 64-row blocks: below this width the ripple
 /// kernels' per-plane loop overhead stops amortizing and strip-mining
 /// loses more than cache residency gains (an explicit
-/// [`STRIP_ENV`]/`strip_override` width is taken as given instead).
+/// `strip_override` width is taken as given instead).
 const MIN_STRIP_BLOCKS: usize = 16;
 
 /// Smallest tile (in 64-row blocks) the auto planner will engage at
@@ -928,42 +923,6 @@ const CARRY_COL: usize = 0;
 /// The reserved predication-flag column (the restoring divider latches
 /// its final borrow set there).
 const FLAG_COL: usize = 1;
-
-/// Parses a [`STRIP_ENV`] value: `auto` (automatic sizing, the
-/// default) or a positive strip width in 64-row blocks. Returns
-/// `None` for anything else.
-#[must_use]
-pub fn parse_strip(raw: &str) -> Option<Option<usize>> {
-    let t = raw.trim().to_ascii_lowercase();
-    if t == "auto" {
-        return Some(None);
-    }
-    match t.parse::<usize>() {
-        Ok(n) if n > 0 => Some(Some(n)),
-        _ => None,
-    }
-}
-
-/// Reads the strip-width override from [`STRIP_ENV`]. Unset or `auto`
-/// means automatic sizing; an invalid value warns once on stderr
-/// (naming the variable and the accepted values) and keeps the
-/// default.
-#[must_use]
-pub fn strip_from_env() -> Option<usize> {
-    let Ok(raw) = std::env::var(STRIP_ENV) else {
-        return None;
-    };
-    parse_strip(&raw).unwrap_or_else(|| {
-        static WARN: std::sync::Once = std::sync::Once::new();
-        WARN.call_once(|| {
-            eprintln!(
-                "softmap: invalid {STRIP_ENV}={raw:?}; accepted values are auto or a \
-                 positive strip width in 64-row blocks (e.g. 8) — keeping the default (auto)"
-            );
-        });
-        None
-    })
-}
 
 /// Aggregate statistics of a program's region-blocking plan (see
 /// [`ApProgram::plan_blocking`]). All counts are per full replay.
@@ -1878,11 +1837,12 @@ impl ApProgram {
     /// identical to op-by-op execution — the device cost contract is
     /// untouched. Microcode replay ignores the plan entirely.
     ///
-    /// `strip_override` pins the strip width in 64-row blocks
-    /// (`None` = auto-size each region's strip to fit its footprint in
-    /// cache; see [`strip_from_env`] for the `SOFTMAP_STRIP` knob).
-    /// Re-running the optimizer clears the plan; call this after the
-    /// final pass pipeline.
+    /// `strip_override` pins the strip width in 64-row blocks and
+    /// engages blocking below the small-tile admission floor; only
+    /// tests pin it. `None`, what the mapping passes, auto-sizes each
+    /// region's strip to fit its footprint in cache. Re-running the
+    /// optimizer clears the plan; call this after the final pass
+    /// pipeline.
     pub fn plan_blocking(&mut self, strip_override: Option<usize>) {
         let cols = self.config.cols;
         let bl = self.config.rows.div_ceil(64);

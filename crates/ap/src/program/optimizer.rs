@@ -54,9 +54,10 @@ use crate::{CycleStats, DivStyle, Field};
 
 /// How aggressively [`optimize`] rewrites a trace. The default is
 /// [`OptLevel::Full`]; [`OptLevel::None`] is the escape hatch that
-/// keeps the recorded trace byte-for-byte (used by the differential
-/// tests and selectable at runtime via the `SOFTMAP_OPT` environment
-/// variable).
+/// keeps the recorded trace byte-for-byte. Outside the differential
+/// tests only `backend_compare` sets it: its unoptimized series are the
+/// baselines of `scripts/bench_ap.sh`'s opt gate (the
+/// `cycles/fastword/*` records) and replay gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum OptLevel {
     /// No rewriting: replay the trace exactly as recorded.
@@ -69,45 +70,6 @@ pub enum OptLevel {
 }
 
 impl OptLevel {
-    /// Environment variable selecting the optimization level at
-    /// runtime: `none`/`0` or `full`/`2`. Unset or unparsable values
-    /// fall back to [`OptLevel::Full`].
-    pub const ENV: &'static str = "SOFTMAP_OPT";
-
-    /// Parses an override string (case-insensitive; numeric aliases
-    /// `0`/`2` accepted). Returns `Option::None` for anything else.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "none" | "0" => Some(Self::None),
-            "full" | "2" => Some(Self::Full),
-            _ => None,
-        }
-    }
-
-    /// Reads [`OptLevel::ENV`], falling back to the default
-    /// ([`OptLevel::Full`]) when unset. An unparsable value also falls
-    /// back, but **loudly**: a one-time diagnostic on stderr names the
-    /// variable and the accepted values, so a typo like
-    /// `SOFTMAP_OPT=ful` cannot silently benchmark the wrong level.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let Ok(raw) = std::env::var(Self::ENV) else {
-            return Self::default();
-        };
-        Self::parse(&raw).unwrap_or_else(|| {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {}={raw:?}; accepted values are \
-                     none/0, full/2 — keeping the default (full)",
-                    Self::ENV
-                );
-            });
-            Self::default()
-        })
-    }
-
     /// The optimization ladder in ascending aggressiveness. Every
     /// level's passes are a superset of the previous level's and each
     /// pass only removes or fuses work, so the static cost of a shape
@@ -654,35 +616,6 @@ mod tests {
         );
         build(&mut rec, &fields);
         (rec.finish().unwrap(), out)
-    }
-
-    #[test]
-    fn parse_accepts_aliases_and_rejects_garbage() {
-        assert_eq!(OptLevel::parse("none"), Some(OptLevel::None));
-        assert_eq!(OptLevel::parse("0"), Some(OptLevel::None));
-        assert_eq!(OptLevel::parse(" Basic "), None);
-        assert_eq!(OptLevel::parse("1"), None);
-        assert_eq!(OptLevel::parse("FULL"), Some(OptLevel::Full));
-        assert_eq!(OptLevel::parse("2"), Some(OptLevel::Full));
-        assert_eq!(OptLevel::parse("fast"), None);
-        assert_eq!(OptLevel::parse(""), None);
-        assert_eq!(OptLevel::default(), OptLevel::Full);
-    }
-
-    #[test]
-    fn opt_env_overrides_level() {
-        // Race-safe mirror of the SOFTMAP_THREADS override test: only
-        // values equivalent to the default (Full) plus garbage/unset
-        // are ever set, so tests reading SOFTMAP_OPT concurrently can
-        // never observe a non-default level.
-        std::env::set_var(OptLevel::ENV, "full");
-        assert_eq!(OptLevel::from_env(), OptLevel::Full);
-        std::env::set_var(OptLevel::ENV, " 2 ");
-        assert_eq!(OptLevel::from_env(), OptLevel::Full);
-        std::env::set_var(OptLevel::ENV, "not-a-level");
-        assert_eq!(OptLevel::from_env(), OptLevel::Full, "garbage falls back");
-        std::env::remove_var(OptLevel::ENV);
-        assert_eq!(OptLevel::from_env(), OptLevel::Full, "unset falls back");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use softmap_ap::program::optimizer::{self, OptLevel};
-use softmap_ap::program::{self, ExecIo, ProgramScratch, Recorder};
+use softmap_ap::program::{ExecIo, ProgramScratch, Recorder};
 use softmap_ap::{ApConfig, ApCore, ApProgram, CycleStats, DivStyle, ExecBackend, Overflow};
 
 const COLS: usize = 200;
@@ -487,33 +487,4 @@ fn boundary_only_trace_records_empty_plan() {
     let stats = program.block_stats().expect("empty plan still recorded");
     assert_eq!(stats.regions, 0);
     assert_eq!(stats.blocked_ops, 0);
-}
-
-#[test]
-fn parse_strip_accepts_auto_and_positive_widths() {
-    assert_eq!(program::parse_strip("auto"), Some(None));
-    assert_eq!(program::parse_strip(" AUTO "), Some(None));
-    assert_eq!(program::parse_strip("8"), Some(Some(8)));
-    assert_eq!(program::parse_strip(" 8 "), Some(Some(8)));
-    assert_eq!(program::parse_strip("1"), Some(Some(1)));
-    assert_eq!(program::parse_strip("0"), None);
-    assert_eq!(program::parse_strip("-1"), None);
-    assert_eq!(program::parse_strip(""), None);
-    assert_eq!(program::parse_strip("wide"), None);
-}
-
-#[test]
-fn strip_env_overrides_width() {
-    // Race-safe mirror of the SOFTMAP_OPT override test: only values
-    // equivalent to the default (auto) plus garbage/unset are ever
-    // set, so tests reading SOFTMAP_STRIP concurrently can never
-    // observe a non-default width.
-    std::env::set_var(program::STRIP_ENV, "auto");
-    assert_eq!(program::strip_from_env(), None);
-    std::env::set_var(program::STRIP_ENV, " Auto ");
-    assert_eq!(program::strip_from_env(), None);
-    std::env::set_var(program::STRIP_ENV, "not-a-width");
-    assert_eq!(program::strip_from_env(), None, "garbage falls back");
-    std::env::remove_var(program::STRIP_ENV);
-    assert_eq!(program::strip_from_env(), None, "unset falls back");
 }

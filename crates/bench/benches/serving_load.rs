@@ -127,9 +127,11 @@ fn main() {
     let seq_wall = t0.elapsed().as_secs_f64();
 
     // Served: a closed-loop client keeping WINDOW requests in flight
-    // through the bounded queue (SOFTMAP_SERVE_* knobs still apply).
-    let mut cfg = ServeConfig::from_env();
-    cfg.warmup_shapes = shapes;
+    // through the bounded queue.
+    let cfg = ServeConfig {
+        warmup_shapes: shapes,
+        ..ServeConfig::default()
+    };
     let window = WINDOW.min(cfg.queue_depth);
     let server = SoftmaxServer::new(mapping(), cfg).unwrap();
     let mut inflight: VecDeque<(Instant, Ticket)> = VecDeque::with_capacity(window);

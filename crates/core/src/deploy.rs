@@ -70,10 +70,10 @@ pub struct ApDeployment {
     /// Whether each shape compiles the mapping the autotuner's rule
     /// picks — one word per row, equal-length shards where the grid
     /// allows, the configured [`softmap_ap::DivStyle`] — instead of
-    /// the paper's (see `softmap::mapping::autotune` and
-    /// `softmap::AUTOTUNE_ENV`). **Off by default at the deployment
-    /// level** so the paper-reproduction tables keep the paper's fixed
-    /// mapping byte-for-byte; opt in per deployment with
+    /// the paper's (see `softmap::mapping::autotune`). **Off by
+    /// default at the deployment level** so the paper-reproduction
+    /// tables keep the paper's fixed mapping byte-for-byte; opt in per
+    /// deployment with
     /// `ApDeployment { autotune: true, ..ApDeployment::default() }`.
     /// (Bare [`crate::ApSoftmax`] mappings default to *on*.)
     pub autotune: bool,

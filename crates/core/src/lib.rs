@@ -46,14 +46,11 @@ pub use deploy::{ApDeployment, ApWorkloadCost, WorkloadModel};
 pub use llm_bridge::ApMappedSoftmax;
 pub use mapping::{
     ApSoftmax, ApSoftmaxRun, CacheStats, Layout, PlanMode, StepStats, TileState, VectorCost,
-    AUTOTUNE_ENV, BLOCKED_ENV, RESIDENT_ENV,
 };
 pub use plan::{
     AutotuneStats, CompiledPlan, MappingChoice, PlanCache, PlanStats, ShardedPlan, TunedPlan,
 };
-pub use serve::{
-    ServeConfig, ServeStats, SoftmaxServer, Ticket, SERVE_QUEUE_ENV, SERVE_WORKERS_ENV,
-};
+pub use serve::{ServeConfig, ServeStats, SoftmaxServer, Ticket};
 
 /// Errors from the co-design layer.
 #[derive(Debug, Clone, PartialEq)]

@@ -54,7 +54,6 @@ use crate::CoreError;
 pub(crate) mod autotune;
 pub(crate) mod fanout;
 
-pub use autotune::AUTOTUNE_ENV;
 use fanout::{ShardExec, ShardJob, ShardScratch};
 
 /// How vector elements are packed into AP rows.
@@ -79,8 +78,9 @@ pub enum PlanMode {
     #[default]
     Cached,
     /// Re-issue the dataflow op by op for every vector, exactly like
-    /// the pre-plan mapping — the differential-testing and benchmarking
-    /// baseline.
+    /// the pre-plan mapping — the differential-testing baseline and,
+    /// outside tests, the `fastword-reused` series of
+    /// `scripts/bench_ap.sh`'s replay gate.
     DirectIssue,
 }
 
@@ -180,65 +180,6 @@ pub struct ApSoftmax {
     /// [`DeviceConfig::partition_into`].
     partition_override: Option<Arc<Vec<(usize, usize)>>>,
     plans: Arc<PlanCache>,
-}
-
-/// Environment variable enabling/disabling resident sharded execution:
-/// `0`/`false` forces the re-staging path, `1`/`true` (the default)
-/// keeps shards pinned in their tiles across phases whenever they fit
-/// the grid in one wave. Invalid values warn once and keep the
-/// default.
-pub const RESIDENT_ENV: &str = "SOFTMAP_RESIDENT";
-
-/// Reads [`RESIDENT_ENV`]; invalid values fail loudly (one warning per
-/// process) instead of silently falling back.
-fn resident_from_env() -> bool {
-    let Ok(raw) = std::env::var(RESIDENT_ENV) else {
-        return true;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "false" => false,
-        "1" | "true" => true,
-        _ => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {RESIDENT_ENV}={raw:?}; accepted values are \
-                     0/false/1/true — keeping the default (1)"
-                );
-            });
-            true
-        }
-    }
-}
-
-/// Environment variable enabling/disabling region-blocked strip-mined
-/// FastWord execution: `0`/`false` forces the op-by-op replay path,
-/// `1`/`true` (the default) attaches a region-blocking plan to every
-/// compiled program. Host-execution knob only — results and
-/// `CycleStats` are identical either way. Invalid values warn once and
-/// keep the default.
-pub const BLOCKED_ENV: &str = "SOFTMAP_BLOCKED";
-
-/// Reads [`BLOCKED_ENV`]; invalid values fail loudly (one warning per
-/// process) instead of silently falling back.
-fn blocked_from_env() -> bool {
-    let Ok(raw) = std::env::var(BLOCKED_ENV) else {
-        return true;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "false" => false,
-        "1" | "true" => true,
-        _ => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {BLOCKED_ENV}={raw:?}; accepted values are \
-                     0/false/1/true — keeping the default (1)"
-                );
-            });
-            true
-        }
-    }
 }
 
 /// Aggregate plan-cache counters surfaced as one struct; see
@@ -546,19 +487,19 @@ impl ApSoftmax {
             layout: Layout::TwoWordsPerRow,
             backend: ExecBackend::default(),
             plan_mode: PlanMode::default(),
-            opt_level: OptLevel::from_env(),
+            opt_level: OptLevel::Full,
             device: DeviceConfig::default(),
-            resident: resident_from_env(),
-            blocked: blocked_from_env(),
-            autotune: autotune::autotune_from_env(),
+            resident: true,
+            blocked: true,
+            autotune: true,
             layout_pinned: false,
             partition_override: None,
             plans: Arc::new(PlanCache::new()),
         })
     }
 
-    /// Enables or disables the mapping autotuner (the default is on,
-    /// overridable via [`AUTOTUNE_ENV`]). Enabled, each cached shape's
+    /// Enables or disables the mapping autotuner (the default is on).
+    /// Enabled, each cached shape's
     /// first vector compiles the one mapping the `mapping::autotune`
     /// rule picks for its length — one word per row unless the layout
     /// is pinned, equal-length shards where a split within two shards
@@ -567,7 +508,9 @@ impl ApSoftmax {
     /// replaced. Disabled, compilation uses the configured mapping
     /// exactly as before the autotuner existed — byte-identical plans,
     /// keys, and counters. Tuned entries live under their own key axis,
-    /// so toggling keeps the cache.
+    /// so toggling keeps the cache. Off is [`crate::ApDeployment`]'s
+    /// default, and `softmap_eval`'s ablations, table6 and autotune
+    /// experiments call it for the paper's fixed mapping.
     #[must_use]
     pub fn with_autotune(mut self, autotune: bool) -> Self {
         self.autotune = autotune;
@@ -581,7 +524,7 @@ impl ApSoftmax {
     }
 
     /// Enables or disables resident sharded execution. When enabled
-    /// (the default, overridable via [`RESIDENT_ENV`]), a vector whose
+    /// (the default), a vector whose
     /// shards fit the tile grid in one wave keeps each shard pinned in
     /// its tile across the three phases — phase-boundary staging is
     /// elided and same-length shards after the wave's first are
@@ -590,7 +533,10 @@ impl ApSoftmax {
     /// shards exceed the grid, execution takes the re-staging path
     /// exactly as before residency existed. Residency is part of the
     /// plan key, so resident and re-staged plans coexist and the cache
-    /// is kept.
+    /// is kept. Off is the re-staged baseline of `backend_compare`'s
+    /// sharded series (read by `scripts/bench_ap.sh`'s resident and
+    /// shard gates) and of `ApDeployment { resident: false }`
+    /// (`softmap_eval longseq`).
     #[must_use]
     pub fn with_resident(mut self, resident: bool) -> Self {
         self.resident = resident;
@@ -605,16 +551,17 @@ impl ApSoftmax {
     }
 
     /// Enables or disables region-blocked strip-mined execution (the
-    /// default is on, overridable via [`BLOCKED_ENV`]). Enabled, every
-    /// compiled program carries a region-blocking plan and FastWord
-    /// replays execute row-parallel op runs strip by strip out of a
-    /// cache-resident scratch image (`SOFTMAP_STRIP` overrides the
-    /// strip width). This is a host-execution optimization only: the
-    /// device cost contract is untouched — planes, outputs, and
-    /// `CycleStats` are bit-identical either way. Disabled, replays
-    /// take the op-by-op path exactly as before blocking existed.
-    /// Already-compiled plans keep their blocking, so the cache starts
-    /// fresh.
+    /// default is on). Enabled, every compiled program carries a
+    /// region-blocking plan and FastWord replays execute row-parallel
+    /// op runs strip by strip out of a cache-resident scratch image.
+    /// This is a host-execution optimization only: the device cost
+    /// contract is untouched — planes, outputs, and `CycleStats` are
+    /// bit-identical either way. Disabled, replays take the op-by-op
+    /// path exactly as before blocking existed; outside tests only
+    /// `backend_compare` disables it, on every series but the blocked
+    /// ones, among them the `fastword-optimized` baseline of
+    /// `scripts/bench_ap.sh`'s block gate. Already-compiled plans keep
+    /// their blocking, so the cache starts fresh.
     #[must_use]
     pub fn with_blocked(mut self, blocked: bool) -> Self {
         self.blocked = blocked;
@@ -633,7 +580,7 @@ impl ApSoftmax {
     /// stale plan) when blocking is enabled.
     fn apply_blocking(&self, program: &mut ApProgram) {
         if self.blocked {
-            program.plan_blocking(softmap_ap::program::strip_from_env());
+            program.plan_blocking(None);
         }
     }
 
@@ -727,10 +674,11 @@ impl ApSoftmax {
     }
 
     /// Selects the trace-optimization level plans compile at. The
-    /// default reads the `SOFTMAP_OPT` environment variable
-    /// ([`OptLevel::ENV`]) and falls back to [`OptLevel::Full`];
-    /// [`OptLevel::None`] replays the recorded trace byte-for-byte (the
-    /// differential-testing baseline). The level is part of the plan
+    /// default is [`OptLevel::Full`]; [`OptLevel::None`] replays the
+    /// recorded trace byte-for-byte, the baseline of the differential
+    /// tests and of `backend_compare`'s unoptimized series (the opt
+    /// gate of `scripts/bench_ap.sh` reads their `cycles/fastword/*`
+    /// records). The level is part of the plan
     /// key, so plans compiled at different levels coexist and the
     /// cache is kept.
     #[must_use]
@@ -1870,40 +1818,21 @@ mod tests {
     use softmap_softmax::IntSoftmax;
 
     #[test]
-    fn resident_env_overrides() {
-        // Race-safe mirror of the SOFTMAP_OPT / SOFTMAP_THREADS
-        // override tests: only values equivalent to the default (on)
-        // plus garbage/unset are ever set, so tests reading
-        // SOFTMAP_RESIDENT concurrently can never observe `false`.
+    fn defaults_are_on_and_each_setter_overrides_its_default() {
         let fresh = || ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
-        std::env::set_var(RESIDENT_ENV, "1");
-        assert!(fresh().resident());
-        std::env::set_var(RESIDENT_ENV, " TRUE ");
-        assert!(fresh().resident());
-        std::env::set_var(RESIDENT_ENV, "not-a-bool");
-        assert!(fresh().resident(), "garbage warns once and keeps on");
-        std::env::remove_var(RESIDENT_ENV);
-        assert!(fresh().resident(), "unset keeps the default");
-        // The in-process escape hatch wins over the environment.
+        assert_eq!(OptLevel::default(), OptLevel::Full);
+        let mapping = fresh();
+        assert_eq!(mapping.opt_level(), OptLevel::Full);
+        assert!(mapping.resident());
+        assert!(mapping.blocked());
+        assert!(mapping.autotune());
+        assert_eq!(
+            fresh().with_opt_level(OptLevel::None).opt_level(),
+            OptLevel::None
+        );
         assert!(!fresh().with_resident(false).resident());
-    }
-
-    #[test]
-    fn blocked_env_overrides_knob() {
-        // Race-safe: only values equivalent to the default (on) plus
-        // garbage/unset are ever set, so tests reading SOFTMAP_BLOCKED
-        // concurrently can never observe `false`.
-        let fresh = || ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
-        std::env::set_var(BLOCKED_ENV, "1");
-        assert!(fresh().blocked());
-        std::env::set_var(BLOCKED_ENV, " TRUE ");
-        assert!(fresh().blocked());
-        std::env::set_var(BLOCKED_ENV, "not-a-bool");
-        assert!(fresh().blocked(), "garbage warns once and keeps on");
-        std::env::remove_var(BLOCKED_ENV);
-        assert!(fresh().blocked(), "unset keeps the default");
-        // The in-process escape hatch wins over the environment.
         assert!(!fresh().with_blocked(false).blocked());
+        assert!(!fresh().with_autotune(false).autotune());
     }
 
     /// The escape hatch restores the op-by-op replay path with results
@@ -2150,22 +2079,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn opt_env_selects_mapping_default() {
-        // Race-safe: only the default-equivalent value is set, so
-        // mappings constructed by concurrently running tests still
-        // resolve OptLevel::Full.
-        std::env::set_var(OptLevel::ENV, "full");
-        let mapping = ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
-        assert_eq!(mapping.opt_level(), OptLevel::Full);
-        std::env::remove_var(OptLevel::ENV);
-        let mapping = ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
-        assert_eq!(mapping.opt_level(), OptLevel::Full, "unset falls back");
-        // The builder override wins regardless of the environment.
-        let pinned = mapping.with_opt_level(OptLevel::None);
-        assert_eq!(pinned.opt_level(), OptLevel::None);
     }
 
     #[test]
@@ -2505,25 +2418,6 @@ mod tests {
             .unwrap();
         assert_eq!(run.codes, scalar.codes);
         assert_eq!(mapping.plan_stats().compiles, 4, "evicted shape recompiles");
-    }
-
-    #[test]
-    fn autotune_env_overrides() {
-        // Race-safe mirror of resident_env_overrides: only values
-        // equivalent to the default (on) plus garbage/unset are ever
-        // set, so tests reading SOFTMAP_AUTOTUNE concurrently can
-        // never observe `false`.
-        let fresh = || ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
-        std::env::set_var(AUTOTUNE_ENV, "1");
-        assert!(fresh().autotune());
-        std::env::set_var(AUTOTUNE_ENV, " TRUE ");
-        assert!(fresh().autotune());
-        std::env::set_var(AUTOTUNE_ENV, "definitely");
-        assert!(fresh().autotune(), "garbage warns once and keeps on");
-        std::env::remove_var(AUTOTUNE_ENV);
-        assert!(fresh().autotune(), "unset keeps the default");
-        // The in-process escape hatch wins over the environment.
-        assert!(!fresh().with_autotune(false).autotune());
     }
 
     #[test]

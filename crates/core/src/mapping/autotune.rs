@@ -46,7 +46,7 @@
 //! [`softmap_ap::OptLevel::ladder`], and residency follows the
 //! per-vector rule of every sharded plan.
 //!
-//! When autotuning is enabled (the default; see [`AUTOTUNE_ENV`] /
+//! When autotuning is enabled (the default; see
 //! [`ApSoftmax::with_autotune`]), the first vector of each cached shape
 //! compiles the rule's mapping exactly once, on the caller's tile —
 //! which executes that vector — and installs the plan as a
@@ -78,10 +78,9 @@
 //!   ordinary compiled plan; the tuned entry just wraps it. Its outputs
 //!   are bit-exact against the default mapping (every mapping is; the
 //!   tuned-vs-default proptests check it).
-//! * `SOFTMAP_AUTOTUNE=0` / `with_autotune(false)` compiles the
-//!   configured mapping byte-identically (tuned entries live under
-//!   their own [`PlanKey`](crate::plan) axis and never shadow untuned
-//!   ones).
+//! * `with_autotune(false)` compiles the configured mapping
+//!   byte-identically (tuned entries live under their own
+//!   [`PlanKey`](crate::plan) axis and never shadow untuned ones).
 //! * Tile *occupancy* is deliberately not weighed: a one-word-per-row
 //!   mapping may use twice the shards. The deployment-level throughput
 //!   model accounts for waves, and a deployment that wants the paper's
@@ -91,34 +90,6 @@ use std::sync::Arc;
 
 use super::{words_per_row, ApSoftmax, ApSoftmaxRun, CoreError, Layout, PlanMode, TileState};
 use crate::plan::{CachedPlan, MappingChoice, PlanCache, TunedPlan};
-
-/// Environment variable enabling/disabling the mapping autotuner:
-/// `0`/`false` compiles the configured mapping exactly as before the
-/// autotuner existed, `1`/`true` (the default) compiles the rule's
-/// mapping per shape. Invalid values warn once and keep the default.
-pub const AUTOTUNE_ENV: &str = "SOFTMAP_AUTOTUNE";
-
-/// Reads [`AUTOTUNE_ENV`]; invalid values fail loudly (one warning per
-/// process) instead of silently falling back.
-pub(crate) fn autotune_from_env() -> bool {
-    let Ok(raw) = std::env::var(AUTOTUNE_ENV) else {
-        return true;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "false" => false,
-        "1" | "true" => true,
-        _ => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {AUTOTUNE_ENV}={raw:?}; accepted values are \
-                     0/false/1/true — keeping the default (1)"
-                );
-            });
-            true
-        }
-    }
-}
 
 /// How far past the minimum shard count the rule looks for an equal
 /// split (`k_min ..= k_min + EQUAL_SPREAD`, capped at the tile grid).

@@ -36,15 +36,9 @@
 //! its request alone ([`CoreError::Panicked`]); the worker continues
 //! afresh.
 //!
-//! # Knobs
-//!
-//! * [`SERVE_WORKERS_ENV`] (`SOFTMAP_SERVE_WORKERS`) — worker threads
-//!   (default: available parallelism).
-//! * [`SERVE_QUEUE_ENV`] (`SOFTMAP_SERVE_QUEUE`) — queue depth
-//!   (default 256).
-//!
-//! Invalid values warn once and keep the default — knobs fail loudly,
-//! never silently.
+//! [`ServeConfig`] is the whole configuration: worker threads
+//! (default: available parallelism), queue depth (default 256), shapes
+//! to precompile, and whether idle workers help with shard chunks.
 //!
 //! # Examples
 //!
@@ -74,48 +68,6 @@ use softmap_ap::device::TileClocks;
 use crate::mapping::fanout::ShardJob;
 use crate::{lock, wait, ApSoftmax, ApSoftmaxRun, CacheStats, CoreError, TileState};
 
-/// Environment variable overriding the serving worker-thread count
-/// (positive integer; default: the host's available parallelism).
-/// Invalid values warn once and keep the default.
-pub const SERVE_WORKERS_ENV: &str = "SOFTMAP_SERVE_WORKERS";
-
-/// Environment variable overriding the submission-queue depth
-/// (positive integer; default 256). The depth bounds the number of
-/// in-flight requests — submissions beyond it block (or fail with
-/// [`CoreError::QueueFull`] via [`SoftmaxServer::try_submit`]).
-/// Invalid values warn once and keep the default.
-pub const SERVE_QUEUE_ENV: &str = "SOFTMAP_SERVE_QUEUE";
-
-/// Reads a positive-integer knob; invalid values fail loudly (one
-/// warning per process per knob) instead of silently falling back.
-fn positive_from_env(name: &'static str, warn: &'static std::sync::Once) -> Option<usize> {
-    let Ok(raw) = std::env::var(name) else {
-        return None;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            warn.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {name}={raw:?}; expected a positive integer — \
-                     keeping the default"
-                );
-            });
-            None
-        }
-    }
-}
-
-fn serve_workers_from_env() -> Option<usize> {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    positive_from_env(SERVE_WORKERS_ENV, &WARN)
-}
-
-fn serve_queue_from_env() -> Option<usize> {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    positive_from_env(SERVE_QUEUE_ENV, &WARN)
-}
-
 /// Construction-time configuration for a [`SoftmaxServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -123,7 +75,9 @@ pub struct ServeConfig {
     /// parallelism.
     pub workers: usize,
     /// Submission-queue depth — the bound on in-flight requests
-    /// (clamped to at least 1; default 256).
+    /// (clamped to at least 1; default 256). Submissions beyond it
+    /// block, or fail with [`CoreError::QueueFull`] through
+    /// [`SoftmaxServer::try_submit`].
     pub queue_depth: usize,
     /// Vector lengths to precompile at startup ([`ApSoftmax::warmup`]),
     /// so first-sight traffic replays instead of compiling.
@@ -131,7 +85,8 @@ pub struct ServeConfig {
     /// Let idle workers take this server's shard chunks (default
     /// `true`): a sharded replay picked while a worker is idle splits
     /// into one chunk per worker for idle workers to claim. `false` (and
-    /// a busy server) runs every request as one chunk.
+    /// a busy server) runs every request as one chunk; only tests set
+    /// it, as the one-chunk baseline.
     pub shard_parallel: bool,
 }
 
@@ -143,22 +98,6 @@ impl Default for ServeConfig {
             warmup_shapes: Vec::new(),
             shard_parallel: true,
         }
-    }
-}
-
-impl ServeConfig {
-    /// The default configuration with [`SERVE_WORKERS_ENV`] and
-    /// [`SERVE_QUEUE_ENV`] applied.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(w) = serve_workers_from_env() {
-            cfg.workers = w;
-        }
-        if let Some(d) = serve_queue_from_env() {
-            cfg.queue_depth = d;
-        }
-        cfg
     }
 }
 

@@ -1,5 +1,6 @@
 //! The `softmap_eval` binary runs every experiment it is given, in
-//! order, and refuses an unknown one before running anything.
+//! order, refuses an unknown one before running anything, and takes its
+//! configuration from code alone.
 
 use std::process::Command;
 
@@ -17,6 +18,41 @@ fn runs_every_named_experiment_in_order() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert_eq!(stdout, golden("table2") + &golden("table1"));
+}
+
+/// Every experiment whose output is pinned in `tests/golden/`.
+const GOLDEN: &str = "fig1 table1 table2 fig6 fig7 fig8 table5 table6 area amdahl \
+                      ablations decode longseq autotune";
+
+#[test]
+fn the_former_environment_knobs_change_nothing() {
+    // Variables the library once read as hidden defaults, each set to a
+    // value other than its old default. They are set on the child
+    // process only; this test process's environment is untouched.
+    let knobs = [
+        ("SOFTMAP_OPT", "none"),
+        ("SOFTMAP_RESIDENT", "0"),
+        ("SOFTMAP_AUTOTUNE", "0"),
+        ("SOFTMAP_BLOCKED", "0"),
+        ("SOFTMAP_STRIP", "1"),
+        ("SOFTMAP_THREADS", "1"),
+        ("SOFTMAP_SERVE_WORKERS", "1"),
+        ("SOFTMAP_SERVE_QUEUE", "1"),
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_softmap_eval"))
+        .args(GOLDEN.split_whitespace())
+        .envs(knobs)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let mut rest = stdout.as_str();
+    for name in GOLDEN.split_whitespace() {
+        rest = rest
+            .strip_prefix(golden(name).as_str())
+            .unwrap_or_else(|| panic!("{name} moved under {knobs:?}; output from there:\n{rest}"));
+    }
+    assert!(rest.is_empty(), "output past the last experiment:\n{rest}");
 }
 
 #[test]

@@ -39,41 +39,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Environment variable overriding the worker-thread count used by
-/// [`tile_parallelism`] (any positive integer; an invalid value falls
-/// back to the host parallelism with a one-time stderr diagnostic).
-/// Lets multi-core batch/shard scaling be exercised — or pinned down
-/// for reproducibility — independently of what
-/// `available_parallelism` reports for the host or container.
-pub const THREADS_ENV: &str = "SOFTMAP_THREADS";
-
 /// Number of worker threads used for `jobs` independent tasks: the
-/// [`THREADS_ENV`] override if set (and a positive integer), otherwise
-/// the machine's available parallelism — capped by the job count and
-/// at least 1. A set-but-invalid override (not a positive integer)
-/// falls back **loudly**: a one-time diagnostic on stderr names the
-/// variable and the accepted values, so `SOFTMAP_THREADS=four` cannot
-/// silently run at a different width than the experiment recorded.
+/// machine's available parallelism, capped by the job count and at
+/// least 1.
 #[must_use]
 pub fn tile_parallelism(jobs: usize) -> usize {
-    let host = || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let hw = match std::env::var(THREADS_ENV) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                static WARN: std::sync::Once = std::sync::Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "softmap: invalid {THREADS_ENV}={raw:?}; accepted values \
-                         are positive integers — using the host parallelism"
-                    );
-                });
-                host()
-            }
-        },
-        Err(_) => host(),
-    };
-    hw.min(jobs).max(1)
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    host.min(jobs).max(1)
 }
 
 /// Applies `f` to every item on a pool of [`tile_parallelism`] scoped
@@ -107,36 +79,10 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    let threads = tile_parallelism(items.len());
-    if threads <= 1 {
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(&mut state, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("worker panicked"))
-            .collect()
+    let Ok(out) = run_with(items, tile_parallelism(items.len()), init, |state, item| {
+        Ok::<R, std::convert::Infallible>(f(state, item))
     });
-    collected.sort_unstable_by_key(|&(i, _)| i);
-    collected.into_iter().map(|(_, r)| r).collect()
+    out
 }
 
 /// Applies a fallible `f` to every item in parallel, returning the
@@ -174,7 +120,22 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> Result<R, E> + Sync,
 {
-    let threads = tile_parallelism(items.len());
+    run_with(items, tile_parallelism(items.len()), init, f)
+}
+
+/// The scheduler behind every entry point: [`try_parallel_map_with`]
+/// on `workers` threads, capped by the job count and at least 1. One
+/// worker runs the jobs in order on the calling thread and stops at
+/// the first error.
+fn run_with<T, R, E, S, I, F>(items: &[T], workers: usize, init: I, f: F) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> Result<R, E> + Sync,
+{
+    let threads = workers.min(items.len()).max(1);
     if threads <= 1 {
         let mut state = init();
         let mut out = Vec::with_capacity(items.len());
@@ -287,21 +248,48 @@ mod tests {
     fn try_parallel_map_sequential_path_stops_at_first_error() {
         // On a single worker the cancellation is exact: nothing after
         // the failing index runs.
-        if tile_parallelism(8) != 1 {
-            return; // multicore host: covered by the bounded test above
-        }
         let items: Vec<u64> = (0..8).collect();
         let ran = AtomicUsize::new(0);
-        let r = try_parallel_map(&items, |&x| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            if x == 3 {
-                Err(x)
-            } else {
-                Ok(x)
-            }
-        });
+        let r = run_with(
+            &items,
+            1,
+            || (),
+            |(), &x| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if x == 3 {
+                    Err(x)
+                } else {
+                    Ok(x)
+                }
+            },
+        );
         assert_eq!(r, Err(3));
         assert_eq!(ran.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn workers_beyond_the_core_count_each_build_a_state() {
+        // More workers than the host has cores: each still builds its
+        // own state, and the job count caps the worker count.
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let states_for = |workers: usize, jobs: u64| {
+            let states = AtomicUsize::new(0);
+            let items: Vec<u64> = (0..jobs).collect();
+            let out = run_with(
+                &items,
+                workers,
+                || {
+                    states.fetch_add(1, Ordering::Relaxed);
+                },
+                |(), &x| Ok::<_, ()>(x),
+            );
+            assert_eq!(out.unwrap(), items);
+            states.load(Ordering::Relaxed)
+        };
+        let forced = host + 3;
+        assert_eq!(states_for(forced, forced as u64 * 4), forced);
+        assert_eq!(states_for(forced, 2), 2, "job count caps the workers");
+        assert_eq!(states_for(forced, 0), 1, "no jobs still runs one worker");
     }
 
     #[test]
@@ -321,10 +309,7 @@ mod tests {
         );
         assert_eq!(out, items);
         let built = states.load(Ordering::Relaxed);
-        // Bounded by the worker count at spawn time; use the item count
-        // as the env-independent ceiling so this cannot race with
-        // `threads_env_overrides_parallelism` mutating SOFTMAP_THREADS.
-        assert!(built >= 1 && built <= items.len());
+        assert_eq!(built, tile_parallelism(items.len()));
     }
 
     #[test]
@@ -356,38 +341,5 @@ mod tests {
         assert_eq!(tile_parallelism(0), 1);
         assert_eq!(tile_parallelism(1), 1);
         assert!(tile_parallelism(1 << 20) >= 1);
-    }
-
-    #[test]
-    fn threads_env_overrides_parallelism() {
-        // The override lets shard/batch fan-out be exercised beyond (or
-        // pinned below) the container's core count. Only values larger
-        // than the real parallelism are set here so concurrently
-        // running tests can never observe a *smaller* bound than they
-        // computed.
-        let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let forced = hw + 3;
-        std::env::set_var(THREADS_ENV, forced.to_string());
-        assert_eq!(tile_parallelism(1 << 20), forced);
-        assert_eq!(tile_parallelism(2), 2, "job count still caps");
-        // The fan-out really builds that many worker states.
-        let states = AtomicUsize::new(0);
-        let items: Vec<u64> = (0..(forced as u64 * 4)).collect();
-        let out = parallel_map_with(
-            &items,
-            || {
-                states.fetch_add(1, Ordering::Relaxed);
-            },
-            |(), &x| x,
-        );
-        assert_eq!(out, items);
-        assert_eq!(states.load(Ordering::Relaxed), forced);
-        // Garbage and non-positive values fall back to the hardware.
-        std::env::set_var(THREADS_ENV, "0");
-        assert_eq!(tile_parallelism(1 << 20), hw);
-        std::env::set_var(THREADS_ENV, "not-a-number");
-        assert_eq!(tile_parallelism(1 << 20), hw);
-        std::env::remove_var(THREADS_ENV);
-        assert_eq!(tile_parallelism(1 << 20), hw);
     }
 }

@@ -233,7 +233,7 @@ fn main() {
             .with_backend(ExecBackend::FastWord),
         softmap::ServeConfig {
             warmup_shapes: vec![64, 1024, 4096, 16384],
-            ..softmap::ServeConfig::from_env()
+            ..softmap::ServeConfig::default()
         },
     )
     .unwrap();

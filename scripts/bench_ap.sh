@@ -77,9 +77,6 @@
 #   SOFTMAP_AUTOTUNE_GATE set 0 to disable the autotune cycle gate
 #   SOFTMAP_SERVE_GATE    set 0 to disable the serving gate
 #   SOFTMAP_BLOCK_GATE    set 0 to disable the blocked-executor gate
-#   SOFTMAP_SERVE_WORKERS / SOFTMAP_SERVE_QUEUE  serving-layer knobs
-#                         (positive integers; invalid values warn loudly
-#                         and keep the defaults)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
