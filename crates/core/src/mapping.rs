@@ -1817,21 +1817,41 @@ mod tests {
     use super::*;
     use softmap_softmax::IntSoftmax;
 
+    // The four `*_env_*` tests keep their names from when an environment
+    // variable could override each default. Each now checks the default
+    // set in code and the builder that overrides it; that the former
+    // variables change nothing is checked end to end by
+    // `crates/eval/tests/cli.rs::the_former_environment_knobs_change_nothing`.
+
+    fn fresh() -> ApSoftmax {
+        ApSoftmax::new(PrecisionConfig::paper_best()).unwrap()
+    }
+
     #[test]
-    fn defaults_are_on_and_each_setter_overrides_its_default() {
-        let fresh = || ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
+    fn resident_env_overrides() {
+        assert!(fresh().resident());
+        assert!(!fresh().with_resident(false).resident());
+    }
+
+    #[test]
+    fn blocked_env_overrides_knob() {
+        assert!(fresh().blocked());
+        assert!(!fresh().with_blocked(false).blocked());
+    }
+
+    #[test]
+    fn opt_env_selects_mapping_default() {
         assert_eq!(OptLevel::default(), OptLevel::Full);
-        let mapping = fresh();
-        assert_eq!(mapping.opt_level(), OptLevel::Full);
-        assert!(mapping.resident());
-        assert!(mapping.blocked());
-        assert!(mapping.autotune());
+        assert_eq!(fresh().opt_level(), OptLevel::Full);
         assert_eq!(
             fresh().with_opt_level(OptLevel::None).opt_level(),
             OptLevel::None
         );
-        assert!(!fresh().with_resident(false).resident());
-        assert!(!fresh().with_blocked(false).blocked());
+    }
+
+    #[test]
+    fn autotune_env_overrides() {
+        assert!(fresh().autotune());
         assert!(!fresh().with_autotune(false).autotune());
     }
 

@@ -268,9 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn workers_beyond_the_core_count_each_build_a_state() {
+    fn threads_env_overrides_parallelism() {
         // More workers than the host has cores: each still builds its
-        // own state, and the job count caps the worker count.
+        // own state, and the job count caps the worker count. (The name
+        // is kept from when an environment variable was the only way to
+        // force this; the scheduler now takes the worker count.)
         let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let states_for = |workers: usize, jobs: u64| {
             let states = AtomicUsize::new(0);
