@@ -65,7 +65,7 @@ pub enum ExecBackend {
 /// on `a`: ungated rows see `a = 0` with carry-in 0 and are provably
 /// untouched, matching the gated microcode.
 macro_rules! fused_step {
-    ($SUB:ident, $av:expr, $bref:expr, $cref:expr, $ev:ident) => {{
+    ($SUB:ident, $av:expr, $bref:expr, $cref:expr, $ev:expr) => {{
         let av = $av;
         let bv = *$bref;
         let cv = *$cref;
@@ -134,58 +134,30 @@ fn fused_ripple<const SUB: bool>(
     ev
 }
 
-/// Out-of-place counterpart of [`fused_ripple`]`::<true>` for the
-/// strip divider's trial subtraction: reads the pre-subtract remainder
-/// from `pre`, writes the difference into `post` (every one of the
-/// `aw` planes is overwritten), and leaves the final borrow column in
-/// `carry`. Identical event count and bit algebra to the in-place
-/// kernel — but the caller keeps the pre-image for the restore blend
-/// without a separate save copy per iteration.
-fn fused_sub_into(
-    a: &[u64],
-    sw: usize,
-    pre: &[u64],
-    post: &mut [u64],
-    aw: usize,
-    bl: usize,
-    carry: &mut [u64],
-) -> u64 {
-    debug_assert!(a.len() >= sw * bl);
-    debug_assert!(pre.len() >= aw * bl);
-    debug_assert!(post.len() >= aw * bl);
-    debug_assert_eq!(carry.len(), bl);
-    let mut ev = 0u64;
-    for i in 0..sw {
-        let ar = &a[i * bl..(i + 1) * bl];
-        let pr = &pre[i * bl..(i + 1) * bl];
-        let po = &mut post[i * bl..(i + 1) * bl];
-        for (((&pv, dst), cref), &av) in pr
-            .iter()
-            .zip(po.iter_mut())
-            .zip(carry.iter_mut())
-            .zip(ar.iter())
-        {
-            let cv = *cref;
-            let t = av ^ pv;
-            let t1 = av ^ cv;
-            ev += u64::from(t1.count_ones()) + u64::from((t1 & t).count_ones());
-            *dst = t ^ cv;
-            *cref = (av & !pv) | (cv & !t);
+/// 64-row blocks the strip divider carries through all of its
+/// iterations together: the lane loops compile to 256-bit vector code
+/// and a group's remainder window stays in L1.
+pub(crate) const LANES: usize = 4;
+
+/// [`fused_ripple`] over one lane group of the strip divider, in place:
+/// the trial `rem -= den` (`SUB`, ungated) or the restoring
+/// `rem += den` gated by the rows that borrowed. `den` is zero-padded
+/// to the remainder width, which is the ripple into the bits above
+/// the source width. Returns the write-cell events and the final
+/// carry/borrow lanes.
+fn lanes_ripple<const SUB: bool>(
+    rem: &mut [[u64; LANES]],
+    den: &[[u64; LANES]],
+    gate: &[u64; LANES],
+) -> (u64, [u64; LANES]) {
+    let mut ev = [0u64; LANES];
+    let mut carry = [0u64; LANES];
+    for (r, a) in rem.iter_mut().zip(den) {
+        for l in 0..LANES {
+            fused_step!(SUB, a[l] & gate[l], &mut r[l], &mut carry[l], ev[l]);
         }
     }
-    // Borrow ripple into the remainder bit above the divisor width
-    // (the `a = 0` tail of the in-place kernel).
-    for i in sw..aw {
-        let pr = &pre[i * bl..(i + 1) * bl];
-        let po = &mut post[i * bl..(i + 1) * bl];
-        for ((&pv, dst), cref) in pr.iter().zip(po.iter_mut()).zip(carry.iter_mut()) {
-            let cv = *cref;
-            ev += u64::from(cv.count_ones()) + u64::from((cv & pv).count_ones());
-            *dst = pv ^ cv;
-            *cref = cv & !pv;
-        }
-    }
-    ev
+    (ev.iter().sum(), carry)
 }
 
 impl ApCore {
@@ -686,8 +658,7 @@ impl ApCore {
         let mut tally = std::mem::take(&mut self.tally_buf);
         let mut vb = std::mem::take(&mut self.vals_b);
         let mut vc = std::mem::take(&mut self.vals_c);
-        let mut vq = std::mem::take(&mut self.vals_r);
-        let mut vp = std::mem::take(&mut self.vals_p);
+        let mut lanes = std::mem::take(&mut self.div_lanes);
         tally.clear();
         tally.resize(region.tally_len, 0);
         let result = if sblocks == bl {
@@ -700,8 +671,8 @@ impl ApCore {
             // planes (`rem_direct`).
             let mut arena = self.cam_mut().take_arena();
             let r = self.fw_region_ops(
-                ops, region, regs, &mut arena, bl, 0, &mut tally, &mut vb, &mut vc, &mut vq,
-                &mut vp, true,
+                ops, region, regs, &mut arena, bl, 0, &mut tally, &mut vb, &mut vc, &mut lanes,
+                true,
             );
             self.cam_mut().restore_arena(arena);
             r
@@ -722,8 +693,8 @@ impl ApCore {
                     }
                 }
                 if let Err(e) = self.fw_region_ops(
-                    ops, region, regs, &mut sbuf, sb, s0, &mut tally, &mut vb, &mut vc, &mut vq,
-                    &mut vp, false,
+                    ops, region, regs, &mut sbuf, sb, s0, &mut tally, &mut vb, &mut vc, &mut lanes,
+                    false,
                 ) {
                     r = Err(e);
                     break;
@@ -742,8 +713,7 @@ impl ApCore {
         self.tally_buf = tally;
         self.vals_b = vb;
         self.vals_c = vc;
-        self.vals_r = vq;
-        self.vals_p = vp;
+        self.div_lanes = lanes;
         result
     }
 
@@ -766,8 +736,7 @@ impl ApCore {
         tally: &mut [u64],
         vb: &mut Vec<u64>,
         vc: &mut Vec<u64>,
-        vq: &mut Vec<u64>,
-        vp: &mut Vec<u64>,
+        lanes: &mut Vec<[u64; LANES]>,
         rem_direct: bool,
     ) -> Result<(), ApError> {
         let bl = self.fw_blocks();
@@ -991,10 +960,7 @@ impl ApCore {
                         den,
                         quot,
                         frac_bits,
-                        vb,
-                        vq,
-                        vp,
-                        vc,
+                        lanes,
                         rem_direct,
                     );
                     self.release_scratch(rem);
@@ -1024,10 +990,7 @@ impl ApCore {
                             den,
                             quot,
                             frac_bits,
-                            vb,
-                            vq,
-                            vp,
-                            vc,
+                            lanes,
                             rem_direct,
                         );
                         cursor += slots;
@@ -1045,24 +1008,38 @@ impl ApCore {
         Ok(())
     }
 
-    /// One restoring-division channel of the strip executor: the
-    /// strip-local counterpart of [`ApCore::fw_divide_restoring`]'s
-    /// plane math, reading the numerator and divisor planes from the
-    /// strip image and charging nothing (the per-iteration `ev_sub` /
-    /// `n_borrow` / `ev_add` tallies land in `tally[3*it..]` for the
-    /// charge walk). Per-block carry independence of [`fused_ripple`]
-    /// makes the strip-partitioned tallies sum to exactly the
-    /// full-width values; the restore blend and quotient writes are
-    /// identities on blocks without a borrow, so strip-local gating is
-    /// plane-exact too.
+    /// One restoring-division channel of the strip executor: the plane
+    /// math of [`ApCore::fw_divide_restoring`], charging nothing (the
+    /// per-iteration `ev_sub` / `n_borrow` / `ev_add` tallies land in
+    /// `tally[3*it..]` for the charge walk).
+    ///
+    /// The strip is walked [`LANES`] 64-row blocks at a time, and each
+    /// group runs all `nw + frac_bits` iterations before the next group
+    /// starts. The group's remainder lives in the pooled `lanes` buffer
+    /// as a window over the planes `[0; frac_bits] ++ num ++ [0; rem_w]`:
+    /// iteration `k` works on planes `k..k + rem_w`, so `rem <<= 1` and
+    /// the incoming dividend bit are the window moving down one plane.
+    /// Each iteration is two in-place [`lanes_ripple`] sweeps over the
+    /// window: the trial subtract, then the restoring add gated by the
+    /// rows that borrowed.
+    ///
+    /// Exactness: both sweeps are [`fused_ripple`]'s algebra per 64-row
+    /// block (the gated add's events are the op-by-op divider's
+    /// change-mask count, see [`ApCore::fw_divide_restoring`]), and no
+    /// block's result depends on another's, so the groups' tallies sum
+    /// to the full-width values. A partial last group is padded with
+    /// zero lanes, which never borrow, write no cell and are never
+    /// stored back; rows past the row count are masked out of the
+    /// quotient by the tail mask of the arena's final block (global
+    /// index `s0 + g0 + l`). A group without a borrow adds zero
+    /// `ev_add`, so the charge walk's restore decision on the summed
+    /// `n_borrow` is the op-by-op one.
     ///
     /// The quotient and the carry/flag latches land in the strip image
-    /// (they are in the region's compile-time scatter list); the
-    /// remainder scratch columns are runtime-allocated, so they write
-    /// through to the arena directly — or, in the arena-direct mode
-    /// (`rem_direct`, where `sbuf` *is* the detached arena), into the
-    /// strip image itself. Either way the released scratch state left
-    /// behind is identical to the op-by-op divider's.
+    /// (they are in the region's scatter list); the remainder scratch
+    /// is allocated at run time, so it writes through to the arena — or
+    /// into `sbuf` itself in the arena-direct mode (`rem_direct`, where
+    /// `sbuf` *is* the detached arena).
     #[allow(clippy::too_many_arguments)]
     fn fw_strip_divide_channel(
         &mut self,
@@ -1075,124 +1052,69 @@ impl ApCore {
         den: Field,
         quot: Field,
         frac_bits: usize,
-        vrem: &mut Vec<u64>,
-        vq: &mut Vec<u64>,
-        vpre: &mut Vec<u64>,
-        borrowed: &mut Vec<u64>,
+        lanes: &mut Vec<[u64; LANES]>,
         rem_direct: bool,
     ) {
-        let bl = self.fw_blocks();
-        let rows = self.rows();
+        let (bl, rows) = (self.fw_blocks(), self.rows());
         let (nw, dw, qw) = (num.width(), den.width(), quot.width());
-        let rem_w = dw + 1;
+        let (rem_w, bits) = (dw + 1, nw + frac_bits);
         let (cc, fc) = (self.carry_col(), self.flag_col());
-        vrem.clear();
-        vrem.resize(rem_w * sb, 0);
-        vq.clear();
-        vq.resize(qw * sb, 0);
-        vpre.clear();
-        vpre.resize(rem_w * sb, 0);
-        borrowed.clear();
-        borrowed.resize(sb, 0);
-        // Exact-length slice views: keeps the hot loops free of
-        // `Vec` indirection and lets the quotient/blend passes
-        // vectorize.
-        let vrem = &mut vrem[..rem_w * sb];
-        let vq = &mut vq[..qw * sb];
-        let vpre = &mut vpre[..rem_w * sb];
-        let borrowed = &mut borrowed[..sb];
-        // Only the strip covering the arena's final block can carry a
-        // partial-row tail; every quotient pass masks its last word
-        // with this (a no-op for interior strips).
-        let last_tail = tail_mask(rows, s0 + sb - 1, bl);
-
-        for (it, k) in (0..nw + frac_bits).rev().enumerate() {
-            // rem <<= 1, then the dividend bit (or a clear below the
-            // binary point) — the bit comes from the strip image, which
-            // holds any in-region updates to the numerator. The shifted
-            // value is built directly into the pre-image buffer: one
-            // copy does both the shift and the pre-subtract save the
-            // restore blend needs.
-            vpre[sb..rem_w * sb].copy_from_slice(&vrem[..(rem_w - 1) * sb]);
-            if k >= frac_bits {
-                let nc = num.col(k - frac_bits);
-                vpre[..sb].copy_from_slice(&sbuf[nc * sb..(nc + 1) * sb]);
-            } else {
-                vpre[..sb].fill(0);
+        lanes.clear();
+        lanes.resize(bits + 2 * rem_w, [0; LANES]);
+        // `vd` carries a zero plane at `dw`: the borrow ripple into the
+        // remainder's top bit is the `a = 0` step of the same sweep.
+        let (win, vd) = lanes.split_at_mut(bits + rem_w);
+        for g0 in (0..sb).step_by(LANES) {
+            let n = LANES.min(sb - g0);
+            let at = |c: usize| c * sb + g0..c * sb + g0 + n;
+            win[..frac_bits].fill([0; LANES]);
+            win[bits..].fill([0; LANES]);
+            for (i, w) in win[frac_bits..bits].iter_mut().enumerate() {
+                *w = [0; LANES];
+                w[..n].copy_from_slice(&sbuf[at(num.col(i))]);
             }
-
-            // try rem -= den, out of place: the difference lands in
-            // `vrem` (every plane overwritten), the pre-image stays put.
-            borrowed.fill(0);
-            let vd = &sbuf[den.start() * sb..den.end() * sb];
-            let ev_sub = fused_sub_into(vd, dw, vpre, vrem, rem_w, sb, borrowed);
-            let n_borrow: u64 = borrowed.iter().map(|w| u64::from(w.count_ones())).sum();
-            tally[3 * it] += ev_sub;
-            tally[3 * it + 1] += n_borrow;
-
-            // Gated restore blend (see `fw_divide_restoring` for the
-            // carry-chain argument behind the change-mask event count).
-            if n_borrow > 0 {
-                let mut ev_add = 0u64;
-                for i in 0..rem_w {
-                    let rr = &mut vrem[i * sb..(i + 1) * sb];
-                    let pp = &vpre[i * sb..(i + 1) * sb];
-                    if i < dw {
-                        let aa = &sbuf[(den.start() + i) * sb..(den.start() + i + 1) * sb];
-                        for (((rref, &pv), &av), &bor) in
-                            rr.iter_mut().zip(pp).zip(aa).zip(borrowed.iter())
-                        {
-                            let post = *rref;
-                            let ch = (pv ^ post) & bor;
-                            ev_add += u64::from(ch.count_ones())
-                                + u64::from((ch & !(av ^ post)).count_ones());
-                            *rref = (pv & bor) | (post & !bor);
-                        }
-                    } else {
-                        for ((rref, &pv), &bor) in rr.iter_mut().zip(pp).zip(borrowed.iter()) {
-                            let post = *rref;
-                            let ch = (pv ^ post) & bor;
-                            ev_add +=
-                                u64::from(ch.count_ones()) + u64::from((ch & !post).count_ones());
-                            *rref = (pv & bor) | (post & !bor);
-                        }
+            for (i, w) in vd[..dw].iter_mut().enumerate() {
+                *w = [0; LANES];
+                w[..n].copy_from_slice(&sbuf[at(den.col(i))]);
+            }
+            let tail: [u64; LANES] = std::array::from_fn(|l| tail_mask(rows, s0 + g0 + l, bl));
+            let mut sat = [0u64; LANES];
+            let mut bor = [0u64; LANES];
+            for (it, k) in (0..bits).rev().enumerate() {
+                let rem = &mut win[k..k + rem_w];
+                let ev_sub;
+                (ev_sub, bor) = lanes_ripple::<true>(rem, vd, &[u64::MAX; LANES]);
+                tally[3 * it] += ev_sub;
+                tally[3 * it + 1] += bor.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+                tally[3 * it + 2] += lanes_ripple::<false>(rem, vd, &bor).0;
+                // Quotient bit of the no-borrow rows; iterations above
+                // the quotient field saturate every bit of those rows,
+                // and all of them precede the first in-field bit.
+                if k < qw {
+                    for (l, q) in sbuf[at(quot.col(k))].iter_mut().enumerate() {
+                        *q = (sat[l] | !bor[l]) & tail[l];
+                    }
+                } else {
+                    for l in 0..LANES {
+                        sat[l] |= !bor[l];
                     }
                 }
-                tally[3 * it + 2] += ev_add;
             }
-
-            // Quotient bit (saturating to all-ones above the field) for
-            // the strip's no-borrow rows.
-            if k < qw {
-                for (q, &bor) in vq[k * sb..(k + 1) * sb].iter_mut().zip(borrowed.iter()) {
-                    *q |= !bor;
-                }
-                vq[(k + 1) * sb - 1] &= last_tail;
-            } else {
-                for i in 0..qw {
-                    for (q, &bor) in vq[i * sb..(i + 1) * sb].iter_mut().zip(borrowed.iter()) {
-                        *q |= !bor;
-                    }
-                    vq[(i + 1) * sb - 1] &= last_tail;
+            for i in bits..qw {
+                sbuf[at(quot.col(i))].fill(0);
+            }
+            for (i, w) in win[..rem_w].iter().enumerate() {
+                let c = rem.col(i);
+                if rem_direct {
+                    sbuf[at(c)].copy_from_slice(&w[..n]);
+                } else {
+                    self.cam_mut().plane_words_mut(c)[s0 + g0..s0 + g0 + n]
+                        .copy_from_slice(&w[..n]);
                 }
             }
+            sbuf[at(cc)].copy_from_slice(&bor[..n]);
+            sbuf[at(fc)].copy_from_slice(&bor[..n]);
         }
-
-        for i in 0..qw {
-            let qc = quot.col(i);
-            sbuf[qc * sb..(qc + 1) * sb].copy_from_slice(&vq[i * sb..(i + 1) * sb]);
-        }
-        if rem_direct {
-            let rs = rem.start();
-            sbuf[rs * sb..(rs + rem_w) * sb].copy_from_slice(&vrem[..rem_w * sb]);
-        } else {
-            for i in 0..rem_w {
-                self.cam_mut().plane_words_mut(rem.col(i))[s0..s0 + sb]
-                    .copy_from_slice(&vrem[i * sb..(i + 1) * sb]);
-            }
-        }
-        sbuf[cc * sb..(cc + 1) * sb].copy_from_slice(borrowed);
-        sbuf[fc * sb..(fc + 1) * sb].copy_from_slice(borrowed);
     }
 
     pub(crate) fn fw_divide_restoring(

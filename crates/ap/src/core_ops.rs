@@ -159,6 +159,9 @@ pub struct ApCore {
     /// accumulated across strips by the blocked executor and consumed
     /// by the region charge pass.
     pub(crate) tally_buf: Vec<u64>,
+    /// The strip divider's lane buffer: one lane group's remainder
+    /// window and divisor planes.
+    pub(crate) div_lanes: Vec<[u64; crate::backend::LANES]>,
 }
 
 impl ApCore {
@@ -206,6 +209,7 @@ impl ApCore {
             events_buf: Vec::new(),
             strip_buf: Vec::new(),
             tally_buf: Vec::new(),
+            div_lanes: Vec::new(),
         })
     }
 

@@ -906,16 +906,6 @@ const STRIP_TARGET_BYTES: usize = 48 * 1024;
 /// `strip_override` width is taken as given instead).
 const MIN_STRIP_BLOCKS: usize = 16;
 
-/// Smallest tile (in 64-row blocks) the auto planner will engage at
-/// all: under ~512 rows a region's whole image already sits in L1/L2
-/// during op-by-op replay, so strip-mining only adds per-region setup
-/// (gather/scatter lists, preflight, tally replay) with nothing to
-/// win back — measured ~5% *slower* at 256 rows. The plan is still
-/// recorded for such tiles (observability), but replay stays op-by-op
-/// (`BlockStats::engaged` is `false`) unless an explicit strip
-/// override asks for blocking anyway.
-const MIN_TILE_BLOCKS: usize = 8;
-
 /// The reserved carry/borrow column (see `ApCore`: column 0 is always
 /// the carry column, column 1 the predication flag).
 const CARRY_COL: usize = 0;
@@ -946,10 +936,9 @@ pub struct BlockStats {
     /// Column-plane arena scatters elided versus op-by-op execution
     /// (each op's result planes re-written to the arena).
     pub scatters_elided: usize,
-    /// Whether replay will actually run the regions strip-mined.
-    /// `false` when the tile is under the small-tile admission floor
-    /// (see [`ApProgram::plan_blocking`]) — the plan is still recorded
-    /// for observability, but replay stays op-by-op.
+    /// Whether FastWord replay runs the plan's regions strip-mined:
+    /// `true` for every recorded plan, at every tile size (`false` only
+    /// in a default-constructed value).
     pub engaged: bool,
 }
 
@@ -958,7 +947,7 @@ impl std::fmt::Display for BlockStats {
         write!(
             f,
             "{} regions ({} ops, max {}/region), footprint ≤ {} B, \
-             strips {}–{} blocks, {} gathers + {} scatters elided{}",
+             strips {}–{} blocks, {} gathers + {} scatters elided",
             self.regions,
             self.blocked_ops,
             self.max_ops_per_region,
@@ -967,11 +956,6 @@ impl std::fmt::Display for BlockStats {
             self.strip_blocks_max,
             self.gathers_elided,
             self.scatters_elided,
-            if self.engaged {
-                ""
-            } else {
-                " (declined: tile under the admission floor)"
-            }
         )
     }
 }
@@ -1705,9 +1689,7 @@ impl ApProgram {
         scratch.regs.resize(self.num_regs, 0);
         let mut mark = core.stats();
         let blocked = match &self.blocking {
-            Some(plan) if plan.stats.engaged && core.backend() == ExecBackend::FastWord => {
-                Some(plan)
-            }
+            Some(plan) if core.backend() == ExecBackend::FastWord => Some(plan),
             _ => None,
         };
         let mut h = 0usize;
@@ -1837,25 +1819,17 @@ impl ApProgram {
     /// identical to op-by-op execution — the device cost contract is
     /// untouched. Microcode replay ignores the plan entirely.
     ///
-    /// `strip_override` pins the strip width in 64-row blocks and
-    /// engages blocking below the small-tile admission floor; only
-    /// tests pin it. `None`, what the mapping passes, auto-sizes each
-    /// region's strip to fit its footprint in cache. Re-running the
-    /// optimizer clears the plan; call this after the final pass
-    /// pipeline.
+    /// Blocking engages at every tile size. `strip_override` pins the
+    /// strip width in 64-row blocks; only tests pin it. `None`, what
+    /// the mapping passes, auto-sizes each region's strip to fit its
+    /// footprint in cache. Re-running the optimizer clears the plan;
+    /// call this after the final pass pipeline.
     pub fn plan_blocking(&mut self, strip_override: Option<usize>) {
         let cols = self.config.cols;
         let bl = self.config.rows.div_ceil(64);
         let mut regions = Vec::new();
         let mut stats = BlockStats {
-            // Small-tile admission floor: below it the whole tile is
-            // narrower than a healthy strip, so the loop interchange
-            // has nothing to amortize its per-region setup against —
-            // regions are still recorded (observability), but replay
-            // stays op-by-op (ratio 1.0 by construction). An explicit
-            // strip override is a request to block regardless (tests,
-            // experiments).
-            engaged: strip_override.is_some() || bl >= MIN_TILE_BLOCKS,
+            engaged: true,
             ..BlockStats::default()
         };
         let mut i = 0usize;

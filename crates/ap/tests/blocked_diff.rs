@@ -488,3 +488,197 @@ fn boundary_only_trace_records_empty_plan() {
     assert_eq!(stats.regions, 0);
     assert_eq!(stats.blocked_ops, 0);
 }
+
+/// Column budget of the division proptest: three 16-bit numerators and
+/// one copy target, a 40-bit divisor, three 40-bit quotients, the
+/// 41-bit remainder scratch and the two reserved columns.
+const DIV_COLS: usize = 280;
+
+/// One drawn division workload: field widths, the channel count,
+/// whether the divisor is one broadcast value or a per-row load, and
+/// raw words that [`div_program`] masks down to the field widths.
+#[derive(Debug, Clone)]
+struct DivCase {
+    rows: usize,
+    nw: usize,
+    dw: usize,
+    qw: usize,
+    frac: usize,
+    channels: usize,
+    uniform: bool,
+    raw: Vec<u64>,
+}
+
+impl DivCase {
+    /// A non-zero divisor of a drawn bit length up to `dw`, so small
+    /// divisors (saturating quotients) and wide ones both occur.
+    fn divisor(&self, word: u64) -> u64 {
+        let len = 1 + (word >> 56) as usize % self.dw;
+        (word & ((1u64 << len) - 1)).max(1)
+    }
+
+    /// Inputs 0–2 are the channels' numerators, input 3 the divisors.
+    fn inputs(&self) -> Vec<Vec<u64>> {
+        let mask = (1u64 << self.nw) - 1;
+        let mut inputs: Vec<Vec<u64>> = (0..3)
+            .map(|c| {
+                (0..self.rows)
+                    .map(|r| self.raw[c * 700 + r] & mask)
+                    .collect()
+            })
+            .collect();
+        inputs.push(
+            (0..self.rows)
+                .map(|r| self.divisor(self.raw[2100 + r]))
+                .collect(),
+        );
+        inputs
+    }
+}
+
+/// Records `copy(raw0 → n0)`, the divisor (loaded per row, or
+/// broadcast inside the region), and one restoring division per
+/// channel sharing that divisor. The copy keeps the region at two ops
+/// or more even with a loaded divisor and feeds channel 0 a numerator
+/// written inside the region.
+fn div_program(case: &DivCase) -> ApProgram {
+    let mut core =
+        ApCore::with_backend(ApConfig::new(case.rows, DIV_COLS), ExecBackend::FastWord).unwrap();
+    let raw0 = core.alloc_field(case.nw).unwrap();
+    let nums: Vec<_> = (0..case.channels)
+        .map(|_| core.alloc_field(case.nw).unwrap())
+        .collect();
+    let den = core.alloc_field(case.dw).unwrap();
+    let quots: Vec<_> = (0..case.channels)
+        .map(|_| core.alloc_field(case.qw).unwrap())
+        .collect();
+    let inputs = case.inputs();
+    let in_slices: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+    let mut bufs = [Vec::new(), Vec::new(), Vec::new()];
+    let [o0, o1, o2] = &mut bufs;
+    let mut outs: [&mut Vec<u64>; 3] = [o0, o1, o2];
+    let mut scratch = ProgramScratch::default();
+    let mut on_step = |_: &'static str, _: CycleStats| {};
+    let mut rec = Recorder::new(
+        &mut core,
+        ExecIo::new(&in_slices, &mut outs),
+        &mut scratch,
+        &mut on_step,
+        true,
+    );
+    rec.load(raw0, 0).unwrap();
+    for (c, &n) in nums.iter().enumerate().skip(1) {
+        rec.load(n, c).unwrap();
+    }
+    if !case.uniform {
+        rec.load(den, 3).unwrap();
+    }
+    rec.step("stage-in");
+    rec.copy(raw0, nums[0]).unwrap();
+    if case.uniform {
+        rec.broadcast(den, case.divisor(case.raw[2100])).unwrap();
+    }
+    for (&n, &q) in nums.iter().zip(&quots) {
+        rec.divide(n, den, q, case.frac, DivStyle::Restoring)
+            .unwrap();
+    }
+    rec.step("divide");
+    for (c, &q) in quots.iter().enumerate() {
+        rec.read(q, c).unwrap();
+    }
+    rec.finish().expect("recording returns a program")
+}
+
+/// Replays `program` on a fresh core: outputs, `CycleStats` and every
+/// plane (carry, flag and the released remainder scratch included).
+fn div_replay(program: &ApProgram, backend: ExecBackend, inputs: &[Vec<u64>]) -> Outcome {
+    let mut core = ApCore::with_backend(program.config(), backend).unwrap();
+    let in_slices: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+    let mut bufs = [Vec::new(), Vec::new(), Vec::new()];
+    {
+        let [o0, o1, o2] = &mut bufs;
+        let mut outs: [&mut Vec<u64>; 3] = [o0, o1, o2];
+        let mut scratch = ProgramScratch::default();
+        program
+            .replay(
+                &mut core,
+                ExecIo::new(&in_slices, &mut outs),
+                &mut scratch,
+                |_, _| {},
+            )
+            .unwrap();
+    }
+    Outcome {
+        outs: bufs,
+        stats: core.stats(),
+        planes: capture_planes(&core),
+    }
+}
+
+fn div_case_strategy() -> impl Strategy<Value = DivCase> {
+    (
+        (1usize..701, 1usize..17, 1usize..41, 1usize..41, 0usize..31),
+        (1usize..4, any::<bool>()),
+        prop::collection::vec(any::<u64>(), 2800..2801),
+    )
+        .prop_map(
+            |((rows, nw, dw, qw, frac), (channels, uniform), raw)| DivCase {
+                rows,
+                nw,
+                dw,
+                qw,
+                frac,
+                channels,
+                uniform,
+                raw,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The strip divider across shapes and lane groups: random widths,
+    /// 1–700 rows (one, several and partial 4-block lane groups), auto
+    /// and pinned strips (multi-strip below the tile width), per-row
+    /// and broadcast divisors, plain `Divide` ops and the optimizer's
+    /// batched `FusedDivide` (two or three channels fuse into 2 + 1).
+    /// Blocked FastWord replay must equal op-by-op FastWord and
+    /// Microcode replay in outputs, planes and `CycleStats`.
+    #[test]
+    fn blocked_division_matches_op_by_op_across_shapes(
+        case in div_case_strategy(),
+        fused in any::<bool>(),
+        strip in prop_oneof![Just(None), (1usize..13).prop_map(Some)],
+    ) {
+        let mut program = div_program(&case);
+        let inputs = case.inputs();
+        if fused {
+            optimizer::optimize(&mut program, OptLevel::Full);
+            let mut core =
+                ApCore::with_backend(program.config(), ExecBackend::FastWord).unwrap();
+            let in_slices: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+            let [mut o0, mut o1, mut o2] = [Vec::new(), Vec::new(), Vec::new()];
+            let mut outs: [&mut Vec<u64>; 3] = [&mut o0, &mut o1, &mut o2];
+            let io = ExecIo::new(&in_slices, &mut outs);
+            program
+                .recost(&mut core, io, &mut ProgramScratch::default(), |_, _| {})
+                .unwrap();
+        }
+        let blocked = planned(&program, strip);
+        let stats = blocked.block_stats().expect("plan recorded");
+        prop_assert!(stats.engaged && stats.regions == 1, "{stats:?} for {case:?}");
+
+        let fast = div_replay(&blocked, ExecBackend::FastWord, &inputs);
+        let op_by_op = div_replay(&program, ExecBackend::FastWord, &inputs);
+        prop_assert_eq!(
+            &fast, &op_by_op,
+            "blocked vs op-by-op FastWord, strip {:?}, fused {}, {:?}", strip, fused, case
+        );
+        let micro = div_replay(&program, ExecBackend::Microcode, &inputs);
+        prop_assert_eq!(
+            &fast, &micro,
+            "blocked FastWord vs Microcode, strip {:?}, fused {}, {:?}", strip, fused, case
+        );
+    }
+}

@@ -2541,8 +2541,9 @@ mod tests {
 
     #[test]
     fn sharded_block_stats_report_engagement_from_the_phase_programs() {
-        // 2048-row shards clear the 512-row admission floor; 64-row
-        // shards stay op-by-op, though their regions are still planned.
+        // Blocking engages at every tile size, 2048-row and 64-row
+        // shards alike; only a mapping with blocking disabled declines,
+        // and its phase programs record no plan at all.
         let long = ApSoftmax::new(PrecisionConfig::paper_best())
             .unwrap()
             .with_blocked(true);
@@ -2553,8 +2554,9 @@ mod tests {
             .with_blocked(true)
             .with_device(DeviceConfig::new(4, 64));
         let stats = tiny.sharded_plan(512).unwrap().block_stats().unwrap();
-        assert!(!stats.engaged, "{stats}");
-        assert!(stats.regions >= 1, "{stats}");
+        assert!(stats.engaged && stats.regions >= 1, "{stats}");
+        let declined = tiny.with_blocked(false);
+        assert_eq!(declined.sharded_plan(512).unwrap().block_stats(), None);
     }
 
     #[test]

@@ -77,10 +77,18 @@ fn main() {
             1,
             "one shape must compile exactly one plan"
         );
-        assert!(
-            state.cached_plan().is_some(),
-            "the tile slot must hold the compiled plan after warm-up"
-        );
+        let plan = state
+            .cached_plan()
+            .expect("the tile slot must hold the compiled plan after warm-up");
+        if backend == ExecBackend::FastWord {
+            // Blocking engages at every tile size, so the window below
+            // covers a small-tile blocked replay.
+            let blocks = plan.block_stats();
+            assert!(
+                blocks.is_some_and(|b| b.engaged && b.regions >= 1),
+                "the 64-score FastWord plan must replay blocked: {blocks:?}"
+            );
+        }
 
         // Steady state: same shapes replayed through the same tile.
         let allocs = count_allocs(|| {
@@ -112,8 +120,8 @@ fn main() {
     }
 
     // Region-blocked strip-mined replay (the FastWord default above
-    // already runs blocked; this section pins it explicitly at the
-    // bandwidth-bound 2048-row shape, checks regions actually formed,
+    // already runs blocked at 64 rows; this section pins it explicitly
+    // at the bandwidth-bound 2048-row shape, checks regions formed,
     // and holds the blocked executor's strip/tally scratch to the same
     // zero-steady-state-allocation contract — the pooled buffers are
     // sized during warm-up and only reused afterwards).

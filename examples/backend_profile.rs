@@ -5,7 +5,9 @@
 //! Run: `cargo run --release --example backend_profile`
 
 use softmap::{ApSoftmax, ApSoftmaxRun, PlanMode, TileState};
-use softmap_ap::{ApConfig, ApTile, DivStyle, ExecBackend, Field, Overflow};
+use softmap_ap::program::optimizer::{self, OptLevel};
+use softmap_ap::program::{ExecIo, ProgramScratch, Recorder};
+use softmap_ap::{ApConfig, ApCore, ApProgram, ApTile, DivStyle, ExecBackend, Field, Overflow};
 use softmap_softmax::{IntSoftmax, PrecisionConfig};
 use std::time::Instant;
 
@@ -17,6 +19,39 @@ fn time<F: FnMut()>(label: &str, reps: u32, mut f: F) -> f64 {
     let per = t.elapsed().as_secs_f64() / f64::from(reps);
     println!("  {label:<28} {:>10.1} us", per * 1e6);
     per
+}
+
+/// The dataflow's division (Fig. 5 step 16) at `rows` rows, as the
+/// optimizer leaves it: 12-bit numerators over a broadcast 22-bit
+/// divisor into 24-bit quotients with 23 fraction bits, one
+/// `FusedDivide`. Returns the program and its input.
+fn divide_program(rows: usize) -> (ApProgram, Vec<u64>) {
+    let nums: Vec<u64> = (0..rows as u64).map(|i| (i * 37 + 11) % 4096).collect();
+    let mut core = ApCore::with_backend(ApConfig::new(rows, 120), ExecBackend::FastWord).unwrap();
+    let (num, den, quot) = (
+        core.alloc_field(12).unwrap(),
+        core.alloc_field(22).unwrap(),
+        core.alloc_field(24).unwrap(),
+    );
+    let inputs: [&[u64]; 1] = [&nums];
+    let mut out = Vec::new();
+    let mut outs: [&mut Vec<u64>; 1] = [&mut out];
+    let mut scratch = ProgramScratch::default();
+    let mut on_step = |_: &'static str, _| {};
+    let io = ExecIo::new(&inputs, &mut outs);
+    let mut rec = Recorder::new(&mut core, io, &mut scratch, &mut on_step, true);
+    rec.load(num, 0).unwrap();
+    rec.broadcast(den, 3_000_017).unwrap();
+    rec.divide(num, den, quot, 23, DivStyle::Restoring).unwrap();
+    rec.read(quot, 0).unwrap();
+    let mut program = rec.finish().unwrap();
+    optimizer::optimize(&mut program, OptLevel::Full);
+    let mut core = ApCore::with_backend(program.config(), ExecBackend::FastWord).unwrap();
+    let io = ExecIo::new(&inputs, &mut outs);
+    program
+        .recost(&mut core, io, &mut scratch, |_, _| {})
+        .unwrap();
+    (program, nums)
 }
 
 fn main() {
@@ -77,6 +112,30 @@ fn main() {
         });
     }
 
+    // The dataflow's division on its own: op-by-op replay runs the
+    // fused divider over the whole arena, blocked replay the strip
+    // executor's lane-grouped kernel.
+    println!("dataflow divide 12/22 -> 24 bits, 23 fraction bits");
+    for div_rows in [64usize, 512, 2048] {
+        let (op_by_op, nums) = divide_program(div_rows);
+        let mut blocked = op_by_op.clone();
+        blocked.plan_blocking(None);
+        let mut core = ApCore::with_backend(op_by_op.config(), ExecBackend::FastWord).unwrap();
+        let mut scratch = ProgramScratch::default();
+        let inputs: [&[u64]; 1] = [&nums];
+        let reps = (64 * 1024 / div_rows) as u32;
+        for (label, program) in [("op-by-op", &op_by_op), ("blocked", &blocked)] {
+            time(&format!("{label} @ {div_rows} rows"), reps, || {
+                readout.clear();
+                let mut outs: [&mut Vec<u64>; 1] = [&mut readout];
+                let io = ExecIo::new(&inputs, &mut outs);
+                program
+                    .replay(&mut core, io, &mut scratch, |_, _| {})
+                    .unwrap();
+            });
+        }
+    }
+
     // Host-side quantizer and code-range check at a long-context length.
     println!("quantizer @ 16384 scores");
     let sm = IntSoftmax::new(PrecisionConfig::paper_best()).unwrap();
@@ -131,36 +190,39 @@ fn main() {
     println!("  passes: {}", plan.pass_report());
 
     // Region-blocked strip-mined execution: the blocked replay above is
-    // the default; compare against the op-by-op escape hatch and print
-    // the plan's blocking summary (host-only optimization — the device
-    // cycle contract is unchanged, so `static cost` above is identical
-    // on both paths).
-    println!("region blocking @ {rows} rows");
+    // the default at every tile size; compare it against the op-by-op
+    // escape hatch and print each plan's blocking summary (host-only
+    // optimization — the device cycle contract is unchanged, so the
+    // static cost is identical on both paths).
     let unblocked = cached.clone().with_blocked(false);
-    unblocked
-        .execute_floats_into(&mut state, &scores, &mut run)
-        .unwrap(); // compiles the op-by-op plan
-    let op_by_op = time("op-by-op replay", 10, || {
+    for tile_rows in [256usize, rows] {
+        println!("region blocking @ {tile_rows} rows");
+        let scores = &scores[..tile_rows * 2];
         unblocked
-            .execute_floats_into(&mut state, &scores, &mut run)
-            .unwrap();
-    });
-    cached
-        .execute_floats_into(&mut state, &scores, &mut run)
-        .unwrap(); // re-warm the blocked plan's tile slot
-    let blocked_t = time("blocked replay", 10, || {
+            .execute_floats_into(&mut state, scores, &mut run)
+            .unwrap(); // compiles the op-by-op plan
+        let op_by_op = time("op-by-op replay", 10, || {
+            unblocked
+                .execute_floats_into(&mut state, scores, &mut run)
+                .unwrap();
+        });
         cached
-            .execute_floats_into(&mut state, &scores, &mut run)
-            .unwrap();
-    });
-    match plan.block_stats() {
-        Some(blocks) => println!("  blocking: {blocks}"),
-        None => println!("  blocking: disabled"),
+            .execute_floats_into(&mut state, scores, &mut run)
+            .unwrap(); // compiles or re-warms the blocked plan
+        let blocked_t = time("blocked replay", 10, || {
+            cached
+                .execute_floats_into(&mut state, scores, &mut run)
+                .unwrap();
+        });
+        match cached.plan(scores.len()).unwrap().block_stats() {
+            Some(blocks) => println!("  blocking: {blocks}"),
+            None => println!("  blocking: disabled"),
+        }
+        println!(
+            "  blocked/op-by-op wall ratio: {:.2}x",
+            blocked_t / op_by_op
+        );
     }
-    println!(
-        "  blocked/op-by-op wall ratio: {:.2}x",
-        blocked_t / op_by_op
-    );
 
     // Sharded residency: replay a 16384-token vector on the default
     // (resident) and re-staged plans, then summarize the plan cache in

@@ -55,7 +55,9 @@
 # serving records (throughput_rps, p50/p99, and the idle series'
 # idle_p50/p90_us_<len>) are recorded but not gated.
 #
-# All gates run in --quick too. Set SOFTMAP_SHARD_GATE=0 /
+# All gates run in --quick too, and every gate runs and prints its
+# verdict even after an earlier one failed; the script then exits 1
+# once, naming the failed gates. Set SOFTMAP_SHARD_GATE=0 /
 # SOFTMAP_OPT_GATE=0 / SOFTMAP_RESIDENT_GATE=0 / SOFTMAP_AUTOTUNE_GATE=0
 # / SOFTMAP_SERVE_GATE=0 / SOFTMAP_BLOCK_GATE=0 to disable individually.
 #
@@ -296,9 +298,13 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"wrote {out_path} ({len(results)} benchmarks)")
 
+# Every gate runs and prints its verdict; a failing gate is recorded
+# here, and the script exits 1 once, after the last gate.
+failures = []
+
 # ---- replay perf gate ----------------------------------------------------
 tol = float(os.environ.get("SOFTMAP_REPLAY_TOL", "1.5"))
-if tol > 0:
+def replay_gate():
     replayed = by_name.get("backend/fastword-replayed/2048")
     reused_now = by_name.get("backend/fastword-reused/2048")
     reused_rec = baseline.get("backend/fastword-reused/2048") or reused_now
@@ -310,7 +316,8 @@ if tol > 0:
               f"recorded baseline = {reused_rec}). "
               "Did a series get renamed without updating the gate?",
               file=sys.stderr)
-        sys.exit(1)
+        failures.append("replay")
+        return
     # Host-invariant threshold: the same-run reused measurement is the
     # primary reference (a slower CI runner slows both series alike);
     # the recorded baseline still gates same-host regressions.
@@ -325,8 +332,12 @@ if tol > 0:
               f"recorded fastword-reused baseline ({reused_rec:.0f} ns). "
               "Compile-once/replay-many must not lose to per-vector issue.",
               file=sys.stderr)
-        sys.exit(1)
+        failures.append("replay")
+        return
     print("replay gate: OK")
+
+if tol > 0:
+    replay_gate()
 
 # ---- shard scaling gate ----------------------------------------------------
 # Host-invariant by construction: both series come from the same run on
@@ -334,14 +345,15 @@ if tol > 0:
 # token count (8192 -> 16384 scores, 2 -> 4 shards on 2048-row tiles)
 # must roughly double the simulation time; a super-linear blow-up means
 # the sharded path lost its zero-allocation / plan-replay properties.
-if os.environ.get("SOFTMAP_SHARD_GATE", "1") != "0":
+def shard_gate():
     if not (shard8k and shard16k):
         print("SHARD GATE FAILED: missing benchmark series "
               f"(fastword-sharded/4096 = {shard8k}, "
               f"fastword-sharded/8192 = {shard16k}). "
               "Did a series get renamed without updating the gate?",
               file=sys.stderr)
-        sys.exit(1)
+        failures.append("shard")
+        return
     ratio = shard16k / shard8k
     lo, hi = 1.2, 4.5
     print(f"shard gate: sharded 16384 / sharded 8192 = {ratio:.2f}x "
@@ -352,8 +364,12 @@ if os.environ.get("SOFTMAP_SHARD_GATE", "1") != "0":
               "series is mislabeled; super-linear means the sharded path "
               "regressed (per-vector allocation or recompilation).",
               file=sys.stderr)
-        sys.exit(1)
+        failures.append("shard")
+        return
     print("shard gate: OK")
+
+if os.environ.get("SOFTMAP_SHARD_GATE", "1") != "0":
+    shard_gate()
 
 # ---- optimizer cycle gate --------------------------------------------------
 # Host-invariant by construction: both numbers are simulated cycle
@@ -361,7 +377,7 @@ if os.environ.get("SOFTMAP_SHARD_GATE", "1") != "0":
 # enforced by crates/eval/tests/static_cost.rs), so host speed never
 # enters. The pass pipeline must cut the default deployment tile
 # (2048 rows) by at least 15%.
-if os.environ.get("SOFTMAP_OPT_GATE", "1") != "0":
+def opt_gate():
     cyc_unopt = by_name.get("cycles/fastword/2048")
     cyc_opt = by_name.get("cycles/fastword-optimized/2048")
     if not (cyc_unopt and cyc_opt):
@@ -370,7 +386,8 @@ if os.environ.get("SOFTMAP_OPT_GATE", "1") != "0":
               f"cycles/fastword-optimized/2048 = {cyc_opt}). "
               "Did backend_compare stop emitting cycle lines?",
               file=sys.stderr)
-        sys.exit(1)
+        failures.append("opt")
+        return
     ratio = cyc_opt / cyc_unopt
     print(f"opt gate: fused {cyc_opt:.0f} vs unoptimized {cyc_unopt:.0f} "
           f"simulated cycles @2048 rows = {ratio:.3f}x (limit 0.85x)")
@@ -380,8 +397,12 @@ if os.environ.get("SOFTMAP_OPT_GATE", "1") != "0":
               "default deployment tile (allowed <= 0.85x). A pass "
               "stopped firing or the fused ops lost their cost model "
               "discount.", file=sys.stderr)
-        sys.exit(1)
+        failures.append("opt")
+        return
     print("opt gate: OK")
+
+if os.environ.get("SOFTMAP_OPT_GATE", "1") != "0":
+    opt_gate()
 
 # ---- residency cycle gate --------------------------------------------------
 # Host-invariant by construction: both numbers are simulated cycle
@@ -389,7 +410,7 @@ if os.environ.get("SOFTMAP_OPT_GATE", "1") != "0":
 # simulated is enforced by crates/eval/tests/static_cost.rs). Keeping
 # shards resident across phases must cut the re-staged seq-16384
 # schedule by at least 10%.
-if os.environ.get("SOFTMAP_RESIDENT_GATE", "1") != "0":
+def resident_gate():
     cyc_res = by_name.get("cycles/fastword-sharded-resident/8192")
     cyc_restaged = by_name.get("cycles/fastword-sharded-optimized/8192")
     if not (cyc_res and cyc_restaged):
@@ -398,7 +419,8 @@ if os.environ.get("SOFTMAP_RESIDENT_GATE", "1") != "0":
               f"cycles/fastword-sharded-optimized/8192 = {cyc_restaged}). "
               "Did backend_compare stop emitting the resident series?",
               file=sys.stderr)
-        sys.exit(1)
+        failures.append("resident")
+        return
     ratio = cyc_res / cyc_restaged
     print(f"resident gate: resident {cyc_res:.0f} vs re-staged "
           f"{cyc_restaged:.0f} simulated cycles @seq 16384 = {ratio:.3f}x "
@@ -410,8 +432,12 @@ if os.environ.get("SOFTMAP_RESIDENT_GATE", "1") != "0":
               f"{cyc_restaged:.0f} cyc; allowed <= 0.90x). Residency "
               "stopped eliding phase-boundary staging or the lockstep "
               "replay lost its zero-charge accounting.", file=sys.stderr)
-        sys.exit(1)
+        failures.append("resident")
+        return
     print("resident gate: OK")
+
+if os.environ.get("SOFTMAP_RESIDENT_GATE", "1") != "0":
+    resident_gate()
 
 # ---- blocked-executor gate -------------------------------------------------
 # Wall-clock, but a SAME-RUN ratio of two series replaying the
@@ -421,7 +447,7 @@ if os.environ.get("SOFTMAP_RESIDENT_GATE", "1") != "0":
 # op-by-op engine's (differential-proptest-enforced), so a simulated-
 # cycle gate would be vacuously 1.0x. The blocked executor must win
 # where it is designed to win — the large-tile (2048-row) point.
-if os.environ.get("SOFTMAP_BLOCK_GATE", "1") != "0":
+def block_gate():
     blk = by_name.get("backend/fastword-blocked/2048")
     opbyop = by_name.get("backend/fastword-optimized/2048")
     if not (blk and opbyop):
@@ -430,7 +456,8 @@ if os.environ.get("SOFTMAP_BLOCK_GATE", "1") != "0":
               f"fastword-optimized/2048 = {opbyop}). "
               "Did backend_compare stop emitting the blocked series?",
               file=sys.stderr)
-        sys.exit(1)
+        failures.append("block")
+        return
     ratio = blk / opbyop
     print(f"block gate: blocked {blk:.0f} ns vs op-by-op {opbyop:.0f} ns "
           f"@2048 rows = {ratio:.3f}x (limit 0.85x)")
@@ -442,8 +469,12 @@ if os.environ.get("SOFTMAP_BLOCK_GATE", "1") != "0":
               "gather/scatter pattern — a region stopped admitting, a "
               "strip kernel lost vectorization, or the strip sizing "
               "regressed.", file=sys.stderr)
-        sys.exit(1)
+        failures.append("block")
+        return
     print("block gate: OK")
+
+if os.environ.get("SOFTMAP_BLOCK_GATE", "1") != "0":
+    block_gate()
 
 # ---- autotune cycle gate ---------------------------------------------------
 # Host-invariant by construction: both numbers are simulated cycle
@@ -451,14 +482,15 @@ if os.environ.get("SOFTMAP_BLOCK_GATE", "1") != "0":
 # enforced by crates/eval/tests/static_cost.rs and the autotuner's own
 # tests). The tuned winner must never be statically worse than the
 # paper-default mapping, at any emitted length.
-if os.environ.get("SOFTMAP_AUTOTUNE_GATE", "1") != "0":
+def autotune_gate():
     tuned_series = {k: v for k, v in by_name.items()
                     if k.startswith("cycles/fastword-autotuned/")}
     if not tuned_series:
         print("AUTOTUNE GATE FAILED: no cycles/fastword-autotuned/* "
               "records found. Did backend_compare stop emitting the "
               "autotuned series?", file=sys.stderr)
-        sys.exit(1)
+        failures.append("autotune")
+        return
     failed = False
     for name, tuned_cyc in sorted(tuned_series.items(),
                                   key=lambda kv: int(kv[0].rsplit("/", 1)[1])):
@@ -467,7 +499,8 @@ if os.environ.get("SOFTMAP_AUTOTUNE_GATE", "1") != "0":
         if not default_cyc:
             print(f"AUTOTUNE GATE FAILED: cycles/fastword-default/{label} "
                   f"is missing for {name}.", file=sys.stderr)
-            sys.exit(1)
+            failures.append("autotune")
+            return
         seq = int(label) * 2
         print(f"autotune gate: seq {seq}: tuned {tuned_cyc:.0f} vs "
               f"default {default_cyc:.0f} simulated cycles "
@@ -481,8 +514,12 @@ if os.environ.get("SOFTMAP_AUTOTUNE_GATE", "1") != "0":
                   file=sys.stderr)
             failed = True
     if failed:
-        sys.exit(1)
+        failures.append("autotune")
+        return
     print("autotune gate: OK")
+
+if os.environ.get("SOFTMAP_AUTOTUNE_GATE", "1") != "0":
+    autotune_gate()
 
 # ---- serving gate ----------------------------------------------------------
 # Host-invariant by construction: every gated quantity is a device-model
@@ -492,7 +529,7 @@ if os.environ.get("SOFTMAP_AUTOTUNE_GATE", "1") != "0":
 # at-a-time device baseline by >= 1.3x, keep the grid >= 40% occupied,
 # and demonstrably batch (at least one wave, at least one coalesced
 # request). Wall-clock serving numbers are recorded, never gated.
-if os.environ.get("SOFTMAP_SERVE_GATE", "1") != "0":
+def serving_gate():
     speedup = by_name.get("serving/device_speedup_x1000")
     occupancy = by_name.get("serving/occupancy_x1000")
     waves = by_name.get("serving/waves_formed")
@@ -504,7 +541,8 @@ if os.environ.get("SOFTMAP_SERVE_GATE", "1") != "0":
               f"coalesced = {coalesced}). "
               "Did serving_load stop emitting, or stop being run?",
               file=sys.stderr)
-        sys.exit(1)
+        failures.append("serving")
+        return
     print(f"serving gate: device speedup {speedup / 1000:.2f}x "
           f"(limit >= 1.30x), occupancy {occupancy / 1000:.3f} "
           f"(limit >= 0.400), {waves:.0f} waves, "
@@ -515,17 +553,27 @@ if os.environ.get("SOFTMAP_SERVE_GATE", "1") != "0":
               "sequential baseline (required >= 1.30x). The admission "
               "scheduler stopped packing concurrent requests onto the "
               "grid.", file=sys.stderr)
-        sys.exit(1)
+        failures.append("serving")
+        return
     if occupancy < 400:
         print("SERVING GATE FAILED: tile occupancy is "
               f"{occupancy / 1000:.3f} (required >= 0.400). The wave "
               "packer is leaving most of the grid idle.", file=sys.stderr)
-        sys.exit(1)
+        failures.append("serving")
+        return
     if waves < 1 or coalesced < 1:
         print("SERVING GATE FAILED: the scheduler formed "
               f"{waves:.0f} waves with {coalesced:.0f} coalesced "
               "requests — continuous batching never coalesced anything.",
               file=sys.stderr)
-        sys.exit(1)
+        failures.append("serving")
+        return
     print("serving gate: OK")
+
+if os.environ.get("SOFTMAP_SERVE_GATE", "1") != "0":
+    serving_gate()
+
+if failures:
+    print(f"{len(failures)} gate(s) failed: {', '.join(failures)}", file=sys.stderr)
+    sys.exit(1)
 PY
