@@ -136,25 +136,29 @@ fn fused_ripple<const SUB: bool>(
 
 /// 64-row blocks the strip divider carries through all of its
 /// iterations together: the lane loops compile to 256-bit vector code
-/// and a group's remainder window stays in L1.
+/// and a group's remainder window and difference scratch stay in L1.
 pub(crate) const LANES: usize = 4;
 
-/// [`fused_ripple`] over one lane group of the strip divider, in place:
-/// the trial `rem -= den` (`SUB`, ungated) or the restoring
-/// `rem += den` gated by the rows that borrowed. `den` is zero-padded
-/// to the remainder width, which is the ripple into the bits above
-/// the source width. Returns the write-cell events and the final
+/// [`fused_ripple`] over one lane group of the strip divider, out of
+/// place: `dst = src - den` (`SUB`, ungated: the trial subtract into
+/// the difference scratch) or `dst = src + (den & gate)` (the restoring
+/// add from the scratch back into the remainder window, gated by the
+/// rows that borrowed; gated-off rows copy `src`). `den` is zero-padded
+/// to the remainder width, which is the ripple into the bits above the
+/// source width. Returns the write-cell events and the final
 /// carry/borrow lanes.
 fn lanes_ripple<const SUB: bool>(
-    rem: &mut [[u64; LANES]],
+    src: &[[u64; LANES]],
+    dst: &mut [[u64; LANES]],
     den: &[[u64; LANES]],
     gate: &[u64; LANES],
 ) -> (u64, [u64; LANES]) {
     let mut ev = [0u64; LANES];
     let mut carry = [0u64; LANES];
-    for (r, a) in rem.iter_mut().zip(den) {
+    for ((s, d), a) in src.iter().zip(dst.iter_mut()).zip(den) {
         for l in 0..LANES {
-            fused_step!(SUB, a[l] & gate[l], &mut r[l], &mut carry[l], ev[l]);
+            d[l] = s[l];
+            fused_step!(SUB, a[l] & gate[l], &mut d[l], &mut carry[l], ev[l]);
         }
     }
     (ev.iter().sum(), carry)
@@ -1019,9 +1023,14 @@ impl ApCore {
     /// as a window over the planes `[0; frac_bits] ++ num ++ [0; rem_w]`:
     /// iteration `k` works on planes `k..k + rem_w`, so `rem <<= 1` and
     /// the incoming dividend bit are the window moving down one plane.
-    /// Each iteration is two in-place [`lanes_ripple`] sweeps over the
-    /// window: the trial subtract, then the restoring add gated by the
-    /// rows that borrowed.
+    /// Each iteration's trial subtract is an out-of-place
+    /// [`lanes_ripple`] sweep from the window into a difference scratch
+    /// (the same pooled buffer), so the window still holds the
+    /// pre-subtraction remainder. When the borrow lanes cover every
+    /// valid row of the group, the iteration ends there: the window is
+    /// already the restored remainder and the tally takes
+    /// `ev_add = ev_sub`. Otherwise the restoring add, gated by the rows
+    /// that borrowed, sweeps from the scratch back into the window.
     ///
     /// Exactness: both sweeps are [`fused_ripple`]'s algebra per 64-row
     /// block (the gated add's events are the op-by-op divider's
@@ -1033,7 +1042,19 @@ impl ApCore {
     /// quotient by the tail mask of the arena's final block (global
     /// index `s0 + g0 + l`). A group without a borrow adds zero
     /// `ev_add`, so the charge walk's restore decision on the summed
-    /// `n_borrow` is the op-by-op one.
+    /// `n_borrow` is the op-by-op one. The skipped restore's
+    /// `ev_add = ev_sub` is exact:
+    /// - on a row that borrowed, the add's carry into each bit equals
+    ///   the subtract's borrow into it, both being `pre ^ post ^ den`
+    ///   at that bit;
+    /// - so the add writes exactly the cells the subtract wrote (the
+    ///   accumulator cell `a ^ c` and the carry-column extra) and
+    ///   returns the row to `pre`;
+    /// - a gated-off row writes nothing;
+    /// - padding lanes and rows past the row count hold a zero
+    ///   numerator and divisor, so they never borrow and write nothing.
+    ///   "Valid" is therefore the tail mask at the global block index
+    ///   for real lanes and zero for padding lanes.
     ///
     /// The quotient and the carry/flag latches land in the strip image
     /// (they are in the region's scatter list); the remainder scratch
@@ -1060,10 +1081,11 @@ impl ApCore {
         let (rem_w, bits) = (dw + 1, nw + frac_bits);
         let (cc, fc) = (self.carry_col(), self.flag_col());
         lanes.clear();
-        lanes.resize(bits + 2 * rem_w, [0; LANES]);
+        lanes.resize(bits + 3 * rem_w, [0; LANES]);
         // `vd` carries a zero plane at `dw`: the borrow ripple into the
         // remainder's top bit is the `a = 0` step of the same sweep.
-        let (win, vd) = lanes.split_at_mut(bits + rem_w);
+        let (win, rest) = lanes.split_at_mut(bits + rem_w);
+        let (vd, diff) = rest.split_at_mut(rem_w);
         for g0 in (0..sb).step_by(LANES) {
             let n = LANES.min(sb - g0);
             let at = |c: usize| c * sb + g0..c * sb + g0 + n;
@@ -1077,22 +1099,32 @@ impl ApCore {
                 *w = [0; LANES];
                 w[..n].copy_from_slice(&sbuf[at(den.col(i))]);
             }
-            let tail: [u64; LANES] = std::array::from_fn(|l| tail_mask(rows, s0 + g0 + l, bl));
+            let valid: [u64; LANES] = std::array::from_fn(|l| {
+                if l < n {
+                    tail_mask(rows, s0 + g0 + l, bl)
+                } else {
+                    0
+                }
+            });
             let mut sat = [0u64; LANES];
             let mut bor = [0u64; LANES];
             for (it, k) in (0..bits).rev().enumerate() {
                 let rem = &mut win[k..k + rem_w];
                 let ev_sub;
-                (ev_sub, bor) = lanes_ripple::<true>(rem, vd, &[u64::MAX; LANES]);
+                (ev_sub, bor) = lanes_ripple::<true>(rem, diff, vd, &[u64::MAX; LANES]);
                 tally[3 * it] += ev_sub;
                 tally[3 * it + 1] += bor.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-                tally[3 * it + 2] += lanes_ripple::<false>(rem, vd, &bor).0;
+                tally[3 * it + 2] += if (0..LANES).all(|l| valid[l] & !bor[l] == 0) {
+                    ev_sub
+                } else {
+                    lanes_ripple::<false>(diff, rem, vd, &bor).0
+                };
                 // Quotient bit of the no-borrow rows; iterations above
                 // the quotient field saturate every bit of those rows,
                 // and all of them precede the first in-field bit.
                 if k < qw {
                     for (l, q) in sbuf[at(quot.col(k))].iter_mut().enumerate() {
-                        *q = (sat[l] | !bor[l]) & tail[l];
+                        *q = (sat[l] | !bor[l]) & valid[l];
                     }
                 } else {
                     for l in 0..LANES {

@@ -232,8 +232,12 @@ impl CamArray {
     /// The width check is one OR over all words (every word fits the
     /// field exactly when their OR does); only when it fails is the
     /// first offending word sought, for the error. Each 64-row
-    /// block of words then becomes `width` plane words through one
-    /// 64×64 bit transpose.
+    /// block of words then becomes `width` plane words through a 64×64
+    /// bit transpose, shared among blocks: every block takes a lane of
+    /// 8, 16, 32 or 64 bits (the smallest that holds the field), its
+    /// row words shifted into the lane, so one transpose serves
+    /// `64 / lane` blocks and block `k`'s planes come out at rows
+    /// `k · lane ..` of the buffer.
     ///
     /// # Errors
     ///
@@ -266,27 +270,34 @@ impl CamArray {
             // Nothing to drive: the controller issues no cycles.
             return Ok(());
         }
-        // Word-parallel store: transpose each 64-row block of input
-        // words into plane words. Rows beyond the supplied words keep
-        // their contents (the valid-mask blend); each bit column is
-        // charged as one write cycle driving exactly `words.len()`
+        // Word-parallel store: transpose each group of 64-row blocks of
+        // input words into plane words. Rows beyond the supplied words
+        // keep their contents (the valid-mask blend); each bit column
+        // is charged as one write cycle driving exactly `words.len()`
         // rows.
         let w = field.width();
+        let lane = w.next_power_of_two().clamp(8, 64);
+        let blocks = words.len().div_ceil(64);
         let mut buf = [0u64; 64];
-        for blk in 0..words.len().div_ceil(64) {
-            let base = blk * 64;
-            let in_block = (words.len() - base).min(64);
-            buf[..in_block].copy_from_slice(&words[base..base + in_block]);
-            buf[in_block..].fill(0);
+        for g0 in (0..blocks).step_by(64 / lane) {
+            let group = (64 / lane).min(blocks - g0);
+            buf.fill(0);
+            for k in 0..group {
+                let base = (g0 + k) * 64;
+                let in_block = (words.len() - base).min(64);
+                for (slot, &word) in buf.iter_mut().zip(&words[base..base + in_block]) {
+                    *slot |= word << (k * lane);
+                }
+            }
             transpose64(&mut buf);
-            let valid = if in_block == 64 {
-                u64::MAX
-            } else {
-                (1u64 << in_block) - 1
-            };
-            for (bit, &bv) in buf.iter().enumerate().take(w) {
-                let pw = &mut self.arena[field.col(bit) * self.blocks + blk];
-                *pw = (*pw & !valid) | (bv & valid);
+            for k in 0..group {
+                let in_block = (words.len() - (g0 + k) * 64).min(64);
+                let valid = u64::MAX >> (64 - in_block);
+                let planes = buf[k * lane..(k + 1) * lane].iter().take(w);
+                for (bit, &bv) in planes.enumerate() {
+                    let pw = &mut self.arena[field.col(bit) * self.blocks + g0 + k];
+                    *pw = (*pw & !valid) | (bv & valid);
+                }
             }
         }
         for _ in 0..w {
@@ -345,8 +356,12 @@ impl CamArray {
     /// Appends `field`'s words (one per row) to `out` without
     /// allocating beyond `out`'s capacity — the pooled-tile read-out
     /// path. Each 64-row block's `width` plane words become its row
-    /// words through one 64×64 bit transpose (the inverse of
-    /// [`CamArray::load_field`]'s).
+    /// words through a 64×64 bit transpose, the inverse of
+    /// [`CamArray::load_field`]'s: block `k` of a group places its
+    /// planes at rows `k · lane ..` of the buffer (lanes of 8, 16, 32 or
+    /// 64 bits, the smallest that holds the field), so one transpose
+    /// serves `64 / lane` blocks, and each row word is shifted and
+    /// masked out of its block's lane.
     ///
     /// # Panics
     ///
@@ -361,16 +376,26 @@ impl CamArray {
         out.resize(base_len + self.rows, 0);
         let dst = &mut out[base_len..];
         let w = field.width();
+        let lane = w.next_power_of_two().clamp(8, 64);
+        let mask = u64::MAX >> (64 - lane);
         let mut buf = [0u64; 64];
-        for blk in 0..self.blocks {
+        for g0 in (0..self.blocks).step_by(64 / lane) {
+            let group = (64 / lane).min(self.blocks - g0);
             buf.fill(0);
-            for (bit, slot) in buf.iter_mut().enumerate().take(w) {
-                *slot = self.arena[field.col(bit) * self.blocks + blk];
+            for k in 0..group {
+                let planes = buf[k * lane..(k + 1) * lane].iter_mut().take(w);
+                for (bit, slot) in planes.enumerate() {
+                    *slot = self.arena[field.col(bit) * self.blocks + g0 + k];
+                }
             }
             transpose64(&mut buf);
-            let base = blk * 64;
-            let in_block = (self.rows - base).min(64);
-            dst[base..base + in_block].copy_from_slice(&buf[..in_block]);
+            for k in 0..group {
+                let base = (g0 + k) * 64;
+                let in_block = (self.rows - base).min(64);
+                for (d, &s) in dst[base..base + in_block].iter_mut().zip(&buf) {
+                    *d = (s >> (k * lane)) & mask;
+                }
+            }
         }
     }
 

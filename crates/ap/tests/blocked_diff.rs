@@ -682,3 +682,82 @@ proptest! {
         );
     }
 }
+
+/// A one-channel division with numerator `num(row)` and one broadcast
+/// 16-bit divisor (`raw[2100]`'s top byte makes [`DivCase::divisor`]
+/// keep all 16 bits).
+fn broadcast_case(
+    rows: usize,
+    nw: usize,
+    frac: usize,
+    divisor: u64,
+    num: fn(usize) -> u64,
+) -> DivCase {
+    let dw = 16;
+    let mut raw: Vec<u64> = (0..2800)
+        .map(|r| if r < rows { num(r) } else { 0 })
+        .collect();
+    raw[2100] = ((dw as u64 - 1) << 56) | divisor;
+    DivCase {
+        rows,
+        nw,
+        dw,
+        qw: 12,
+        frac,
+        channels: 1,
+        uniform: true,
+        raw,
+    }
+}
+
+/// Blocked FastWord replay of `case` at each strip against op-by-op
+/// FastWord and Microcode: outputs, planes and `CycleStats`.
+fn assert_division_exact(case: &DivCase, strips: &[Option<usize>], label: &str) {
+    let program = div_program(case);
+    let inputs = case.inputs();
+    let op_by_op = div_replay(&program, ExecBackend::FastWord, &inputs);
+    assert_eq!(
+        op_by_op,
+        div_replay(&program, ExecBackend::Microcode, &inputs),
+        "{label}: op-by-op FastWord vs Microcode"
+    );
+    for &strip in strips {
+        let blocked = planned(&program, strip);
+        assert!(
+            blocked.block_stats().expect("plan recorded").engaged,
+            "{label}"
+        );
+        assert_eq!(
+            div_replay(&blocked, ExecBackend::FastWord, &inputs),
+            op_by_op,
+            "{label}: blocked vs op-by-op, strip {strip:?}"
+        );
+    }
+}
+
+/// The strip divider skips a lane group's restoring add when every
+/// valid row of the group borrowed. A divisor above every numerator
+/// makes most iterations skip; a single row that does not borrow,
+/// among rows that always do, must stop the skip for its group
+/// wherever it sits: lane 3 of a full group, the last block of a
+/// partial group, and the last strip of a multi-strip run.
+#[test]
+fn division_restore_skip_is_exact() {
+    let spread = broadcast_case(300, 10, 8, 50_000, |r| (r as u64 * 37 + 11) % 1024);
+    assert_division_exact(
+        &spread,
+        &[None, Some(1), Some(3)],
+        "divisor above every numerator",
+    );
+    // Row 197 is in block 3: lane 3 of the first group.
+    let lane3 = broadcast_case(512, 8, 2, 3, |r| if r == 197 { 255 } else { 0 });
+    assert_division_exact(&lane3, &[None, Some(4)], "lane 3 of a full group");
+    // 394 rows are 7 blocks; row 391 is in block 6, the third and
+    // last block of the partial second group.
+    let partial = broadcast_case(394, 8, 2, 3, |r| if r == 391 { 255 } else { 0 });
+    assert_division_exact(&partial, &[None], "last block of a partial group");
+    // 700 rows are 11 blocks; 3-block strips leave blocks 9 and 10 to
+    // the last strip, and row 690 is in block 10.
+    let strip = broadcast_case(700, 8, 2, 3, |r| if r == 690 { 255 } else { 0 });
+    assert_division_exact(&strip, &[Some(3)], "last strip of a multi-strip run");
+}

@@ -232,6 +232,39 @@ proptest! {
         }
     }
 
+    /// `load_field` and `read_field_append` share one transpose among
+    /// the 64-row blocks of a narrow field (lanes of 8, 16, 32 or 64
+    /// bits). At every width 1–64, a prefix of the rows is loaded over
+    /// a pre-filled field, so the valid-mask blend runs across the
+    /// blocks that share a transpose; the read-back must equal the
+    /// input words and the planes, cell by cell.
+    #[test]
+    fn packed_transposes_match_cells_at_every_width(
+        rows in 1usize..701,
+        prefix in any::<u64>(),
+        raw in prop::collection::vec(any::<u64>(), 1400..1401),
+    ) {
+        let n = (prefix % (rows as u64 + 1)) as usize;
+        for width in 1..=64 {
+            let mask = u64::MAX >> (64 - width);
+            let fill: Vec<u64> = raw[..rows].iter().map(|&w| w & mask).collect();
+            let words: Vec<u64> = raw[700..700 + n].iter().map(|&w| w & mask).collect();
+            let mut ap = core(rows, width + 2);
+            let f = ap.alloc_field(width).unwrap();
+            ap.load(f, &fill).unwrap();
+            ap.load(f, &words).unwrap();
+            let out = ap.read(f);
+            let expect: Vec<u64> = words.iter().chain(&fill[n..]).copied().collect();
+            prop_assert_eq!(&out, &expect, "width {}, {} of {} rows loaded", width, n, rows);
+            for (r, &word) in out.iter().enumerate() {
+                let cells = (0..width).fold(0u64, |acc, b| {
+                    acc | (ap.cam().plane(f.col(b))[r / 64] >> (r % 64) & 1) << b
+                });
+                prop_assert_eq!(word, cells, "width {}, row {} of {}", width, r, rows);
+            }
+        }
+    }
+
     #[test]
     fn arena_io_handles_rows_not_divisible_by_64(
         rows_minus_one in 0usize..200,

@@ -11,29 +11,57 @@ use softmap_ap::{ApConfig, ApCore, ApProgram, ApTile, DivStyle, ExecBackend, Fie
 use softmap_softmax::{IntSoftmax, PrecisionConfig};
 use std::time::Instant;
 
+/// Timed samples per profile row, after one warm-up sample.
+const SAMPLES: usize = 9;
+
+/// Times `f` as [`SAMPLES`] samples of `reps` calls each, after one
+/// warm-up sample, and prints the per-call median and quartiles.
+/// Returns the median.
 fn time<F: FnMut()>(label: &str, reps: u32, mut f: F) -> f64 {
-    let t = Instant::now();
-    for _ in 0..reps {
-        f();
+    let mut per = [0f64; SAMPLES + 1];
+    for p in &mut per {
+        let t = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        *p = t.elapsed().as_secs_f64() / f64::from(reps);
     }
-    let per = t.elapsed().as_secs_f64() / f64::from(reps);
-    println!("  {label:<28} {:>10.1} us", per * 1e6);
-    per
+    let s = &mut per[1..];
+    s.sort_by(f64::total_cmp);
+    let [q1, median, q3] = [SAMPLES / 4, SAMPLES / 2, 3 * SAMPLES / 4].map(|i| s[i] * 1e6);
+    println!("  {label:<28} {median:>10.2} us  (q1 {q1:.2}, q3 {q3:.2})");
+    s[SAMPLES / 2]
 }
 
-/// The dataflow's division (Fig. 5 step 16) at `rows` rows, as the
-/// optimizer leaves it: 12-bit numerators over a broadcast 22-bit
-/// divisor into 24-bit quotients with 23 fraction bits, one
-/// `FusedDivide`. Returns the program and its input.
-fn divide_program(rows: usize) -> (ApProgram, Vec<u64>) {
-    let nums: Vec<u64> = (0..rows as u64).map(|i| (i * 37 + 11) % 4096).collect();
+/// A peaked attention-logit row: a pseudo-random spread of six units
+/// below a peak every 509 scores, so after max subtraction about a
+/// third of the row falls under the quantizer clip at -7.
+fn peaked_row(len: usize) -> Vec<f64> {
+    (0..len as u64)
+        .map(|i| {
+            let u = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
+            if i % 509 == 7 {
+                9.0
+            } else {
+                6.0 * u
+            }
+        })
+        .collect()
+}
+
+/// The dataflow's division (Fig. 5 step 16) of `nums` by one broadcast
+/// `divisor`, as the optimizer leaves it: 12-bit numerators over a
+/// 22-bit divisor into 24-bit quotients with 23 fraction bits, one
+/// `FusedDivide`, one row per numerator.
+fn divide_program(nums: &[u64], divisor: u64) -> ApProgram {
+    let rows = nums.len();
     let mut core = ApCore::with_backend(ApConfig::new(rows, 120), ExecBackend::FastWord).unwrap();
     let (num, den, quot) = (
         core.alloc_field(12).unwrap(),
         core.alloc_field(22).unwrap(),
         core.alloc_field(24).unwrap(),
     );
-    let inputs: [&[u64]; 1] = [&nums];
+    let inputs: [&[u64]; 1] = [nums];
     let mut out = Vec::new();
     let mut outs: [&mut Vec<u64>; 1] = [&mut out];
     let mut scratch = ProgramScratch::default();
@@ -41,7 +69,7 @@ fn divide_program(rows: usize) -> (ApProgram, Vec<u64>) {
     let io = ExecIo::new(&inputs, &mut outs);
     let mut rec = Recorder::new(&mut core, io, &mut scratch, &mut on_step, true);
     rec.load(num, 0).unwrap();
-    rec.broadcast(den, 3_000_017).unwrap();
+    rec.broadcast(den, divisor).unwrap();
     rec.divide(num, den, quot, 23, DivStyle::Restoring).unwrap();
     rec.read(quot, 0).unwrap();
     let mut program = rec.finish().unwrap();
@@ -51,7 +79,7 @@ fn divide_program(rows: usize) -> (ApProgram, Vec<u64>) {
     program
         .recost(&mut core, io, &mut scratch, |_, _| {})
         .unwrap();
-    (program, nums)
+    program
 }
 
 fn main() {
@@ -112,27 +140,68 @@ fn main() {
         });
     }
 
+    // Host I/O at the dataflow's 6-, 12- and 24-bit field widths (the
+    // last two are `v_approx` and the result codes): the packed
+    // transposes share one transpose among 8, 4 and 2 blocks.
+    println!("host I/O at the dataflow's field widths");
+    for io_rows in [64usize, 512, 2048] {
+        let ap = tile
+            .acquire(ApConfig::new(io_rows, 48), ExecBackend::FastWord)
+            .unwrap();
+        let reps = (64 * 1024 / io_rows) as u32;
+        for width in [6usize, 12, 24] {
+            let f = ap.alloc_field(width).unwrap();
+            let words: Vec<u64> = (0..io_rows as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & f.max_value())
+                .collect();
+            time(&format!("load {width}b @ {io_rows} rows"), reps, || {
+                ap.load(f, &words).unwrap();
+            });
+            time(&format!("read {width}b @ {io_rows} rows"), reps, || {
+                readout.clear();
+                ap.read_append(f, &mut readout);
+            });
+        }
+    }
+
     // The dataflow's division on its own: op-by-op replay runs the
     // fused divider over the whole arena, blocked replay the strip
-    // executor's lane-grouped kernel.
+    // executor's lane-grouped kernel. Two inputs: a synthetic ramp
+    // over a large divisor, under which about 60% of lane-group
+    // iterations borrow in every row and skip the restoring add, and
+    // the `v_approx` codes and sum of a real run on a peaked row, under
+    // which 46-56% do.
     println!("dataflow divide 12/22 -> 24 bits, 23 fraction bits");
+    let mut state = TileState::new();
+    let mut run = ApSoftmaxRun::default();
+    let fast = ApSoftmax::new(PrecisionConfig::paper_best())
+        .unwrap()
+        .with_backend(ExecBackend::FastWord);
     for div_rows in [64usize, 512, 2048] {
-        let (op_by_op, nums) = divide_program(div_rows);
-        let mut blocked = op_by_op.clone();
-        blocked.plan_blocking(None);
-        let mut core = ApCore::with_backend(op_by_op.config(), ExecBackend::FastWord).unwrap();
-        let mut scratch = ProgramScratch::default();
-        let inputs: [&[u64]; 1] = [&nums];
-        let reps = (64 * 1024 / div_rows) as u32;
-        for (label, program) in [("op-by-op", &op_by_op), ("blocked", &blocked)] {
-            time(&format!("{label} @ {div_rows} rows"), reps, || {
-                readout.clear();
-                let mut outs: [&mut Vec<u64>; 1] = [&mut readout];
-                let io = ExecIo::new(&inputs, &mut outs);
-                program
-                    .replay(&mut core, io, &mut scratch, |_, _| {})
-                    .unwrap();
-            });
+        fast.execute_floats_into(&mut state, &peaked_row(div_rows), &mut run)
+            .unwrap();
+        let ramp: Vec<u64> = (0..div_rows as u64).map(|i| (i * 37 + 11) % 4096).collect();
+        for (input, nums, divisor) in [
+            ("ramp", &ramp, 3_000_017),
+            ("peaked", &run.vapprox, run.sum),
+        ] {
+            let op_by_op = divide_program(nums, divisor);
+            let mut blocked = op_by_op.clone();
+            blocked.plan_blocking(None);
+            let mut core = ApCore::with_backend(op_by_op.config(), ExecBackend::FastWord).unwrap();
+            let mut scratch = ProgramScratch::default();
+            let inputs: [&[u64]; 1] = [nums];
+            let reps = (64 * 1024 / div_rows) as u32;
+            for (label, program) in [("op-by-op", &op_by_op), ("blocked", &blocked)] {
+                time(&format!("{label} {input} @ {div_rows} rows"), reps, || {
+                    readout.clear();
+                    let mut outs: [&mut Vec<u64>; 1] = [&mut readout];
+                    let io = ExecIo::new(&inputs, &mut outs);
+                    program
+                        .replay(&mut core, io, &mut scratch, |_, _| {})
+                        .unwrap();
+                });
+            }
         }
     }
 
@@ -162,8 +231,6 @@ fn main() {
         .unwrap()
         .with_autotune(false)
         .with_backend(ExecBackend::FastWord);
-    let mut state = TileState::new();
-    let mut run = ApSoftmaxRun::default();
     direct
         .execute_floats_into(&mut state, &scores, &mut run)
         .unwrap();
