@@ -164,6 +164,25 @@ fn lanes_ripple<const SUB: bool>(
     (ev.iter().sum(), carry)
 }
 
+/// One plane's words of a lane group (`src`, at most [`LANES`] words),
+/// zero-padded.
+fn lanes_of(src: &[u64]) -> [u64; LANES] {
+    std::array::from_fn(|l| src.get(l).copied().unwrap_or(0))
+}
+
+/// Stores the first `dst.len()` lanes of `w`.
+fn store_lanes(dst: &mut [u64], w: &[u64; LANES]) {
+    match <&mut [u64; LANES]>::try_from(&mut *dst) {
+        Ok(full) => *full = *w,
+        Err(_) => dst.copy_from_slice(&w[..dst.len()]),
+    }
+}
+
+/// Set bits over a lane group's rows.
+fn popcount(lanes: &[u64; LANES]) -> u64 {
+    lanes.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
 impl ApCore {
     /// 64-row block count.
     fn fw_blocks(&self) -> usize {
@@ -1056,6 +1075,51 @@ impl ApCore {
     ///   "Valid" is therefore the tail mask at the global block index
     ///   for real lanes and zero for padding lanes.
     ///
+    /// Only the remainder's live planes are swept. Each iteration
+    /// bounds the remainder's height `r`: it starts at zero, becomes 1
+    /// when the incoming window plane has a bit set, then grows by at
+    /// most one plane per iteration (`rem <<= 1`), and the restoring
+    /// invariant `rem < den` caps what an iteration leaves at the
+    /// height `den_h` of the OR of the group's divisor planes. Both
+    /// sweeps run over planes `0..h` with `h = max(r, floor)`, where
+    /// from plane `floor` up every divisor plane is either clear or set
+    /// in every valid row (`floor` is 0 for a broadcast divisor). On
+    /// planes `h..rem_w` the remainder is zero and the divisor bit is
+    /// the same in every valid row, so each row's cell events there
+    /// follow from its borrow `c` into plane `h` alone. Per plane,
+    /// [`fused_ripple`]'s subtract with remainder bit 0 writes:
+    /// - on a clear divisor plane, one cell (`a ^ c = c`) and passes
+    ///   the borrow on;
+    /// - on a set divisor plane, two cells when `c = 0` (`a ^ c` and
+    ///   the carry-column extra) and none when `c = 1`, and borrows
+    ///   either way.
+    ///
+    /// So a `c = 1` row writes one cell per clear divisor plane in
+    /// `h..rem_w` and borrows out; a `c = 0` row writes nothing up to
+    /// the first set plane `f`, two cells there and one per clear plane
+    /// above it, and borrows out, or writes nothing and does not borrow
+    /// when no plane in `h..rem_w` is set. A per-group table in the
+    /// pooled buffer, built from the top plane down to `floor`, holds
+    /// both counts for a row entering plane `p` as `tab[p] = [zeros,
+    /// head, ..]`: `zeros`, the clear divisor planes in `p..rem_w`, and
+    /// `head`, the `c = 0` row's `2 + zeros[f + 1]` (0 when no plane in
+    /// `p..rem_w` is set). With
+    /// `pc` borrowing rows at `h` among `pv` valid rows, the trial
+    /// subtract writes its sweep's events plus
+    /// `pc · zeros + (pv - pc) · head`.
+    /// - With a set plane at or above `h` every valid row borrows, so
+    ///   the restore is skipped as above.
+    /// - Without one, the borrow is `c` and the difference above `h` is
+    ///   all ones in the borrowing rows and zero elsewhere. The gated
+    ///   restoring add then carries 1 into plane `h` in exactly the
+    ///   borrowing rows (the subtract's borrow into it) and writes one
+    ///   cell per plane above it there, returning the remainder's zero
+    ///   bits, so its events are its sweep's plus `pc · (rem_w - h)`.
+    ///
+    /// The window planes above `h` are zero before and after the
+    /// iteration and are never written. At `h = rem_w`, `tab[h]` is zero
+    /// and this is the full sweep.
+    ///
     /// The quotient and the carry/flag latches land in the strip image
     /// (they are in the region's scatter list); the remainder scratch
     /// is allocated at run time, so it writes through to the arena — or
@@ -1081,23 +1145,22 @@ impl ApCore {
         let (rem_w, bits) = (dw + 1, nw + frac_bits);
         let (cc, fc) = (self.carry_col(), self.flag_col());
         lanes.clear();
-        lanes.resize(bits + 3 * rem_w, [0; LANES]);
+        lanes.resize(bits + 4 * rem_w + 1, [0; LANES]);
         // `vd` carries a zero plane at `dw`: the borrow ripple into the
         // remainder's top bit is the `a = 0` step of the same sweep.
         let (win, rest) = lanes.split_at_mut(bits + rem_w);
-        let (vd, diff) = rest.split_at_mut(rem_w);
+        let (vd, rest) = rest.split_at_mut(rem_w);
+        let (diff, tab) = rest.split_at_mut(rem_w);
         for g0 in (0..sb).step_by(LANES) {
             let n = LANES.min(sb - g0);
             let at = |c: usize| c * sb + g0..c * sb + g0 + n;
             win[..frac_bits].fill([0; LANES]);
             win[bits..].fill([0; LANES]);
             for (i, w) in win[frac_bits..bits].iter_mut().enumerate() {
-                *w = [0; LANES];
-                w[..n].copy_from_slice(&sbuf[at(num.col(i))]);
+                *w = lanes_of(&sbuf[at(num.col(i))]);
             }
             for (i, w) in vd[..dw].iter_mut().enumerate() {
-                *w = [0; LANES];
-                w[..n].copy_from_slice(&sbuf[at(den.col(i))]);
+                *w = lanes_of(&sbuf[at(den.col(i))]);
             }
             let valid: [u64; LANES] = std::array::from_fn(|l| {
                 if l < n {
@@ -1106,18 +1169,47 @@ impl ApCore {
                     0
                 }
             });
+            let pv = popcount(&valid);
+            let den_h = vd
+                .iter()
+                .rposition(|p| *p != [0; LANES])
+                .map_or(0, |p| p + 1);
+            let mut floor = rem_w;
+            tab[rem_w] = [0; LANES];
+            while floor > 0 && (vd[floor - 1] == [0; LANES] || vd[floor - 1] == valid) {
+                floor -= 1;
+                let mut e = tab[floor + 1];
+                if vd[floor] == [0; LANES] {
+                    e[0] += 1;
+                } else {
+                    e[1] = 2 + e[0];
+                }
+                tab[floor] = e;
+            }
             let mut sat = [0u64; LANES];
             let mut bor = [0u64; LANES];
-            for (it, k) in (0..bits).rev().enumerate() {
-                let rem = &mut win[k..k + rem_w];
-                let ev_sub;
-                (ev_sub, bor) = lanes_ripple::<true>(rem, diff, vd, &[u64::MAX; LANES]);
-                tally[3 * it] += ev_sub;
-                tally[3 * it + 1] += bor.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-                tally[3 * it + 2] += if (0..LANES).all(|l| valid[l] & !bor[l] == 0) {
+            let mut live = 0usize;
+            for (t, k) in tally.chunks_exact_mut(3).zip((0..bits).rev()) {
+                let r = if live == 0 {
+                    usize::from(win[k] != [0; LANES])
+                } else {
+                    (live + 1).min(rem_w)
+                };
+                live = r.min(den_h);
+                let h = r.max(floor);
+                let rem = &mut win[k..k + h];
+                let (sweep, c) =
+                    lanes_ripple::<true>(rem, &mut diff[..h], &vd[..h], &[u64::MAX; LANES]);
+                let pc = popcount(&c);
+                let [zeros, head, ..] = tab[h];
+                let ev_sub = sweep + pc * zeros + (pv - pc) * head;
+                bor = if head > 0 { valid } else { c };
+                t[0] += ev_sub;
+                t[1] += popcount(&bor);
+                t[2] += if (0..LANES).all(|l| valid[l] & !bor[l] == 0) {
                     ev_sub
                 } else {
-                    lanes_ripple::<false>(diff, rem, vd, &bor).0
+                    lanes_ripple::<false>(&diff[..h], rem, &vd[..h], &bor).0 + pc * zeros
                 };
                 // Quotient bit of the no-borrow rows; iterations above
                 // the quotient field saturate every bit of those rows,
@@ -1138,14 +1230,16 @@ impl ApCore {
             for (i, w) in win[..rem_w].iter().enumerate() {
                 let c = rem.col(i);
                 if rem_direct {
-                    sbuf[at(c)].copy_from_slice(&w[..n]);
+                    store_lanes(&mut sbuf[at(c)], w);
                 } else {
-                    self.cam_mut().plane_words_mut(c)[s0 + g0..s0 + g0 + n]
-                        .copy_from_slice(&w[..n]);
+                    store_lanes(
+                        &mut self.cam_mut().plane_words_mut(c)[s0 + g0..s0 + g0 + n],
+                        w,
+                    );
                 }
             }
-            sbuf[at(cc)].copy_from_slice(&bor[..n]);
-            sbuf[at(fc)].copy_from_slice(&bor[..n]);
+            store_lanes(&mut sbuf[at(cc)], &bor);
+            store_lanes(&mut sbuf[at(fc)], &bor);
         }
     }
 

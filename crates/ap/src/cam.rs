@@ -281,8 +281,13 @@ impl CamArray {
         let mut buf = [0u64; 64];
         for g0 in (0..blocks).step_by(64 / lane) {
             let group = (64 / lane).min(blocks - g0);
-            buf.fill(0);
-            for k in 0..group {
+            // The group's first block is copied in and the rest of the
+            // buffer cleared; later blocks (never longer) OR into it.
+            let base = g0 * 64;
+            let in_block = (words.len() - base).min(64);
+            buf[..in_block].copy_from_slice(&words[base..base + in_block]);
+            buf[in_block..].fill(0);
+            for k in 1..group {
                 let base = (g0 + k) * 64;
                 let in_block = (words.len() - base).min(64);
                 for (slot, &word) in buf.iter_mut().zip(&words[base..base + in_block]) {

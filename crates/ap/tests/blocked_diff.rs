@@ -761,3 +761,164 @@ fn division_restore_skip_is_exact() {
     let strip = broadcast_case(700, 8, 2, 3, |r| if r == 690 { 255 } else { 0 });
     assert_division_exact(&strip, &[Some(3)], "last strip of a multi-strip run");
 }
+
+/// A one-channel division of `num(row)` by a `dw`-bit divisor
+/// `den(row)`, loaded per row, or broadcast from row 0's when
+/// `uniform`.
+fn row_case(
+    rows: usize,
+    (nw, dw, frac): (usize, usize, usize),
+    uniform: bool,
+    num: impl Fn(usize) -> u64,
+    den: impl Fn(usize) -> u64,
+) -> DivCase {
+    let mut raw = vec![0u64; 2800];
+    for r in 0..rows {
+        raw[r] = num(r);
+        // A top byte of `dw - 1` makes [`DivCase::divisor`] keep all
+        // `dw` bits.
+        raw[2100 + r] = ((dw as u64 - 1) << 56) | den(r);
+    }
+    DivCase {
+        rows,
+        nw,
+        dw,
+        qw: 16,
+        frac,
+        channels: 1,
+        uniform,
+        raw,
+    }
+}
+
+/// A spread of 12-bit numerators.
+fn spread(r: usize) -> u64 {
+    (r as u64 * 37 + 11) % 4096
+}
+
+/// The strip divider sweeps only the planes below a lane group's
+/// remainder height (or its divisor's uniform floor) and folds the
+/// planes above in closed form. Its edges: a group whose every
+/// iteration is dead, heights that differ between groups, the
+/// shortest and the tallest divisor, a per-row divisor whose floor sits
+/// above plane 0, partial last groups and multi-strip runs.
+#[test]
+fn division_live_height_is_exact_at_its_edges() {
+    // Rows 256..512 (the middle group at 4-block strips, two whole
+    // groups at 2-block strips) divide a zero numerator, so every one
+    // of their iterations sweeps nothing. 700 rows are 11 blocks: the
+    // last group is partial.
+    let dead = row_case(
+        700,
+        (12, 16, 8),
+        true,
+        |r| {
+            if (256..512).contains(&r) {
+                0
+            } else {
+                spread(r)
+            }
+        },
+        |_| 300,
+    );
+    assert_division_exact(
+        &dead,
+        &[None, Some(2), Some(4)],
+        "a dead group between live ones",
+    );
+    // The numerators' top set bit is 1, 6 and 12 in the three groups.
+    let top = |r: usize| {
+        let len = [1, 6, 12][r / 256];
+        spread(r) & ((1 << len) - 1) | 1 << (len - 1)
+    };
+    let heights = row_case(700, (12, 16, 4), true, top, |_| 1000);
+    assert_division_exact(&heights, &[None, Some(3)], "top bits per group, broadcast");
+    let per_row = row_case(700, (12, 16, 4), false, top, |r| 1 + spread(r) % 700);
+    assert_division_exact(&per_row, &[None, Some(4)], "top bits per group, per row");
+    // Divisor 1 leaves a one-plane remainder; a divisor of only the
+    // field's top bit lets the remainder reach every plane.
+    let one = row_case(300, (12, 16, 2), true, spread, |_| 1);
+    assert_division_exact(&one, &[None, Some(1)], "divisor 1");
+    let tall = row_case(300, (16, 16, 8), true, |r| spread(r) * 16 + 15, |_| 1 << 15);
+    assert_division_exact(&tall, &[None, Some(3)], "divisor of the top bit only");
+    // Row 100 (group 0) alone sets divisor plane 13, so group 0's
+    // floor is 14 and the others' 0. 600 rows are 10 blocks: the last
+    // group is partial.
+    let floor = row_case(600, (12, 16, 8), false, spread, |r| {
+        if r == 100 {
+            0x2155
+        } else {
+            0x155
+        }
+    });
+    assert_division_exact(&floor, &[None, Some(1), Some(3)], "a per-row floor above 0");
+}
+
+/// Division workloads with short remainders: each channel's numerators
+/// in each 256-row span are masked to a drawn bit length `0..=nw`, so
+/// dead and short lane groups sit beside full ones, and every divisor
+/// (broadcast or per row) is at most `dh` bits, `dh` at most half the
+/// divisor field.
+fn live_case_strategy() -> impl Strategy<Value = DivCase> {
+    (
+        div_case_strategy(),
+        prop::collection::vec(any::<u64>(), 9..10),
+        any::<u64>(),
+    )
+        .prop_map(|(mut case, lens, dh)| {
+            let dh = 1 + dh as usize % (case.dw / 2).max(1);
+            for c in 0..3 {
+                for r in 0..case.rows {
+                    let len = lens[3 * c + r / 256] as usize % (case.nw + 1);
+                    case.raw[c * 700 + r] &= (1u64 << len) - 1;
+                }
+            }
+            for w in &mut case.raw[2100..] {
+                let len = 1 + (*w >> 56) as usize % dh;
+                *w = ((len as u64 - 1) << 56) | (*w & ((1u64 << len) - 1));
+            }
+            case
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The strip divider at drawn remainder and divisor heights: plain
+    /// `Divide` ops and the optimizer's `FusedDivide`, at automatic and
+    /// pinned strips. Blocked FastWord replay must equal op-by-op
+    /// FastWord and Microcode replay in outputs, planes and
+    /// `CycleStats`.
+    #[test]
+    fn blocked_division_matches_op_by_op_at_drawn_live_heights(
+        case in live_case_strategy(),
+        fused in any::<bool>(),
+        strip in prop_oneof![Just(None), (1usize..13).prop_map(Some)],
+    ) {
+        let mut program = div_program(&case);
+        let inputs = case.inputs();
+        if fused {
+            optimizer::optimize(&mut program, OptLevel::Full);
+            let mut core =
+                ApCore::with_backend(program.config(), ExecBackend::FastWord).unwrap();
+            let in_slices: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+            let [mut o0, mut o1, mut o2] = [Vec::new(), Vec::new(), Vec::new()];
+            let mut outs: [&mut Vec<u64>; 3] = [&mut o0, &mut o1, &mut o2];
+            let io = ExecIo::new(&in_slices, &mut outs);
+            program
+                .recost(&mut core, io, &mut ProgramScratch::default(), |_, _| {})
+                .unwrap();
+        }
+        let blocked = planned(&program, strip);
+        prop_assert!(blocked.block_stats().expect("plan recorded").engaged, "{case:?}");
+        let fast = div_replay(&blocked, ExecBackend::FastWord, &inputs);
+        for backend in [ExecBackend::FastWord, ExecBackend::Microcode] {
+            prop_assert_eq!(
+                &fast,
+                &div_replay(&program, backend, &inputs),
+                "blocked FastWord vs op-by-op {:?}, strip {:?}, fused {}, {:?}",
+                backend, strip, fused, case
+            );
+        }
+    }
+}
