@@ -496,7 +496,9 @@ const DIV_COLS: usize = 280;
 
 /// One drawn division workload: field widths, the channel count,
 /// whether the divisor is one broadcast value or a per-row load, and
-/// raw words that [`div_program`] masks down to the field widths.
+/// raw words that [`div_program`] masks down to the field widths: four
+/// runs of `raw.len() / 4` words, the three channels' numerators and
+/// then the divisors.
 #[derive(Debug, Clone)]
 struct DivCase {
     rows: usize,
@@ -517,19 +519,24 @@ impl DivCase {
         (word & ((1u64 << len) - 1)).max(1)
     }
 
+    /// The words of each input in `raw`.
+    fn stride(&self) -> usize {
+        self.raw.len() / 4
+    }
+
     /// Inputs 0–2 are the channels' numerators, input 3 the divisors.
     fn inputs(&self) -> Vec<Vec<u64>> {
-        let mask = (1u64 << self.nw) - 1;
+        let (mask, stride) = ((1u64 << self.nw) - 1, self.stride());
         let mut inputs: Vec<Vec<u64>> = (0..3)
             .map(|c| {
                 (0..self.rows)
-                    .map(|r| self.raw[c * 700 + r] & mask)
+                    .map(|r| self.raw[c * stride + r] & mask)
                     .collect()
             })
             .collect();
         inputs.push(
             (0..self.rows)
-                .map(|r| self.divisor(self.raw[2100 + r]))
+                .map(|r| self.divisor(self.raw[3 * stride + r]))
                 .collect(),
         );
         inputs
@@ -576,7 +583,8 @@ fn div_program(case: &DivCase) -> ApProgram {
     rec.step("stage-in");
     rec.copy(raw0, nums[0]).unwrap();
     if case.uniform {
-        rec.broadcast(den, case.divisor(case.raw[2100])).unwrap();
+        rec.broadcast(den, case.divisor(case.raw[3 * case.stride()]))
+            .unwrap();
     }
     for (&n, &q) in nums.iter().zip(&quots) {
         rec.divide(n, den, q, case.frac, DivStyle::Restoring)
@@ -684,8 +692,8 @@ proptest! {
 }
 
 /// A one-channel division with numerator `num(row)` and one broadcast
-/// 16-bit divisor (`raw[2100]`'s top byte makes [`DivCase::divisor`]
-/// keep all 16 bits).
+/// 16-bit divisor (the divisor word's top byte makes
+/// [`DivCase::divisor`] keep all 16 bits).
 fn broadcast_case(
     rows: usize,
     nw: usize,
@@ -694,10 +702,10 @@ fn broadcast_case(
     num: fn(usize) -> u64,
 ) -> DivCase {
     let dw = 16;
-    let mut raw: Vec<u64> = (0..2800)
+    let mut raw: Vec<u64> = (0..4 * rows)
         .map(|r| if r < rows { num(r) } else { 0 })
         .collect();
-    raw[2100] = ((dw as u64 - 1) << 56) | divisor;
+    raw[3 * rows] = ((dw as u64 - 1) << 56) | divisor;
     DivCase {
         rows,
         nw,
@@ -772,12 +780,12 @@ fn row_case(
     num: impl Fn(usize) -> u64,
     den: impl Fn(usize) -> u64,
 ) -> DivCase {
-    let mut raw = vec![0u64; 2800];
+    let mut raw = vec![0u64; 4 * rows];
     for r in 0..rows {
         raw[r] = num(r);
         // A top byte of `dw - 1` makes [`DivCase::divisor`] keep all
         // `dw` bits.
-        raw[2100 + r] = ((dw as u64 - 1) << 56) | den(r);
+        raw[3 * rows + r] = ((dw as u64 - 1) << 56) | den(r);
     }
     DivCase {
         rows,
@@ -852,6 +860,20 @@ fn division_live_height_is_exact_at_its_edges() {
         }
     });
     assert_division_exact(&floor, &[None, Some(1), Some(3)], "a per-row floor above 0");
+    // A whole 2,048-row tile: 32 blocks, eight lane groups, so strips
+    // of more than three groups. Group 4 is dead, the others' top set
+    // bits differ; 5-block strips split groups across strips.
+    let tile = |r: usize| {
+        let len = [1, 3, 6, 8, 0, 10, 11, 12][r / 256];
+        match len {
+            0 => 0,
+            _ => spread(r) & ((1 << len) - 1) | 1 << (len - 1),
+        }
+    };
+    let broadcast = row_case(2048, (12, 16, 4), true, tile, |_| 1000);
+    assert_division_exact(&broadcast, &[None, Some(5)], "a 2,048-row tile, broadcast");
+    let per_row = row_case(2048, (12, 16, 4), false, tile, |r| 1 + spread(r) % 700);
+    assert_division_exact(&per_row, &[None, Some(5)], "a 2,048-row tile, per row");
 }
 
 /// Division workloads with short remainders: each channel's numerators
@@ -866,14 +888,14 @@ fn live_case_strategy() -> impl Strategy<Value = DivCase> {
         any::<u64>(),
     )
         .prop_map(|(mut case, lens, dh)| {
-            let dh = 1 + dh as usize % (case.dw / 2).max(1);
+            let (dh, stride) = (1 + dh as usize % (case.dw / 2).max(1), case.stride());
             for c in 0..3 {
                 for r in 0..case.rows {
                     let len = lens[3 * c + r / 256] as usize % (case.nw + 1);
-                    case.raw[c * 700 + r] &= (1u64 << len) - 1;
+                    case.raw[c * stride + r] &= (1u64 << len) - 1;
                 }
             }
-            for w in &mut case.raw[2100..] {
+            for w in &mut case.raw[3 * stride..] {
                 let len = 1 + (*w >> 56) as usize % dh;
                 *w = ((len as u64 - 1) << 56) | (*w & ((1u64 << len) - 1));
             }

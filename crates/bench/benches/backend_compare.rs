@@ -443,15 +443,21 @@ fn bench(c: &mut Criterion) {
             emit_cycles(&format!("cycles/fastword-autotuned/{}", len / 2), t);
             emit_cycles(&format!("cycles/fastword-default/{}", len / 2), d);
         }
-        let plan = tuned.tuned_plan(4096).expect("tuned above");
+        let choice = tuned.mapping_choice(4096).expect("4096 scores map");
+        let compile_us = match choice.shards {
+            1 => tuned.plan(4096).expect("tuned above").compile_micros(),
+            _ => tuned
+                .sharded_plan(4096)
+                .expect("tuned above")
+                .compile_micros(),
+        };
         println!(
-            "autotune @4096: chose [{}] — {} vs default {} simulated cycles \
+            "autotune @4096: chose [{choice}] — {} vs default {} simulated cycles \
              ({} compile, {:.1} us)",
-            plan.choice(),
-            plan.winner_cost().total.cycles(),
+            tuned.static_cost(4096).unwrap().cycles(),
             default.static_cost(4096).unwrap().cycles(),
             tuned.cache_stats().candidates_scored / tuned.cache_stats().shapes_tuned,
-            plan.compile_micros()
+            compile_us
         );
     }
 

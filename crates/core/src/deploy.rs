@@ -183,8 +183,8 @@ impl WorkloadModel {
         self.deploy
     }
 
-    /// The underlying per-vector mapping (e.g. to inspect the tuned
-    /// plan chosen for a shape when `autotune` is on).
+    /// The underlying per-vector mapping (e.g. to inspect the
+    /// [`ApSoftmax::mapping_choice`] of a shape when `autotune` is on).
     #[must_use]
     pub fn mapping(&self) -> &ApSoftmax {
         &self.mapping

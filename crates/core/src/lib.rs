@@ -47,9 +47,7 @@ pub use llm_bridge::ApMappedSoftmax;
 pub use mapping::{
     ApSoftmax, ApSoftmaxRun, CacheStats, Layout, PlanMode, StepStats, TileState, VectorCost,
 };
-pub use plan::{
-    AutotuneStats, CompiledPlan, MappingChoice, PlanCache, PlanStats, ShardedPlan, TunedPlan,
-};
+pub use plan::{AutotuneStats, CompiledPlan, MappingChoice, PlanCache, PlanStats, ShardedPlan};
 pub use serve::{ServeConfig, ServeStats, SoftmaxServer, Ticket};
 
 /// Errors from the co-design layer.

@@ -31,9 +31,11 @@
 //! mode — direct issue, compile, replay — over chunks of shards: one
 //! chunk on the calling thread for [`ApSoftmax::execute_codes_into`],
 //! one per worker when [`crate::SoftmaxServer`] replays a long request,
-//! which idle workers may then help with. One plan lookup
-//! (tile slot → shared cache → compile lock → re-check → compile →
-//! insert) resolves whole-vector, sharded, and autotuned entries alike.
+//! which idle workers may then help with. One mapping function (the
+//! autotuner's rule, `mapping::autotune`) gives every vector its layout
+//! and partition, and one plan lookup (tile slot → shared cache →
+//! compile lock → re-check → compile → insert) resolves whole-vector
+//! and sharded entries alike.
 
 use std::sync::Arc;
 
@@ -47,7 +49,7 @@ use softmap_ap::{
 use softmap_softmax::{IntSoftmax, PrecisionConfig, SumMode};
 
 use crate::plan::{
-    CachedPlan, CompiledPlan, PlanCache, PlanKey, PlanPhase, PlanStats, ShardedPlan, TunedPlan,
+    CachedPlan, CompiledPlan, PlanCache, PlanKey, PlanPhase, PlanStats, ShardedPlan,
 };
 use crate::CoreError;
 
@@ -169,16 +171,12 @@ pub struct ApSoftmax {
     /// (strip-mined FastWord execution; see
     /// [`softmap_ap::ApProgram::plan_blocking`]).
     blocked: bool,
-    /// Whether cached compilation compiles the mapping the autotuner's
-    /// rule picks per shape (see [`crate::mapping::autotune`]).
+    /// Whether vectors map under the autotuner's rule (see
+    /// [`crate::mapping::autotune`]) rather than the configured mapping.
     autotune: bool,
     /// Set by [`ApSoftmax::with_layout`]: the caller pinned the layout
     /// explicitly, so the autotuner keeps it.
     layout_pinned: bool,
-    /// Set on the autotuner's view of a balanced mapping: sharded
-    /// execution uses this partition instead of
-    /// [`DeviceConfig::partition_into`].
-    partition_override: Option<Arc<Vec<(usize, usize)>>>,
     plans: Arc<PlanCache>,
 }
 
@@ -202,7 +200,7 @@ pub struct CacheStats {
     pub candidates_scored: u64,
     /// Tuned shapes mapped differently from the configured default
     /// (another layout or a balanced partition; see
-    /// [`TunedPlan::improved`]).
+    /// [`ApSoftmax::mapping_choice`]).
     pub tuned_wins: u64,
     /// Requests accepted into the serving queue (zero unless queried
     /// through a [`crate::SoftmaxServer`]).
@@ -305,7 +303,7 @@ pub struct TileState {
 }
 
 /// The tile-local cached-plan slot: (cache identity token, shape key,
-/// plan — whole-vector program, sharded vector plan, or tuned entry).
+/// plan — whole-vector program or sharded vector plan).
 type PlanSlot = ((u64, u64), PlanKey, CachedPlan);
 
 impl TileState {
@@ -335,30 +333,21 @@ impl TileState {
 
     /// The whole-vector plan cached in this tile's slot, if one has
     /// been resolved (`None` when the slot holds a sharded plan; see
-    /// [`TileState::cached_sharded_plan`]). A tuned slot resolves to
-    /// its compiled plan.
+    /// [`TileState::cached_sharded_plan`]).
     #[must_use]
     pub fn cached_plan(&self) -> Option<&CompiledPlan> {
         match self.plan.as_ref() {
             Some((_, _, CachedPlan::Program(p))) => Some(p),
-            Some((_, _, CachedPlan::Tuned(t))) => match &t.plan {
-                CachedPlan::Program(p) => Some(p),
-                _ => None,
-            },
             _ => None,
         }
     }
 
     /// The sharded vector plan cached in this tile's slot, if one has
-    /// been resolved. A tuned slot resolves to its compiled plan.
+    /// been resolved.
     #[must_use]
     pub fn cached_sharded_plan(&self) -> Option<&ShardedPlan> {
         match self.plan.as_ref() {
             Some((_, _, CachedPlan::Sharded(p))) => Some(p),
-            Some((_, _, CachedPlan::Tuned(t))) => match &t.plan {
-                CachedPlan::Sharded(p) => Some(p),
-                _ => None,
-            },
             _ => None,
         }
     }
@@ -443,14 +432,6 @@ fn accumulate_step(steps: &mut Vec<StepStats>, name: &'static str, stats: CycleS
     }
 }
 
-/// Words per row of a layout.
-fn words_per_row(layout: Layout) -> usize {
-    match layout {
-        Layout::TwoWordsPerRow => 2,
-        Layout::OneWordPerRow => 1,
-    }
-}
-
 /// Packs the |code| magnitudes of a vector (or shard) into its
 /// half-vectors under `layout` — the first `rows` codes into `half0`
 /// and, when packed two words per row, the rest into `half1` (the sign
@@ -493,27 +474,27 @@ impl ApSoftmax {
             blocked: true,
             autotune: true,
             layout_pinned: false,
-            partition_override: None,
             plans: Arc::new(PlanCache::new()),
         })
     }
 
     /// Enables or disables the mapping autotuner (the default is on).
-    /// Enabled, each cached shape's
-    /// first vector compiles the one mapping the `mapping::autotune`
-    /// rule picks for its length — one word per row unless the layout
-    /// is pinned, equal-length shards where a split within two shards
-    /// of the minimum allows — and further vectors replay it. The rule
-    /// is checked against the compile-every-candidate search it
-    /// replaced. Disabled, compilation uses the configured mapping
-    /// exactly as before the autotuner existed — byte-identical plans,
-    /// keys, and counters. Tuned entries live under their own key axis,
-    /// so toggling keeps the cache. Off is [`crate::ApDeployment`]'s
-    /// default, and `softmap_eval`'s ablations, table6 and autotune
-    /// experiments call it for the paper's fixed mapping.
+    /// Enabled, every vector maps under the `mapping::autotune` rule for
+    /// its length — one word per row unless the layout is pinned,
+    /// equal-length shards where a split within two shards of the
+    /// minimum allows — in every plan mode and at serving admission;
+    /// the rule is checked against the compile-every-candidate search
+    /// it replaced. Disabled, vectors map under the configured layout
+    /// and the device's greedy split, exactly as before the autotuner
+    /// existed — byte-identical plans, keys, and counters. Plans depend
+    /// on the mapping, so the plan cache starts fresh. Off is
+    /// [`crate::ApDeployment`]'s default, and `softmap_eval`'s
+    /// ablations, table6 and autotune experiments call it for the
+    /// paper's fixed mapping.
     #[must_use]
     pub fn with_autotune(mut self, autotune: bool) -> Self {
         self.autotune = autotune;
+        self.plans = Arc::new(PlanCache::with_capacity(self.plans.capacity()));
         self
     }
 
@@ -736,8 +717,10 @@ impl ApSoftmax {
     /// the compile on the request path. The serving layer calls this
     /// at startup ([`crate::ServeConfig::warmup_shapes`]); it is also
     /// useful before latency-sensitive benchmarking. Shapes already
-    /// cached are skipped; one compile is counted per fresh shape
-    /// (`cache_stats().compiles`), none count as cache hits.
+    /// cached are skipped. A fresh shape counts one compile
+    /// (`cache_stats().compiles`) for its vector-level plan, plus one
+    /// for each shard-phase program a sharded shape is the first to
+    /// need; none count as cache hits.
     ///
     /// # Errors
     ///
@@ -750,11 +733,11 @@ impl ApSoftmax {
         Ok(())
     }
 
-    /// Tiles a request of `len` elements occupies under the configured
-    /// mapping: 1 when the vector fits one tile, the shard partition's
-    /// length otherwise (written into the reusable `ranges` scratch).
-    /// The serving layer's admission policy claims this many tiles per
-    /// request.
+    /// Tiles a request of `len` elements occupies under its mapping
+    /// (`map_into`): 1 when the vector fits one tile, the shard
+    /// partition's length otherwise (written into the reusable `ranges`
+    /// scratch). The serving layer's admission policy claims this many
+    /// tiles per request.
     pub(crate) fn shard_count_into(
         &self,
         len: usize,
@@ -763,7 +746,7 @@ impl ApSoftmax {
         if len == 0 {
             return Err(CoreError::EmptyInput);
         }
-        self.partition_into(len, ranges)?;
+        self.map_into(len, ranges)?;
         Ok(ranges.len().max(1))
     }
 
@@ -905,21 +888,21 @@ impl ApSoftmax {
     }
 
     /// Whether a vector of `len` elements is packed two words per row
-    /// under `layout` (a tuned plan packs by its *chosen* layout, not
-    /// the configured one), and the rows it then occupies.
+    /// under `layout` (its mapped layout, not necessarily the
+    /// configured one), and the rows it then occupies.
     fn packing_of(layout: Layout, len: usize) -> (bool, usize) {
         let packed = layout == Layout::TwoWordsPerRow && len.is_multiple_of(2) && len >= 2;
         (packed, if packed { len / 2 } else { len })
     }
 
-    /// The shared entry point: validates the codes, then issues the
-    /// dataflow op by op ([`PlanMode::DirectIssue`]) or resolves the
-    /// vector's cache entry through [`ApSoftmax::lookup`] — compiling
-    /// it on a miss, which executes this vector — and replays it. A
-    /// vector that fits one tile runs the whole-vector dataflow; a
-    /// longer one runs sharded across the tile grid
-    /// ([`ApSoftmax::run_sharded`]), its replay open to serving helpers
-    /// when `wake` is given.
+    /// The shared entry point: validates the codes, maps the vector
+    /// (`map_into`), then issues the dataflow op by op
+    /// ([`PlanMode::DirectIssue`]) or resolves the vector's cache entry
+    /// through [`ApSoftmax::lookup`] — compiling it on a miss, which
+    /// executes this vector — and replays it. A vector that fits one
+    /// tile runs the whole-vector dataflow; a longer one runs sharded
+    /// across the tile grid ([`ApSoftmax::run_sharded`]), its replay
+    /// open to serving helpers when `wake` is given.
     fn execute_codes_mode(
         &self,
         state: &mut TileState,
@@ -934,29 +917,25 @@ impl ApSoftmax {
         // Validate codes through the scalar spec's range check (cheap:
         // no full trace).
         self.sm.validate_codes(codes)?;
-        // The untuned shard partition; a tuned entry carries its own.
         let mut ranges = std::mem::take(&mut state.shard.ranges);
-        ranges.clear();
-        let result = if mode == PlanMode::Cached && self.autotune {
-            Ok(())
-        } else {
-            self.partition_into(codes.len(), &mut ranges)
-        }
-        .and_then(|()| self.execute_partitioned(state, codes, run, mode, wake, &ranges));
+        let result = self
+            .map_into(codes.len(), &mut ranges)
+            .and_then(|layout| self.execute_mapped(state, codes, run, mode, wake, layout, &ranges));
         state.shard.ranges = ranges;
         result
     }
 
-    /// [`ApSoftmax::execute_codes_mode`] once the untuned partition is
-    /// known (`ranges` is empty for a whole vector and for a tuned
-    /// lookup).
-    fn execute_partitioned(
+    /// [`ApSoftmax::execute_codes_mode`] once the vector's `layout` and
+    /// partition `ranges` (empty for a whole vector) are known.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_mapped(
         &self,
         state: &mut TileState,
         codes: &[i64],
         run: &mut ApSoftmaxRun,
         mode: PlanMode,
         wake: Option<&dyn Fn()>,
+        layout: Layout,
         ranges: &[(usize, usize)],
     ) -> Result<(), CoreError> {
         let whole = ranges.is_empty();
@@ -966,7 +945,7 @@ impl ApSoftmax {
             // differential baseline keeps characterizing the re-staged
             // contract exactly.
             return if whole {
-                self.execute_whole(state, codes, self.layout, None, run, false)
+                self.execute_whole(state, codes, layout, None, run, false)
                     .map(drop)
             } else {
                 self.run_sharded(
@@ -976,27 +955,46 @@ impl ApSoftmax {
                     ShardExec::Direct,
                     ranges,
                     false,
-                    self.layout,
+                    layout,
                     None,
                 )
                 .map(drop)
             };
         }
-        let key = self.vector_key(codes.len(), ranges, self.autotune);
+        let key = self.vector_key(codes.len(), layout, ranges);
         let (entry, compiled) = self.lookup(state, key, |state| {
-            if key.tuned {
-                self.compile_tuned(state, codes, run)
-            } else if whole {
-                self.compile_whole(state, codes, run)
+            let plan = if whole {
+                self.compile_whole(state, codes, layout, run)
             } else {
-                self.compile_sharded(state, codes, run, ranges, key.resident)
+                self.compile_sharded(state, codes, run, layout, ranges, key.resident)
+            }?;
+            if self.autotune {
+                let balanced = self.balanced(codes.len(), layout, ranges);
+                self.plans.note_autotune(layout != self.layout || balanced);
             }
+            Ok(plan)
         })?;
         if compiled {
             // Compiling executed this vector.
             return Ok(());
         }
-        self.replay_entry(&entry, self.layout, state, codes, run, wake)
+        match &entry {
+            CachedPlan::Program(plan) => self
+                .execute_whole(state, codes, layout, Some(plan), run, false)
+                .map(drop),
+            CachedPlan::Sharded(plan) => self
+                .run_sharded(
+                    &mut state.shard,
+                    codes,
+                    run,
+                    ShardExec::Replay(plan),
+                    &plan.ranges,
+                    plan.resident,
+                    layout,
+                    wake,
+                )
+                .map(drop),
+        }
     }
 
     /// The one plan lookup behind every cached execution: the tile's
@@ -1038,41 +1036,6 @@ impl ApSoftmax {
         };
         state.plan = Some((token, key, plan.clone()));
         Ok((plan, compiled))
-    }
-
-    /// Replays a cache entry: a whole-vector program or a sharded plan
-    /// (open to serving helpers given `wake`) packed by `layout`, or a
-    /// tuned entry's plan under its chosen layout. Zero-alloc in steady
-    /// state.
-    fn replay_entry(
-        &self,
-        entry: &CachedPlan,
-        layout: Layout,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-        wake: Option<&dyn Fn()>,
-    ) -> Result<(), CoreError> {
-        match entry {
-            CachedPlan::Program(plan) => self
-                .execute_whole(state, codes, layout, Some(plan), run, false)
-                .map(drop),
-            CachedPlan::Sharded(plan) => self
-                .run_sharded(
-                    &mut state.shard,
-                    codes,
-                    run,
-                    ShardExec::Replay(plan),
-                    &plan.ranges,
-                    plan.resident,
-                    layout,
-                    wake,
-                )
-                .map(drop),
-            CachedPlan::Tuned(tuned) => {
-                self.replay_entry(&tuned.plan, tuned.choice.layout, state, codes, run, wake)
-            }
-        }
     }
 
     /// Executes one whole vector on `state`'s tile, packed by `layout`:
@@ -1152,20 +1115,21 @@ impl ApSoftmax {
         Ok(program)
     }
 
-    /// Compiles the whole-vector plan for this vector: records the
-    /// trace while executing it, runs the optimizer pipeline — when the
-    /// pipeline rewrote the trace, one recost execution of the fused
-    /// schedule overwrites this vector's run — and attaches the
-    /// blocking plan.
+    /// Compiles the whole-vector plan for this vector packed by
+    /// `layout`: records the trace while executing it, runs the
+    /// optimizer pipeline — when the pipeline rewrote the trace, one
+    /// recost execution of the fused schedule overwrites this vector's
+    /// run — and attaches the blocking plan.
     fn compile_whole(
         &self,
         state: &mut TileState,
         codes: &[i64],
+        layout: Layout,
         run: &mut ApSoftmaxRun,
     ) -> Result<CachedPlan, CoreError> {
         let started = std::time::Instant::now();
         let (mut program, sum_reg) = self
-            .execute_whole(state, codes, self.layout, None, run, true)?
+            .execute_whole(state, codes, layout, None, run, true)?
             .expect("recording execution returns a program");
         let report = optimizer::optimize(&mut program, self.opt_level);
         if report.changed() {
@@ -1255,28 +1219,6 @@ impl ApSoftmax {
             SumMode::Wrap => Overflow::Wrap,
             SumMode::Exact => Overflow::Error,
         }
-    }
-
-    /// Writes the shard partition a vector of `len` elements executes
-    /// with under the configured mapping into `ranges` — empty when the
-    /// vector fits one tile: the override when the autotuner compiles a
-    /// balanced partition, the device's greedy default otherwise.
-    fn partition_into(
-        &self,
-        len: usize,
-        ranges: &mut Vec<(usize, usize)>,
-    ) -> Result<(), CoreError> {
-        ranges.clear();
-        if Self::packing_of(self.layout, len).1 <= self.device.rows_per_tile {
-            return Ok(());
-        }
-        if let Some(ov) = &self.partition_override {
-            ranges.extend_from_slice(ov);
-            return Ok(());
-        }
-        self.device
-            .partition_into(len, words_per_row(self.layout), ranges)
-            .map_err(CoreError::Ap)
     }
 
     // ---- the dataflow generator -----------------------------------------
@@ -1600,43 +1542,37 @@ impl ApSoftmax {
     }
 
     /// The cache key a vector of `len` elements executes under, given
-    /// its untuned shard partition `ranges` (empty when it fits one
-    /// tile, and for a tuned key): sharded entries carry the effective
-    /// residency of their partition; whole-vector entries are never
-    /// resident (a single tile re-stages by definition); a tuned entry
-    /// carries the configured axes plus the `tuned` flag — the chosen
-    /// layout, partition, and residency live *inside* the
-    /// [`TunedPlan`], so the key stays a pure function of the
-    /// configuration.
-    fn vector_key(&self, len: usize, ranges: &[(usize, usize)], tuned: bool) -> PlanKey {
+    /// its mapped `layout` and shard partition `ranges` (empty when it
+    /// fits one tile): sharded entries carry the effective residency of
+    /// their partition; whole-vector entries are never resident (a
+    /// single tile re-stages by definition). Within one cache the
+    /// partition is a function of the length and the layout.
+    fn vector_key(&self, len: usize, layout: Layout, ranges: &[(usize, usize)]) -> PlanKey {
         PlanKey {
             len,
-            layout: self.layout,
+            layout,
             div: self.div_style,
             opt: self.opt_level,
             phase: PlanPhase::Vector,
             resident: !ranges.is_empty() && self.resident_for(ranges.len()),
-            tuned,
         }
     }
 
     /// The cache key of the `phase` program for shards of `len`
-    /// elements.
-    fn shard_key(&self, len: usize, phase: PlanPhase, resident: bool) -> PlanKey {
+    /// elements packed by `layout`.
+    fn shard_key(&self, len: usize, layout: Layout, phase: PlanPhase, resident: bool) -> PlanKey {
         PlanKey {
             phase,
             resident,
-            ..self.vector_key(len, &[], false)
+            ..self.vector_key(len, layout, &[])
         }
     }
 
     /// The key a cached vector of `len` elements resolves under.
     fn cached_key(&self, len: usize) -> Result<PlanKey, CoreError> {
         let mut ranges = Vec::new();
-        if !self.autotune {
-            self.partition_into(len, &mut ranges)?;
-        }
-        Ok(self.vector_key(len, &ranges, self.autotune))
+        let layout = self.map_into(len, &mut ranges)?;
+        Ok(self.vector_key(len, layout, &ranges))
     }
 
     /// Resolves the vector-level cache entry for length `len`,
@@ -1681,13 +1617,9 @@ impl ApSoftmax {
     /// [`ApSoftmax::sharded_plan`] or the [`ApSoftmax::static_vector_cost`]
     /// query, which cover both regimes).
     pub fn plan(&self, len: usize) -> Result<Arc<CompiledPlan>, CoreError> {
-        let entry = match self.resolve_vector_entry(len)? {
-            CachedPlan::Tuned(t) => t.plan.clone(),
-            other => other,
-        };
-        match entry {
+        match self.resolve_vector_entry(len)? {
             CachedPlan::Program(p) => Ok(p),
-            _ => Err(CoreError::BadWorkload(format!(
+            CachedPlan::Sharded(_) => Err(CoreError::BadWorkload(format!(
                 "length {len} shards across tiles; query sharded_plan/static_vector_cost instead"
             ))),
         }
@@ -1701,33 +1633,11 @@ impl ApSoftmax {
     /// Propagates compilation errors; [`CoreError::BadWorkload`] for
     /// lengths that fit one tile.
     pub fn sharded_plan(&self, len: usize) -> Result<Arc<ShardedPlan>, CoreError> {
-        let entry = match self.resolve_vector_entry(len)? {
-            CachedPlan::Tuned(t) => t.plan.clone(),
-            other => other,
-        };
-        match entry {
+        match self.resolve_vector_entry(len)? {
             CachedPlan::Sharded(p) => Ok(p),
-            _ => Err(CoreError::BadWorkload(format!(
+            CachedPlan::Program(_) => Err(CoreError::BadWorkload(format!(
                 "length {len} fits one tile; query plan/static_vector_cost instead"
             ))),
-        }
-    }
-
-    /// The autotuned plan for vectors of length `len` — the chosen
-    /// mapping and its static cost — compiling one from
-    /// [`ApSoftmax::representative_scores`] if the shape has not been
-    /// seen yet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors; [`CoreError::BadWorkload`] when
-    /// autotuning is disabled on this mapping.
-    pub fn tuned_plan(&self, len: usize) -> Result<Arc<TunedPlan>, CoreError> {
-        match self.resolve_vector_entry(len)? {
-            CachedPlan::Tuned(t) => Ok(t),
-            _ => Err(CoreError::BadWorkload(
-                "mapping has autotuning disabled; no tuned plan exists".into(),
-            )),
         }
     }
 
@@ -1760,8 +1670,7 @@ impl ApSoftmax {
         Ok(Self::entry_vector_cost(&self.resolve_vector_entry(len)?))
     }
 
-    /// The static device view a cache entry answers with (a tuned
-    /// entry answers with its plan's recorded cost).
+    /// The static device view a cache entry answers with.
     fn entry_vector_cost(entry: &CachedPlan) -> VectorCost {
         match entry {
             CachedPlan::Program(p) => {
@@ -1781,7 +1690,6 @@ impl ApSoftmax {
                 waves: p.waves(),
                 reduction: p.reduction(),
             },
-            CachedPlan::Tuned(t) => t.winner_cost,
         }
     }
 
@@ -1793,13 +1701,7 @@ impl ApSoftmax {
     ///
     /// Propagates compilation (execution) errors.
     pub fn static_step_stats(&self, len: usize) -> Result<Vec<StepStats>, CoreError> {
-        let entry = match self.resolve_vector_entry(len)? {
-            // A tuned entry replays its plan, so its step breakdown is
-            // the plan's.
-            CachedPlan::Tuned(t) => t.plan.clone(),
-            other => other,
-        };
-        match entry {
+        match self.resolve_vector_entry(len)? {
             CachedPlan::Program(p) => Ok(p
                 .program()
                 .static_steps()
@@ -1807,7 +1709,6 @@ impl ApSoftmax {
                 .map(|&(name, stats)| StepStats { name, stats })
                 .collect()),
             CachedPlan::Sharded(p) => Ok(p.steps.clone()),
-            CachedPlan::Tuned(_) => unreachable!("tuned plans never nest"),
         }
     }
 }
@@ -2260,8 +2161,10 @@ mod tests {
         let warm: Vec<f64> = (0..24).map(|i| -(f64::from(i) * 0.11) % 6.0).collect();
         let scores: Vec<f64> = (0..24).map(|i| -(f64::from(i) * 0.29) % 6.8).collect();
         for backend in [ExecBackend::Microcode, ExecBackend::FastWord] {
+            // Both sides pinned to the configured mapping.
             let direct = ApSoftmax::new(cfg)
                 .unwrap()
+                .with_autotune(false)
                 .with_backend(backend)
                 .with_device(tiny_device())
                 .with_plan_mode(PlanMode::DirectIssue)
@@ -2463,22 +2366,22 @@ mod tests {
         );
         // static == simulated for the tuned plan, which beats the
         // untuned mapping's static cost, compiling one mapping.
-        let plan = tuned.tuned_plan(4096).unwrap();
-        assert!(plan.improved());
-        assert_eq!(plan.winner_cost().total, t.total);
+        let choice = tuned.mapping_choice(4096).unwrap();
+        assert_eq!((choice.layout, choice.shards), (Layout::OneWordPerRow, 2));
+        assert!(choice.resident && !choice.balanced, "{choice}");
+        let cost = tuned.static_vector_cost(4096).unwrap();
+        assert_eq!((cost.total, cost.shards), (t.total, t.shards));
         let default = untuned.static_cost(4096).unwrap();
         assert_eq!(default, u.total);
-        assert!(plan.winner_cost().total.cycles() < default.cycles());
-        assert_eq!(tuned.static_cost(4096).unwrap(), t.total);
+        assert!(cost.total.cycles() < default.cycles());
         let stats = tuned.cache_stats();
         assert_eq!(stats.shapes_tuned, 1);
         assert_eq!(stats.tuned_wins, 1);
         assert_eq!(stats.candidates_scored, 1);
-        // The untuned view never consults the tuner.
-        assert!(matches!(
-            untuned.tuned_plan(4096),
-            Err(CoreError::BadWorkload(_))
-        ));
+        // The untuned mapping is the configured one and never counts.
+        let choice = untuned.mapping_choice(4096).unwrap();
+        assert_eq!((choice.layout, choice.shards), (Layout::TwoWordsPerRow, 1));
+        assert_eq!(untuned.cache_stats().shapes_tuned, 0);
     }
 
     #[test]
@@ -2490,53 +2393,84 @@ mod tests {
             .with_layout(Layout::TwoWordsPerRow);
         let scores = ApSoftmax::representative_scores(256);
         tuned.execute_floats(&scores).unwrap();
-        let plan = tuned.tuned_plan(256).unwrap();
+        let choice = tuned.mapping_choice(256).unwrap();
         assert_eq!(tuned.cache_stats().candidates_scored, 1, "one compile");
-        assert!(!plan.improved());
-        assert_eq!(plan.choice().layout, Layout::TwoWordsPerRow);
+        assert_eq!((choice.layout, choice.shards), (Layout::TwoWordsPerRow, 1));
+        assert!(!choice.balanced);
         assert_eq!(tuned.cache_stats().tuned_wins, 0);
     }
 
     #[test]
-    fn tuned_and_untuned_keys_coexist_and_thrash_is_counted() {
-        // Satellite regression: the tuned axis enlarges the key space,
-        // so a tuned and an untuned mapping sharing one cache must (a)
-        // coexist without shadowing each other at default capacity and
-        // (b) keep the eviction counter honest when the capacity is too
-        // small to hold both.
-        let cfg = PrecisionConfig::paper_best();
+    fn toggling_autotune_starts_a_fresh_cache() {
+        // Each side of the toggle compiles its own mapping into its own
+        // cache, of the same capacity, and replays it from there.
         let scores = ApSoftmax::representative_scores(64);
-
-        // (a) coexistence: one shape, two entries, bit-equal outputs.
-        let tuned = ApSoftmax::new(cfg).unwrap();
+        let tuned = fresh().with_plan_capacity(3);
         let untuned = tuned.clone().with_autotune(false);
+        assert_eq!(untuned.plans.capacity(), 3);
         let t = tuned.execute_floats(&scores).unwrap();
         let u = untuned.execute_floats(&scores).unwrap();
         assert_eq!(t.codes, u.codes);
-        let stats = tuned.plan_stats();
-        assert_eq!(stats.plans, 2, "tuned + untuned entries coexist");
-        assert_eq!(stats.evictions, 0);
-        // Replays hit their own entries, no recompiles.
-        tuned.execute_floats(&scores).unwrap();
-        untuned.execute_floats(&scores).unwrap();
-        let stats = tuned.plan_stats();
-        assert_eq!(stats.compiles, 2);
-        assert!(stats.hits >= 2);
+        assert!(t.total.cycles() < u.total.cycles(), "one word per row");
+        for (m, first) in [(&tuned, &t), (&untuned, &u)] {
+            let again = m.execute_floats(&scores).unwrap();
+            assert_eq!(again.total, first.total);
+            let stats = m.plan_stats();
+            assert_eq!((stats.plans, stats.compiles), (1, 1), "{stats:?}");
+            assert!(stats.hits >= 1, "{stats:?}");
+        }
+    }
 
-        // (b) capacity thrash: cap 1 forces the two keys to evict each
-        // other; every eviction is counted and outputs stay correct.
-        let tuned = ApSoftmax::new(cfg).unwrap().with_plan_capacity(1);
-        let untuned = tuned.clone().with_autotune(false);
-        let t1 = tuned.execute_floats(&scores).unwrap();
-        let u1 = untuned.execute_floats(&scores).unwrap();
-        let t2 = tuned.execute_floats(&scores).unwrap();
-        assert_eq!(t1.codes, u1.codes);
-        assert_eq!(t1.codes, t2.codes);
-        assert_eq!(t1.total, t2.total, "recompiled tuned plan is deterministic");
-        let stats = tuned.plan_stats();
-        assert_eq!(stats.plans, 1, "cap 1 holds one entry");
-        assert_eq!(stats.compiles, 3, "each swap recompiles");
-        assert_eq!(stats.evictions, 2, "both swaps must be counted");
+    #[test]
+    fn direct_issue_and_replay_run_one_mapping() {
+        // Both plan modes map through the rule: 20 scores on 8-row
+        // tiles run one word per row in four balanced shards of 5, and
+        // the unoptimized re-staged replay is cycle-exact against
+        // direct issue.
+        let scores: Vec<f64> = (0..20).map(|i| -(f64::from(i) * 0.29) % 6.8).collect();
+        let cached = fresh()
+            .with_device(DeviceConfig::new(8, 8))
+            .with_resident(false)
+            .with_opt_level(OptLevel::None);
+        let direct = cached.clone().with_plan_mode(PlanMode::DirectIssue);
+        let choice = cached.mapping_choice(20).unwrap();
+        assert_eq!((choice.layout, choice.shards), (Layout::OneWordPerRow, 4));
+        assert!(choice.balanced && !choice.resident, "{choice}");
+        let d = direct.execute_floats(&scores).unwrap();
+        let c = cached.unwrap_execute_pair(&scores, &scores);
+        assert_eq!((d.shards, d.rows), (4, 5));
+        assert_eq!(c.codes, d.codes);
+        assert_eq!(c.total, d.total);
+        assert_eq!(c.latency_cycles, d.latency_cycles);
+        assert_eq!(c.steps, d.steps);
+    }
+
+    #[test]
+    fn cache_counters_hold_on_the_default_mapping() {
+        // Compile time counts each vector-level compile once: a sharded
+        // plan's interval contains its phase programs'.
+        for autotune in [true, false] {
+            for len in [6000, 16384] {
+                let m = fresh()
+                    .with_backend(ExecBackend::FastWord)
+                    .with_autotune(autotune);
+                let started = std::time::Instant::now();
+                m.warmup(&[len]).unwrap();
+                let wall = started.elapsed().as_secs_f64() * 1e6;
+                let counted = m.plan_stats().compile_micros;
+                assert!(
+                    counted > 0.0 && counted <= wall,
+                    "autotune {autotune}, {len}: {counted} us counted in a {wall} us warm-up"
+                );
+            }
+        }
+        // The default mapping's plans live in the main cache: 16384
+        // scores, one word per row, are eight resident 2048-score
+        // shards, so the vector plan and its three phase programs.
+        let m = fresh().with_backend(ExecBackend::FastWord);
+        m.warmup(&[16384]).unwrap();
+        let stats = m.cache_stats();
+        assert_eq!((stats.plans, stats.resident_entries), (4, 4), "{stats}");
     }
 
     #[test]

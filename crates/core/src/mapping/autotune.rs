@@ -46,13 +46,14 @@
 //! [`softmap_ap::OptLevel::ladder`], and residency follows the
 //! per-vector rule of every sharded plan.
 //!
-//! When autotuning is enabled (the default; see
-//! [`ApSoftmax::with_autotune`]), the first vector of each cached shape
-//! compiles the rule's mapping exactly once, on the caller's tile —
-//! which executes that vector — and installs the plan as a
-//! [`TunedPlan`]. Further vectors replay it with the same
-//! zero-allocation steady state as an untuned plan. A tuned shape
-//! therefore costs one compile, like an untuned one.
+//! The rule *is* the mapping: `ApSoftmax::map_into` returns the
+//! layout and partition every caller uses — cached and direct-issue
+//! execution, the plan key, serving admission and
+//! [`ApSoftmax::mapping_choice`] — the rule's when autotuning is
+//! enabled (the default; see [`ApSoftmax::with_autotune`]), the
+//! configured layout and greedy split otherwise. A tuned shape
+//! therefore compiles, is keyed and replays like any other: one compile
+//! per shape, on the caller's tile, which executes that vector.
 //!
 //! # The oracle
 //!
@@ -74,77 +75,46 @@
 //!
 //! # Contracts
 //!
-//! * `static == simulated` holds for the tuned plan because it *is* an
-//!   ordinary compiled plan; the tuned entry just wraps it. Its outputs
-//!   are bit-exact against the default mapping (every mapping is; the
-//!   tuned-vs-default proptests check it).
+//! * `static == simulated` holds for a tuned shape because its plan is
+//!   an ordinary compiled plan. Its outputs are bit-exact against the
+//!   default mapping (every mapping is; the tuned-vs-default proptests
+//!   check it).
 //! * `with_autotune(false)` compiles the configured mapping
-//!   byte-identically (tuned entries live under their own
-//!   [`PlanKey`](crate::plan) axis and never shadow untuned ones).
+//!   byte-identically. Toggling autotuning starts a fresh plan cache,
+//!   so within one cache a partition is a function of the length and
+//!   the layout in the plan key.
 //! * Tile *occupancy* is deliberately not weighed: a one-word-per-row
 //!   mapping may use twice the shards. The deployment-level throughput
 //!   model accounts for waves, and a deployment that wants the paper's
 //!   occupancy pins the layout.
 
-use std::sync::Arc;
-
-use super::{words_per_row, ApSoftmax, ApSoftmaxRun, CoreError, Layout, PlanMode, TileState};
-use crate::plan::{CachedPlan, MappingChoice, PlanCache, TunedPlan};
+use super::{ApSoftmax, CoreError, Layout};
+use crate::plan::MappingChoice;
 
 /// How far past the minimum shard count the rule looks for an equal
 /// split (`k_min ..= k_min + EQUAL_SPREAD`, capped at the tile grid).
 const EQUAL_SPREAD: usize = 2;
 
-/// A shard partition other than the greedy one (`None`: the greedy
-/// split, or the whole vector).
-type Partition = Option<Vec<(usize, usize)>>;
+/// Words per row of a layout.
+fn words_per_row(layout: Layout) -> usize {
+    match layout {
+        Layout::TwoWordsPerRow => 2,
+        Layout::OneWordPerRow => 1,
+    }
+}
 
 impl ApSoftmax {
-    /// Compiles the rule's mapping for this vector on `state` — which
-    /// executes the vector into `run` — and wraps the plan in a
-    /// [`TunedPlan`] (the tuned entry's compile step in
-    /// [`ApSoftmax::lookup`], counted in the autotune statistics). The
-    /// compile goes through a scratch cache, so the main cache sees
-    /// one insert per tuned shape.
-    pub(super) fn compile_tuned(
+    /// The mapping of a vector of `len` elements: returns the layout it
+    /// executes under and writes its shard partition into `ranges`
+    /// (empty when it fits one tile) — the rule's (see the module docs)
+    /// when autotuning, the configured layout and the device's greedy
+    /// split otherwise. Allocation-free once `ranges` has capacity.
+    pub(super) fn map_into(
         &self,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-    ) -> Result<CachedPlan, CoreError> {
-        let started = std::time::Instant::now();
-        let len = codes.len();
-        let (layout, partition) = self.rule(len)?;
-        let balanced = partition.is_some();
-        let view = self.fixed_view(layout, partition);
-        view.execute_codes_mode(state, codes, run, PlanMode::Cached, None)?;
-        let plan = view
-            .plans
-            .peek(&view.cached_key(len)?)
-            .ok_or_else(|| CoreError::BadWorkload("tuned compile did not cache".into()))?;
-        let winner_cost = Self::entry_vector_cost(&plan);
-        let tuned = TunedPlan {
-            choice: MappingChoice {
-                layout,
-                div: self.div_style,
-                opt: self.opt_level,
-                resident: matches!(&plan, CachedPlan::Sharded(p) if p.resident),
-                shards: winner_cost.shards,
-                balanced,
-            },
-            plan,
-            winner_cost,
-            improved: layout != self.layout || balanced,
-            compile_micros: started.elapsed().as_secs_f64() * 1e6,
-        };
-        self.plans.note_autotune(tuned.improved);
-        Ok(CachedPlan::Tuned(Arc::new(tuned)))
-    }
-
-    /// The rule (see the module docs): the layout a vector of `len`
-    /// elements maps under, and its partition when that is not the
-    /// greedy split.
-    fn rule(&self, len: usize) -> Result<(Layout, Partition), CoreError> {
+        len: usize,
+        ranges: &mut Vec<(usize, usize)>,
+    ) -> Result<Layout, CoreError> {
+        ranges.clear();
         let whole = |layout| Self::packing_of(layout, len).1 <= self.device.rows_per_tile;
         // Two words per row packs an even vector, and the even greedy
         // shards of an odd one too long for one tile.
@@ -152,60 +122,91 @@ impl ApSoftmax {
             && (len.is_multiple_of(2) || !whole(Layout::TwoWordsPerRow));
         // Shards past the grid run re-staged in waves, without lockstep.
         let one_wave = len <= self.device.tiles * self.device.shard_capacity(1);
-        let layout = if !self.layout_pinned && packs && one_wave {
+        let layout = if self.autotune && !self.layout_pinned && packs && one_wave {
             Layout::OneWordPerRow
         } else {
             self.layout
         };
         if whole(layout) {
-            return Ok((layout, None));
+            return Ok(layout);
         }
         let wpr = words_per_row(layout);
-        let mut greedy = Vec::new();
-        self.device.partition_into(len, wpr, &mut greedy)?;
-        let equal = self.equal_split(len, wpr).filter(|equal| *equal != greedy);
-        Ok((layout, equal))
+        self.device.partition_into(len, wpr, ranges)?;
+        if self.autotune {
+            self.equal_split_into(len, wpr, ranges);
+        }
+        Ok(layout)
     }
 
-    /// The split of `len` elements into the fewest equal shards `k` in
-    /// `k_min ..= min(k_min + EQUAL_SPREAD, tiles)` at `wpr` words per
-    /// row — every shard a whole number of rows, so packed shards are
-    /// even — or `None` when no such `k` divides `len`.
-    fn equal_split(&self, len: usize, wpr: usize) -> Option<Vec<(usize, usize)>> {
+    /// Overwrites `ranges` with the split of `len` elements into the
+    /// fewest equal shards `k` in `k_min ..= min(k_min + EQUAL_SPREAD,
+    /// tiles)` at `wpr` words per row — every shard a whole number of
+    /// rows, so packed shards are even — and leaves it alone when no
+    /// such `k` divides `len`.
+    fn equal_split_into(&self, len: usize, wpr: usize, ranges: &mut Vec<(usize, usize)>) {
         let k_min = len.div_ceil(self.device.shard_capacity(wpr));
         let k_max = (k_min + EQUAL_SPREAD).min(self.device.tiles.max(1));
-        let k =
-            (k_min..=k_max).find(|&k| len.is_multiple_of(k) && (len / k).is_multiple_of(wpr))?;
-        let shard = len / k;
-        Some((0..k).map(|i| (i * shard, (i + 1) * shard)).collect())
+        let equal =
+            (k_min..=k_max).find(|&k| len.is_multiple_of(k) && (len / k).is_multiple_of(wpr));
+        if let Some(k) = equal {
+            let shard = len / k;
+            ranges.clear();
+            ranges.extend((0..k).map(|i| (i * shard, (i + 1) * shard)));
+        }
     }
 
-    /// This mapping with autotuning off, `layout`, the shard
-    /// `partition` (`None`: greedy), and a scratch plan cache, so
-    /// compiling it never pollutes — or thrashes — the main cache.
-    fn fixed_view(&self, layout: Layout, partition: Partition) -> ApSoftmax {
-        let mut view = self.clone();
-        view.autotune = false;
-        view.plan_mode = PlanMode::Cached;
-        view.layout = layout;
-        view.partition_override = partition.map(Arc::new);
-        view.plans = Arc::new(PlanCache::new());
-        view
+    /// Whether `ranges`, a partition of `len` elements under `layout`,
+    /// differs from the device's greedy split.
+    pub(super) fn balanced(&self, len: usize, layout: Layout, ranges: &[(usize, usize)]) -> bool {
+        let mut greedy = Vec::new();
+        let split = self
+            .device
+            .partition_into(len, words_per_row(layout), &mut greedy);
+        !ranges.is_empty() && split.is_ok() && greedy != ranges
+    }
+
+    /// The mapping vectors of `len` elements execute under — layout,
+    /// shard count, whether the partition is balanced (differs from the
+    /// greedy split) and whether it runs resident — computed from the
+    /// rule without compiling anything. Its cost is
+    /// [`ApSoftmax::static_vector_cost`]; its compile time is
+    /// [`ApSoftmax::plan`]'s or [`ApSoftmax::sharded_plan`]'s.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::EmptyInput`] for a zero length;
+    /// [`CoreError::Ap`] for a tile grid that cannot partition it.
+    pub fn mapping_choice(&self, len: usize) -> Result<MappingChoice, CoreError> {
+        if len == 0 {
+            return Err(CoreError::EmptyInput);
+        }
+        let mut ranges = Vec::new();
+        let layout = self.map_into(len, &mut ranges)?;
+        let shards = ranges.len().max(1);
+        Ok(MappingChoice {
+            layout,
+            div: self.div_style,
+            opt: self.opt_level,
+            resident: !ranges.is_empty() && self.resident_for(shards),
+            shards,
+            balanced: self.balanced(len, layout, &ranges),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::VectorCost;
+    use crate::mapping::{ApSoftmaxRun, PlanMode, TileState, VectorCost};
+    use crate::plan::CachedPlan;
     use softmap_ap::{DeviceConfig, ExecBackend};
     use softmap_softmax::PrecisionConfig;
 
     /// The search the rule replaced, kept as its oracle: compiles every
-    /// candidate mapping of `len` from the representative input on a
-    /// scratch cache and returns the statically cheapest by (cycles,
-    /// critical path, cell events), the configured default — scored
-    /// first — winning ties.
+    /// candidate mapping of `len` from the representative input, each on
+    /// a fresh autotune-off mapping pinned to its layout, and returns the
+    /// statically cheapest by (cycles, critical path, cell events), the
+    /// configured default — scored first — winning ties.
     fn search(m: &ApSoftmax, len: usize) -> (MappingChoice, VectorCost) {
         let mut candidates = vec![(m.layout, None)];
         for layout in [Layout::TwoWordsPerRow, Layout::OneWordPerRow] {
@@ -235,15 +236,21 @@ mod tests {
         let mut best: Option<(MappingChoice, VectorCost)> = None;
         for (layout, partition) in candidates {
             let balanced = partition.is_some();
-            let view = m.fixed_view(layout, partition);
+            let view = m.clone().with_layout(layout).with_autotune(false);
             let (mut state, mut run) = (TileState::new(), ApSoftmaxRun::default());
-            if view
-                .execute_codes_mode(&mut state, &codes, &mut run, PlanMode::Cached, None)
-                .is_err()
-            {
+            let entry = match &partition {
+                Some(ranges) => {
+                    let resident = view.resident_for(ranges.len());
+                    view.compile_sharded(&mut state, &codes, &mut run, layout, ranges, resident)
+                }
+                None => view
+                    .execute_codes_mode(&mut state, &codes, &mut run, PlanMode::Cached, None)
+                    .and_then(|()| view.cached_key(len))
+                    .map(|key| view.plans.peek(&key).expect("the compile cached")),
+            };
+            let Ok(entry) = entry else {
                 continue; // a geometry the grid rejects is pruned
-            }
-            let entry = view.plans.peek(&view.cached_key(len).unwrap()).unwrap();
+            };
             let cost = ApSoftmax::entry_vector_cost(&entry);
             if best.as_ref().is_none_or(|(_, b)| score(&cost) < score(b)) {
                 let choice = MappingChoice {
@@ -269,17 +276,16 @@ mod tests {
         let untuned = m.clone().with_autotune(false);
         let mut misses = Vec::new();
         for len in lengths {
-            let tuned = m.tuned_plan(len).unwrap();
-            let (rule, rule_cost) = (tuned.choice(), *tuned.winner_cost());
+            let rule = m.mapping_choice(len).unwrap();
+            let rule_cost = m.static_vector_cost(len).unwrap();
             let (best, best_cost) = search(m, len);
             if (rule, rule_cost) == (best, best_cost) {
                 continue;
             }
             // A whole vector or an equal split must be the search's.
-            let exact = match &tuned.plan {
-                CachedPlan::Sharded(p) => p.ranges.iter().all(|&(s, e)| e - s == len / p.shards()),
-                _ => true,
-            };
+            let mut ranges = Vec::new();
+            m.map_into(len, &mut ranges).unwrap();
+            let exact = ranges.iter().all(|&(s, e)| e - s == len / ranges.len());
             assert!(
                 !exact,
                 "len {len}: rule [{rule}] {rule_cost:?} vs search [{best}] {best_cost:?}"

@@ -276,13 +276,15 @@ impl ApSoftmax {
         self.execute_codes_mode(state, &codes, run, self.plan_mode, wake)
     }
 
-    /// Compiles the sharded plan for this vector by executing it once
-    /// in compile mode on the calling thread.
+    /// Compiles the sharded plan for this vector, its shards `ranges`
+    /// packed by `layout`, by executing it once in compile mode on the
+    /// calling thread.
     pub(super) fn compile_sharded(
         &self,
         state: &mut TileState,
         codes: &[i64],
         run: &mut ApSoftmaxRun,
+        layout: Layout,
         ranges: &[(usize, usize)],
         resident: bool,
     ) -> Result<CachedPlan, CoreError> {
@@ -294,7 +296,7 @@ impl ApSoftmax {
             ShardExec::Compile,
             ranges,
             resident,
-            self.layout,
+            layout,
             None,
         )?;
         Ok(CachedPlan::Sharded(Arc::new(ShardedPlan {
@@ -319,11 +321,11 @@ impl ApSoftmax {
     /// compile, or replay; `resident` the residency plan (shard tiles
     /// pinned across phases, phase-boundary staging elided, followers
     /// charged in lockstep) versus the re-staging path; `layout` the row
-    /// packing the shards stage under (a tuned winner's, on tuned
-    /// replay). A replay given `wake` splits into the job's chunks (at
-    /// most one per shard) and posts each phase to helpers; anything
-    /// else runs one chunk. Returns the phase programs compile mode
-    /// collected, per phase in shard order (empty otherwise).
+    /// packing the vector maps under. A replay given `wake` splits into
+    /// the job's chunks (at most one per shard) and posts each phase to
+    /// helpers; anything else runs one chunk. Returns the phase programs
+    /// compile mode collected, per phase in shard order (empty
+    /// otherwise).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn run_sharded(
         &self,
@@ -530,7 +532,7 @@ impl ApSoftmax {
         } = w;
         let (steps, plans) = (&mut steps[p], &mut plans[p]);
         let tile = &mut tiles[if resident { slot } else { 0 }];
-        let key = self.shard_key(e - s, phase, resident);
+        let key = self.shard_key(e - s, layout, phase, resident);
         let peeked;
         let program = match ctx.exec {
             ShardExec::Direct => None,
@@ -827,8 +829,8 @@ pub(crate) mod tests {
 
     #[test]
     fn fanout_replays_the_autotuned_sharded_winner() {
-        // Default mapping autotunes: helped chunks must resolve the tuned
-        // entry's sharded winner and replay under the winning layout.
+        // Default mapping autotunes: helped chunks must resolve the
+        // sharded plan of the rule's mapping and replay under its layout.
         let sm = ApSoftmax::new(PrecisionConfig::paper_best())
             .unwrap()
             .with_backend(ExecBackend::FastWord)

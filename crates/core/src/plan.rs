@@ -7,23 +7,22 @@
 //! [`softmap_ap::ApProgram`] and replays it for every further vector —
 //! this module is the cache those compiled plans live in.
 //!
-//! Three kinds of entries share the cache:
+//! Two kinds of entries share the cache:
 //!
 //! * **whole-vector programs** ([`CompiledPlan`]) for shapes that fit
 //!   one tile, plus the per-phase shard programs (min search, exp +
-//!   partial sum, divide) sharded execution replays,
+//!   partial sum, divide) sharded execution replays, and
 //! * **sharded vector plans** ([`ShardedPlan`]) for shapes that exceed
 //!   the device's tile capacity: the shard partition, the per-shard
 //!   phase programs (as `Arc`s into the same cache), and the cost
 //!   metadata (waves, cross-tile reduction charges, critical path)
-//!   recorded at compile time so static queries stay execution-free,
-//!   and
-//! * **tuned vector plans** ([`TunedPlan`]) installed by the mapping
-//!   autotuner (`crate::mapping::autotune`): the whole-vector or
-//!   sharded plan of the mapping its rule picked, plus the
-//!   [`MappingChoice`] it corresponds to. Tuned entries live under
-//!   their own `tuned` key axis so a tuned mapping and its pinned
-//!   paper-default baseline coexist in the same LRU.
+//!   recorded at compile time so static queries stay execution-free.
+//!
+//! Every entry is keyed by the layout its vector *maps* under
+//! (`ApSoftmax::map_into`, in `crate::mapping::autotune`): the mapping
+//! autotuner's layout when it is on, the configured one otherwise. A
+//! tuned shape is an ordinary entry, and shard-phase programs are
+//! shared by every shape whose shards have their length.
 //!
 //! Sharing happens at two levels, mirroring the tile pool:
 //!
@@ -49,7 +48,7 @@ use std::sync::{Arc, Mutex};
 
 use softmap_ap::{ApProgram, CycleStats, DivStyle, OptLevel, PassReport, RegId};
 
-use crate::mapping::{Layout, StepStats, VectorCost};
+use crate::mapping::{Layout, StepStats};
 
 /// Which program a cache entry holds: the whole-vector dataflow, one
 /// of the three per-shard phase programs, or the vector-level sharded
@@ -93,12 +92,6 @@ pub(crate) struct PlanKey {
     /// in the LRU — the differential baseline never evicts the fast
     /// path. Always `false` for whole-vector entries.
     pub resident: bool,
-    /// Whether this is an autotuned vector-level entry (a
-    /// [`TunedPlan`] installed by the mapping autotuner). Its own key
-    /// axis so a tuned mapping and its `with_autotune(false)` baseline
-    /// coexist without evicting each other. Always `false` for shard
-    /// phase programs and untuned vector entries.
-    pub tuned: bool,
 }
 
 /// A compiled dataflow plan: the recorded [`ApProgram`] plus the
@@ -313,10 +306,10 @@ impl ShardedPlan {
     }
 }
 
-/// The mapping an autotuned plan selected: the configuration axes plus
-/// the shard geometry of the chosen plan. Returned by
-/// [`TunedPlan::choice`] and rendered (via `Display`) in the eval
-/// `autotune` table and `examples/backend_profile.rs`.
+/// The mapping a vector length executes under: the configuration axes
+/// plus the shard geometry. Returned by
+/// [`crate::ApSoftmax::mapping_choice`] and rendered (via `Display`) in
+/// the eval `autotune` table and `examples/backend_profile.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MappingChoice {
     /// Row packing layout of the chosen plan.
@@ -372,59 +365,13 @@ impl fmt::Display for MappingChoice {
     }
 }
 
-/// An autotuned vector-level cache entry: the compiled plan of the
-/// mapping the autotuner's rule picked (whole-vector or sharded), the
-/// [`MappingChoice`] it realizes, and its static cost.
-#[derive(Debug)]
-pub struct TunedPlan {
-    pub(crate) choice: MappingChoice,
-    pub(crate) plan: CachedPlan,
-    pub(crate) winner_cost: VectorCost,
-    pub(crate) improved: bool,
-    pub(crate) compile_micros: f64,
-}
-
-impl TunedPlan {
-    /// The chosen mapping.
-    #[must_use]
-    pub fn choice(&self) -> MappingChoice {
-        self.choice
-    }
-
-    /// Static cost of the chosen plan (exact for the input it was
-    /// compiled from; the static == simulated contract carries over
-    /// from the plan kind).
-    #[must_use]
-    pub fn winner_cost(&self) -> &VectorCost {
-        &self.winner_cost
-    }
-
-    /// Whether the rule mapped this shape differently from the
-    /// configured default (another layout or a balanced partition) —
-    /// what [`crate::CacheStats::tuned_wins`] counts. The rule's oracle
-    /// test checks such a mapping never costs more than the default.
-    #[must_use]
-    pub fn improved(&self) -> bool {
-        self.improved
-    }
-
-    /// Wall-clock microseconds the tuned compile took.
-    #[must_use]
-    pub fn compile_micros(&self) -> f64 {
-        self.compile_micros
-    }
-}
-
-/// One cache entry: a single compiled program, a sharded plan, or an
-/// autotuned plan.
+/// One cache entry: a single compiled program or a sharded plan.
 #[derive(Debug, Clone)]
 pub(crate) enum CachedPlan {
     /// A whole-vector or shard-phase program.
     Program(Arc<CompiledPlan>),
     /// A vector-level sharded plan.
     Sharded(Arc<ShardedPlan>),
-    /// A vector-level autotuned plan wrapping its compiled plan.
-    Tuned(Arc<TunedPlan>),
 }
 
 /// Aggregate counters of a [`PlanCache`]; see
@@ -440,8 +387,10 @@ pub struct PlanStats {
     pub hits: u64,
     /// LRU evictions over the cache's lifetime.
     pub evictions: u64,
-    /// Total wall-clock microseconds spent compiling over the cache's
-    /// lifetime (survives [`PlanCache::clear`] and recompiles).
+    /// Total wall-clock microseconds spent compiling vector-level
+    /// plans over the cache's lifetime (survives [`PlanCache::clear`]
+    /// and recompiles). A sharded plan's compile interval contains its
+    /// new phase programs', so theirs are not added again.
     pub compile_micros: f64,
 }
 
@@ -454,8 +403,9 @@ pub struct AutotuneStats {
     pub shapes_tuned: u64,
     /// Mappings the autotuner compiled: one per tuned shape.
     pub candidates_scored: u64,
-    /// Tuned shapes mapped differently from the configured default
-    /// (see [`TunedPlan::improved`]).
+    /// Tuned shapes mapped differently from the configured default:
+    /// another layout or a balanced partition (see
+    /// [`crate::ApSoftmax::mapping_choice`]).
     pub wins: u64,
 }
 
@@ -519,12 +469,12 @@ impl Default for PlanCache {
 
 impl PlanCache {
     /// Default LRU capacity: comfortably above any single workload's
-    /// working set (a sharded shape needs at most seven entries per
-    /// residency mode — the vector plan plus two shard lengths × three
-    /// phases — so fourteen when resident and re-staged plans coexist,
-    /// plus one tuned entry per shape when the autotuner is on) while
-    /// keeping a long-running server's memory bounded under arbitrary
-    /// length mixes.
+    /// working set while keeping a long-running server's memory bounded
+    /// under arbitrary length mixes. A sharded shape needs at most seven
+    /// entries per residency mode — the vector plan plus two shard
+    /// lengths × three phases — and shapes whose shards share a length
+    /// share those phase programs: the long-context benchmark's 13
+    /// autotuned lengths (4,096–32,768 scores) hold 25 entries.
     pub const DEFAULT_CAPACITY: usize = 64;
 
     /// Creates an empty cache with a fresh identity and the default
@@ -599,14 +549,16 @@ impl PlanCache {
     }
 
     pub(crate) fn insert(&self, key: PlanKey, plan: CachedPlan) {
-        let micros = match &plan {
-            CachedPlan::Program(p) => p.compile_micros(),
-            CachedPlan::Sharded(p) => p.compile_micros(),
-            CachedPlan::Tuned(p) => p.compile_micros(),
-        };
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        self.compile_nanos
-            .fetch_add((micros * 1e3) as u64, Ordering::Relaxed);
+        // A sharded compile's interval contains its phase programs'.
+        if key.phase == PlanPhase::Vector {
+            let micros = match &plan {
+                CachedPlan::Program(p) => p.compile_micros(),
+                CachedPlan::Sharded(p) => p.compile_micros(),
+            };
+            self.compile_nanos
+                .fetch_add((micros * 1e3) as u64, Ordering::Relaxed);
+        }
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut map = self.plans.lock().expect("plan cache poisoned");
         map.insert(key, Entry { plan, used: now });
@@ -624,8 +576,9 @@ impl PlanCache {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one tuned shape (one mapping compiled), `win` when it
-    /// was mapped differently from the configured default.
+    /// Records one vector-level compile of an autotuning mapping,
+    /// `win` when the shape maps differently from the configured
+    /// default.
     pub(crate) fn note_autotune(&self, win: bool) {
         self.shapes_tuned.fetch_add(1, Ordering::Relaxed);
         self.candidates_scored.fetch_add(1, Ordering::Relaxed);

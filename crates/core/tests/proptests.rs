@@ -162,7 +162,9 @@ proptest! {
     ) {
         let cfg = PrecisionConfig::paper_best();
         let dev = DeviceConfig::new(2, 4);
+        // Both sides pinned to the configured mapping.
         let direct = ApSoftmax::new(cfg).unwrap()
+            .with_autotune(false)
             .with_backend(backend)
             .with_device(dev)
             .with_plan_mode(PlanMode::DirectIssue)

@@ -93,6 +93,40 @@ fn served_requests_are_bit_exact_versus_inline_execution() {
 }
 
 #[test]
+fn served_requests_claim_the_tiles_their_plans_run_on() {
+    // Admission claims `min(shards, tiles)` tiles per request, and the
+    // device-time ledger books each completed request's latency on that
+    // many tiles. The busy total is order-independent, so it pins every
+    // claim to the shards the request's plan ran on: 4096 scores run
+    // two shards on the default mapping, not the packed mapping's one.
+    let lens = [64usize, 4096, 6000, 8192, 16384];
+    let server = SoftmaxServer::new(
+        mapping(),
+        ServeConfig {
+            workers: 1,
+            queue_depth: 8,
+            warmup_shapes: lens.to_vec(),
+            shard_parallel: false,
+        },
+    )
+    .unwrap();
+    let tickets: Vec<_> = lens
+        .iter()
+        .enumerate()
+        .map(|(salt, &len)| server.submit(&scores(len, salt)).unwrap())
+        .collect();
+    let tiles = mapping().device().tiles;
+    let mut booked = 0;
+    for ticket in tickets {
+        let run = ticket.wait().unwrap();
+        booked += run.latency_cycles * run.shards.min(tiles) as u64;
+    }
+    let stats = server.stats();
+    assert_eq!(stats.completed, lens.len() as u64);
+    assert_eq!(stats.busy_cycles, booked, "{stats}");
+}
+
+#[test]
 fn bounded_queue_pushes_back_with_queue_full() {
     // queue_depth 1: the only slot stays occupied until its ticket
     // collects, so the non-blocking submit below must observe a full

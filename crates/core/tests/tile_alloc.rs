@@ -229,6 +229,45 @@ fn main() {
         );
     }
 
+    // The default mapping's balanced shapes: the autotuner's rule maps
+    // every vector, so each one computes its partition again. One word
+    // per row, 6000 scores run three 2000-score shards and 5000 four
+    // 1250-score shards, where the greedy split leaves a short tail.
+    for (len, shards) in [(6000usize, 3usize), (5000, 4)] {
+        let long: Vec<f64> = (0..len)
+            .map(|i| -f64::from((i % 97) as u32) * 0.07)
+            .collect();
+        let mapping = ApSoftmax::new(PrecisionConfig::paper_best())
+            .unwrap()
+            .with_backend(ExecBackend::FastWord);
+        let mut state = TileState::new();
+        let mut run = ApSoftmaxRun::default();
+        mapping
+            .execute_floats_into(&mut state, &long, &mut run)
+            .unwrap();
+        mapping
+            .execute_floats_into(&mut state, &long, &mut run)
+            .unwrap();
+        assert_eq!(run.shards, shards, "{len} scores");
+        let choice = mapping.mapping_choice(len).unwrap();
+        assert!(choice.balanced && choice.resident, "{len} scores: {choice}");
+        let reference = run.codes.clone();
+        let allocs = count_allocs(|| {
+            for _ in 0..3 {
+                mapping
+                    .execute_floats_into(&mut state, &long, &mut run)
+                    .unwrap();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "steady-state balanced replay ({len} scores) must not allocate \
+             (got {allocs} over 3 vectors)"
+        );
+        assert_eq!(run.codes, reference, "balanced replay must stay bit-exact");
+        println!("tile_alloc: balanced {len} ok ({choice})");
+    }
+
     // The Microcode backend shards identically; keep its window cheap
     // with a tiny device (64 scores over 8-row tiles → four shards).
     {

@@ -75,10 +75,10 @@ pub fn run() -> EvalResult<Vec<AutotunePoint>> {
         let dc = default.vector_cost(seq_len)?;
         let compiled = tuned.mapping().cache_stats().candidates_scored;
         let tc = tuned.vector_cost(seq_len)?;
-        let plan = tuned.mapping().tuned_plan(seq_len)?;
+        let choice = tuned.mapping().mapping_choice(seq_len)?;
         out.push(AutotunePoint {
             seq_len,
-            choice: plan.choice().to_string(),
+            choice: choice.to_string(),
             candidates: (tuned.mapping().cache_stats().candidates_scored - compiled) as usize,
             tuned_shards: tc.shards,
             default_cycles: dc.total.cycles(),

@@ -221,12 +221,13 @@ fn main() {
     let scores: Vec<f64> = (0..rows * 2)
         .map(|i| -f64::from((i % 97) as u32) * 0.07)
         .collect();
+    // Autotuning pinned off on both sides: these sections profile the
+    // paper's fixed mapping; the autotuner gets its own section below.
     let direct = ApSoftmax::new(PrecisionConfig::paper_best())
         .unwrap()
+        .with_autotune(false)
         .with_backend(ExecBackend::FastWord)
         .with_plan_mode(PlanMode::DirectIssue);
-    // Autotuning pinned off here: these sections profile the paper's
-    // fixed mapping; the autotuner gets its own section below.
     let cached = ApSoftmax::new(PrecisionConfig::paper_best())
         .unwrap()
         .with_autotune(false)
@@ -340,14 +341,16 @@ fn main() {
                 .execute_floats_into(&mut state, &scores, &mut run)
                 .unwrap();
         });
-        let plan = tuned.tuned_plan(len).unwrap();
+        let choice = tuned.mapping_choice(len).unwrap();
+        let compile_us = match choice.shards {
+            1 => tuned.plan(len).unwrap().compile_micros(),
+            _ => tuned.sharded_plan(len).unwrap().compile_micros(),
+        };
         let default = tuned.clone().with_autotune(false).static_cost(len).unwrap();
         println!(
-            "  len {len}: chose [{}] — {} cyc vs default {} cyc (compile {:.1} us)",
-            plan.choice(),
-            plan.winner_cost().total.cycles(),
+            "  len {len}: chose [{choice}] — {} cyc vs default {} cyc (compile {compile_us:.1} us)",
+            tuned.static_cost(len).unwrap().cycles(),
             default.cycles(),
-            plan.compile_micros()
         );
     }
     println!("  cache (tuned mapping): {}", tuned.cache_stats());
