@@ -28,13 +28,27 @@
 //! the contract op by op; `crates/bench/benches/backend_compare.rs`
 //! measures the speedup it buys.
 //!
+//! One pure function, [`charge`], holds the FastWord price of every
+//! row-parallel [`ApOp`]: the op's structural cycle shape plus the
+//! data-dependent tallies its kernels count (ripple write events,
+//! borrow and shift-gate populations, the restoring divider's
+//! `[ev_sub, n_borrow, ev_add]` per iteration), in
+//! `program::tally_slots` order. The op-by-op engines fill those
+//! tallies and charge the op at once; the region-blocked strip
+//! executor ([`ApCore::fw_run_region_strips`]) accumulates them across
+//! strips and `program::charge_region` charges each op of the region
+//! from them afterwards. Broadcasts, the saturating clamp among them,
+//! are priced by [`crate::CamArray::broadcast_field`], which both
+//! backends share; the gated public add and subtract, which are no
+//! `ApOp`, are priced by the same ripple primitive `charge` uses.
+//!
 //! Because plane state is maintained exactly, controller-driven
 //! microprograms (the reciprocal divider, max/min search, the Fig. 5
 //! mapping) are written once and run on either backend.
 
 use crate::cam::tail_mask;
 use crate::program::{ApOp, BlockRegion, Operand};
-use crate::{ApCore, ApError, Field};
+use crate::{ApCore, ApError, CycleStats, DivStyle, Field};
 
 /// Which engine executes [`ApCore`] operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -178,9 +192,212 @@ fn store_lanes(dst: &mut [u64], w: &[u64; LANES]) {
     }
 }
 
-/// Set bits over a lane group's rows.
-fn popcount(lanes: &[u64; LANES]) -> u64 {
-    lanes.iter().map(|w| u64::from(w.count_ones())).sum()
+/// Set bits over a run of plane words (a lane group's rows, a plane).
+fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// The shift a variable shifter's amount bit `j` stands for, `2^j`,
+/// saturating at `usize::MAX`: a bit at or above the word size weighs
+/// more than any field is wide, so it clears the field.
+pub(crate) fn shift_weight(j: usize) -> usize {
+    u32::try_from(j)
+        .ok()
+        .and_then(|j| 1usize.checked_shl(j))
+        .unwrap_or(usize::MAX)
+}
+
+/// `n` copy-LUT bit copies over every row: two single-column compare
+/// passes per bit, whose writes together touch each row once.
+fn copies(st: &mut CycleStats, rows: u64, n: u64) {
+    st.charge_compares_bulk(2 * n, 2 * n * rows);
+    st.charge_writes_bulk(2 * n, n * rows);
+}
+
+/// One in-place ripple add or subtract of a `sw`-bit source into an
+/// `aw`-bit accumulator: `clear_carry`, 4 passes per source bit and 2
+/// ripple passes per extra accumulator bit (a gate adds one matched
+/// column to every compare), with `ev` the write cells
+/// [`fused_ripple`] counted.
+fn ripple(st: &mut CycleStats, rows: u64, sw: usize, aw: usize, gated: bool, ev: u64) {
+    let g = u64::from(gated);
+    let low = 4 * sw as u64;
+    let ripple = 2 * (aw - sw) as u64;
+    st.charge_compares_bulk(low + ripple, rows * ((3 + g) * low + (2 + g) * ripple));
+    st.charge_writes_bulk(1 + low + ripple, rows + ev);
+}
+
+/// One restoring-division channel: the zero broadcasts of the
+/// remainder scratch and the quotient, then per iteration (MSB first)
+/// the remainder shift, the incoming dividend bit (a cleared bit below
+/// the binary point), the trial subtract and its borrow read-back, the
+/// borrow latch (ungated clear, tagged set), the restoring add when any
+/// row borrowed, the no-borrow tag compare and the quotient bit — or,
+/// above the quotient field, the saturating broadcast to the no-borrow
+/// rows (free when there are none). `tally` holds `[ev_sub, n_borrow,
+/// ev_add]` per iteration. `physical_shift` prices the standalone
+/// divider's per-iteration shift copies; without it (the fused window
+/// rename) one canonicalization copy of the remainder ends the channel.
+#[allow(clippy::too_many_arguments)]
+fn divide_channel(
+    st: &mut CycleStats,
+    rows: u64,
+    num: Field,
+    den: Field,
+    quot: Field,
+    frac_bits: usize,
+    tally: &[u64],
+    physical_shift: bool,
+) {
+    let (dw, qw) = (den.width(), quot.width() as u64);
+    let rem_w = dw + 1;
+    st.charge_writes_bulk(rem_w as u64 + qw, (rem_w as u64 + qw) * rows);
+    for (t, k) in tally
+        .chunks_exact(3)
+        .zip((0..num.width() + frac_bits).rev())
+    {
+        let [ev_sub, n_borrow, ev_add] = [t[0], t[1], t[2]];
+        if physical_shift {
+            copies(st, rows, (rem_w - 1) as u64);
+        }
+        if k >= frac_bits {
+            copies(st, rows, 1);
+        } else {
+            st.charge_writes_bulk(1, rows);
+        }
+        ripple(st, rows, dw, rem_w, false, ev_sub);
+        st.charge_compares_bulk(1, rows);
+        st.charge_writes_bulk(2, rows + n_borrow);
+        if n_borrow > 0 {
+            ripple(st, rows, dw, rem_w, true, ev_add);
+        }
+        st.charge_compares_bulk(1, rows);
+        let n_nob = rows - n_borrow;
+        if (k as u64) < qw {
+            st.charge_writes_bulk(1, n_nob);
+        } else if n_nob > 0 {
+            st.charge_writes_bulk(qw, qw * n_nob);
+        }
+    }
+    if !physical_shift {
+        copies(st, rows, rem_w as u64);
+    }
+}
+
+/// The FastWord price of one row-parallel op over `rows` rows: its
+/// structural cycle shape plus the data-dependent `tally` its kernels
+/// counted, `program::tally_slots(op)` slots in that function's order.
+/// The only place such a price is written: the op-by-op engines charge
+/// it per op, `program::charge_region` per op of a blocked region, and
+/// both equal Microcode's LUT-pass charges exactly.
+///
+/// A broadcast costs one write cycle per bit over every row (the
+/// region walk's arm: op by op, [`crate::CamArray::broadcast_field`]
+/// prices it).
+///
+/// # Panics
+///
+/// Panics on an op that is not row-parallel (loads, reads, searches,
+/// reductions, register ops, reciprocal division) and on `Step` marks,
+/// which cost nothing and report instead.
+pub(crate) fn charge(op: &ApOp, rows: u64, tally: &[u64]) -> CycleStats {
+    let mut st = CycleStats::default();
+    match *op {
+        ApOp::Broadcast { field, .. } => {
+            let w = field.width() as u64;
+            st.charge_writes_bulk(w, w * rows);
+        }
+        ApOp::Copy { src, dst } => {
+            // The destination bits above the source clear by an
+            // ungated broadcast.
+            let hi = (dst.width() - src.width()) as u64;
+            copies(&mut st, rows, src.width() as u64);
+            st.charge_writes_bulk(hi, hi * rows);
+        }
+        ApOp::Mul { a, r, .. } | ApOp::MulConst { a, r, .. } => {
+            // Clear the result, then one ripple of `a` into `a + 1`
+            // result bits per multiplier bit — gated on the multiplier
+            // column, or for a constant ungated and only for set bits.
+            let (rw, gated) = (r.width() as u64, matches!(op, ApOp::Mul { .. }));
+            st.charge_writes_bulk(rw, rw * rows);
+            for &ev in tally {
+                ripple(&mut st, rows, a.width(), a.width() + 1, gated, ev);
+            }
+        }
+        ApOp::AddInto { acc, src } => {
+            ripple(&mut st, rows, src.width(), acc.width(), false, tally[0])
+        }
+        ApOp::SubAssertClean { acc, src } | ApOp::SaturatingSubInto { acc, src } => {
+            ripple(&mut st, rows, src.width(), acc.width(), false, tally[0]);
+            // The borrow column's read-back.
+            st.charge_compares_bulk(1, rows);
+            // The saturating clamp: a broadcast of zero to the
+            // borrowing rows, free when none borrowed.
+            if matches!(op, ApOp::SaturatingSubInto { .. }) && tally[1] > 0 {
+                let aw = acc.width() as u64;
+                st.charge_writes_bulk(aw, aw * tally[1]);
+            }
+        }
+        ApOp::ShrConst { field, k } => {
+            // Surviving bits move by bit copies; the vacated high bits
+            // (the whole field when `k` reaches its width) clear by an
+            // ungated broadcast.
+            let (w, k) = (field.width() as u64, k as u64);
+            if k >= w {
+                st.charge_writes_bulk(w, w * rows);
+            } else if k > 0 {
+                copies(&mut st, rows, w - k);
+                st.charge_writes_bulk(k, k * rows);
+            }
+        }
+        ApOp::ShrVariable { field, amount } => {
+            let w = field.width();
+            for (j, &n_j) in tally[..amount.width()].iter().enumerate() {
+                let s = shift_weight(j);
+                if s >= w {
+                    // One tag compare, then the whole field clears for
+                    // the gated rows — free when no row is gated (the
+                    // controller branches on the tag it just read).
+                    st.charge_compares_bulk(1, rows);
+                    if n_j > 0 {
+                        st.charge_writes_bulk(w as u64, w as u64 * n_j);
+                    }
+                    continue;
+                }
+                // Gated copy of each surviving bit (match = source bit
+                // + gate), then one tag compare and a gated clear of
+                // the vacated high bits (free when the tag is empty).
+                let (moved, s) = ((w - s) as u64, s as u64);
+                st.charge_compares_bulk(2 * moved + 1, (4 * moved + 1) * rows);
+                st.charge_writes_bulk(2 * moved, moved * n_j);
+                if n_j > 0 {
+                    st.charge_writes_bulk(s, s * n_j);
+                }
+            }
+        }
+        ApOp::Divide {
+            num,
+            den,
+            quot,
+            frac_bits,
+            style: DivStyle::Restoring,
+        } => divide_channel(&mut st, rows, num, den, quot, frac_bits, tally, true),
+        ApOp::FusedDivide {
+            den,
+            frac_bits,
+            ref channels,
+            n_channels,
+        } => {
+            let mut rest = tally;
+            for &(num, quot) in &channels[..usize::from(n_channels)] {
+                let (t, r) = rest.split_at(3 * (num.width() + frac_bits));
+                divide_channel(&mut st, rows, num, den, quot, frac_bits, t, false);
+                rest = r;
+            }
+        }
+        _ => unreachable!("{op:?} is not a priced row-parallel op"),
+    }
+    st
 }
 
 impl ApCore {
@@ -224,28 +441,26 @@ impl ApCore {
         }
     }
 
-    /// Charges the cost-model totals of one gated/ungated in-place
-    /// ripple op (`clear_carry` + 4 passes per source bit + 2 ripple
-    /// passes per extra accumulator bit), with `wr_events` the write
-    /// cells from [`fused_ripple`]. Also the charge primitive behind
-    /// the blocked executor's region charge walk (`program` module).
-    pub(crate) fn fw_charge_ripple(&mut self, sw: usize, aw: usize, gated: bool, wr_events: u64) {
-        let rows = self.rows() as u64;
-        let g = u64::from(gated);
-        let low = 4 * sw as u64;
-        let ripple = 2 * (aw - sw) as u64;
-        let st = self.cam_mut().stats_mut();
-        st.charge_compares_bulk(low + ripple, rows * ((3 + g) * low + (2 + g) * ripple));
-        st.charge_writes_bulk(1 + low + ripple, rows + wr_events);
+    /// Adds the [`charge`] of `op`, whose op-by-op engine counted
+    /// `tally`, to the core's statistics.
+    fn fw_charge(&mut self, op: &ApOp, tally: &[u64]) {
+        let price = charge(op, self.rows() as u64, tally);
+        self.cam_mut().stats_mut().accumulate(&price);
     }
 
-    pub(crate) fn fw_add_into_gated(
+    /// Fused in-place ripple add (`SUB = false`) or subtract of `src`
+    /// into `acc`, gated or not, priced by the same ripple primitive as
+    /// [`charge`]. A subtract also reads its borrow column back (one
+    /// compare) and leaves the borrow set in `self.borrow_scratch` (the
+    /// shared convention of `ApCore::sub_into_scratch`).
+    pub(crate) fn fw_add_sub<const SUB: bool>(
         &mut self,
         acc: Field,
         src: Field,
         gate: Option<(usize, bool)>,
     ) -> Result<(), ApError> {
         let bl = self.fw_blocks();
+        let rows = self.rows() as u64;
         let (sw, aw) = (src.width(), acc.width());
         let cc = self.carry_col();
         let mut gbuf = std::mem::take(&mut self.gate_buf);
@@ -257,11 +472,16 @@ impl ApCore {
         self.fw_gather(acc, &mut vb);
         carry.clear();
         carry.resize(bl, 0);
-        let gw = if gated { Some(&gbuf[..]) } else { None };
-        let ev = fused_ripple::<false>(&va, sw, &mut vb, aw, bl, gw, &mut carry);
+        let gw = gated.then_some(&gbuf[..]);
+        let ev = fused_ripple::<SUB>(&va, sw, &mut vb, aw, bl, gw, &mut carry);
         self.fw_scatter(acc, &vb);
         self.cam_mut().plane_words_mut(cc).copy_from_slice(&carry);
-        self.fw_charge_ripple(sw, aw, gated, ev);
+        let st = self.cam_mut().stats_mut();
+        ripple(st, rows, sw, aw, gated, ev);
+        if SUB {
+            st.charge_compares_bulk(1, rows);
+            self.set_borrow_scratch(&carry);
+        }
         self.vals_a = va;
         self.vals_b = vb;
         self.vals_c = carry;
@@ -269,61 +489,15 @@ impl ApCore {
         Ok(())
     }
 
-    /// Fused in-place subtraction; leaves the borrow set in
-    /// `self.borrow_scratch` (the shared convention of
-    /// `ApCore::sub_into_scratch`).
-    pub(crate) fn fw_sub_into_gated(
-        &mut self,
-        acc: Field,
-        src: Field,
-        gate: Option<(usize, bool)>,
-    ) -> Result<(), ApError> {
-        let bl = self.fw_blocks();
-        let rows = self.rows();
-        let (sw, aw) = (src.width(), acc.width());
-        let cc = self.carry_col();
-        let mut gbuf = std::mem::take(&mut self.gate_buf);
-        let gated = self.fw_gate_into(gate, &mut gbuf);
-        let mut va = std::mem::take(&mut self.vals_a);
-        let mut vb = std::mem::take(&mut self.vals_b);
-        let mut borrow = std::mem::take(&mut self.vals_c);
-        self.fw_gather(src, &mut va);
-        self.fw_gather(acc, &mut vb);
-        borrow.clear();
-        borrow.resize(bl, 0);
-        let gw = if gated { Some(&gbuf[..]) } else { None };
-        let ev = fused_ripple::<true>(&va, sw, &mut vb, aw, bl, gw, &mut borrow);
-        self.fw_scatter(acc, &vb);
-        self.cam_mut().plane_words_mut(cc).copy_from_slice(&borrow);
-        self.fw_charge_ripple(sw, aw, gated, ev);
-        // Reading the borrow column back costs one compare cycle.
-        self.cam_mut()
-            .stats_mut()
-            .charge_compares_bulk(1, rows as u64);
-        self.set_borrow_scratch(&borrow);
-        self.vals_a = va;
-        self.vals_b = vb;
-        self.vals_c = borrow;
-        self.gate_buf = gbuf;
-        Ok(())
-    }
-
     pub(crate) fn fw_copy(&mut self, src: Field, dst: Field) -> Result<(), ApError> {
-        let rows = self.rows() as u64;
         let sw = src.width();
         let mut va = std::mem::take(&mut self.vals_a);
         self.fw_gather(src, &mut va);
         self.fw_scatter(dst.sub(0, sw), &va);
         self.vals_a = va;
-        // Two single-column compare passes per bit; together their
-        // writes touch every row once.
-        let st = self.cam_mut().stats_mut();
-        st.charge_compares_bulk(2 * sw as u64, 2 * sw as u64 * rows);
-        st.charge_writes_bulk(2 * sw as u64, sw as u64 * rows);
-        if dst.width() > sw {
-            let hi = dst.sub(sw, dst.width() - sw);
-            self.broadcast_all(hi, 0)?;
-        }
+        let hi = dst.sub(sw, dst.width() - sw);
+        self.cam_mut().field_words_mut(hi).fill(0);
+        self.fw_charge(&ApOp::Copy { src, dst }, &[]);
         Ok(())
     }
 
@@ -417,19 +591,18 @@ impl ApCore {
         let bl = self.fw_blocks();
         let (awd, bw, rw) = (a.width(), b.width(), r.width());
         let cc = self.carry_col();
-        self.broadcast_all(r, 0)?;
         let mut va = std::mem::take(&mut self.vals_a);
         let mut vg = std::mem::take(&mut self.vals_b);
         let mut vr = std::mem::take(&mut self.vals_r);
         let mut carry = std::mem::take(&mut self.vals_c);
-        let mut events = std::mem::take(&mut self.events_buf);
+        let mut tally = std::mem::take(&mut self.tally_buf);
         self.fw_gather(a, &mut va);
         self.fw_gather(b, &mut vg);
         vr.clear();
         vr.resize(rw * bl, 0);
         carry.clear();
         carry.resize(bl, 0);
-        events.clear();
+        tally.clear();
         for j in 0..bw {
             // Partial sums never carry past a.width() + 1 bits, and the
             // result field guarantees rw - j >= awd + 1 for every j.
@@ -453,19 +626,17 @@ impl ApCore {
                     &mut carry,
                 )
             };
-            events.push((acc_w, ev));
+            tally.push(ev);
         }
         self.fw_scatter(r, &vr);
         // The carry column holds the final gated add's carry state.
         self.cam_mut().plane_words_mut(cc).copy_from_slice(&carry);
-        for &(acc_w, ev) in &events {
-            self.fw_charge_ripple(awd, acc_w, true, ev);
-        }
+        self.fw_charge(&ApOp::Mul { a, b, r }, &tally);
         self.vals_a = va;
         self.vals_b = vg;
         self.vals_r = vr;
         self.vals_c = carry;
-        self.events_buf = events;
+        self.tally_buf = tally;
         Ok(())
     }
 
@@ -489,17 +660,16 @@ impl ApCore {
         let bl = self.fw_blocks();
         let (awd, rw) = (a.width(), r.width());
         let cc = self.carry_col();
-        self.broadcast_all(r, 0)?;
         let mut va = std::mem::take(&mut self.vals_a);
         let mut vr = std::mem::take(&mut self.vals_r);
         let mut carry = std::mem::take(&mut self.vals_c);
-        let mut events = std::mem::take(&mut self.events_buf);
+        let mut tally = std::mem::take(&mut self.tally_buf);
         self.fw_gather(a, &mut va);
         vr.clear();
         vr.resize(rw * bl, 0);
         carry.clear();
         carry.resize(bl, 0);
-        events.clear();
+        tally.clear();
         for j in 0..width {
             let acc_w = (awd + 1).min(rw - j);
             debug_assert_eq!(acc_w, awd + 1);
@@ -512,7 +682,7 @@ impl ApCore {
                 // Ungated is plane-exact vs. the all-rows gate: operand
                 // planes keep their tail bits zero, so padding rows add
                 // 0 + 0 and stay untouched.
-                let ev = fused_ripple::<false>(
+                tally.push(fused_ripple::<false>(
                     &va,
                     awd,
                     &mut vr[j * bl..(j + acc_w) * bl],
@@ -520,25 +690,21 @@ impl ApCore {
                     bl,
                     None,
                     &mut carry,
-                );
-                events.push((acc_w, ev));
+                ));
             }
         }
         self.fw_scatter(r, &vr);
         self.cam_mut().plane_words_mut(cc).copy_from_slice(&carry);
-        for &(acc_w, ev) in &events {
-            self.fw_charge_ripple(awd, acc_w, false, ev);
-        }
+        self.fw_charge(&ApOp::MulConst { a, r, bits, width }, &tally);
         self.vals_a = va;
         self.vals_r = vr;
         self.vals_c = carry;
-        self.events_buf = events;
+        self.tally_buf = tally;
         Ok(())
     }
 
     pub(crate) fn fw_shr_const(&mut self, field: Field, k: usize) -> Result<(), ApError> {
         let bl = self.fw_blocks();
-        let rows = self.rows() as u64;
         let w = field.width();
         debug_assert!(k > 0 && k < w);
         let mut va = std::mem::take(&mut self.vals_a);
@@ -547,61 +713,25 @@ impl ApCore {
         va[(w - k) * bl..w * bl].fill(0);
         self.fw_scatter(field, &va);
         self.vals_a = va;
-        let moved = (w - k) as u64;
-        let st = self.cam_mut().stats_mut();
-        st.charge_compares_bulk(2 * moved, 2 * moved * rows);
-        st.charge_writes_bulk(2 * moved, moved * rows);
-        // The vacated high bits are cleared by an ungated broadcast.
-        let hi = field.sub(w - k, k);
-        self.broadcast_all(hi, 0)
+        self.fw_charge(&ApOp::ShrConst { field, k }, &[]);
+        Ok(())
     }
 
     pub(crate) fn fw_shr_variable(&mut self, field: Field, amount: Field) -> Result<(), ApError> {
         let bl = self.fw_blocks();
-        let rows = self.rows() as u64;
         let w = field.width();
         let mut va = std::mem::take(&mut self.vals_a);
         let mut vamt = std::mem::take(&mut self.vals_b);
+        let mut tally = std::mem::take(&mut self.tally_buf);
         self.fw_gather(field, &mut va);
         self.fw_gather(amount, &mut vamt);
-
-        let mut cmp_cycles = 0u64;
-        let mut cmp_events = 0u64;
-        let mut wr_cycles = 0u64;
-        let mut wr_events = 0u64;
+        tally.clear();
         for j in 0..amount.width() {
-            let s = 1usize << j;
+            // Rows with amount bit `j` set shift by its weight; a weight
+            // reaching the width clears the whole field for them.
+            let s = shift_weight(j).min(w);
             let g = &vamt[j * bl..(j + 1) * bl];
-            let n_j: u64 = g.iter().map(|w| u64::from(w.count_ones())).sum();
-            if s >= w {
-                // One tag compare, then the whole field clears for the
-                // gated rows — free when no row is gated (the
-                // controller branches on the tag it just read).
-                cmp_cycles += 1;
-                cmp_events += rows;
-                if n_j > 0 {
-                    wr_cycles += w as u64;
-                    wr_events += w as u64 * n_j;
-                    for i in 0..w {
-                        for blk in 0..bl {
-                            va[i * bl + blk] &= !g[blk];
-                        }
-                    }
-                }
-                continue;
-            }
-            // Gated copy of each surviving bit (match = source bit +
-            // gate), then one tag compare and a gated clear of the
-            // vacated high bits (free when the tag is empty).
-            let moved = (w - s) as u64;
-            cmp_cycles += 2 * moved + 1;
-            cmp_events += (4 * moved + 1) * rows;
-            wr_cycles += 2 * moved;
-            wr_events += moved * n_j;
-            if n_j > 0 {
-                wr_cycles += s as u64;
-                wr_events += s as u64 * n_j;
-            }
+            tally.push(popcount(g));
             for i in 0..w - s {
                 for blk in 0..bl {
                     let idx = i * bl + blk;
@@ -615,11 +745,10 @@ impl ApCore {
             }
         }
         self.fw_scatter(field, &va);
-        let st = self.cam_mut().stats_mut();
-        st.charge_compares_bulk(cmp_cycles, cmp_events);
-        st.charge_writes_bulk(wr_cycles, wr_events);
+        self.fw_charge(&ApOp::ShrVariable { field, amount }, &tally);
         self.vals_a = va;
         self.vals_b = vamt;
+        self.tally_buf = tally;
         Ok(())
     }
 
@@ -660,10 +789,11 @@ impl ApCore {
     ///
     /// Charges **nothing**: data-dependent tallies (ripple write
     /// events, borrow populations, shift-gate populations) accumulate
-    /// in `self.tally_buf` across strips, and the caller's charge walk
-    /// (`program::charge_region`) replays the op-by-op cost schedule
-    /// from them, keeping `CycleStats` bit-identical to the unblocked
-    /// path.
+    /// in `self.tally_buf` across strips, in `program::tally_slots`
+    /// order, and the caller (`program::charge_region`) charges each
+    /// op of the region its [`charge`] from them — the price the
+    /// op-by-op engines charge, so `CycleStats` stay bit-identical to
+    /// the unblocked path.
     ///
     /// Within a strip, planes are packed at stride `sb` (the strip's
     /// block count): column `c` lives at `strip_buf[c * sb..(c+1) * sb]`.
@@ -923,7 +1053,7 @@ impl ApCore {
                     let w = field.width();
                     let fs = field.start();
                     for j in 0..amount.width() {
-                        let s = 1usize << j;
+                        let s = shift_weight(j);
                         let gc = amount.col(j);
                         vb.clear();
                         vb.extend_from_slice(&sbuf[gc * sb..(gc + 1) * sb]);
@@ -1032,9 +1162,9 @@ impl ApCore {
     }
 
     /// One restoring-division channel of the strip executor: the plane
-    /// math of [`ApCore::fw_divide_restoring`], charging nothing (the
+    /// math of [`ApCore::fw_divide`], charging nothing (the
     /// per-iteration `ev_sub` / `n_borrow` / `ev_add` tallies land in
-    /// `tally[3*it..]` for the charge walk).
+    /// `tally[3*it..]`, which [`charge`] prices after the region).
     ///
     /// The strip is walked [`LANES`] 64-row blocks at a time, and each
     /// group runs all `nw + frac_bits` iterations before the next group
@@ -1053,14 +1183,14 @@ impl ApCore {
     ///
     /// Exactness: both sweeps are [`fused_ripple`]'s algebra per 64-row
     /// block (the gated add's events are the op-by-op divider's
-    /// change-mask count, see [`ApCore::fw_divide_restoring`]), and no
+    /// change-mask count, see [`ApCore::fw_divide`]), and no
     /// block's result depends on another's, so the groups' tallies sum
     /// to the full-width values. A partial last group is padded with
     /// zero lanes, which never borrow, write no cell and are never
     /// stored back; rows past the row count are masked out of the
     /// quotient by the tail mask of the arena's final block (global
     /// index `s0 + g0 + l`). A group without a borrow adds zero
-    /// `ev_add`, so the charge walk's restore decision on the summed
+    /// `ev_add`, so [`charge`]'s restore decision on the summed
     /// `n_borrow` is the op-by-op one. The skipped restore's
     /// `ev_add = ev_sub` is exact:
     /// - on a row that borrowed, the add's carry into each bit equals
@@ -1243,263 +1373,91 @@ impl ApCore {
         }
     }
 
-    pub(crate) fn fw_divide_restoring(
-        &mut self,
-        num: Field,
-        den: Field,
-        quot: Field,
-        frac_bits: usize,
-    ) -> Result<(), ApError> {
-        let bl = self.fw_blocks();
-        let rows = self.rows() as u64;
-        let (nw, dw, qw) = (num.width(), den.width(), quot.width());
-        let rem_w = dw + 1;
-        let (cc, fc) = (self.carry_col(), self.flag_col());
-        let rem = self.alloc_scratch(rem_w)?;
-        self.broadcast_all(rem, 0)?;
-        self.broadcast_all(quot, 0)?;
-
-        let mut vd = std::mem::take(&mut self.vals_a);
-        let mut vrem = std::mem::take(&mut self.vals_b);
-        let mut vq = std::mem::take(&mut self.vals_r);
-        let mut borrowed = std::mem::take(&mut self.vals_c);
-        let mut vpre = std::mem::take(&mut self.vals_p);
-        self.fw_gather(den, &mut vd);
-        vrem.clear();
-        vrem.resize(rem_w * bl, 0);
-        vq.clear();
-        vq.resize(qw * bl, 0);
-        vpre.clear();
-        vpre.resize(rem_w * bl, 0);
-        borrowed.clear();
-        borrowed.resize(bl, 0);
-
-        let total_bits = nw + frac_bits;
-        let mut cmp_cycles = 0u64;
-        let mut cmp_events = 0u64;
-        let mut wr_cycles = 0u64;
-        let mut wr_events = 0u64;
-        // Structural cycle shape of the in-place sub/add over
-        // (den -> rem): 4 passes per divisor bit + 2 ripple passes for
-        // the extra remainder bit.
-        let low = 4 * dw as u64;
-        let ripple = 2 * (rem_w - dw) as u64;
-
-        for k in (0..total_bits).rev() {
-            // rem <<= 1 (MSB-first bit copies), then the dividend bit —
-            // or an ungated clear of rem[0] below the binary point.
-            let moved = (rem_w - 1) as u64;
-            cmp_cycles += 2 * moved;
-            cmp_events += 2 * moved * rows;
-            wr_cycles += 2 * moved;
-            wr_events += moved * rows;
-            vrem.copy_within(0..(rem_w - 1) * bl, bl);
-            if k >= frac_bits {
-                cmp_cycles += 2;
-                cmp_events += 2 * rows;
-                wr_cycles += 2;
-                wr_events += rows;
-                let (head, _) = vrem.split_at_mut(bl);
-                head.copy_from_slice(self.cam().plane_words(num.col(k - frac_bits)));
-            } else {
-                wr_cycles += 1;
-                wr_events += rows;
-                vrem[..bl].fill(0);
-            }
-
-            // try rem -= den (clear_carry + passes + borrow readback)
-            borrowed.fill(0);
-            vpre.copy_from_slice(&vrem);
-            let ev_sub = fused_ripple::<true>(&vd, dw, &mut vrem, rem_w, bl, None, &mut borrowed);
-            cmp_cycles += low + ripple + 1;
-            cmp_events += rows * (3 * low + 2 * ripple) + rows;
-            wr_cycles += 1 + low + ripple;
-            wr_events += rows + ev_sub;
-            let n_borrow: u64 = borrowed.iter().map(|w| u64::from(w.count_ones())).sum();
-
-            // Latch the borrow into the flag column (ungated clear +
-            // tagged set), restore gated on the flag if any row
-            // borrowed, then read the no-borrow set back.
-            //
-            // The restore needs no second carry ripple: for a restored
-            // row the add returns the remainder to its pre-subtraction
-            // value, so the add's carry-in chain is `den ^ post ^ pre`
-            // and its written cells collapse to the change mask
-            // `ch = pre ^ post` (accumulator writes) plus
-            // `ch & !(den ^ post)` (carry-column writes) — a blend and
-            // two popcounts per bit instead of a ripple sweep.
-            wr_cycles += 2;
-            wr_events += rows + n_borrow;
-            if n_borrow > 0 {
-                let mut ev_add = 0u64;
-                for i in 0..rem_w {
-                    let a_bits = if i < dw {
-                        &vd[i * bl..(i + 1) * bl]
-                    } else {
-                        &[][..]
-                    };
-                    let rr = &mut vrem[i * bl..(i + 1) * bl];
-                    for (blk, (rref, (&pv, &bor))) in rr
-                        .iter_mut()
-                        .zip(vpre[i * bl..(i + 1) * bl].iter().zip(borrowed.iter()))
-                        .enumerate()
-                    {
-                        let post = *rref;
-                        let av = a_bits.get(blk).copied().unwrap_or(0);
-                        let ch = (pv ^ post) & bor;
-                        ev_add += u64::from(ch.count_ones())
-                            + u64::from((ch & !(av ^ post)).count_ones());
-                        *rref = (pv & bor) | (post & !bor);
-                    }
-                }
-                cmp_cycles += low + ripple;
-                cmp_events += rows * (4 * low + 3 * ripple);
-                wr_cycles += 1 + low + ripple;
-                wr_events += rows + ev_add;
-            }
-            cmp_cycles += 1;
-            cmp_events += rows;
-
-            // Quotient bit for rows that did not borrow; above the
-            // quotient field the affected rows saturate instead.
-            let n_nob = rows - n_borrow;
-            if k < qw {
-                wr_cycles += 1;
-                wr_events += n_nob;
-                for blk in 0..bl {
-                    vq[k * bl + blk] |= !borrowed[blk] & tail_mask(rows as usize, blk, bl);
-                }
-            } else if n_nob > 0 {
-                // The quotient saturates to all-ones, so the broadcast
-                // sets every quotient bit of the no-borrow rows.
-                wr_cycles += qw as u64;
-                wr_events += qw as u64 * n_nob;
-                for i in 0..qw {
-                    for blk in 0..bl {
-                        vq[i * bl + blk] |= !borrowed[blk] & tail_mask(rows as usize, blk, bl);
-                    }
-                }
-            }
-        }
-
-        self.fw_scatter(rem, &vrem);
-        self.fw_scatter(quot, &vq);
-        // After the final iteration both the borrow latch and the carry
-        // column hold that iteration's borrow (the restoring add's
-        // carry-out is 1 for every restored row).
-        self.cam_mut()
-            .plane_words_mut(fc)
-            .copy_from_slice(&borrowed);
-        self.cam_mut()
-            .plane_words_mut(cc)
-            .copy_from_slice(&borrowed);
-        let st = self.cam_mut().stats_mut();
-        st.charge_compares_bulk(cmp_cycles, cmp_events);
-        st.charge_writes_bulk(wr_cycles, wr_events);
-        self.vals_a = vd;
-        self.vals_b = vrem;
-        self.vals_r = vq;
-        self.vals_c = borrowed;
-        self.vals_p = vpre;
-        self.release_scratch(rem);
-        Ok(())
-    }
-
-    /// Fused-schedule restoring divider behind `ApOp::FusedDivide`.
+    /// The op-by-op restoring divider behind `ApOp::Divide` (restoring
+    /// style) and `ApOp::FusedDivide`: one plane schedule for both, and
+    /// [`charge`] prices the op's own schedule. The standalone divider
+    /// shifts its remainder physically every iteration; the fused one
+    /// renames the remainder window instead — the controller re-labels
+    /// which columns form the window — and copies the remainder back to
+    /// its home columns once per channel. Channels run back to back over
+    /// one divisor gather and one remainder scratch, plane-exact versus
+    /// as many standalone divisions (remainder scratch, quotients and
+    /// the final carry/flag columns included).
     ///
-    /// Plane-exact versus running [`ApCore::fw_divide_restoring`] once
-    /// per channel back to back (remainder scratch, quotients, and the
-    /// final carry/flag columns included), but charged as the schedule
-    /// the optimizing controller issues: the per-iteration `rem <<= 1`
-    /// bit copies become a *window rename* — the controller re-labels
-    /// which columns form the remainder window instead of moving bits —
-    /// with one physical canonicalization sweep per channel at the end
-    /// to put the remainder back in its home columns. Batched channels
-    /// additionally share the single divisor gather and scratch
-    /// allocation.
-    pub(crate) fn fw_fused_divide(
-        &mut self,
-        channels: &[(Field, Field)],
-        den: Field,
-        frac_bits: usize,
-    ) -> Result<(), ApError> {
+    /// Per iteration the trial subtract is one [`fused_ripple`] sweep.
+    /// The restore needs no second carry ripple: for a restored row the
+    /// add returns the remainder to its pre-subtraction value, so the
+    /// add's carry-in chain is `den ^ post ^ pre` and its written cells
+    /// collapse to the change mask `ch = pre ^ post` (accumulator
+    /// writes) plus `ch & !(den ^ post)` (carry-column writes) — a blend
+    /// and two popcounts per bit instead of a ripple sweep.
+    pub(crate) fn fw_divide(&mut self, op: &ApOp) -> Result<(), ApError> {
+        let (den, frac_bits, pairs, n) = match *op {
+            ApOp::Divide {
+                num,
+                den,
+                quot,
+                frac_bits,
+                ..
+            } => (den, frac_bits, [(num, quot); 2], 1),
+            ApOp::FusedDivide {
+                den,
+                frac_bits,
+                channels,
+                n_channels,
+            } => (den, frac_bits, channels, usize::from(n_channels)),
+            _ => unreachable!("{op:?} is not a restoring division"),
+        };
         let bl = self.fw_blocks();
-        let rows = self.rows() as u64;
+        let rows = self.rows();
         let dw = den.width();
         let rem_w = dw + 1;
         let (cc, fc) = (self.carry_col(), self.flag_col());
         let rem = self.alloc_scratch(rem_w)?;
-
+        // The price clears the remainder and each quotient by a
+        // broadcast, whose error a quotient past the array is.
+        if let Err(e) = pairs[..n]
+            .iter()
+            .try_for_each(|&(_, quot)| self.cam().check_field(quot))
+        {
+            self.release_scratch(rem);
+            return Err(e);
+        }
         let mut vd = std::mem::take(&mut self.vals_a);
         let mut vrem = std::mem::take(&mut self.vals_b);
         let mut vq = std::mem::take(&mut self.vals_r);
         let mut borrowed = std::mem::take(&mut self.vals_c);
         let mut vpre = std::mem::take(&mut self.vals_p);
+        let mut tally = std::mem::take(&mut self.tally_buf);
         self.fw_gather(den, &mut vd);
         vpre.clear();
         vpre.resize(rem_w * bl, 0);
-
-        let mut cmp_cycles = 0u64;
-        let mut cmp_events = 0u64;
-        let mut wr_cycles = 0u64;
-        let mut wr_events = 0u64;
-        let low = 4 * dw as u64;
-        let ripple = 2 * (rem_w - dw) as u64;
-
-        let mut result = Ok(());
-        'channels: for &(num, quot) in channels {
-            let (nw, qw) = (num.width(), quot.width());
-            if let Err(e) = self
-                .broadcast_all(rem, 0)
-                .and_then(|()| self.broadcast_all(quot, 0))
-            {
-                result = Err(e);
-                break 'channels;
-            }
+        tally.clear();
+        for &(num, quot) in &pairs[..n] {
+            let qw = quot.width();
             vrem.clear();
             vrem.resize(rem_w * bl, 0);
             vq.clear();
             vq.resize(qw * bl, 0);
             borrowed.clear();
             borrowed.resize(bl, 0);
-
-            for k in (0..(nw + frac_bits)).rev() {
-                // rem <<= 1 by window rename: the plane math still
-                // moves the bits (column identity is canonicalized once
-                // per channel), but the rename itself is free.
+            for k in (0..num.width() + frac_bits).rev() {
+                // rem <<= 1, then the dividend bit — or a cleared rem[0]
+                // below the binary point.
                 vrem.copy_within(0..(rem_w - 1) * bl, bl);
                 if k >= frac_bits {
-                    cmp_cycles += 2;
-                    cmp_events += 2 * rows;
-                    wr_cycles += 2;
-                    wr_events += rows;
-                    let (head, _) = vrem.split_at_mut(bl);
-                    head.copy_from_slice(self.cam().plane_words(num.col(k - frac_bits)));
+                    vrem[..bl].copy_from_slice(self.cam().plane_words(num.col(k - frac_bits)));
                 } else {
-                    wr_cycles += 1;
-                    wr_events += rows;
                     vrem[..bl].fill(0);
                 }
-
-                // try rem -= den (clear_carry + passes + borrow
-                // readback) — identical charge shape to the standalone
-                // divider.
+                // Try rem -= den, then restore the rows that borrowed.
                 borrowed.fill(0);
                 vpre.copy_from_slice(&vrem);
                 let ev_sub =
                     fused_ripple::<true>(&vd, dw, &mut vrem, rem_w, bl, None, &mut borrowed);
-                cmp_cycles += low + ripple + 1;
-                cmp_events += rows * (3 * low + 2 * ripple) + rows;
-                wr_cycles += 1 + low + ripple;
-                wr_events += rows + ev_sub;
-                let n_borrow: u64 = borrowed.iter().map(|w| u64::from(w.count_ones())).sum();
-
-                // Borrow latch + gated restore-blend (see
-                // `fw_divide_restoring` for the carry-chain argument).
-                wr_cycles += 2;
-                wr_events += rows + n_borrow;
+                let n_borrow = popcount(&borrowed);
+                let mut ev_add = 0u64;
                 if n_borrow > 0 {
-                    let mut ev_add = 0u64;
                     for i in 0..rem_w {
                         let a_bits = if i < dw {
                             &vd[i * bl..(i + 1) * bl]
@@ -1520,44 +1478,22 @@ impl ApCore {
                             *rref = (pv & bor) | (post & !bor);
                         }
                     }
-                    cmp_cycles += low + ripple;
-                    cmp_events += rows * (4 * low + 3 * ripple);
-                    wr_cycles += 1 + low + ripple;
-                    wr_events += rows + ev_add;
                 }
-                cmp_cycles += 1;
-                cmp_events += rows;
-
-                let n_nob = rows - n_borrow;
-                if k < qw {
-                    wr_cycles += 1;
-                    wr_events += n_nob;
+                tally.extend_from_slice(&[ev_sub, n_borrow, ev_add]);
+                // Quotient bit for rows that did not borrow; above the
+                // quotient field those rows saturate to all-ones.
+                let bits = if k < qw { k..k + 1 } else { 0..qw };
+                for i in bits {
                     for blk in 0..bl {
-                        vq[k * bl + blk] |= !borrowed[blk] & tail_mask(rows as usize, blk, bl);
-                    }
-                } else if n_nob > 0 {
-                    wr_cycles += qw as u64;
-                    wr_events += qw as u64 * n_nob;
-                    for i in 0..qw {
-                        for blk in 0..bl {
-                            vq[i * bl + blk] |= !borrowed[blk] & tail_mask(rows as usize, blk, bl);
-                        }
+                        vq[i * bl + blk] |= !borrowed[blk] & tail_mask(rows, blk, bl);
                     }
                 }
             }
-
-            // Canonicalize the renamed remainder window back into its
-            // home columns: one gated copy pass per remainder bit.
-            cmp_cycles += 2 * rem_w as u64;
-            cmp_events += 2 * rem_w as u64 * rows;
-            wr_cycles += 2 * rem_w as u64;
-            wr_events += rem_w as u64 * rows;
-
             self.fw_scatter(rem, &vrem);
             self.fw_scatter(quot, &vq);
-            // The final channel leaves its last iteration's borrow in
-            // both the flag latch and the carry column — exactly the
-            // state back-to-back standalone divides leave behind.
+            // After the final iteration both the borrow latch and the
+            // carry column hold that iteration's borrow (the restoring
+            // add's carry-out is 1 for every restored row).
             self.cam_mut()
                 .plane_words_mut(fc)
                 .copy_from_slice(&borrowed);
@@ -1565,23 +1501,60 @@ impl ApCore {
                 .plane_words_mut(cc)
                 .copy_from_slice(&borrowed);
         }
-
-        let st = self.cam_mut().stats_mut();
-        st.charge_compares_bulk(cmp_cycles, cmp_events);
-        st.charge_writes_bulk(wr_cycles, wr_events);
+        self.fw_charge(op, &tally);
         self.vals_a = vd;
         self.vals_b = vrem;
         self.vals_r = vq;
         self.vals_c = borrowed;
         self.vals_p = vpre;
+        self.tally_buf = tally;
         self.release_scratch(rem);
-        result
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ApConfig, ExecBackend};
+
+    /// A result field past the array's last column is a
+    /// `ColumnCapacity` error on both backends, for the out-of-place
+    /// copy, `mul`, the constant multiply and both dividers — none of
+    /// which clears the field through a broadcast on the FastWord side —
+    /// and both backends are left alike: same planes, statistics and
+    /// free columns.
+    #[test]
+    fn out_of_range_result_fields_fail_alike_on_both_backends() {
+        let want = Err(ApError::ColumnCapacity {
+            needed: 44,
+            available: 40,
+        });
+        let after = [ExecBackend::Microcode, ExecBackend::FastWord].map(|backend| {
+            let mut ap = ApCore::with_backend(ApConfig::new(70, 40), backend).unwrap();
+            let a = ap.alloc_field(4).unwrap();
+            let d = ap.alloc_field(4).unwrap();
+            let q = ap.alloc_field(6).unwrap();
+            ap.load(a, &[9; 70]).unwrap();
+            ap.load(d, &[3; 70]).unwrap();
+            let bad = Field::new(36, 8);
+            assert_eq!(ap.copy(a, bad), want, "copy on {backend:?}");
+            assert_eq!(ap.mul(a, d, bad), want, "mul on {backend:?}");
+            assert_eq!(ap.mul_const(a, bad, 5, 4), want, "mul_const on {backend:?}");
+            let restoring = ap.divide(a, d, bad, 2, DivStyle::Restoring);
+            assert_eq!(restoring, want, "divide on {backend:?}");
+            let fused = ApOp::FusedDivide {
+                den: d,
+                frac_bits: 2,
+                channels: [(a, q), (a, bad)],
+                n_channels: 2,
+            };
+            assert_eq!(ap.fused_divide(&fused), want, "fused divide on {backend:?}");
+            let planes: Vec<Vec<u64>> = (0..40).map(|c| ap.cam().plane(c).to_vec()).collect();
+            (ap.stats(), ap.free_cols(), planes)
+        });
+        assert_eq!(after[0], after[1]);
+    }
 
     /// Packs 64 row values into bit-major plane words (one block).
     fn pack(values: &[u64; 64], width: usize) -> Vec<u64> {

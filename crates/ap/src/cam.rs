@@ -246,12 +246,7 @@ impl CamArray {
     /// * [`ApError::WidthOverflow`] for the first word that does not fit
     ///   the field.
     pub fn load_field(&mut self, field: Field, words: &[u64]) -> Result<(), ApError> {
-        if field.end() > self.cols {
-            return Err(ApError::ColumnCapacity {
-                needed: field.end(),
-                available: self.cols,
-            });
-        }
+        self.check_field(field)?;
         if words.len() > self.rows {
             return Err(ApError::RowCapacity {
                 needed: words.len(),
@@ -327,12 +322,7 @@ impl CamArray {
         value: u64,
         tag: &RowSet,
     ) -> Result<(), ApError> {
-        if field.end() > self.cols {
-            return Err(ApError::ColumnCapacity {
-                needed: field.end(),
-                available: self.cols,
-            });
-        }
+        self.check_field(field)?;
         if value > field.max_value() {
             return Err(ApError::WidthOverflow {
                 value,
@@ -343,7 +333,23 @@ impl CamArray {
             return Ok(());
         }
         for bit in 0..field.width() {
-            self.write(tag, &[(field.col(bit), value >> bit & 1 == 1)]);
+            // A field wider than the value holds zeros above bit 63.
+            let set = bit < 64 && value >> bit & 1 == 1;
+            self.write(tag, &[(field.col(bit), set)]);
+        }
+        Ok(())
+    }
+
+    /// [`ApError::ColumnCapacity`] unless `field` lies inside the
+    /// array: the check loads, broadcasts and the ops whose result
+    /// field the microcode clears first (copy, multiplies, dividers)
+    /// make before they drive a cell.
+    pub(crate) fn check_field(&self, field: Field) -> Result<(), ApError> {
+        if field.end() > self.cols {
+            return Err(ApError::ColumnCapacity {
+                needed: field.end(),
+                available: self.cols,
+            });
         }
         Ok(())
     }
@@ -450,7 +456,8 @@ impl CamArray {
     pub fn read_word(&self, row: usize, field: Field) -> u64 {
         assert!(row < self.rows, "row {row} out of range {}", self.rows);
         let mut w = 0;
-        for bit in 0..field.width() {
+        // A `u64` holds a wider field's low 64 bits.
+        for bit in 0..field.width().min(64) {
             if self.arena[field.col(bit) * self.blocks + row / 64] >> (row % 64) & 1 == 1 {
                 w |= 1 << bit;
             }
@@ -531,7 +538,7 @@ impl CamArray {
         );
         for bit in 0..field.width() {
             let w = &mut self.arena[field.col(bit) * self.blocks + row / 64];
-            if value >> bit & 1 == 1 {
+            if bit < 64 && value >> bit & 1 == 1 {
                 *w |= 1 << (row % 64);
             } else {
                 *w &= !(1 << (row % 64));

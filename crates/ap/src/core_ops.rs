@@ -1,4 +1,5 @@
 use crate::lut::{Lut, LutSet, Slot};
+use crate::program::ApOp;
 use crate::{ApError, CamArray, CycleStats, ExecBackend, Field, RowSet};
 
 /// Geometry of one AP tile.
@@ -148,16 +149,14 @@ pub struct ApCore {
     pub(crate) vals_p: Vec<u64>,
     /// Gate plane scratch for gated fused operations.
     pub(crate) gate_buf: Vec<u64>,
-    /// Per-multiplier-bit `(acc_width, write_events)` scratch for the
-    /// fused multiplier.
-    pub(crate) events_buf: Vec<(usize, u64)>,
     /// Pooled strip scratch for the region-blocked executor: one
     /// bit-major plane image of the active strip (`cols * strip_blocks`
     /// words).
     pub(crate) strip_buf: Vec<u64>,
-    /// Data-dependent tallies (write events, borrow populations)
-    /// accumulated across strips by the blocked executor and consumed
-    /// by the region charge pass.
+    /// Data-dependent tallies (ripple write events, borrow and
+    /// shift-gate populations) that the FastWord kernels count for
+    /// `backend::charge`: per op on the op-by-op path, per region and
+    /// across strips on the blocked path.
     pub(crate) tally_buf: Vec<u64>,
     /// The strip divider's lane buffer: one lane group's remainder
     /// window and divisor planes.
@@ -206,7 +205,6 @@ impl ApCore {
             vals_c: Vec::new(),
             vals_p: Vec::new(),
             gate_buf: Vec::new(),
-            events_buf: Vec::new(),
             strip_buf: Vec::new(),
             tally_buf: Vec::new(),
             div_lanes: Vec::new(),
@@ -494,8 +492,9 @@ impl ApCore {
     ///
     /// # Errors
     ///
-    /// Returns [`ApError::FieldOverlap`] on overlap or a width error if
-    /// `dst` is narrower than `src`. Destination bits above `src.width()`
+    /// Returns [`ApError::FieldOverlap`] on overlap, a width error if
+    /// `dst` is narrower than `src`, or [`ApError::ColumnCapacity`] if
+    /// `dst` exceeds the array. Destination bits above `src.width()`
     /// are cleared.
     pub fn copy(&mut self, src: Field, dst: Field) -> Result<(), ApError> {
         if dst.overlaps(&src) {
@@ -507,6 +506,7 @@ impl ApCore {
                 width: dst.width(),
             });
         }
+        self.cam.check_field(dst)?;
         if self.backend == ExecBackend::FastWord {
             return self.fw_copy(src, dst);
         }
@@ -583,7 +583,7 @@ impl ApCore {
             });
         }
         if self.backend == ExecBackend::FastWord {
-            return self.fw_add_into_gated(acc, src, gate);
+            return self.fw_add_sub::<false>(acc, src, gate);
         }
         self.clear_carry();
         let cc = self.carry_col;
@@ -687,7 +687,7 @@ impl ApCore {
             });
         }
         if self.backend == ExecBackend::FastWord {
-            return self.fw_sub_into_gated(acc, src, gate);
+            return self.fw_add_sub::<true>(acc, src, gate);
         }
         self.clear_carry();
         let cc = self.carry_col;
@@ -770,8 +770,9 @@ impl ApCore {
     /// # Errors
     ///
     /// Overlap/width errors as for the other arithmetic; `r` must be at
-    /// least `a.width() + b.width()` wide. `a` and `b` may be the same
-    /// field (squaring).
+    /// least `a.width() + b.width()` wide, and inside the array
+    /// ([`ApError::ColumnCapacity`]). `a` and `b` may be the same field
+    /// (squaring).
     pub fn mul(&mut self, a: Field, b: Field, r: Field) -> Result<(), ApError> {
         if r.overlaps(&a) || r.overlaps(&b) {
             return Err(ApError::FieldOverlap);
@@ -782,6 +783,7 @@ impl ApCore {
                 width: r.width(),
             });
         }
+        self.cam.check_field(r)?;
         if self.backend == ExecBackend::FastWord {
             return self.fw_mul(a, b, r);
         }
@@ -833,6 +835,7 @@ impl ApCore {
                 width: r.width(),
             });
         }
+        self.cam.check_field(r)?;
         self.fw_mul_const(a, r, bits, width)
     }
 
@@ -900,7 +903,7 @@ impl ApCore {
         }
         let cc = self.carry_col;
         for j in 0..amount.width() {
-            let s = 1usize << j;
+            let s = crate::backend::shift_weight(j);
             let gate = Some((amount.col(j), true));
             if s >= field.width() {
                 // Entire field shifts out for gated rows.
@@ -1324,7 +1327,13 @@ impl ApCore {
         }
         match style {
             DivStyle::Restoring if self.backend == ExecBackend::FastWord => {
-                self.fw_divide_restoring(num, den, quot, frac_bits)
+                self.fw_divide(&ApOp::Divide {
+                    num,
+                    den,
+                    quot,
+                    frac_bits,
+                    style,
+                })
             }
             DivStyle::Restoring => self.divide_restoring(num, den, quot, frac_bits),
             // The reciprocal microprogram is controller-driven: its
@@ -1348,13 +1357,17 @@ impl ApCore {
     /// divisor `den`, with the same overlap and zero-divisor checks as
     /// [`ApCore::divide`]. Plane-exact versus issuing the restoring
     /// divisions back to back, on either backend.
-    pub(crate) fn fused_divide(
-        &mut self,
-        channels: &[(Field, Field)],
-        den: Field,
-        frac_bits: usize,
-    ) -> Result<(), ApError> {
-        for &(num, quot) in channels {
+    pub(crate) fn fused_divide(&mut self, op: &ApOp) -> Result<(), ApError> {
+        let ApOp::FusedDivide {
+            den,
+            ref channels,
+            n_channels,
+            ..
+        } = *op
+        else {
+            unreachable!("{op:?} is not a fused division");
+        };
+        for &(num, quot) in &channels[..usize::from(n_channels)] {
             if num.overlaps(&quot) || den.overlaps(&quot) || num.overlaps(&den) {
                 return Err(ApError::FieldOverlap);
             }
@@ -1362,7 +1375,7 @@ impl ApCore {
         if !self.cam.field_all_nonzero(den) {
             return Err(ApError::DivisionByZero);
         }
-        self.fw_fused_divide(channels, den, frac_bits)
+        self.fw_divide(op)
     }
 
     fn divide_restoring(
@@ -1375,8 +1388,11 @@ impl ApCore {
         // Remainder scratch: one bit wider than the divisor.
         let rem_width = den.width() + 1;
         let rem = self.alloc_scratch(rem_width)?;
+        if let Err(e) = self.broadcast_all(quot, 0) {
+            self.release_scratch(rem);
+            return Err(e);
+        }
         self.broadcast_all(rem, 0)?;
-        self.broadcast_all(quot, 0)?;
 
         let total_bits = num.width() + frac_bits;
         let cc = self.carry_col;

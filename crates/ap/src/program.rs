@@ -488,12 +488,7 @@ fn apply_op(
             style,
         } => core.divide(num, den, quot, frac_bits, style),
         ApOp::MulConst { a, r, bits, width } => core.mul_const(a, r, bits, width),
-        ApOp::FusedDivide {
-            den,
-            frac_bits,
-            ref channels,
-            n_channels,
-        } => core.fused_divide(&channels[..n_channels as usize], den, frac_bits),
+        ApOp::FusedDivide { .. } => core.fused_divide(op),
         ApOp::Read { field, output } => {
             core.read_append(field, io.output(output)?);
             Ok(())
@@ -978,7 +973,7 @@ pub(crate) struct BlockRegion {
     /// Strip width in 64-row blocks.
     pub(crate) strip_blocks: usize,
     /// Data-dependent tally slots the region's ops produce (write
-    /// events, borrow populations) — consumed by the charge walk.
+    /// events, borrow populations) — priced by `charge_region`.
     pub(crate) tally_len: usize,
 }
 
@@ -1070,9 +1065,10 @@ fn blockable(op: &ApOp, cols: usize) -> bool {
     }
 }
 
-/// Data-dependent tally slots one op contributes (the strip executor
-/// accumulates them across strips; the charge walk consumes them in
-/// the same deterministic order).
+/// Data-dependent tally slots one op contributes, in the order
+/// [`crate::backend::charge`] reads them: the op-by-op engines fill
+/// them per op, the strip executor accumulates them across strips and
+/// `charge_region` hands each op its slice.
 pub(crate) fn tally_slots(op: &ApOp) -> usize {
     match *op {
         ApOp::AddInto { .. } | ApOp::SubAssertClean { .. } => 1,
@@ -1116,31 +1112,6 @@ fn region_preflight(core: &ApCore, ops: &[ApOp], regs: &[u64]) -> bool {
     })
 }
 
-/// Whether an op writes columns overlapping `f` (the carry/flag
-/// latches excluded — reserved columns 0/1 never overlap an allocated
-/// field).
-fn op_writes_overlap(op: &ApOp, f: Field) -> bool {
-    match *op {
-        ApOp::Broadcast { field, .. } => field.overlaps(&f),
-        ApOp::Copy { dst, .. } => dst.overlaps(&f),
-        ApOp::Mul { r, .. } | ApOp::MulConst { r, .. } => r.overlaps(&f),
-        ApOp::AddInto { acc, .. }
-        | ApOp::SubAssertClean { acc, .. }
-        | ApOp::SaturatingSubInto { acc, .. } => acc.overlaps(&f),
-        ApOp::ShrConst { field, k } => k > 0 && field.overlaps(&f),
-        ApOp::ShrVariable { field, .. } => field.overlaps(&f),
-        ApOp::Divide { quot, .. } => quot.overlaps(&f),
-        ApOp::FusedDivide {
-            ref channels,
-            n_channels,
-            ..
-        } => channels[..n_channels as usize]
-            .iter()
-            .any(|&(_, quot)| quot.overlaps(&f)),
-        _ => false,
-    }
-}
-
 /// Whether a region-resident division is guaranteed to succeed: its
 /// remainder scratch must fit the array, and every row's divisor must
 /// be non-zero *at the point the division runs*. When an earlier
@@ -1165,7 +1136,8 @@ fn divide_admissible(core: &ApCore, prior: &[ApOp], regs: &[u64], den: Field) ->
                 return v != 0;
             }
         }
-        if op_writes_overlap(op, den) {
+        // A zero-amount constant shift writes nothing.
+        if !matches!(op, ApOp::ShrConst { k: 0, .. }) && optimizer::writes_touch(op, den) {
             return false;
         }
     }
@@ -1208,89 +1180,13 @@ fn intervals(mask: &[bool]) -> Vec<Field> {
     out
 }
 
-/// Charges one restoring-division channel exactly as the op-by-op
-/// FastWord dividers do, from the structural schedule plus the
-/// strip-accumulated `[ev_sub, n_borrow, ev_add]` tally triples (one
-/// per iteration, MSB-first). `physical_shift` selects the standalone
-/// divider's schedule (per-iteration remainder shift sweeps) versus
-/// the fused window rename (shift-free, one canonicalization sweep per
-/// channel at the end). Includes the upfront zero broadcasts of the
-/// remainder scratch and the quotient.
-fn charge_divide_channel(
-    core: &mut ApCore,
-    nw: usize,
-    dw: usize,
-    qw: usize,
-    frac_bits: usize,
-    tally: &[u64],
-    physical_shift: bool,
-) {
-    let rows = core.rows() as u64;
-    let rem_w = dw + 1;
-    let low = 4 * dw as u64;
-    let ripple = 2 * (rem_w - dw) as u64;
-    let mut cmp_cycles = 0u64;
-    let mut cmp_events = 0u64;
-    let mut wr_cycles = (rem_w + qw) as u64;
-    let mut wr_events = (rem_w + qw) as u64 * rows;
-    for (it, k) in (0..nw + frac_bits).rev().enumerate() {
-        if physical_shift {
-            let moved = (rem_w - 1) as u64;
-            cmp_cycles += 2 * moved;
-            cmp_events += 2 * moved * rows;
-            wr_cycles += 2 * moved;
-            wr_events += moved * rows;
-        }
-        if k >= frac_bits {
-            cmp_cycles += 2;
-            cmp_events += 2 * rows;
-            wr_cycles += 2;
-            wr_events += rows;
-        } else {
-            wr_cycles += 1;
-            wr_events += rows;
-        }
-        let (ev_sub, n_borrow, ev_add) = (tally[3 * it], tally[3 * it + 1], tally[3 * it + 2]);
-        cmp_cycles += low + ripple + 1;
-        cmp_events += rows * (3 * low + 2 * ripple) + rows;
-        wr_cycles += 1 + low + ripple;
-        wr_events += rows + ev_sub;
-        wr_cycles += 2;
-        wr_events += rows + n_borrow;
-        if n_borrow > 0 {
-            cmp_cycles += low + ripple;
-            cmp_events += rows * (4 * low + 3 * ripple);
-            wr_cycles += 1 + low + ripple;
-            wr_events += rows + ev_add;
-        }
-        cmp_cycles += 1;
-        cmp_events += rows;
-        let n_nob = rows - n_borrow;
-        if k < qw {
-            wr_cycles += 1;
-            wr_events += n_nob;
-        } else if n_nob > 0 {
-            wr_cycles += qw as u64;
-            wr_events += qw as u64 * n_nob;
-        }
-    }
-    if !physical_shift {
-        cmp_cycles += 2 * rem_w as u64;
-        cmp_events += 2 * rem_w as u64 * rows;
-        wr_cycles += 2 * rem_w as u64;
-        wr_events += rem_w as u64 * rows;
-    }
-    let st = core.cam_mut().stats_mut();
-    st.charge_compares_bulk(cmp_cycles, cmp_events);
-    st.charge_writes_bulk(wr_cycles, wr_events);
-}
-
-/// Charges the cost model for one blocked region exactly as the
-/// op-by-op FastWord engine would have — per op, in op order, from the
-/// structural cycle shapes plus the data-dependent tallies the strip
-/// executor accumulated in `core`'s tally buffer. `hoisted` holds the
-/// region's slice of the program's hoisted indices (absolute), `base`
-/// the absolute index of `ops[0]`.
+/// Charges one blocked region exactly as the op-by-op FastWord engines
+/// would have: per op, in op order, the [`crate::backend::charge`] of
+/// the op's slice of the tallies the strip executor accumulated in
+/// `core`'s tally buffer, except where the replay's discount applies,
+/// and step marks reporting as they pass. `hoisted` holds the region's
+/// slice of the program's hoisted indices (absolute), `base` the
+/// absolute index of `ops[0]`.
 fn charge_region(
     core: &mut ApCore,
     ops: &[ApOp],
@@ -1309,182 +1205,22 @@ fn charge_region(
         if hoist {
             h += 1;
         }
+        let slots = tally_slots(op);
         let discount = match charge {
             ReplayCharge::Full => false,
             ReplayCharge::Hoisted => hoist,
             // Regions contain no `Load` ops, so lockstep discounts all.
             ReplayCharge::Lockstep => true,
         };
-        match *op {
-            ApOp::Broadcast { field, .. } => {
-                if !discount {
-                    let w = field.width() as u64;
-                    core.cam_mut().stats_mut().charge_writes_bulk(w, w * rows);
-                }
-            }
-            ApOp::Copy { src, dst } => {
-                if !discount {
-                    let sw = src.width() as u64;
-                    let hi = (dst.width() - src.width()) as u64;
-                    let st = core.cam_mut().stats_mut();
-                    st.charge_compares_bulk(2 * sw, 2 * sw * rows);
-                    st.charge_writes_bulk(2 * sw, sw * rows);
-                    if hi > 0 {
-                        st.charge_writes_bulk(hi, hi * rows);
-                    }
-                }
-            }
-            ApOp::Mul { a, b, r } => {
-                let bw = b.width();
-                if !discount {
-                    let rw = r.width() as u64;
-                    core.cam_mut().stats_mut().charge_writes_bulk(rw, rw * rows);
-                    for j in 0..bw {
-                        core.fw_charge_ripple(a.width(), a.width() + 1, true, tally[cursor + j]);
-                    }
-                }
-                cursor += bw;
-            }
-            ApOp::MulConst { a, r, bits, .. } => {
-                let set = bits.count_ones() as usize;
-                if !discount {
-                    let rw = r.width() as u64;
-                    core.cam_mut().stats_mut().charge_writes_bulk(rw, rw * rows);
-                    for s in 0..set {
-                        core.fw_charge_ripple(a.width(), a.width() + 1, false, tally[cursor + s]);
-                    }
-                }
-                cursor += set;
-            }
-            ApOp::AddInto { acc, src } => {
-                if !discount {
-                    core.fw_charge_ripple(src.width(), acc.width(), false, tally[cursor]);
-                }
-                cursor += 1;
-            }
-            ApOp::SubAssertClean { acc, src } => {
-                if !discount {
-                    core.fw_charge_ripple(src.width(), acc.width(), false, tally[cursor]);
-                    // Borrow-column readback.
-                    core.cam_mut().stats_mut().charge_compares_bulk(1, rows);
-                }
-                cursor += 1;
-            }
-            ApOp::SaturatingSubInto { acc, src } => {
-                if !discount {
-                    core.fw_charge_ripple(src.width(), acc.width(), false, tally[cursor]);
-                    core.cam_mut().stats_mut().charge_compares_bulk(1, rows);
-                    let n_borrow = tally[cursor + 1];
-                    if n_borrow > 0 {
-                        // Gated clamp broadcast of the underflowed rows.
-                        let aw = acc.width() as u64;
-                        core.cam_mut()
-                            .stats_mut()
-                            .charge_writes_bulk(aw, aw * n_borrow);
-                    }
-                }
-                cursor += 2;
-            }
-            ApOp::ShrConst { field, k } => {
-                if !discount && k > 0 {
-                    let w = field.width();
-                    let st = core.cam_mut().stats_mut();
-                    if k >= w {
-                        st.charge_writes_bulk(w as u64, w as u64 * rows);
-                    } else {
-                        let moved = (w - k) as u64;
-                        st.charge_compares_bulk(2 * moved, 2 * moved * rows);
-                        st.charge_writes_bulk(2 * moved, moved * rows);
-                        st.charge_writes_bulk(k as u64, k as u64 * rows);
-                    }
-                }
-            }
-            ApOp::ShrVariable { field, amount } => {
-                let aw = amount.width();
-                if !discount {
-                    let w = field.width();
-                    let mut cmp_cycles = 0u64;
-                    let mut cmp_events = 0u64;
-                    let mut wr_cycles = 0u64;
-                    let mut wr_events = 0u64;
-                    for j in 0..aw {
-                        let s = 1usize << j;
-                        let n_j = tally[cursor + j];
-                        if s >= w {
-                            cmp_cycles += 1;
-                            cmp_events += rows;
-                            if n_j > 0 {
-                                wr_cycles += w as u64;
-                                wr_events += w as u64 * n_j;
-                            }
-                        } else {
-                            let moved = (w - s) as u64;
-                            cmp_cycles += 2 * moved + 1;
-                            cmp_events += (4 * moved + 1) * rows;
-                            wr_cycles += 2 * moved;
-                            wr_events += moved * n_j;
-                            if n_j > 0 {
-                                wr_cycles += s as u64;
-                                wr_events += s as u64 * n_j;
-                            }
-                        }
-                    }
-                    let st = core.cam_mut().stats_mut();
-                    st.charge_compares_bulk(cmp_cycles, cmp_events);
-                    st.charge_writes_bulk(wr_cycles, wr_events);
-                }
-                cursor += aw;
-            }
-            ApOp::Divide {
-                num,
-                den,
-                quot,
-                frac_bits,
-                ..
-            } => {
-                let slots = 3 * (num.width() + frac_bits);
-                if !discount {
-                    charge_divide_channel(
-                        core,
-                        num.width(),
-                        den.width(),
-                        quot.width(),
-                        frac_bits,
-                        &tally[cursor..cursor + slots],
-                        true,
-                    );
-                }
-                cursor += slots;
-            }
-            ApOp::FusedDivide {
-                den,
-                frac_bits,
-                ref channels,
-                n_channels,
-            } => {
-                for &(num, quot) in &channels[..n_channels as usize] {
-                    let slots = 3 * (num.width() + frac_bits);
-                    if !discount {
-                        charge_divide_channel(
-                            core,
-                            num.width(),
-                            den.width(),
-                            quot.width(),
-                            frac_bits,
-                            &tally[cursor..cursor + slots],
-                            false,
-                        );
-                    }
-                    cursor += slots;
-                }
-            }
-            ApOp::Step { name } => {
-                let now = core.stats();
-                on_step(name, now.since(mark));
-                *mark = now;
-            }
-            _ => unreachable!("non-blockable op inside a region"),
+        if let ApOp::Step { name } = *op {
+            let now = core.stats();
+            on_step(name, now.since(mark));
+            *mark = now;
+        } else if !discount {
+            let price = crate::backend::charge(op, rows, &tally[cursor..cursor + slots]);
+            core.cam_mut().stats_mut().accumulate(&price);
         }
+        cursor += slots;
     }
     debug_assert_eq!(cursor, tally.len());
     core.tally_buf = tally;
@@ -1807,17 +1543,23 @@ impl ApProgram {
     /// runs where every op acts on each 64-row block independently
     /// (broadcasts, copies, multiplies, add/sub, shifts, restoring
     /// division), bounded by cross-row ops (min-search, reductions,
-    /// load/read/reg ops) — and records each region's field footprint.
-    /// FastWord
-    /// replay then executes each region strip-mined: per strip of
-    /// 64-row blocks it gathers the region's operand planes once, runs
-    /// all of the region's ops on the cache-resident strip, and
-    /// scatters the written planes once.
+    /// load/read/reg ops) — and records each region's field footprint:
+    /// the columns its ops read before writing them (gathered) and the
+    /// columns they write (scattered), from the optimizer's per-op
+    /// read/write table, plus the carry column the ripple ops and the
+    /// dividers leave behind and the flag column the dividers latch. A
+    /// constant shift by zero touches nothing, and one by the whole
+    /// width only writes. FastWord replay then executes each region
+    /// strip-mined: per strip of 64-row blocks it gathers the region's
+    /// operand planes once, runs all of the region's ops on the
+    /// cache-resident strip, and scatters the written planes once.
     ///
     /// This is a **host-only** optimization: replayed planes (the
     /// carry/flag columns included) and the charged [`CycleStats`] are
-    /// identical to op-by-op execution — the device cost contract is
-    /// untouched. Microcode replay ignores the plan entirely.
+    /// identical to op-by-op execution — every op is charged the same
+    /// `backend::charge` the op-by-op engines charge, so the device
+    /// cost contract is untouched. Microcode replay ignores the plan
+    /// entirely.
     ///
     /// Blocking engages at every tile size. `strip_override` pins the
     /// strip width in 64-row blocks; only tests pin it. `None`, what
@@ -1861,70 +1603,36 @@ impl ApProgram {
             for op in &self.ops[start..end] {
                 tally_len += tally_slots(op);
                 match *op {
-                    ApOp::Broadcast { field, .. } => {
+                    // A zero shift is free on the direct path too, and a
+                    // shift by the whole width only clears the field.
+                    ApOp::ShrConst { k: 0, .. } => continue,
+                    ApOp::ShrConst { field, k } if k >= field.width() => {
                         mark_write(field, &mut written, &mut writes);
+                        continue;
                     }
-                    ApOp::Copy { src, dst } => {
-                        mark_read(src, &mut first_read, &written, &mut reads);
-                        mark_write(dst, &mut written, &mut writes);
-                    }
-                    ApOp::Mul { a, b, r } => {
-                        mark_read(a, &mut first_read, &written, &mut reads);
-                        mark_read(b, &mut first_read, &written, &mut reads);
-                        mark_write(r, &mut written, &mut writes);
-                        mark_write(carry, &mut written, &mut writes);
-                    }
-                    ApOp::MulConst { a, r, .. } => {
-                        mark_read(a, &mut first_read, &written, &mut reads);
-                        mark_write(r, &mut written, &mut writes);
-                        mark_write(carry, &mut written, &mut writes);
-                    }
-                    ApOp::AddInto { acc, src }
-                    | ApOp::SubAssertClean { acc, src }
-                    | ApOp::SaturatingSubInto { acc, src } => {
-                        mark_read(src, &mut first_read, &written, &mut reads);
-                        mark_read(acc, &mut first_read, &written, &mut reads);
-                        mark_write(acc, &mut written, &mut writes);
-                        mark_write(carry, &mut written, &mut writes);
-                    }
-                    ApOp::ShrConst { field, k } => {
-                        if k == 0 {
-                            // Free no-op on the direct path too.
-                        } else if k >= field.width() {
-                            mark_write(field, &mut written, &mut writes);
-                        } else {
-                            mark_read(field, &mut first_read, &written, &mut reads);
-                            mark_write(field, &mut written, &mut writes);
-                        }
-                    }
-                    ApOp::ShrVariable { field, amount } => {
-                        mark_read(field, &mut first_read, &written, &mut reads);
-                        mark_read(amount, &mut first_read, &written, &mut reads);
-                        mark_write(field, &mut written, &mut writes);
-                    }
-                    ApOp::Divide { num, den, quot, .. } => {
-                        mark_read(num, &mut first_read, &written, &mut reads);
-                        mark_read(den, &mut first_read, &written, &mut reads);
-                        mark_write(quot, &mut written, &mut writes);
-                        mark_write(carry, &mut written, &mut writes);
-                        mark_write(flag, &mut written, &mut writes);
-                    }
-                    ApOp::FusedDivide {
-                        den,
-                        ref channels,
-                        n_channels,
-                        ..
-                    } => {
-                        mark_read(den, &mut first_read, &written, &mut reads);
-                        for &(num, quot) in &channels[..n_channels as usize] {
-                            mark_read(num, &mut first_read, &written, &mut reads);
-                            mark_write(quot, &mut written, &mut writes);
-                        }
-                        mark_write(carry, &mut written, &mut writes);
-                        mark_write(flag, &mut written, &mut writes);
-                    }
-                    ApOp::Step { .. } => {}
-                    _ => unreachable!("non-blockable op inside a region"),
+                    _ => {}
+                }
+                optimizer::for_each_read(op, &mut |f| {
+                    mark_read(f, &mut first_read, &written, &mut reads);
+                });
+                optimizer::for_each_write(op, &mut |f| mark_write(f, &mut written, &mut writes));
+                // The ripple ops leave their last carry in the carry
+                // column; the dividers latch their last borrow in both
+                // reserved columns.
+                if matches!(
+                    op,
+                    ApOp::Mul { .. }
+                        | ApOp::MulConst { .. }
+                        | ApOp::AddInto { .. }
+                        | ApOp::SubAssertClean { .. }
+                        | ApOp::SaturatingSubInto { .. }
+                        | ApOp::Divide { .. }
+                        | ApOp::FusedDivide { .. }
+                ) {
+                    mark_write(carry, &mut written, &mut writes);
+                }
+                if matches!(op, ApOp::Divide { .. } | ApOp::FusedDivide { .. }) {
+                    mark_write(flag, &mut written, &mut writes);
                 }
             }
             let gather = intervals(&first_read);

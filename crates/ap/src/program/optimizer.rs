@@ -201,8 +201,12 @@ fn mask(width: usize) -> u64 {
 }
 
 /// Calls `f` for every field whose planes `op` reads. Read-modify-write
-/// accumulators count as reads; register-only ops read no planes.
-fn for_each_read(op: &ApOp, f: &mut dyn FnMut(Field)) {
+/// accumulators count as reads; register-only ops read no planes. With
+/// [`for_each_write`], the one per-op footprint table: the passes here
+/// and the parent module's region planner (`ApProgram::plan_blocking`,
+/// the region preflight) read it. The reserved carry/flag columns are
+/// not listed.
+pub(crate) fn for_each_read(op: &ApOp, f: &mut dyn FnMut(Field)) {
     match *op {
         ApOp::Copy { src, .. } => f(src),
         ApOp::Mul { a, b, .. } => {
@@ -256,8 +260,8 @@ fn for_each_read(op: &ApOp, f: &mut dyn FnMut(Field)) {
 }
 
 /// Calls `f` for every field whose planes `op` writes (fully or
-/// partially).
-fn for_each_write(op: &ApOp, f: &mut dyn FnMut(Field)) {
+/// partially); see [`for_each_read`].
+pub(crate) fn for_each_write(op: &ApOp, f: &mut dyn FnMut(Field)) {
     match *op {
         ApOp::Load { field, .. }
         | ApOp::Broadcast { field, .. }
@@ -302,7 +306,7 @@ fn touches(op: &ApOp, f: Field) -> bool {
 }
 
 /// Whether `op` writes any plane overlapping `f`.
-fn writes_touch(op: &ApOp, f: Field) -> bool {
+pub(crate) fn writes_touch(op: &ApOp, f: Field) -> bool {
     let mut t = false;
     for_each_write(op, &mut |x| t |= x.overlaps(&f));
     t

@@ -172,16 +172,18 @@ proptest! {
         });
     }
 
+    /// Amounts up to 31 over a 10-bit field: amount bits 4 and up
+    /// weigh at least the width, so they clear the field.
     #[test]
     fn shifts_agree(
         xs in prop::collection::vec(0u64..1024, 1..24),
-        ss in prop::collection::vec(0u64..16, 1..24),
+        ss in prop::collection::vec(0u64..32, 1..24),
         k in 0usize..12,
     ) {
         let (xs, ss) = truncate_pairs(&xs, &ss);
         assert_backends_agree(xs.len(), 32, |ap| {
             let f = ap.alloc_field(10).unwrap();
-            let amt = ap.alloc_field(4).unwrap();
+            let amt = ap.alloc_field(5).unwrap();
             ap.load(f, &xs).unwrap();
             ap.load(amt, &ss).unwrap();
             ap.shr_variable(f, amt).unwrap();
@@ -389,6 +391,34 @@ fn stats_equal_including_event_split() {
     assert!(st.twod_cycles() > 0);
     assert!(st.compare_cell_events() > 0);
     assert!(st.write_cell_events() > 0);
+}
+
+/// Fields wider than 64 bits, on both backends: a `u64` value holds
+/// zeros at and above bit 64 (broadcast, poke), a `u64` read holds the
+/// low 64 bits, and an amount bit whose weight reaches the field width
+/// clears the field — bit 64 too.
+#[test]
+fn fields_wider_than_64_bits_agree() {
+    assert_backends_agree(4, 240, |ap| {
+        let wide = ap.alloc_field(80).unwrap();
+        ap.broadcast(wide, u64::MAX - 2).unwrap();
+        ap.poke_row(1, wide, 5);
+        assert_eq!(ap.read_row(1, wide), 5, "{:?}", ap.backend());
+        let high = (64..80).map(|i| ap.cam().plane(wide.col(i)).to_vec());
+        assert!(high.flatten().all(|w| w == 0), "{:?}", ap.backend());
+        let f = ap.alloc_field(8).unwrap();
+        let a = ap.alloc_field(40).unwrap();
+        let b = ap.alloc_field(26).unwrap();
+        let amt = ap.alloc_field(80).unwrap();
+        ap.load(f, &[0xff; 4]).unwrap();
+        ap.load(a, &[1 << 39, 1 << 39, 3, 0]).unwrap();
+        ap.load(b, &[1 << 25, 1, 1, 5]).unwrap();
+        // Row 0's amount is 2^64: only amount bit 64 is set.
+        ap.mul(a, b, amt).unwrap();
+        ap.shr_variable(f, amt).unwrap();
+        assert_eq!(ap.read(f), vec![0, 0, 31, 0xff], "{:?}", ap.backend());
+        (ap.read(wide), ap.read(f))
+    });
 }
 
 #[test]

@@ -38,9 +38,12 @@ struct Inputs<'a> {
 }
 
 /// Issues the optimizer-diff pipeline: long blockable runs (broadcast,
-/// mul, shifts, copies, clean subtraction) separated by the cross-row
-/// boundaries (loads, min-search, reduction, divides, reads) that end
-/// regions.
+/// mul, shifts, copies, additions, clean and saturating subtraction)
+/// separated by the cross-row boundaries (loads, min-search,
+/// reduction, divides, reads) that end regions. The saturating
+/// subtraction borrows in some rows and not others, so its clamp
+/// writes a data-dependent row count, and one constant shift spans the
+/// whole field, which clears it.
 fn issue_pipeline(
     rec: &mut Recorder<'_, '_>,
     f: &Fields,
@@ -59,9 +62,12 @@ fn issue_pipeline(
     rec.mul(f.a, f.b, f.work).unwrap();
     rec.shr_variable(f.work, f.amt).unwrap();
     rec.copy(f.work.sub(0, 9), f.t2).unwrap();
+    rec.saturating_sub_into(f.t2, f.b).unwrap();
+    rec.add_into(f.t, f.b).unwrap();
     let r0 = rec.min_search(f.a);
     rec.broadcast_reg(f.c, r0).unwrap();
     rec.sub_assert_clean(f.a, f.c).unwrap();
+    rec.shr_const(f.c, 8).unwrap();
     rec.step("compute");
     let rd = if phase {
         let ext = rec.reg_input(0).unwrap();
@@ -487,6 +493,80 @@ fn boundary_only_trace_records_empty_plan() {
     let stats = program.block_stats().expect("empty plan still recorded");
     assert_eq!(stats.regions, 0);
     assert_eq!(stats.blocked_ops, 0);
+}
+
+/// Fields wider than 64 bits under blocked replay: an amount bit whose
+/// weight reaches the field width clears the field, bit 64 included,
+/// and the region's multiply into the 80-bit amount field clears its
+/// result like the op-by-op engines.
+#[test]
+fn wide_shift_amounts_stay_exact_blocked() {
+    let rows = 70;
+    let mut core = ApCore::new(ApConfig::new(rows, 240)).unwrap();
+    let f = core.alloc_field(8).unwrap();
+    let a = core.alloc_field(40).unwrap();
+    let b = core.alloc_field(26).unwrap();
+    let amt = core.alloc_field(80).unwrap();
+    // Row r's amount is a * b: 2^64 (only bit 64 set) every third row,
+    // 2^39 or a small shift elsewhere.
+    let xs: Vec<u64> = (0..rows as u64)
+        .map(|r| if r % 3 == 2 { r % 7 } else { 1 << 39 })
+        .collect();
+    let ys: Vec<u64> = (0..rows as u64)
+        .map(|r| if r % 3 == 0 { 1 << 25 } else { 1 })
+        .collect();
+    let fs: Vec<u64> = (0..rows as u64).map(|r| 0xff - r).collect();
+    let in_slices: [&[u64]; 3] = [&fs, &xs, &ys];
+    let mut out = Vec::new();
+    let mut outs: [&mut Vec<u64>; 1] = [&mut out];
+    let mut scratch = ProgramScratch::default();
+    let mut on_step = |_: &'static str, _: CycleStats| {};
+    let mut rec = Recorder::new(
+        &mut core,
+        ExecIo::new(&in_slices, &mut outs),
+        &mut scratch,
+        &mut on_step,
+        true,
+    );
+    rec.load(f, 0).unwrap();
+    rec.load(a, 1).unwrap();
+    rec.load(b, 2).unwrap();
+    rec.mul(a, b, amt).unwrap();
+    rec.shr_variable(f, amt).unwrap();
+    rec.read(f, 0).unwrap();
+    let program = rec.finish().expect("recording returns a program");
+    let want: Vec<u64> = (0..rows)
+        .map(|r| match r % 3 {
+            2 => fs[r] >> xs[r],
+            _ => 0,
+        })
+        .collect();
+    assert_eq!(out, want, "recorded on Microcode");
+    let run = |program: &ApProgram, backend| {
+        let mut core = ApCore::with_backend(program.config(), backend).unwrap();
+        let mut out = Vec::new();
+        let mut outs: [&mut Vec<u64>; 1] = [&mut out];
+        program
+            .replay(
+                &mut core,
+                ExecIo::new(&in_slices, &mut outs),
+                &mut ProgramScratch::default(),
+                |_, _| {},
+            )
+            .unwrap();
+        (out, core.stats(), capture_planes(&core))
+    };
+    let micro = run(&program, ExecBackend::Microcode);
+    assert_eq!(micro.0, want);
+    for strip in [None, Some(1)] {
+        let blocked = planned(&program, strip);
+        assert_eq!(blocked.block_stats().expect("plan recorded").regions, 1);
+        assert_eq!(
+            run(&blocked, ExecBackend::FastWord),
+            micro,
+            "strip {strip:?}"
+        );
+    }
 }
 
 /// Column budget of the division proptest: three 16-bit numerators and

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use softmap_ap::program::optimizer::{self, OptLevel};
-use softmap_ap::program::{ExecIo, ProgramScratch, Recorder};
+use softmap_ap::program::{ApOp, ExecIo, ProgramScratch, Recorder};
 use softmap_ap::{ApConfig, ApCore, ApProgram, CycleStats, DivStyle, ExecBackend, Overflow};
 
 const COLS: usize = 200;
@@ -324,5 +324,159 @@ proptest! {
             prop_assert!(resident.stats.cycles() < normal.stats.cycles(),
                 "resident replay must charge less on {:?}", backend);
         }
+    }
+}
+
+/// A cost of `cmp` compare and `wr` write (cycles, cell events).
+fn price(cmp: (u64, u64), wr: (u64, u64)) -> CycleStats {
+    let mut st = CycleStats::default();
+    st.charge_compares_bulk(cmp.0, cmp.1);
+    st.charge_writes_bulk(wr.0, wr.1);
+    st
+}
+
+/// Records on Microcode `r = a * c` through a broadcast multiplier and
+/// `channels` restoring divisions of `nums` sharing the per-row
+/// divisors `dens`, then optimizes the program (the multiply folds to
+/// `MulConst`, the divisions fuse and batch into one `FusedDivide`)
+/// and recosts it on Microcode with the same inputs. Returns both
+/// programs.
+fn fused_price_programs(
+    xs: &[u64],
+    nums: &[Vec<u64>; 2],
+    dens: &[u64],
+    c: u64,
+    frac: usize,
+    channels: usize,
+) -> (ApProgram, ApProgram) {
+    let mut core = ApCore::new(ApConfig::new(xs.len(), COLS)).unwrap();
+    let a = core.alloc_field(8).unwrap();
+    let k = core.alloc_field(13).unwrap();
+    let r = core.alloc_field(21).unwrap();
+    let ns = [core.alloc_field(10).unwrap(), core.alloc_field(10).unwrap()];
+    let den = core.alloc_field(12).unwrap();
+    let qs = [core.alloc_field(14).unwrap(), core.alloc_field(14).unwrap()];
+    let in_slices: [&[u64]; 4] = [xs, &nums[0], &nums[1], dens];
+    let [mut o0, mut o1, mut o2] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut outs: [&mut Vec<u64>; 3] = [&mut o0, &mut o1, &mut o2];
+    let mut scratch = ProgramScratch::default();
+    let mut on_step = |_: &'static str, _: CycleStats| {};
+    let mut rec = Recorder::new(
+        &mut core,
+        ExecIo::new(&in_slices, &mut outs),
+        &mut scratch,
+        &mut on_step,
+        true,
+    );
+    rec.load(a, 0).unwrap();
+    rec.load(ns[0], 1).unwrap();
+    rec.load(ns[1], 2).unwrap();
+    rec.load(den, 3).unwrap();
+    rec.broadcast(k, c).unwrap();
+    rec.mul(a, k, r).unwrap();
+    for (&n, &q) in ns.iter().zip(&qs).take(channels) {
+        rec.divide(n, den, q, frac, DivStyle::Restoring).unwrap();
+    }
+    rec.read(r, 0).unwrap();
+    rec.read(qs[0], 1).unwrap();
+    rec.read(qs[1], 2).unwrap();
+    let program = rec.finish().expect("recording returns a program");
+    let mut opt = program.clone();
+    optimizer::optimize(&mut opt, OptLevel::Full);
+    let mut core = ApCore::new(opt.config()).unwrap();
+    let io = ExecIo::new(&in_slices, &mut outs);
+    opt.recost(&mut core, io, &mut scratch, |_, _| {}).unwrap();
+    (program, opt)
+}
+
+/// Rows of per-row operands for [`fused_price_programs`]: multiplicands,
+/// two numerator columns and non-zero divisors.
+fn fused_price_data() -> impl Strategy<Value = (Vec<u64>, [Vec<u64>; 2], Vec<u64>)> {
+    (
+        1usize..48,
+        prop::collection::vec(0u64..256, 48..49),
+        prop::collection::vec(0u64..1024, 96..97),
+        prop::collection::vec(1u64..4096, 48..49),
+    )
+        .prop_map(|(rows, mut xs, nums, mut dens)| {
+            xs.truncate(rows);
+            dens.truncate(rows);
+            let nums = [nums[..rows].to_vec(), nums[48..48 + rows].to_vec()];
+            (xs, nums, dens)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `FusedDivide` and `MulConst` have no LUT implementation: both
+    /// backends run the FastWord engine, so the backend and blocked
+    /// diffs compare their price with itself. Here each recosted price
+    /// must equal a closed form over the Microcode price of the ops it
+    /// replaced, on the compile inputs.
+    /// - A fused division channel costs its Microcode restoring
+    ///   division without the remainder shift copies of its `nw + F`
+    ///   iterations (`rem_w - 1` bit copies each), plus one
+    ///   canonicalization copy of the `rem_w`-bit remainder.
+    /// - `MulConst` costs the Microcode gated multiply by the broadcast
+    ///   constant without, per unset multiplier bit, the empty gated
+    ///   ripple of `a` into `a + 1` bits (`4a + 2` compares over
+    ///   `4a·4 + 2·3` columns, `4a + 3` writes of which only the carry
+    ///   clear touches cells), and per set bit the gate column of its
+    ///   `4a + 2` compares.
+    #[test]
+    fn fused_ops_price_as_closed_forms_of_microcode(
+        data in fused_price_data(),
+        c in prop_oneof![Just(0u64), Just(1), Just(1365), Just(8191), 0u64..8192],
+        frac in 0usize..6,
+        channels in 1usize..3,
+    ) {
+        let (xs, nums, dens) = data;
+        let (program, opt) = fused_price_programs(&xs, &nums, &dens, c, frac, channels);
+        let rows = xs.len() as u64;
+        let micro = |want: &dyn Fn(&ApOp) -> bool| {
+            let at = program.ops().iter().position(want).expect("op recorded");
+            program.op_costs()[at]
+        };
+        let mut fused = (0, 0);
+        for (op, &cost) in opt.ops().iter().zip(opt.op_costs()) {
+            match *op {
+                ApOp::MulConst { a, r, bits, width } => {
+                    let mul = micro(&|op| matches!(*op, ApOp::Mul { a: a2, r: r2, .. } if a2 == a && r2 == r));
+                    let (a, set) = (a.width() as u64, u64::from(bits.count_ones()));
+                    let unset = width as u64 - set;
+                    let saved = price(
+                        ((4 * a + 2) * unset, ((16 * a + 6) * unset + (4 * a + 2) * set) * rows),
+                        ((4 * a + 3) * unset, rows * unset),
+                    );
+                    prop_assert_eq!(cost, mul.since(&saved), "MulConst of {:#x}", bits);
+                    fused.0 += 1;
+                }
+                ApOp::FusedDivide { den, frac_bits, channels: pairs, n_channels } => {
+                    let rem_w = den.width() as u64 + 1;
+                    let mut want = CycleStats::default();
+                    for &(num, quot) in &pairs[..usize::from(n_channels)] {
+                        let div = micro(&|op| matches!(
+                            *op,
+                            ApOp::Divide { num: n2, quot: q2, .. } if n2 == num && q2 == quot
+                        ));
+                        let iters = (num.width() + frac_bits) as u64;
+                        let m = rem_w - 1;
+                        want.accumulate(&div.since(&price(
+                            (2 * m * iters, 2 * m * rows * iters),
+                            (2 * m * iters, m * rows * iters),
+                        )));
+                        want.accumulate(&price(
+                            (2 * rem_w, 2 * rem_w * rows),
+                            (2 * rem_w, rem_w * rows),
+                        ));
+                    }
+                    prop_assert_eq!(cost, want, "FusedDivide of {} channels", n_channels);
+                    fused.1 += usize::from(n_channels);
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(fused, (1, channels), "the optimizer must fold and fuse");
     }
 }

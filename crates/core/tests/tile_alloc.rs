@@ -121,17 +121,19 @@ fn main() {
 
     // Region-blocked strip-mined replay (the FastWord default above
     // already runs blocked at 64 rows; this section pins it explicitly
-    // at the bandwidth-bound 2048-row shape, checks regions formed,
+    // at the bandwidth-bound 4096-score shape, checks regions formed,
     // and holds the blocked executor's strip/tally scratch to the same
     // zero-steady-state-allocation contract — the pooled buffers are
-    // sized during warm-up and only reused afterwards).
-    {
+    // sized during warm-up and only reused afterwards). Unblocked, the
+    // op-by-op FastWord engines keep their tallies in the same pooled
+    // buffer and must not allocate either.
+    for blocked in [true, false] {
         let wide: Vec<f64> = (0..4096).map(|i| -(f64::from(i) * 0.13) % 7.1).collect();
         let mapping = ApSoftmax::new(PrecisionConfig::paper_best())
             .unwrap()
             .with_autotune(false)
             .with_backend(ExecBackend::FastWord)
-            .with_blocked(true);
+            .with_blocked(blocked);
         let mut state = TileState::new();
         let mut run = ApSoftmaxRun::default();
         mapping
@@ -142,17 +144,20 @@ fn main() {
             .unwrap();
         let reference = run.codes.clone();
         let plan = state.cached_plan().expect("whole-vector plan cached");
-        let blocks = plan
-            .block_stats()
-            .expect("blocked compile records block stats");
-        assert!(
-            blocks.regions >= 1 && blocks.blocked_ops >= 4,
-            "the dataflow must form strip-mined regions: {blocks}"
-        );
-        assert!(
-            blocks.strip_blocks_min >= 1 && blocks.footprint_bytes_max > 0,
-            "strips must be sized: {blocks}"
-        );
+        let blocks = plan.block_stats();
+        if blocked {
+            let blocks = blocks.expect("blocked compile records block stats");
+            assert!(
+                blocks.regions >= 1 && blocks.blocked_ops >= 4,
+                "the dataflow must form strip-mined regions: {blocks}"
+            );
+            assert!(
+                blocks.strip_blocks_min >= 1 && blocks.footprint_bytes_max > 0,
+                "strips must be sized: {blocks}"
+            );
+        } else {
+            assert!(blocks.is_none(), "an unblocked compile plans no regions");
+        }
         let allocs = count_allocs(|| {
             for _ in 0..5 {
                 mapping
@@ -162,10 +167,10 @@ fn main() {
         });
         assert_eq!(
             allocs, 0,
-            "steady-state blocked replay must not allocate (got {allocs} over 5 vectors)"
+            "steady-state replay (blocked: {blocked}) must not allocate (got {allocs} over 5 vectors)"
         );
-        assert_eq!(run.codes, reference, "blocked replay must stay bit-exact");
-        println!("tile_alloc: blocked 4096 ok ({blocks})");
+        assert_eq!(run.codes, reference, "replay must stay bit-exact");
+        println!("tile_alloc: 4096 ok (blocked: {blocked}, {blocks:?})");
     }
 
     // Sharded long-sequence steady state: the acceptance shape
