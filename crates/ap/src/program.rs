@@ -15,26 +15,33 @@
 //!   ([`RegId`]) instead of being burned into the trace, so a recorded
 //!   program is valid for any input of the same shape.
 //! * [`Recorder`] — wraps an [`ApCore`] with the same op vocabulary the
-//!   mapping layer uses, executing each op as it is issued and
-//!   (optionally) appending it to a trace together with the exact
-//!   [`CycleStats`] delta it charged. `Recorder::finish` turns the
-//!   trace into an [`ApProgram`].
+//!   mapping layer uses. Recording (`record = true`) is a pure trace:
+//!   each op is appended and nothing executes — the core's planes and
+//!   statistics, the I/O slots and the step callback stay untouched —
+//!   and `Recorder::finish` turns the trace into an uncosted
+//!   [`ApProgram`]. Pass-through (`record = false`) executes each op as
+//!   it is issued and keeps nothing: *direct issue*, the oracle every
+//!   differential test compares against.
 //! * [`ApProgram::replay`] — runs a program on any core of the same
 //!   geometry, on either [`crate::ExecBackend`], with **bit- and
 //!   cycle-exact** results versus issuing the same ops directly
 //!   (enforced by the differential proptests in
 //!   `crates/ap/tests/program_replay.rs`).
 //!
-//! [`ApProgram::static_cost`] returns the cycle/cell-event totals
-//! recorded at compile time — a cost query that touches no CAM. Cycle
-//! counts of the mapped dataflow are shape-determined except for
-//! data-dependent microcode inside a few ops (the restoring divider's
-//! restore adds, saturating subtractions that underflow nowhere,
-//! variable shifts, the reciprocal divider's distinct-divisor count) and
-//! write-tag populations, so the static cost is exact for the input the
-//! program was compiled from and for any input following the same
-//! microcode path; `softmap`'s cost tables compile from a deterministic
-//! representative input for exactly this reason.
+//! [`ApProgram::recost`] prices a program: one full-price replay of one
+//! input, through replay's own execution loop (the strip kernels
+//! wherever the program has a blocking plan), that keeps the cost each
+//! op charged. [`ApProgram::static_cost`] then returns that replay's
+//! cycle/cell-event totals — a cost query that touches no CAM; a
+//! recorded or optimized program is uncosted (all zero) until `recost`
+//! runs. Cycle counts of the mapped dataflow are shape-determined
+//! except for data-dependent microcode inside a few ops (the restoring
+//! divider's restore adds, saturating subtractions that underflow
+//! nowhere, variable shifts, the reciprocal divider's distinct-divisor
+//! count) and write-tag populations, so the static cost is exact for
+//! the input the program was costed on and for any input following the
+//! same microcode path; `softmap`'s cost tables compile from a
+//! deterministic representative input for exactly this reason.
 //!
 //! # The residency contract
 //!
@@ -68,50 +75,49 @@
 //! use softmap_ap::{ApConfig, ApCore, CycleStats};
 //! use softmap_ap::program::{ExecIo, ProgramScratch, Recorder};
 //!
-//! // Record: x += 1 over every row, then read x back.
+//! // Record: x += 1 over every row, then read x back. Recording only
+//! // traces, so it binds no I/O and charges nothing.
 //! let mut core = ApCore::new(ApConfig::new(4, 20)).unwrap();
 //! let x = core.alloc_field(6).unwrap();
 //! let one = core.alloc_field(6).unwrap();
+//! let mut scratch = ProgramScratch::default();
+//! let mut on_step = |_: &'static str, _: CycleStats| {};
+//! let mut rec = Recorder::new(
+//!     &mut core,
+//!     ExecIo::new(&[], &mut []),
+//!     &mut scratch,
+//!     &mut on_step,
+//!     true,
+//! );
+//! rec.load(x, 0).unwrap();
+//! rec.broadcast(one, 1).unwrap();
+//! rec.add_into(x, one).unwrap();
+//! rec.read(x, 0).unwrap();
+//! let mut program = rec.finish().unwrap();
+//! assert_eq!(program.static_cost(), CycleStats::default());
+//!
+//! // Recost: one full-price replay executes the program and prices it.
 //! let data: Vec<u64> = vec![1, 2, 3, 4];
 //! let inputs: [&[u64]; 1] = [&data];
 //! let mut out = Vec::new();
-//! {
-//!     let mut outs: [&mut Vec<u64>; 1] = [&mut out];
-//!     let mut scratch = ProgramScratch::default();
-//!     let mut on_step = |_: &'static str, _: CycleStats| {};
-//!     let mut rec = Recorder::new(
-//!         &mut core,
-//!         ExecIo::new(&inputs, &mut outs),
-//!         &mut scratch,
-//!         &mut on_step,
-//!         true,
-//!     );
-//!     rec.load(x, 0).unwrap();
-//!     rec.broadcast(one, 1).unwrap();
-//!     rec.add_into(x, one).unwrap();
-//!     rec.read(x, 0).unwrap();
-//!     let program = rec.finish().unwrap();
-//!     assert_eq!(out, vec![2, 3, 4, 5]);
-//!     // The recorded cost is the recording execution's cost, exactly.
-//!     assert_eq!(program.static_cost(), core.stats());
+//! let mut outs: [&mut Vec<u64>; 1] = [&mut out];
+//! program
+//!     .recost(&mut core, ExecIo::new(&inputs, &mut outs), &mut scratch, |_, _| {})
+//!     .unwrap();
+//! assert_eq!(out, vec![2, 3, 4, 5]);
+//! assert_eq!(program.static_cost(), core.stats());
 //!
-//!     // Replay on a fresh core with new data: no re-deciding, no field
-//!     // allocation — the ops carry resolved column ranges.
-//!     let mut core2 = ApCore::new(ApConfig::new(4, 20)).unwrap();
-//!     let data2: Vec<u64> = vec![10, 20, 30, 40];
-//!     let inputs2: [&[u64]; 1] = [&data2];
-//!     let mut out2 = Vec::new();
-//!     let mut outs2: [&mut Vec<u64>; 1] = [&mut out2];
-//!     program
-//!         .replay(
-//!             &mut core2,
-//!             ExecIo::new(&inputs2, &mut outs2),
-//!             &mut scratch,
-//!             |_, _| {},
-//!         )
-//!         .unwrap();
-//!     assert_eq!(out2, vec![11, 21, 31, 41]);
-//! }
+//! // Replay on a fresh core with new data: no re-deciding, no field
+//! // allocation — the ops carry resolved column ranges.
+//! let mut core2 = ApCore::new(ApConfig::new(4, 20)).unwrap();
+//! let data2: Vec<u64> = vec![10, 20, 30, 40];
+//! let inputs2: [&[u64]; 1] = [&data2];
+//! let mut out2 = Vec::new();
+//! let mut outs2: [&mut Vec<u64>; 1] = [&mut out2];
+//! program
+//!     .replay(&mut core2, ExecIo::new(&inputs2, &mut outs2), &mut scratch, |_, _| {})
+//!     .unwrap();
+//! assert_eq!(out2, vec![11, 21, 31, 41]);
 //! ```
 
 pub mod optimizer;
@@ -329,7 +335,7 @@ pub enum ApOp {
     },
 }
 
-/// Reusable run-time state for recording and replay: scalar registers
+/// Reusable run-time state for direct issue and replay: scalar registers
 /// plus the reduction-sums staging buffer. Keep one per worker (the
 /// mapping's `TileState` does) so steady-state replay allocates nothing.
 #[derive(Debug, Clone, Default)]
@@ -343,8 +349,8 @@ impl ProgramScratch {
     ///
     /// # Panics
     ///
-    /// Panics if the register was never written in the last
-    /// record/replay.
+    /// Panics if the register was never written in the last direct
+    /// issue or replay.
     #[must_use]
     pub fn reg(&self, id: RegId) -> u64 {
         self.regs[id.index()]
@@ -421,8 +427,8 @@ impl<'s, 'd> ExecIo<'s, 'd> {
 }
 
 /// Executes one op against destructured run-time state. This is the
-/// single execution engine behind both the recording path and replay,
-/// so the two cannot diverge.
+/// single op-by-op engine behind both direct issue and replay, so the
+/// two cannot diverge.
 fn apply_op(
     core: &mut ApCore,
     op: &ApOp,
@@ -502,24 +508,19 @@ fn apply_op(
     }
 }
 
-/// Trace under construction: the ops issued so far and the exact cost
-/// each charged during the recording execution.
-#[derive(Debug, Default)]
-struct Trace {
-    ops: Vec<ApOp>,
-    costs: Vec<CycleStats>,
-    last: CycleStats,
-}
-
-/// Issues controller ops against an [`ApCore`], optionally recording
-/// them into an [`ApProgram`]. In pass-through mode (`record = false`)
-/// the recorder is a zero-overhead adapter: ops execute directly and
-/// nothing is retained — the mapping layer's *direct-issue* path.
+/// Issues controller ops against an [`ApCore`] — executing them
+/// directly, or recording them into an [`ApProgram`] without executing
+/// anything. In pass-through mode (`record = false`) the recorder is a
+/// zero-overhead adapter: ops execute as they are issued and nothing is
+/// retained — the mapping layer's *direct-issue* path. In recording
+/// mode (`record = true`) the recorder only traces: ops are appended
+/// and registers allocated, and the core's planes and statistics, `io`,
+/// `scratch` and the step callback are never touched.
 ///
 /// The recorder captures the core's current column-allocation cursor at
 /// construction; replay restores it so ops that allocate scratch
-/// internally (division) land on the same columns they did while
-/// recording.
+/// internally (division) land on the columns they would have taken
+/// under direct issue.
 pub struct Recorder<'s, 'd> {
     core: &'s mut ApCore,
     io: ExecIo<'s, 'd>,
@@ -528,14 +529,15 @@ pub struct Recorder<'s, 'd> {
     mark: CycleStats,
     reserved_cols: usize,
     num_regs: u32,
-    trace: Option<Trace>,
+    /// The ops recorded so far (`None` in pass-through mode).
+    trace: Option<Vec<ApOp>>,
 }
 
 impl<'s, 'd> Recorder<'s, 'd> {
-    /// Starts issuing (and, when `record` is set, recording) on `core`.
-    /// All fields the program touches must already be allocated; the
-    /// step callback receives the per-step cost deltas exactly as
-    /// replay will report them.
+    /// Starts issuing on `core`, or recording at its geometry when
+    /// `record` is set. All fields the program touches must already be
+    /// allocated; under direct issue the step callback receives the
+    /// per-step cost deltas exactly as replay will report them.
     pub fn new(
         core: &'s mut ApCore,
         io: ExecIo<'s, 'd>,
@@ -543,8 +545,10 @@ impl<'s, 'd> Recorder<'s, 'd> {
         on_step: &'s mut dyn FnMut(&'static str, CycleStats),
         record: bool,
     ) -> Self {
-        scratch.regs.clear();
-        scratch.sums.clear();
+        if !record {
+            scratch.regs.clear();
+            scratch.sums.clear();
+        }
         let mark = core.stats();
         let reserved_cols = core.cols() - core.free_cols();
         Self {
@@ -555,30 +559,26 @@ impl<'s, 'd> Recorder<'s, 'd> {
             mark,
             reserved_cols,
             num_regs: 0,
-            trace: record.then(|| Trace {
-                last: mark,
-                ..Trace::default()
-            }),
+            trace: record.then(Vec::new),
         }
     }
 
-    /// Executes `op` and appends it (with its cost) to the trace.
+    /// Appends `op` to the trace when recording, executes it otherwise.
     fn issue(&mut self, op: ApOp) -> Result<(), ApError> {
-        apply_op(
-            self.core,
-            &op,
-            &mut self.io,
-            self.scratch,
-            &mut self.mark,
-            self.on_step,
-        )?;
-        if let Some(t) = &mut self.trace {
-            let now = self.core.stats();
-            t.costs.push(now.since(&t.last));
-            t.last = now;
-            t.ops.push(op);
+        match &mut self.trace {
+            Some(ops) => {
+                ops.push(op);
+                Ok(())
+            }
+            None => apply_op(
+                self.core,
+                &op,
+                &mut self.io,
+                self.scratch,
+                &mut self.mark,
+                self.on_step,
+            ),
         }
-        Ok(())
     }
 
     fn alloc_reg(&mut self) -> RegId {
@@ -803,82 +803,35 @@ impl<'s, 'd> Recorder<'s, 'd> {
         })
     }
 
-    /// Ends the recording. Returns the compiled program, or `None` in
-    /// pass-through mode.
+    /// Ends the recording. Returns the recorded program — uncosted
+    /// until [`ApProgram::recost`] runs — or `None` in pass-through
+    /// mode.
     #[must_use]
     pub fn finish(self) -> Option<ApProgram> {
-        let trace = self.trace?;
-        let summary = summarize(&trace.ops, &trace.costs);
+        let ops = self.trace?;
+        let (mut num_inputs, mut num_outputs, mut num_scalars) = (0, 0, 0);
+        for op in &ops {
+            match *op {
+                ApOp::Load { input, .. } => num_inputs = num_inputs.max(input as usize + 1),
+                ApOp::Read { output, .. } => num_outputs = num_outputs.max(output as usize + 1),
+                ApOp::RegLoad { slot, .. } => num_scalars = num_scalars.max(slot as usize + 1),
+                _ => {}
+            }
+        }
         Some(ApProgram {
             config: ApConfig::new(self.core.rows(), self.core.cols()),
             reserved_cols: self.reserved_cols,
             num_regs: self.num_regs as usize,
-            num_inputs: summary.num_inputs as usize,
-            num_outputs: summary.num_outputs as usize,
-            num_scalars: summary.num_scalars as usize,
-            ops: trace.ops,
-            costs: trace.costs,
-            static_total: summary.static_total,
-            static_steps: summary.static_steps,
+            num_inputs,
+            num_outputs,
+            num_scalars,
+            ops,
+            costs: Vec::new(),
+            static_total: CycleStats::default(),
+            static_steps: Vec::new(),
             hoisted: Vec::new(),
             blocking: None,
         })
-    }
-}
-
-/// Static summary of a trace: totals, per-step segments, and slot
-/// counts — shared by [`Recorder::finish`] and [`ApProgram::recost`].
-struct TraceSummary {
-    static_total: CycleStats,
-    static_steps: Vec<(&'static str, CycleStats)>,
-    num_inputs: u32,
-    num_outputs: u32,
-    num_scalars: u32,
-}
-
-fn summarize(ops: &[ApOp], costs: &[CycleStats]) -> TraceSummary {
-    let mut static_total = CycleStats::default();
-    for c in costs {
-        static_total.accumulate(c);
-    }
-    let mut static_steps = Vec::new();
-    let mut seg = CycleStats::default();
-    let mut num_inputs = 0u32;
-    let mut num_outputs = 0u32;
-    let mut num_scalars = 0u32;
-    for (op, cost) in ops.iter().zip(costs) {
-        match *op {
-            ApOp::Step { name } => {
-                static_steps.push((name, seg));
-                seg = CycleStats::default();
-            }
-            ApOp::Load { input, .. } => {
-                num_inputs = num_inputs.max(input + 1);
-                seg.accumulate(cost);
-            }
-            ApOp::Read { output, .. } => {
-                num_outputs = num_outputs.max(output + 1);
-                seg.accumulate(cost);
-            }
-            ApOp::RegLoad { slot, .. } => {
-                num_scalars = num_scalars.max(slot + 1);
-                seg.accumulate(cost);
-            }
-            _ => seg.accumulate(cost),
-        }
-    }
-    if seg != CycleStats::default() {
-        // Ops after the last step mark that charged cycles: keep
-        // them in the per-step accounting so the segments always
-        // sum to the static total.
-        static_steps.push(("(after last step)", seg));
-    }
-    TraceSummary {
-        static_total,
-        static_steps,
-        num_inputs,
-        num_outputs,
-        num_scalars,
     }
 }
 
@@ -1184,9 +1137,11 @@ fn intervals(mask: &[bool]) -> Vec<Field> {
 /// would have: per op, in op order, the [`crate::backend::charge`] of
 /// the op's slice of the tallies the strip executor accumulated in
 /// `core`'s tally buffer, except where the replay's discount applies,
-/// and step marks reporting as they pass. `hoisted` holds the region's
-/// slice of the program's hoisted indices (absolute), `base` the
-/// absolute index of `ops[0]`.
+/// and step marks reporting as they pass. Each op's charge is also
+/// appended to `costs` when given. `hoisted` holds the region's slice
+/// of the program's hoisted indices (absolute), `base` the absolute
+/// index of `ops[0]`.
+#[allow(clippy::too_many_arguments)]
 fn charge_region(
     core: &mut ApCore,
     ops: &[ApOp],
@@ -1195,6 +1150,7 @@ fn charge_region(
     charge: ReplayCharge,
     mark: &mut CycleStats,
     on_step: &mut dyn FnMut(&'static str, CycleStats),
+    mut costs: Option<&mut Vec<CycleStats>>,
 ) {
     let rows = core.rows() as u64;
     let tally = std::mem::take(&mut core.tally_buf);
@@ -1212,13 +1168,17 @@ fn charge_region(
             // Regions contain no `Load` ops, so lockstep discounts all.
             ReplayCharge::Lockstep => true,
         };
+        let mut price = CycleStats::default();
         if let ApOp::Step { name } = *op {
             let now = core.stats();
             on_step(name, now.since(mark));
             *mark = now;
         } else if !discount {
-            let price = crate::backend::charge(op, rows, &tally[cursor..cursor + slots]);
+            price = crate::backend::charge(op, rows, &tally[cursor..cursor + slots]);
             core.cam_mut().stats_mut().accumulate(&price);
+        }
+        if let Some(costs) = costs.as_deref_mut() {
+            costs.push(price);
         }
         cursor += slots;
     }
@@ -1237,8 +1197,8 @@ enum ReplayCharge {
 }
 
 /// A compiled AP program: a flat op trace with pre-resolved fields plus
-/// the per-op costs recorded at compile time. See the module docs for
-/// the replay and static-cost contracts.
+/// the per-op costs its costing replay ([`ApProgram::recost`]) charged.
+/// See the module docs for the replay and static-cost contracts.
 #[derive(Debug, Clone)]
 pub struct ApProgram {
     config: ApConfig,
@@ -1269,8 +1229,8 @@ impl ApProgram {
     }
 
     /// Columns reserved by the program's field layout; internal scratch
-    /// (division) allocates above this cursor, exactly as it did while
-    /// recording.
+    /// (division) allocates above this cursor, exactly as it does under
+    /// direct issue.
     #[must_use]
     pub fn reserved_cols(&self) -> usize {
         self.reserved_cols
@@ -1300,8 +1260,8 @@ impl ApProgram {
         &self.ops
     }
 
-    /// Per-op cost deltas recorded at compile time (parallel to
-    /// [`ApProgram::ops`]).
+    /// The cost each op charged in the last [`ApProgram::recost`]
+    /// (parallel to [`ApProgram::ops`]); empty while uncosted.
     #[must_use]
     pub fn op_costs(&self) -> &[CycleStats] {
         &self.costs
@@ -1319,18 +1279,21 @@ impl ApProgram {
         self.ops.is_empty()
     }
 
-    /// Total cycle/cell-event cost recorded at compile time — the
-    /// execution-free cost query. Exact for the compile input and for
-    /// any input following the same microcode path (see module docs).
+    /// Total cycle/cell-event cost charged by the last
+    /// [`ApProgram::recost`] — the execution-free cost query, zero while
+    /// the program is uncosted. Exact for the input it was costed on and
+    /// for any input following the same microcode path (see module
+    /// docs).
     #[must_use]
     pub fn static_cost(&self) -> CycleStats {
         self.static_total
     }
 
-    /// Per-step compile-time costs, in step-mark order (the static
-    /// counterpart of the mapping's per-step breakdown). Cycle-charging
-    /// ops recorded after the last step mark are kept in a final
-    /// `"(after last step)"` segment, so the segments always sum to
+    /// Per-step costs of the last [`ApProgram::recost`], in step-mark
+    /// order (the static counterpart of the mapping's per-step
+    /// breakdown; empty while uncosted). Cycle-charging ops after the
+    /// last step mark are kept in a final `"(after last step)"`
+    /// segment, so the segments always sum to
     /// [`ApProgram::static_cost`].
     #[must_use]
     pub fn static_steps(&self) -> &[(&'static str, CycleStats)] {
@@ -1356,7 +1319,7 @@ impl ApProgram {
         scratch: &mut ProgramScratch,
         mut on_step: impl FnMut(&'static str, CycleStats),
     ) -> Result<(), ApError> {
-        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Full)
+        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Full, None)
     }
 
     /// [`ApProgram::replay`] with the resident-operand discount: ops
@@ -1376,7 +1339,7 @@ impl ApProgram {
         scratch: &mut ProgramScratch,
         mut on_step: impl FnMut(&'static str, CycleStats),
     ) -> Result<(), ApError> {
-        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Hoisted)
+        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Hoisted, None)
     }
 
     /// [`ApProgram::replay`] with the wave-lockstep discount: every op
@@ -1400,9 +1363,21 @@ impl ApProgram {
         scratch: &mut ProgramScratch,
         mut on_step: impl FnMut(&'static str, CycleStats),
     ) -> Result<(), ApError> {
-        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Lockstep)
+        self.replay_inner(
+            core,
+            io,
+            scratch,
+            &mut on_step,
+            ReplayCharge::Lockstep,
+            None,
+        )
     }
 
+    /// The one execution loop behind every replay and
+    /// [`ApProgram::recost`]: blocked regions through the strip
+    /// kernels on FastWord, every other op through the op-by-op engine,
+    /// priced as `charge` says. With `costs`, each op's charge is
+    /// appended to it; without, no per-op statistics are taken.
     fn replay_inner(
         &self,
         core: &mut ApCore,
@@ -1410,6 +1385,7 @@ impl ApProgram {
         scratch: &mut ProgramScratch,
         on_step: &mut dyn FnMut(&'static str, CycleStats),
         charge: ReplayCharge,
+        mut costs: Option<&mut Vec<CycleStats>>,
     ) -> Result<(), ApError> {
         if core.rows() != self.config.rows || core.cols() != self.config.cols {
             return Err(ApError::BadConfig("replay geometry mismatch"));
@@ -1451,6 +1427,7 @@ impl ApProgram {
                                 charge,
                                 &mut mark,
                                 on_step,
+                                costs.as_deref_mut(),
                             );
                             i = end;
                             continue;
@@ -1471,28 +1448,32 @@ impl ApProgram {
                 ReplayCharge::Hoisted => hoist,
                 ReplayCharge::Lockstep => !matches!(op, ApOp::Load { .. }),
             };
-            if discount {
-                // Plane writes happen; the charge is rolled back (the
-                // cost-model statement "this shard rides the shared
-                // device-wide drivers for free").
-                let snapshot = core.stats();
-                apply_op(core, op, &mut io, scratch, &mut mark, on_step)?;
-                core.restore_stats(snapshot);
-            } else {
-                apply_op(core, op, &mut io, scratch, &mut mark, on_step)?;
+            let before = (discount || costs.is_some()).then(|| core.stats());
+            apply_op(core, op, &mut io, scratch, &mut mark, on_step)?;
+            if let Some(before) = before {
+                if discount {
+                    // Plane writes happen; the charge is rolled back (the
+                    // cost-model statement "this shard rides the shared
+                    // device-wide drivers for free").
+                    core.restore_stats(before);
+                }
+                if let Some(costs) = costs.as_deref_mut() {
+                    costs.push(core.stats().since(&before));
+                }
             }
             i += 1;
         }
         Ok(())
     }
 
-    /// Re-derives the per-op costs, static total, and step segments by
-    /// replaying the (optimized) trace once on `core` — how the static
-    /// cost contract survives optimization: after the pass pipeline
-    /// rewrites `ops`, one recost execution charges the *fused*
-    /// schedule and re-anchors [`ApProgram::static_cost`] /
-    /// [`ApProgram::static_steps`] to it. Outputs are appended and
-    /// registers derived exactly as in a normal replay.
+    /// Prices the program: one full-price replay on `core` — the same
+    /// execution loop as [`ApProgram::replay`], strip kernels included
+    /// — that keeps the cost each op charged and anchors
+    /// [`ApProgram::op_costs`], [`ApProgram::static_cost`] and
+    /// [`ApProgram::static_steps`] to it. A recorded program is
+    /// uncosted until this runs, and so is one the optimizer rewrote.
+    /// Outputs are appended and registers derived exactly as in a
+    /// normal replay; on error the program stays as it was.
     ///
     /// # Errors
     ///
@@ -1500,35 +1481,38 @@ impl ApProgram {
     pub fn recost(
         &mut self,
         core: &mut ApCore,
-        mut io: ExecIo<'_, '_>,
+        io: ExecIo<'_, '_>,
         scratch: &mut ProgramScratch,
         mut on_step: impl FnMut(&'static str, CycleStats),
     ) -> Result<(), ApError> {
-        if core.rows() != self.config.rows || core.cols() != self.config.cols {
-            return Err(ApError::BadConfig("replay geometry mismatch"));
-        }
-        if io.inputs.len() < self.num_inputs
-            || io.outputs.len() < self.num_outputs
-            || io.scalars.len() < self.num_scalars
-        {
-            return Err(ApError::BadConfig("replay is missing io slots"));
-        }
-        core.set_next_col(self.reserved_cols);
-        scratch.regs.clear();
-        scratch.regs.resize(self.num_regs, 0);
-        let mut mark = core.stats();
-        let mut last = mark;
         let mut costs = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
-            apply_op(core, op, &mut io, scratch, &mut mark, &mut on_step)?;
-            let now = core.stats();
-            costs.push(now.since(&last));
-            last = now;
+        self.replay_inner(
+            core,
+            io,
+            scratch,
+            &mut on_step,
+            ReplayCharge::Full,
+            Some(&mut costs),
+        )?;
+        let (mut total, mut seg) = (CycleStats::default(), CycleStats::default());
+        self.static_steps.clear();
+        for (op, cost) in self.ops.iter().zip(&costs) {
+            total.accumulate(cost);
+            if let ApOp::Step { name } = *op {
+                self.static_steps.push((name, seg));
+                seg = CycleStats::default();
+            } else {
+                seg.accumulate(cost);
+            }
         }
+        if seg != CycleStats::default() {
+            // Ops after the last step mark that charged cycles: keep
+            // them in the per-step accounting so the segments always
+            // sum to the static total.
+            self.static_steps.push(("(after last step)", seg));
+        }
+        self.static_total = total;
         self.costs = costs;
-        let summary = summarize(&self.ops, &self.costs);
-        self.static_total = summary.static_total;
-        self.static_steps = summary.static_steps;
         Ok(())
     }
 
@@ -1679,9 +1663,13 @@ mod tests {
     use super::*;
     use crate::ExecBackend;
 
-    /// Records a tiny add/shift/read pipeline and returns
-    /// (program, outputs, recording stats).
-    fn record(data: &[u64]) -> (ApProgram, Vec<u64>, CycleStats) {
+    /// Per-step costs as a step callback reports them.
+    type Steps = Vec<(&'static str, CycleStats)>;
+
+    /// Issues a tiny add/shift/read pipeline on a fresh core, recording
+    /// it or issuing it directly. Returns the program (when recording),
+    /// the outputs, the core's statistics and the reported steps.
+    fn pipeline(data: &[u64], record: bool) -> (Option<ApProgram>, Vec<u64>, CycleStats, Steps) {
         let mut core = ApCore::new(ApConfig::new(data.len(), 24)).unwrap();
         let x = core.alloc_field(8).unwrap();
         let k = core.alloc_field(8).unwrap();
@@ -1696,7 +1684,7 @@ mod tests {
             ExecIo::new(&inputs, &mut outs),
             &mut scratch,
             &mut on_step,
-            true,
+            record,
         );
         rec.load(x, 0).unwrap();
         rec.step("in");
@@ -1705,35 +1693,78 @@ mod tests {
         rec.shr_const(x, 1).unwrap();
         rec.step("compute");
         rec.read(x, 0).unwrap();
-        let program = rec.finish().unwrap();
-        assert_eq!(steps.len(), 2);
-        (program, out, core.stats())
+        let program = rec.finish();
+        (program, out, core.stats(), steps)
+    }
+
+    /// Recosts `program` on a fresh core with `data` in input slot 0 and
+    /// `scalars` bound. Returns the outputs, the core's statistics and
+    /// the reported steps.
+    fn recost(
+        program: &mut ApProgram,
+        data: &[u64],
+        scalars: &[u64],
+    ) -> (Vec<u64>, CycleStats, Steps) {
+        let mut core = ApCore::new(program.config()).unwrap();
+        let inputs: [&[u64]; 1] = [data];
+        let mut out = Vec::new();
+        let mut outs: [&mut Vec<u64>; 1] = [&mut out];
+        let mut steps = Vec::new();
+        program
+            .recost(
+                &mut core,
+                ExecIo::new(&inputs, &mut outs).with_scalars(scalars),
+                &mut ProgramScratch::default(),
+                |name, s| steps.push((name, s)),
+            )
+            .unwrap();
+        (out, core.stats(), steps)
+    }
+
+    /// The pipeline, recorded and costed.
+    fn record(data: &[u64]) -> ApProgram {
+        let mut program = pipeline(data, true).0.unwrap();
+        recost(&mut program, data, &[]);
+        program
     }
 
     #[test]
-    fn static_cost_equals_recording_stats() {
-        let (program, out, stats) = record(&[0, 1, 200, 250]);
-        assert_eq!(out, vec![1, 2, 101, 126]);
-        assert_eq!(program.static_cost(), stats);
-        let step_total =
-            program
-                .static_steps()
-                .iter()
-                .fold(CycleStats::default(), |mut acc, (_, s)| {
-                    acc.accumulate(s);
-                    acc
-                });
+    fn static_cost_equals_direct_issue_stats() {
+        let data = [0, 1, 200, 250];
+        let (program, ..) = pipeline(&data, true);
+        let mut program = program.unwrap();
+        assert_eq!(program.static_cost(), CycleStats::default(), "uncosted");
+        assert!(program.op_costs().is_empty() && program.static_steps().is_empty());
+        let (none, want, direct, direct_steps) = pipeline(&data, false);
+        assert!(none.is_none());
+        assert_eq!(want, vec![1, 2, 101, 126]);
+        assert_eq!(direct_steps.len(), 2);
+
+        let (out, stats, steps) = recost(&mut program, &data, &[]);
+        assert_eq!(out, want);
+        assert_eq!(stats, direct);
+        assert_eq!(steps, direct_steps);
+        assert_eq!(program.static_cost(), direct);
+        assert_eq!(program.static_steps(), direct_steps.as_slice());
+        let total = |costs: &mut dyn Iterator<Item = &CycleStats>| {
+            costs.fold(CycleStats::default(), |mut acc, s| {
+                acc.accumulate(s);
+                acc
+            })
+        };
         // The trailing read is free, so the marked steps cover the total.
+        let step_total = total(&mut program.static_steps().iter().map(|(_, s)| s));
         assert_eq!(step_total, program.static_cost());
         assert_eq!(program.num_inputs(), 1);
         assert_eq!(program.num_outputs(), 1);
         assert!(!program.is_empty());
         assert_eq!(program.len(), program.op_costs().len());
+        assert_eq!(total(&mut program.op_costs().iter()), direct);
     }
 
     #[test]
     fn replay_is_exact_on_both_backends() {
-        let (program, _, _) = record(&[0, 1, 200, 250]);
+        let program = record(&[0, 1, 200, 250]);
         for backend in [ExecBackend::Microcode, ExecBackend::FastWord] {
             let mut core = ApCore::with_backend(program.config(), backend).unwrap();
             let data: Vec<u64> = vec![7, 8, 9, 10];
@@ -1755,7 +1786,7 @@ mod tests {
 
     #[test]
     fn replay_rejects_geometry_and_slot_mismatches() {
-        let (program, _, _) = record(&[1, 2, 3, 4]);
+        let program = record(&[1, 2, 3, 4]);
         let mut wrong = ApCore::new(ApConfig::new(8, 24)).unwrap();
         let data: Vec<u64> = vec![0; 8];
         let inputs: [&[u64]; 1] = [&data];
@@ -1796,13 +1827,11 @@ mod tests {
         let x = core.alloc_field(8).unwrap();
         let m = core.alloc_field(8).unwrap();
         let inputs: [&[u64]; 1] = [&data];
-        let mut out = Vec::new();
-        let mut outs: [&mut Vec<u64>; 1] = [&mut out];
         let mut scratch = ProgramScratch::default();
         let mut on_step = |_: &'static str, _: CycleStats| {};
         let mut rec = Recorder::new(
             &mut core,
-            ExecIo::new(&inputs, &mut outs).with_scalars(&[3]),
+            ExecIo::new(&[], &mut []),
             &mut scratch,
             &mut on_step,
             true,
@@ -1812,9 +1841,10 @@ mod tests {
         rec.broadcast_reg(m, r).unwrap();
         rec.sub_assert_clean(x, m).unwrap();
         rec.read(x, 0).unwrap();
-        let program = rec.finish().unwrap();
-        assert_eq!(out, vec![6, 1, 4, 9]);
+        let mut program = rec.finish().unwrap();
         assert_eq!(program.num_scalars(), 1);
+        let (out, ..) = recost(&mut program, &data, &[3]);
+        assert_eq!(out, vec![6, 1, 4, 9]);
 
         // Replay with another scalar binding: the register re-derives.
         let mut core2 = ApCore::new(program.config()).unwrap();
@@ -1852,13 +1882,11 @@ mod tests {
         let x = core.alloc_field(8).unwrap();
         let m = core.alloc_field(8).unwrap();
         let inputs: [&[u64]; 1] = [&data];
-        let mut out = Vec::new();
-        let mut outs: [&mut Vec<u64>; 1] = [&mut out];
         let mut scratch = ProgramScratch::default();
         let mut on_step = |_: &'static str, _: CycleStats| {};
         let mut rec = Recorder::new(
             &mut core,
-            ExecIo::new(&inputs, &mut outs),
+            ExecIo::new(&[], &mut []),
             &mut scratch,
             &mut on_step,
             true,
@@ -1868,7 +1896,19 @@ mod tests {
         rec.broadcast_reg(m, r).unwrap();
         rec.sub_assert_clean(x, m).unwrap();
         rec.read(x, 0).unwrap();
-        let program = rec.finish().unwrap();
+        let mut program = rec.finish().unwrap();
+
+        // The costing replay derives the min at run time.
+        let mut out = Vec::new();
+        let mut outs: [&mut Vec<u64>; 1] = [&mut out];
+        program
+            .recost(
+                &mut core,
+                ExecIo::new(&inputs, &mut outs),
+                &mut scratch,
+                |_, _| {},
+            )
+            .unwrap();
         assert_eq!(out, vec![5, 0, 3, 8]);
         assert_eq!(scratch.reg(r), 4);
 

@@ -43,11 +43,13 @@
 //! replay and to direct issue, on both backends (enforced by
 //! `crates/ap/tests/optimizer_diff.rs`).
 //!
-//! *Static == simulated*: after [`optimize`] rewrites a trace, the
-//! recorded per-op costs no longer describe it, so they are cleared;
-//! the caller must run [`ApProgram::recost`] once, which charges the
-//! *fused* schedule and re-anchors [`ApProgram::static_cost`] /
-//! [`ApProgram::static_steps`] to it.
+//! *Static == simulated*: the passes run on a recorded, uncosted trace,
+//! and a compile prices only the final schedule: one
+//! [`ApProgram::recost`] after the pipeline charges the *fused*
+//! schedule and anchors [`ApProgram::static_cost`] /
+//! [`ApProgram::static_steps`] to it. Rewriting an already costed
+//! program clears its costs, so it is uncosted again until the next
+//! `recost`.
 
 use super::{ApOp, ApProgram, Operand, RegId};
 use crate::{CycleStats, DivStyle, Field};
@@ -111,8 +113,8 @@ pub struct PassReport {
 }
 
 impl PassReport {
-    /// Whether the pipeline rewrote the trace — if so, the recorded
-    /// costs were invalidated and the caller must
+    /// Whether the pipeline rewrote the trace — if so, any costs the
+    /// program carried were cleared and the caller must
     /// [`ApProgram::recost`] before trusting
     /// [`ApProgram::static_cost`].
     #[must_use]
@@ -143,11 +145,11 @@ impl core::fmt::Display for PassReport {
 /// Runs the pass pipeline over `program`'s trace at `level` and returns
 /// the per-pass statistics.
 ///
-/// When the report says [`PassReport::changed`], the program's recorded
-/// per-op costs, static total, and step segments have been cleared —
-/// run [`ApProgram::recost`] once on a fresh core to re-derive them
-/// from the fused schedule (the mapping layer's compile path does this
-/// immediately).
+/// When the report says [`PassReport::changed`], the program's per-op
+/// costs, static total, and step segments have been cleared — run
+/// [`ApProgram::recost`] once to derive them from the fused schedule
+/// (the mapping layer's compile path prices every traced program this
+/// way after the pipeline, changed or not).
 pub fn optimize(program: &mut ApProgram, level: OptLevel) -> PassReport {
     let mut report = PassReport {
         level,
@@ -170,13 +172,10 @@ pub fn optimize(program: &mut ApProgram, level: OptLevel) -> PassReport {
     report.hoisted = program.hoisted.len();
     report.ops_after = program.ops.len();
     if report.changed() {
-        // The recorded per-op costs describe the pre-rewrite trace;
-        // zero them out so a forgotten recost fails loudly instead of
-        // reporting stale numbers.
+        // Any per-op costs describe the pre-rewrite trace; drop them so
+        // a forgotten recost reports an uncosted program instead of
+        // stale numbers.
         program.costs.clear();
-        program
-            .costs
-            .resize(program.ops.len(), CycleStats::default());
         program.static_total = CycleStats::default();
         program.static_steps.clear();
         // Any region-blocking plan indexed the pre-rewrite trace;
@@ -594,37 +593,35 @@ mod tests {
     use crate::program::{ExecIo, ProgramScratch, Recorder};
     use crate::{ApConfig, ApCore};
 
+    /// Records the ops `build` issues on fields of `widths`, allocated
+    /// in order on a `rows` x `cols` core.
     fn record_with(
         rows: usize,
         cols: usize,
         widths: &[usize],
-        data: &[u64],
         build: impl FnOnce(&mut Recorder<'_, '_>, &[Field]),
-    ) -> (ApProgram, Vec<u64>) {
+    ) -> ApProgram {
         let mut core = ApCore::new(ApConfig::new(rows, cols)).unwrap();
         let fields: Vec<Field> = widths
             .iter()
             .map(|&w| core.alloc_field(w).unwrap())
             .collect();
-        let inputs: [&[u64]; 1] = [data];
-        let mut out = Vec::new();
-        let mut outs: [&mut Vec<u64>; 1] = [&mut out];
         let mut scratch = ProgramScratch::default();
         let mut on_step = |_: &'static str, _: CycleStats| {};
         let mut rec = Recorder::new(
             &mut core,
-            ExecIo::new(&inputs, &mut outs),
+            ExecIo::new(&[], &mut []),
             &mut scratch,
             &mut on_step,
             true,
         );
         build(&mut rec, &fields);
-        (rec.finish().unwrap(), out)
+        rec.finish().unwrap()
     }
 
     #[test]
     fn none_level_is_identity() {
-        let (mut program, _) = record_with(4, 40, &[8, 8], &[1, 2, 3, 4], |rec, f| {
+        let mut program = record_with(4, 40, &[8, 8], |rec, f| {
             rec.load(f[0], 0).unwrap();
             rec.broadcast(f[1], 3).unwrap();
             rec.add_into(f[0], f[1]).unwrap();
@@ -640,7 +637,7 @@ mod tests {
     #[test]
     fn shr_copy_fuses_into_source_window() {
         // work = x * k; work >>= 4; q = work[0..8); work fully killed.
-        let (mut program, _) = record_with(4, 80, &[8, 8, 20, 8], &[1, 2, 3, 4], |rec, f| {
+        let mut program = record_with(4, 80, &[8, 8, 20, 8], |rec, f| {
             rec.load(f[0], 0).unwrap();
             rec.broadcast(f[1], 37).unwrap();
             rec.mul(f[0], f[1], f[2]).unwrap();
@@ -670,7 +667,7 @@ mod tests {
     #[test]
     fn shr_copy_does_not_fuse_when_field_stays_visible() {
         // No kill after the copy: the shifted planes are final state.
-        let (mut program, _) = record_with(4, 80, &[8, 8, 20, 8], &[1, 2, 3, 4], |rec, f| {
+        let mut program = record_with(4, 80, &[8, 8, 20, 8], |rec, f| {
             rec.load(f[0], 0).unwrap();
             rec.broadcast(f[1], 37).unwrap();
             rec.mul(f[0], f[1], f[2]).unwrap();
@@ -687,7 +684,7 @@ mod tests {
 
     #[test]
     fn mul_folds_to_const_with_subfield_extraction() {
-        let (mut program, _) = record_with(4, 80, &[6, 13, 20], &[1, 2, 3, 4], |rec, f| {
+        let mut program = record_with(4, 80, &[6, 13, 20], |rec, f| {
             rec.load(f[0], 0).unwrap();
             rec.broadcast(f[1], 1365).unwrap();
             rec.mul(f[0], f[1], f[2]).unwrap();
@@ -711,7 +708,7 @@ mod tests {
     fn mul_fold_stops_at_intervening_write() {
         // The broadcast planes are overwritten before the multiply, so
         // the constant is stale and the fold must not fire.
-        let (mut program, _) = record_with(4, 80, &[6, 13, 20], &[1, 2, 3, 4], |rec, f| {
+        let mut program = record_with(4, 80, &[6, 13, 20], |rec, f| {
             rec.load(f[0], 0).unwrap();
             rec.broadcast(f[1], 1365).unwrap();
             rec.load(f[1], 0).unwrap();
@@ -724,7 +721,7 @@ mod tests {
 
     #[test]
     fn dead_rebroadcast_is_removed_but_final_state_kept() {
-        let (mut program, _) = record_with(4, 40, &[8, 8], &[1, 2, 3, 4], |rec, f| {
+        let mut program = record_with(4, 40, &[8, 8], |rec, f| {
             rec.load(f[0], 0).unwrap();
             rec.broadcast(f[1], 5).unwrap(); // dead: fully re-broadcast
             rec.broadcast(f[1], 9).unwrap(); // live: final state
@@ -749,7 +746,7 @@ mod tests {
     #[test]
     fn visible_final_planes_are_never_removed() {
         // A broadcast nothing reads is still final plane state.
-        let (mut program, _) = record_with(4, 40, &[8, 8], &[1, 2, 3, 4], |rec, f| {
+        let mut program = record_with(4, 40, &[8, 8], |rec, f| {
             rec.load(f[0], 0).unwrap();
             rec.broadcast(f[1], 5).unwrap();
             rec.read(f[0], 0).unwrap();
@@ -760,7 +757,7 @@ mod tests {
 
     #[test]
     fn adjacent_divides_fuse_and_batch() {
-        let (mut program, _) = record_with(4, 120, &[8, 6, 12, 8, 12], &[1, 2, 3, 4], |rec, f| {
+        let mut program = record_with(4, 120, &[8, 6, 12, 8, 12], |rec, f| {
             rec.load(f[0], 0).unwrap();
             rec.broadcast(f[1], 3).unwrap();
             rec.load(f[3], 0).unwrap();
@@ -790,7 +787,7 @@ mod tests {
 
     #[test]
     fn reciprocal_divides_are_left_alone() {
-        let (mut program, _) = record_with(4, 120, &[8, 6, 12], &[1, 2, 3, 4], |rec, f| {
+        let mut program = record_with(4, 120, &[8, 6, 12], |rec, f| {
             rec.load(f[0], 0).unwrap();
             rec.broadcast(f[1], 3).unwrap();
             rec.divide(f[0], f[1], f[2], 2, DivStyle::ControllerReciprocal)
@@ -810,34 +807,19 @@ mod tests {
 
     #[test]
     fn hoist_marks_const_and_scalar_derived_broadcasts_only() {
-        let data: Vec<u64> = vec![9, 4, 7, 12];
-        let mut core = ApCore::new(ApConfig::new(4, 60)).unwrap();
-        let x = core.alloc_field(8).unwrap();
-        let m = core.alloc_field(8).unwrap();
-        let k = core.alloc_field(8).unwrap();
-        let inputs: [&[u64]; 1] = [&data];
-        let mut out = Vec::new();
-        let mut outs: [&mut Vec<u64>; 1] = [&mut out];
-        let mut scratch = ProgramScratch::default();
-        let mut on_step = |_: &'static str, _: CycleStats| {};
-        let mut rec = Recorder::new(
-            &mut core,
-            ExecIo::new(&inputs, &mut outs).with_scalars(&[3]),
-            &mut scratch,
-            &mut on_step,
-            true,
-        );
-        rec.load(x, 0).unwrap();
-        rec.broadcast(k, 7).unwrap(); // const: hoistable
-        let ext = rec.reg_input(0).unwrap();
-        let clamped = rec.reg_max1(ext);
-        rec.broadcast_reg(m, clamped).unwrap(); // scalar-derived: hoistable
-        rec.sub_assert_clean(x, m).unwrap();
-        let local = rec.min_search(x);
-        rec.broadcast_reg(m, local).unwrap(); // per-shard: NOT hoistable
-        rec.sub_assert_clean(x, m).unwrap();
-        rec.read(x, 0).unwrap();
-        let program = rec.finish().unwrap();
+        let program = record_with(4, 60, &[8, 8, 8], |rec, f| {
+            let (x, m, k) = (f[0], f[1], f[2]);
+            rec.load(x, 0).unwrap();
+            rec.broadcast(k, 7).unwrap(); // const: hoistable
+            let ext = rec.reg_input(0).unwrap();
+            let clamped = rec.reg_max1(ext);
+            rec.broadcast_reg(m, clamped).unwrap(); // scalar-derived: hoistable
+            rec.sub_assert_clean(x, m).unwrap();
+            let local = rec.min_search(x);
+            rec.broadcast_reg(m, local).unwrap(); // per-shard: NOT hoistable
+            rec.sub_assert_clean(x, m).unwrap();
+            rec.read(x, 0).unwrap();
+        });
         let hoisted = mark_hoistable(program.ops());
         assert_eq!(hoisted.len(), 2);
         for &i in &hoisted {

@@ -119,21 +119,19 @@ fn alloc_fields(core: &mut ApCore) -> Fields {
     }
 }
 
-/// Direct issue (and optionally recording) on a fresh core.
+/// Direct issue on a fresh core: the oracle.
 fn run_direct(
     rows: usize,
     backend: ExecBackend,
     style: DivStyle,
     phase: bool,
     inputs: &Inputs<'_>,
-    record: bool,
-) -> (Outcome, Option<ApProgram>) {
+) -> Outcome {
     let mut core = ApCore::with_backend(ApConfig::new(rows, COLS), backend).unwrap();
     let fields = alloc_fields(&mut core);
     let in_slices: [&[u64]; 3] = [inputs.xs, inputs.ys, inputs.amts];
     let scalars = [inputs.ext];
     let mut outs_bufs: [Vec<u64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let program;
     {
         let [o0, o1, o2] = &mut outs_bufs;
         let mut outs: [&mut Vec<u64>; 3] = [o0, o1, o2];
@@ -144,19 +142,32 @@ fn run_direct(
             ExecIo::new(&in_slices, &mut outs).with_scalars(&scalars),
             &mut scratch,
             &mut on_step,
-            record,
+            false,
         );
         issue_pipeline(&mut rec, &fields, rows, style, phase);
-        program = rec.finish();
     }
-    (
-        Outcome {
-            outs: outs_bufs,
-            stats: core.stats(),
-            planes: capture_planes(&core),
-        },
-        program,
-    )
+    Outcome {
+        outs: outs_bufs,
+        stats: core.stats(),
+        planes: capture_planes(&core),
+    }
+}
+
+/// The pipeline recorded at `rows` rows (uncosted).
+fn record(rows: usize, style: DivStyle, phase: bool) -> ApProgram {
+    let mut core = ApCore::new(ApConfig::new(rows, COLS)).unwrap();
+    let fields = alloc_fields(&mut core);
+    let mut scratch = ProgramScratch::default();
+    let mut on_step = |_: &'static str, _: CycleStats| {};
+    let mut rec = Recorder::new(
+        &mut core,
+        ExecIo::new(&[], &mut []),
+        &mut scratch,
+        &mut on_step,
+        true,
+    );
+    issue_pipeline(&mut rec, &fields, rows, style, phase);
+    rec.finish().expect("recording returns a program")
 }
 
 /// Replays (or resident-replays) `program` on a fresh core.
@@ -200,28 +211,26 @@ fn planned(program: &ApProgram, strip: Option<usize>) -> ApProgram {
     p
 }
 
-/// Optimizes a clone of `program` at `level` and recosts it on a fresh
-/// microcode core with the compile inputs.
+/// Optimizes a clone of `program` at `level` and prices it by a
+/// costing replay on a fresh microcode core with the compile inputs.
 fn optimized(program: &ApProgram, level: OptLevel, inputs: &Inputs<'_>) -> ApProgram {
     let mut opt = program.clone();
-    let report = optimizer::optimize(&mut opt, level);
-    if report.changed() {
-        let mut core = ApCore::new(opt.config()).unwrap();
-        let in_slices: [&[u64]; 3] = [inputs.xs, inputs.ys, inputs.amts];
-        let scalars = [inputs.ext];
-        let mut o0 = Vec::new();
-        let mut o1 = Vec::new();
-        let mut o2 = Vec::new();
-        let mut outs: [&mut Vec<u64>; 3] = [&mut o0, &mut o1, &mut o2];
-        let mut scratch = ProgramScratch::default();
-        opt.recost(
-            &mut core,
-            ExecIo::new(&in_slices, &mut outs).with_scalars(&scalars),
-            &mut scratch,
-            |_, _| {},
-        )
-        .unwrap();
-    }
+    optimizer::optimize(&mut opt, level);
+    let mut core = ApCore::new(opt.config()).unwrap();
+    let in_slices: [&[u64]; 3] = [inputs.xs, inputs.ys, inputs.amts];
+    let scalars = [inputs.ext];
+    let mut o0 = Vec::new();
+    let mut o1 = Vec::new();
+    let mut o2 = Vec::new();
+    let mut outs: [&mut Vec<u64>; 3] = [&mut o0, &mut o1, &mut o2];
+    let mut scratch = ProgramScratch::default();
+    opt.recost(
+        &mut core,
+        ExecIo::new(&in_slices, &mut outs).with_scalars(&scalars),
+        &mut scratch,
+        |_, _| {},
+    )
+    .unwrap();
     opt
 }
 
@@ -253,7 +262,7 @@ fn assert_blocked_exact(
     for backend in [ExecBackend::Microcode, ExecBackend::FastWord] {
         let plain = run_replay(program, backend, inputs, false);
         if expect_direct {
-            let (direct, _) = run_direct(rows, backend, style, phase, inputs, false);
+            let direct = run_direct(rows, backend, style, phase, inputs);
             assert_eq!(plain, direct, "{label}: op-by-op replay on {backend:?}");
         }
         for &strip in strips {
@@ -294,9 +303,7 @@ proptest! {
     ) {
         let (rows, xs, ys, amts, ext) = data;
         let compile = Inputs { xs: &xs, ys: &ys, amts: &amts, ext };
-        let (_, program) =
-            run_direct(rows, ExecBackend::Microcode, style, phase, &compile, true);
-        let program = program.expect("recording returns a program");
+        let program = record(rows, style, phase);
 
         // Fresh inputs the plan has never seen, resized to shape.
         let (_, mut xs2, mut ys2, mut amts2, ext2) = data2;
@@ -334,10 +341,7 @@ proptest! {
         // regions, so the resident discount must survive blocking.
         let (rows, xs, ys, amts, ext) = data;
         let compile = Inputs { xs: &xs, ys: &ys, amts: &amts, ext };
-        let (_, program) = run_direct(
-            rows, ExecBackend::Microcode, DivStyle::Restoring, true, &compile, true,
-        );
-        let program = program.expect("recording returns a program");
+        let program = record(rows, DivStyle::Restoring, true);
         let opt = optimized(&program, OptLevel::Full, &compile);
         let blocked = planned(&opt, None);
 
@@ -362,15 +366,7 @@ fn odd_row_counts_stay_exact() {
             amts: &amts,
             ext: 77,
         };
-        let (_, program) = run_direct(
-            rows,
-            ExecBackend::Microcode,
-            DivStyle::Restoring,
-            false,
-            &inputs,
-            true,
-        );
-        let program = program.expect("recording returns a program");
+        let program = record(rows, DivStyle::Restoring, false);
         assert_blocked_exact(
             &program,
             rows,
@@ -397,15 +393,14 @@ fn sharded_length_blocked_replay_is_exact() {
         amts: &amts,
         ext: 1234,
     };
-    let (direct, program) = run_direct(
+    let direct = run_direct(
         rows,
         ExecBackend::FastWord,
         DivStyle::Restoring,
         true,
         &inputs,
-        true,
     );
-    let program = program.expect("recording returns a program");
+    let program = record(rows, DivStyle::Restoring, true);
     for strip in [None, Some(8)] {
         let blocked = planned(&program, strip);
         let stats = blocked.block_stats().expect("stats recorded");
@@ -430,23 +425,7 @@ fn sharded_length_blocked_replay_is_exact() {
 /// optimizer rewrite (the plan indexes the pre-rewrite trace).
 #[test]
 fn block_plan_lifecycle() {
-    let rows = 70;
-    let (xs, ys, amts) = make_inputs(rows, 1);
-    let inputs = Inputs {
-        xs: &xs,
-        ys: &ys,
-        amts: &amts,
-        ext: 9,
-    };
-    let (_, program) = run_direct(
-        rows,
-        ExecBackend::Microcode,
-        DivStyle::Restoring,
-        false,
-        &inputs,
-        true,
-    );
-    let mut program = program.expect("recording returns a program");
+    let mut program = record(70, DivStyle::Restoring, false);
     assert!(program.block_stats().is_none(), "no plan before planning");
 
     program.plan_blocking(None);
@@ -470,18 +449,13 @@ fn block_plan_lifecycle() {
 /// plan, so observability always has stats to report.
 #[test]
 fn boundary_only_trace_records_empty_plan() {
-    let rows = 8;
-    let mut core = ApCore::new(ApConfig::new(rows, 40)).unwrap();
+    let mut core = ApCore::new(ApConfig::new(8, 40)).unwrap();
     let f = core.alloc_field(8).unwrap();
-    let xs: Vec<u64> = (0..rows as u64).collect();
-    let in_slices: [&[u64]; 1] = [&xs];
-    let mut out = Vec::new();
-    let mut outs: [&mut Vec<u64>; 1] = [&mut out];
     let mut scratch = ProgramScratch::default();
     let mut on_step = |_: &'static str, _: CycleStats| {};
     let mut rec = Recorder::new(
         &mut core,
-        ExecIo::new(&in_slices, &mut outs),
+        ExecIo::new(&[], &mut []),
         &mut scratch,
         &mut on_step,
         true,
@@ -517,31 +491,39 @@ fn wide_shift_amounts_stay_exact_blocked() {
         .collect();
     let fs: Vec<u64> = (0..rows as u64).map(|r| 0xff - r).collect();
     let in_slices: [&[u64]; 3] = [&fs, &xs, &ys];
-    let mut out = Vec::new();
-    let mut outs: [&mut Vec<u64>; 1] = [&mut out];
-    let mut scratch = ProgramScratch::default();
-    let mut on_step = |_: &'static str, _: CycleStats| {};
-    let mut rec = Recorder::new(
-        &mut core,
-        ExecIo::new(&in_slices, &mut outs),
-        &mut scratch,
-        &mut on_step,
-        true,
-    );
-    rec.load(f, 0).unwrap();
-    rec.load(a, 1).unwrap();
-    rec.load(b, 2).unwrap();
-    rec.mul(a, b, amt).unwrap();
-    rec.shr_variable(f, amt).unwrap();
-    rec.read(f, 0).unwrap();
-    let program = rec.finish().expect("recording returns a program");
     let want: Vec<u64> = (0..rows)
         .map(|r| match r % 3 {
             2 => fs[r] >> xs[r],
             _ => 0,
         })
         .collect();
-    assert_eq!(out, want, "recorded on Microcode");
+    // Direct issue on Microcode, then the same ops recorded.
+    let mut program = None;
+    for record in [false, true] {
+        let mut core = core.clone();
+        let mut out = Vec::new();
+        let mut outs: [&mut Vec<u64>; 1] = [&mut out];
+        let mut scratch = ProgramScratch::default();
+        let mut on_step = |_: &'static str, _: CycleStats| {};
+        let mut rec = Recorder::new(
+            &mut core,
+            ExecIo::new(&in_slices, &mut outs),
+            &mut scratch,
+            &mut on_step,
+            record,
+        );
+        rec.load(f, 0).unwrap();
+        rec.load(a, 1).unwrap();
+        rec.load(b, 2).unwrap();
+        rec.mul(a, b, amt).unwrap();
+        rec.shr_variable(f, amt).unwrap();
+        rec.read(f, 0).unwrap();
+        program = rec.finish();
+        if !record {
+            assert_eq!(out, want, "direct issue on Microcode");
+        }
+    }
+    let program = program.expect("recording returns a program");
     let run = |program: &ApProgram, backend| {
         let mut core = ApCore::with_backend(program.config(), backend).unwrap();
         let mut out = Vec::new();
@@ -639,16 +621,11 @@ fn div_program(case: &DivCase) -> ApProgram {
     let quots: Vec<_> = (0..case.channels)
         .map(|_| core.alloc_field(case.qw).unwrap())
         .collect();
-    let inputs = case.inputs();
-    let in_slices: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
-    let mut bufs = [Vec::new(), Vec::new(), Vec::new()];
-    let [o0, o1, o2] = &mut bufs;
-    let mut outs: [&mut Vec<u64>; 3] = [o0, o1, o2];
     let mut scratch = ProgramScratch::default();
     let mut on_step = |_: &'static str, _: CycleStats| {};
     let mut rec = Recorder::new(
         &mut core,
-        ExecIo::new(&in_slices, &mut outs),
+        ExecIo::new(&[], &mut []),
         &mut scratch,
         &mut on_step,
         true,

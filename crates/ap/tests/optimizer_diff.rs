@@ -119,21 +119,19 @@ fn alloc_fields(core: &mut ApCore) -> Fields {
     }
 }
 
-/// Direct issue (and optionally recording) on a fresh core.
+/// Direct issue on a fresh core: the oracle.
 fn run_direct(
     rows: usize,
     backend: ExecBackend,
     style: DivStyle,
     phase: bool,
     inputs: &Inputs<'_>,
-    record: bool,
-) -> (Outcome, Option<ApProgram>) {
+) -> Outcome {
     let mut core = ApCore::with_backend(ApConfig::new(rows, COLS), backend).unwrap();
     let fields = alloc_fields(&mut core);
     let in_slices: [&[u64]; 3] = [inputs.xs, inputs.ys, inputs.amts];
     let scalars = [inputs.ext];
     let mut outs_bufs: [Vec<u64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let program;
     {
         let [o0, o1, o2] = &mut outs_bufs;
         let mut outs: [&mut Vec<u64>; 3] = [o0, o1, o2];
@@ -144,19 +142,32 @@ fn run_direct(
             ExecIo::new(&in_slices, &mut outs).with_scalars(&scalars),
             &mut scratch,
             &mut on_step,
-            record,
+            false,
         );
         issue_pipeline(&mut rec, &fields, rows, style, phase);
-        program = rec.finish();
     }
-    (
-        Outcome {
-            outs: outs_bufs,
-            stats: core.stats(),
-            planes: capture_planes(&core),
-        },
-        program,
-    )
+    Outcome {
+        outs: outs_bufs,
+        stats: core.stats(),
+        planes: capture_planes(&core),
+    }
+}
+
+/// The pipeline recorded at `rows` rows (uncosted).
+fn record(rows: usize, style: DivStyle, phase: bool) -> ApProgram {
+    let mut core = ApCore::new(ApConfig::new(rows, COLS)).unwrap();
+    let fields = alloc_fields(&mut core);
+    let mut scratch = ProgramScratch::default();
+    let mut on_step = |_: &'static str, _: CycleStats| {};
+    let mut rec = Recorder::new(
+        &mut core,
+        ExecIo::new(&[], &mut []),
+        &mut scratch,
+        &mut on_step,
+        true,
+    );
+    issue_pipeline(&mut rec, &fields, rows, style, phase);
+    rec.finish().expect("recording returns a program")
 }
 
 /// Replays (or resident-replays) `program` on a fresh core.
@@ -192,8 +203,8 @@ fn run_replay(
     }
 }
 
-/// Optimizes a clone of `program` at `level` and recosts it on a fresh
-/// microcode core with the compile inputs.
+/// Optimizes a clone of `program` at `level` and prices it by a
+/// costing replay on a fresh microcode core with the compile inputs.
 fn optimized(
     program: &ApProgram,
     level: OptLevel,
@@ -201,23 +212,21 @@ fn optimized(
 ) -> (ApProgram, optimizer::PassReport) {
     let mut opt = program.clone();
     let report = optimizer::optimize(&mut opt, level);
-    if report.changed() {
-        let mut core = ApCore::new(opt.config()).unwrap();
-        let in_slices: [&[u64]; 3] = [inputs.xs, inputs.ys, inputs.amts];
-        let scalars = [inputs.ext];
-        let mut o0 = Vec::new();
-        let mut o1 = Vec::new();
-        let mut o2 = Vec::new();
-        let mut outs: [&mut Vec<u64>; 3] = [&mut o0, &mut o1, &mut o2];
-        let mut scratch = ProgramScratch::default();
-        opt.recost(
-            &mut core,
-            ExecIo::new(&in_slices, &mut outs).with_scalars(&scalars),
-            &mut scratch,
-            |_, _| {},
-        )
-        .unwrap();
-    }
+    let mut core = ApCore::new(opt.config()).unwrap();
+    let in_slices: [&[u64]; 3] = [inputs.xs, inputs.ys, inputs.amts];
+    let scalars = [inputs.ext];
+    let mut o0 = Vec::new();
+    let mut o1 = Vec::new();
+    let mut o2 = Vec::new();
+    let mut outs: [&mut Vec<u64>; 3] = [&mut o0, &mut o1, &mut o2];
+    let mut scratch = ProgramScratch::default();
+    opt.recost(
+        &mut core,
+        ExecIo::new(&in_slices, &mut outs).with_scalars(&scalars),
+        &mut scratch,
+        |_, _| {},
+    )
+    .unwrap();
     (opt, report)
 }
 
@@ -249,9 +258,8 @@ proptest! {
     ) {
         let (rows, xs, ys, amts, ext) = data;
         let compile = Inputs { xs: &xs, ys: &ys, amts: &amts, ext };
-        let (_, program) =
-            run_direct(rows, ExecBackend::Microcode, style, phase, &compile, true);
-        let program = program.expect("recording returns a program");
+        let program = record(rows, style, phase);
+        let unopt_cost = run_direct(rows, ExecBackend::Microcode, style, phase, &compile).stats;
 
         // Fresh inputs the program has never seen, resized to shape.
         let (_, mut xs2, mut ys2, mut amts2, ext2) = data2;
@@ -277,14 +285,14 @@ proptest! {
             let sim = run_replay(&opt, ExecBackend::Microcode, &compile, false);
             prop_assert_eq!(sim.stats, opt.static_cost(),
                 "static == simulated at {:?}", level);
-            prop_assert!(opt.static_cost().cycles() < program.static_cost().cycles(),
+            prop_assert!(opt.static_cost().cycles() < unopt_cost.cycles(),
                 "optimized schedule must be strictly cheaper at {:?}", level);
 
             // Bit-exactness: all planes (carry/flag/scratch included)
             // and outputs match direct issue, on both backends, for
             // inputs the optimizer never saw.
             for backend in [ExecBackend::Microcode, ExecBackend::FastWord] {
-                let (direct, _) = run_direct(rows, backend, style, phase, &fresh, false);
+                let direct = run_direct(rows, backend, style, phase, &fresh);
                 let unopt = run_replay(&program, backend, &fresh, false);
                 prop_assert_eq!(&unopt, &direct, "unoptimized replay on {:?}", backend);
                 let opt_run = run_replay(&opt, backend, &fresh, false);
@@ -307,10 +315,7 @@ proptest! {
         // shard-invariant and hoistable.
         let (rows, xs, ys, amts, ext) = data;
         let compile = Inputs { xs: &xs, ys: &ys, amts: &amts, ext };
-        let (_, program) = run_direct(
-            rows, ExecBackend::Microcode, DivStyle::Restoring, true, &compile, true,
-        );
-        let program = program.expect("recording returns a program");
+        let program = record(rows, DivStyle::Restoring, true);
         let (opt, report) = optimized(&program, OptLevel::Full, &compile);
         prop_assert!(report.hoisted >= 2, "const + scalar-derived broadcasts hoist");
 
@@ -335,12 +340,12 @@ fn price(cmp: (u64, u64), wr: (u64, u64)) -> CycleStats {
     st
 }
 
-/// Records on Microcode `r = a * c` through a broadcast multiplier and
-/// `channels` restoring divisions of `nums` sharing the per-row
-/// divisors `dens`, then optimizes the program (the multiply folds to
-/// `MulConst`, the divisions fuse and batch into one `FusedDivide`)
-/// and recosts it on Microcode with the same inputs. Returns both
-/// programs.
+/// Records `r = a * c` through a broadcast multiplier and `channels`
+/// restoring divisions of `nums` sharing the per-row divisors `dens`,
+/// optimizes a copy (the multiply folds to `MulConst`, the divisions
+/// fuse and batch into one `FusedDivide`), and prices both programs by
+/// costing replays on Microcode with the same inputs — the unoptimized
+/// one op by op on the LUT engines. Returns both programs.
 fn fused_price_programs(
     xs: &[u64],
     nums: &[Vec<u64>; 2],
@@ -363,7 +368,7 @@ fn fused_price_programs(
     let mut on_step = |_: &'static str, _: CycleStats| {};
     let mut rec = Recorder::new(
         &mut core,
-        ExecIo::new(&in_slices, &mut outs),
+        ExecIo::new(&[], &mut []),
         &mut scratch,
         &mut on_step,
         true,
@@ -380,12 +385,14 @@ fn fused_price_programs(
     rec.read(r, 0).unwrap();
     rec.read(qs[0], 1).unwrap();
     rec.read(qs[1], 2).unwrap();
-    let program = rec.finish().expect("recording returns a program");
+    let mut program = rec.finish().expect("recording returns a program");
     let mut opt = program.clone();
     optimizer::optimize(&mut opt, OptLevel::Full);
-    let mut core = ApCore::new(opt.config()).unwrap();
-    let io = ExecIo::new(&in_slices, &mut outs);
-    opt.recost(&mut core, io, &mut scratch, |_, _| {}).unwrap();
+    for p in [&mut program, &mut opt] {
+        let mut core = ApCore::new(p.config()).unwrap();
+        let io = ExecIo::new(&in_slices, &mut outs);
+        p.recost(&mut core, io, &mut scratch, |_, _| {}).unwrap();
+    }
     (program, opt)
 }
 

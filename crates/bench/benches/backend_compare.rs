@@ -9,9 +9,10 @@
 //!   **cached-plan replay** path (compile once per shape, then
 //!   load → replay → read with no per-op host dispatch),
 //! * `fastword-compile` — plan cache cleared every iteration, so each
-//!   vector pays record + execute; `fastword-compile − fastword-replayed`
-//!   is the compile cost a plan amortizes (`plan_compile_us` in
-//!   `BENCH_ap.json`),
+//!   vector compiles its plan: a trace of the dataflow, which executes
+//!   nothing, then one costing replay, which executes the vector;
+//!   `fastword-compile − fastword-replayed` is the compile cost a plan
+//!   amortizes (`plan_compile_us` in `BENCH_ap.json`),
 //! * `fastword-optimized` — the same pooled replay through the
 //!   optimizer's fused schedule (`OptLevel::Full`); against the
 //!   `OptLevel::None` pin on `fastword-replayed` this isolates what the
@@ -226,9 +227,12 @@ fn bench(c: &mut Criterion) {
             })
         });
         // Compile every vector: the cache is cleared per iteration, so
-        // this series pays record + execute each time (OptLevel::None,
-        // so `fastword-compile − fastword-replayed` stays the plain
-        // record cost without the optimize + recost overhead).
+        // this series traces the dataflow and runs its costing replay
+        // each time. OptLevel::None and no blocking plan, so the costing
+        // replay runs op by op like `fastword-replayed`, and
+        // `fastword-compile − fastword-replayed` is what a compile adds
+        // to one replay: the trace, the per-op cost capture and the
+        // plan-cache bookkeeping, without the optimizer passes.
         let m = mapping(ExecBackend::FastWord)
             .with_opt_level(OptLevel::None)
             .with_blocked(false);

@@ -12,13 +12,16 @@
 //! The dataflow's op sequence is *static* per shape: it depends only on
 //! `(vector length, Layout, PrecisionConfig, DivStyle)`, never on the
 //! data (run-time scalars — the min search result, the reduction sum —
-//! flow through program registers). [`ApSoftmax`] therefore records the
-//! trace once per shape into a [`softmap_ap::ApProgram`], caches it in
-//! a shape-keyed [`crate::PlanCache`], and every further vector of that
-//! shape executes as load → replay → read with no per-op host dispatch
-//! (and zero heap allocations through a warmed [`TileState`]). The
-//! compiled program also answers analytic cost queries without touching
-//! a CAM: see [`ApSoftmax::static_cost`].
+//! flow through program registers). [`ApSoftmax`] therefore compiles
+//! each shape once into a [`softmap_ap::ApProgram`] — it traces the
+//! dataflow without executing it, runs the optimizer passes and plans
+//! the blocking, then prices the program by one costing replay of the
+//! shape's first vector — caches it in a shape-keyed
+//! [`crate::PlanCache`], and every further vector of that shape
+//! executes as load → replay → read with no per-op host dispatch (and
+//! zero heap allocations through a warmed [`TileState`]). The compiled
+//! program also answers analytic cost queries without touching a CAM:
+//! see [`ApSoftmax::static_cost`].
 //!
 //! # One generator, one executor, one lookup
 //!
@@ -56,7 +59,7 @@ use crate::CoreError;
 pub(crate) mod autotune;
 pub(crate) mod fanout;
 
-use fanout::{ShardExec, ShardJob, ShardScratch};
+use fanout::{PhaseReplay, Run, ShardExec, ShardJob, ShardScratch};
 
 /// How vector elements are packed into AP rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -408,16 +411,15 @@ fn alloc_fields<const N: usize>(
     Ok(fields)
 }
 
-/// One direct-issue execution of a dataflow program: its cost, the
-/// columns its layout uses, the value of its result register (the sum,
-/// the shard minimum, or the partial sum), the recorded program with
-/// that register when recording, and the per-half fields it ran on.
+/// One dataflow program from the generator: its direct-issue cost (zero
+/// when recorded), the columns its layout uses, the register holding
+/// its result (the sum, the shard minimum, or the partial sum), and the
+/// recorded program when recording.
 struct Issued {
     stats: CycleStats,
     cols_used: usize,
-    result: u64,
-    program: Option<(ApProgram, RegId)>,
-    fields: [HalfFields; 2],
+    reg: RegId,
+    program: Option<ApProgram>,
 }
 
 /// Accumulates one step's cost into the named entry of `steps`
@@ -945,8 +947,7 @@ impl ApSoftmax {
             // differential baseline keeps characterizing the re-staged
             // contract exactly.
             return if whole {
-                self.execute_whole(state, codes, layout, None, run, false)
-                    .map(drop)
+                self.execute_whole(state, codes, layout, None, run)
             } else {
                 self.run_sharded(
                     &mut state.shard,
@@ -979,9 +980,13 @@ impl ApSoftmax {
             return Ok(());
         }
         match &entry {
-            CachedPlan::Program(plan) => self
-                .execute_whole(state, codes, layout, Some(plan), run, false)
-                .map(drop),
+            CachedPlan::Program(plan) => self.execute_whole(
+                state,
+                codes,
+                layout,
+                Some(Run::Replay(plan, PhaseReplay::Full)),
+                run,
+            ),
             CachedPlan::Sharded(plan) => self
                 .run_sharded(
                     &mut state.shard,
@@ -1001,10 +1006,11 @@ impl ApSoftmax {
     /// slot (lock-free), then the shared cache, then — under the
     /// compile lock, after a re-check so workers racing on the same
     /// fresh shape converge on one plan — `compile`, whose plan is
-    /// inserted. The slot is stamped with the token captured before the
-    /// lookup, so a `clear_plans()` racing in after the insert still
-    /// invalidates it on its next vector. Returns the entry and whether
-    /// `compile` produced it.
+    /// inserted once it succeeded, its costing replay included. The
+    /// slot is stamped with the token captured before the lookup, so a
+    /// `clear_plans()` racing in after the insert still invalidates it
+    /// on its next vector. Returns the entry and whether `compile`
+    /// produced it.
     fn lookup(
         &self,
         state: &mut TileState,
@@ -1039,20 +1045,19 @@ impl ApSoftmax {
     }
 
     /// Executes one whole vector on `state`'s tile, packed by `layout`:
-    /// replays `plan` (load → replay → read, no per-op host dispatch;
-    /// bit- and cycle-exact versus direct issue by the program-replay
-    /// contract) or, without one, issues the dataflow op by op —
-    /// recording the trace when `record`. Writes the outcome into
-    /// `run`'s reused buffers.
+    /// runs `plan` — a cached plan's replay (load → replay → read, no
+    /// per-op host dispatch; bit- and cycle-exact versus direct issue by
+    /// the program-replay contract) or a fresh plan's costing replay —
+    /// or, without one, issues the dataflow op by op. Writes the outcome
+    /// into `run`'s reused buffers.
     fn execute_whole(
         &self,
         state: &mut TileState,
         codes: &[i64],
         layout: Layout,
-        plan: Option<&CompiledPlan>,
+        plan: Option<Run<'_>>,
         run: &mut ApSoftmaxRun,
-        record: bool,
-    ) -> Result<Option<(ApProgram, RegId)>, CoreError> {
+    ) -> Result<(), CoreError> {
         let TileState {
             tile,
             half0,
@@ -1074,15 +1079,10 @@ impl ApSoftmax {
         steps.clear();
         let mut outs = [out, vapprox];
         let io = ExecIo::new(halves, &mut outs);
-        let (stats, cols_used, sum, program) = match plan {
-            Some(plan) => {
-                let ap = tile.acquire(plan.program().config(), self.backend)?;
-                plan.program().replay(ap, io, scratch, |name, stats| {
-                    steps.push(StepStats { name, stats });
-                })?;
-                let sum = scratch.reg(plan.result_reg());
-                (ap.stats(), plan.cols_used(), sum, None)
-            }
+        let (stats, cols_used, sum_reg) = match plan {
+            Some(plan) => self.run_plan(plan, tile, false, io, scratch, |name, stats| {
+                steps.push(StepStats { name, stats });
+            })?,
             None => {
                 let issued = self.issue_phase(
                     PlanPhase::Vector,
@@ -1093,18 +1093,13 @@ impl ApSoftmax {
                     halves.len(),
                     rows,
                     steps,
-                    record,
+                    false,
                 )?;
-                (
-                    issued.stats,
-                    issued.cols_used,
-                    issued.result,
-                    issued.program,
-                )
+                (issued.stats, issued.cols_used, issued.reg)
             }
         };
         run.frac_bits = self.sm.widths().frac_bits();
-        run.sum = sum;
+        run.sum = scratch.reg(sum_reg);
         run.total = stats;
         run.rows = rows;
         run.cols_used = cols_used;
@@ -1112,14 +1107,12 @@ impl ApSoftmax {
         run.waves = 1;
         run.latency_cycles = stats.cycles();
         run.reduction = CycleStats::default();
-        Ok(program)
+        Ok(())
     }
 
     /// Compiles the whole-vector plan for this vector packed by
-    /// `layout`: records the trace while executing it, runs the
-    /// optimizer pipeline — when the pipeline rewrote the trace, one
-    /// recost execution of the fused schedule overwrites this vector's
-    /// run — and attaches the blocking plan.
+    /// `layout` ([`ApSoftmax::trace_plan`]) and prices it by its costing
+    /// replay, which executes this vector into `run`.
     fn compile_whole(
         &self,
         state: &mut TileState,
@@ -1128,80 +1121,44 @@ impl ApSoftmax {
         run: &mut ApSoftmaxRun,
     ) -> Result<CachedPlan, CoreError> {
         let started = std::time::Instant::now();
-        let (mut program, sum_reg) = self
-            .execute_whole(state, codes, layout, None, run, true)?
-            .expect("recording execution returns a program");
-        let report = optimizer::optimize(&mut program, self.opt_level);
-        if report.changed() {
-            let TileState {
-                tile,
-                half0,
-                half1,
-                scratch,
-                ..
-            } = state;
-            let halves = [half0.as_slice(), half1.as_slice()];
-            let halves = &halves[..if half1.is_empty() { 1 } else { 2 }];
-            let ApSoftmaxRun {
-                codes: out,
-                vapprox,
-                steps,
-                ..
-            } = run;
-            out.clear();
-            vapprox.clear();
-            steps.clear();
-            let mut outs = [out, vapprox];
-            let io = ExecIo::new(halves, &mut outs);
-            run.total = self.recost(&mut program, tile, scratch, io, &[], steps)?;
-            run.sum = scratch.reg(sum_reg);
-            run.latency_cycles = run.total.cycles();
-        }
-        self.apply_blocking(&mut program);
-        Ok(CachedPlan::Program(Arc::new(CompiledPlan::new(
-            program,
-            sum_reg,
-            run.rows,
-            run.cols_used,
-            report,
-            started.elapsed().as_secs_f64() * 1e6,
-        ))))
+        let (packed, rows) = Self::packing_of(layout, codes.len());
+        let (tile, scratch) = (&mut state.tile, &mut state.scratch);
+        let halves = 1 + usize::from(packed);
+        let mut plan = self.trace_plan(PlanPhase::Vector, false, tile, scratch, halves, rows)?;
+        self.execute_whole(state, codes, layout, Some(Run::Cost(&mut plan)), run)?;
+        plan.compile_micros = started.elapsed().as_secs_f64() * 1e6;
+        Ok(CachedPlan::Program(Arc::new(plan)))
     }
 
-    /// Re-executes a freshly optimized program once
-    /// ([`ApProgram::recost`]): the recorded per-op costs described the
-    /// unoptimized trace, so one execution of the fused schedule
-    /// re-anchors the program's static cost; its steps accumulate into
-    /// `steps`. A resident shard phase reads planes a previous phase
-    /// left in its tile: `prestage` re-creates that pre-phase state on
-    /// the recost's cleared tile by loading `(field, data)` pairs first
-    /// and then resetting the statistics, so the prestage loads — which
-    /// a resident replay never performs — are not charged. The recost
-    /// total still matches a resident replay exactly because write
-    /// costs are content-independent: charging a program on a
-    /// cleared-then-prestaged tile and on a re-armed tile with stale
-    /// scratch planes prices identically. Returns the fused schedule's
-    /// stats.
-    fn recost(
+    /// Traces `phase`'s program ([`ApSoftmax::issue_phase`] recording
+    /// on `tile`, which executes nothing), runs the optimizer pipeline
+    /// on it and attaches the blocking plan: every step of a compile
+    /// but the costing replay, which the caller runs on the vector it
+    /// compiles from ([`ApProgram::recost`]).
+    fn trace_plan(
         &self,
-        program: &mut ApProgram,
+        phase: PlanPhase,
+        resident: bool,
         tile: &mut ApTile,
         scratch: &mut ProgramScratch,
-        io: ExecIo<'_, '_>,
-        prestage: &[(Field, &[u64])],
-        steps: &mut Vec<StepStats>,
-    ) -> Result<CycleStats, CoreError> {
-        let ap = tile.acquire(program.config(), self.backend)?;
-        for &(field, data) in prestage {
-            ap.load(field, data)?;
-        }
-        if !prestage.is_empty() {
-            ap.reset_stats();
-        }
-        program.recost(ap, io, scratch, |name, stats| {
-            accumulate_step(steps, name, stats);
-        })?;
-        Ok(ap.stats())
+        halves: usize,
+        rows: usize,
+    ) -> Result<CompiledPlan, CoreError> {
+        let io = ExecIo::new(&[], &mut []);
+        let steps = &mut Vec::new();
+        let issued = self.issue_phase(
+            phase, resident, tile, scratch, io, halves, rows, steps, true,
+        )?;
+        let mut program = issued.program.expect("recording returns a program");
+        let report = optimizer::optimize(&mut program, self.opt_level);
+        self.apply_blocking(&mut program);
+        Ok(CompiledPlan::new(
+            program,
+            issued.reg,
+            rows,
+            issued.cols_used,
+            report,
+        ))
     }
 
     fn cfg(&self) -> &PrecisionConfig {
@@ -1255,20 +1212,20 @@ impl ApSoftmax {
         }
     }
 
-    /// Issues one program of the dataflow through a [`Recorder`] (which
-    /// either just executes it or also captures the trace), with step
-    /// costs accumulating into `steps`: the sixteen whole-vector steps
-    /// of Fig. 5 ([`PlanPhase::Vector`]), or one phase of the sharded
-    /// dataflow (see [`ApSoftmax::run_sharded`]) — the min search, the
-    /// exponential with its partial sum (the global minimum is scalar
-    /// input 0, `v_approx` output slot 0), or the division (the sum is
-    /// scalar input 0, the codes output slot 0). A `resident` shard
-    /// phase runs at the union geometry on its pinned tile: the min
-    /// phase acquires it and loads the score planes (the only host
-    /// staging of the resident lifetime); the exp and divide phases
-    /// re-arm it and find their inputs in place. A re-staged phase
-    /// acquires a cleared tile at its compact geometry and stages its
-    /// inputs (`halves` input slots of `rows` rows).
+    /// Issues one program of the dataflow through a [`Recorder`] —
+    /// executing it, with step costs accumulating into `steps`, or,
+    /// when `record`, only tracing it on the acquired tile: the sixteen
+    /// whole-vector steps of Fig. 5 ([`PlanPhase::Vector`]), or one
+    /// phase of the sharded dataflow (see [`ApSoftmax::run_sharded`]) —
+    /// the min search, the exponential with its partial sum (the global
+    /// minimum is scalar input 0, `v_approx` output slot 0), or the
+    /// division (the sum is scalar input 0, the codes output slot 0).
+    /// A `resident` shard phase runs at the union geometry on its
+    /// pinned tile: the min phase acquires it and loads the score planes
+    /// (the only host staging of the resident lifetime); the exp and
+    /// divide phases re-arm it and find their inputs in place. A
+    /// re-staged phase acquires a cleared tile at its compact geometry
+    /// and stages its inputs (`halves` input slots of `rows` rows).
     #[allow(clippy::too_many_arguments)]
     fn issue_phase(
         &self,
@@ -1367,9 +1324,8 @@ impl ApSoftmax {
         Ok(Issued {
             stats: ap.stats(),
             cols_used,
-            result: scratch.reg(reg),
-            program: program.map(|p| (p, reg)),
-            fields,
+            reg,
+            program,
         })
     }
 

@@ -29,14 +29,15 @@
 //! the grid.
 //!
 //! [`ApSoftmax::run_sharded`] is the one executor for every mode —
-//! direct issue, compile (record, optimize, and cache each shard
-//! shape's phase program), and cached replay. The shards split into
-//! contiguous chunks of a [`ShardJob`], each owning its tiles, buffers,
-//! outputs, and accounting behind one lock and running its shards
-//! through the one per-shard body ([`ApSoftmax::shard_phase`]). The
-//! thread executing the vector (the *owner*) opens a phase, runs chunks
-//! until none is unclaimed, waits only for those a *helper* claimed,
-//! and runs the cross-tile combine once. Inline
+//! direct issue, compile (trace, optimize and plan each shard shape's
+//! phase program, then cache it once its costing replay of the shard
+//! succeeded), and cached replay. The shards split into contiguous
+//! chunks of a [`ShardJob`], each owning its tiles, buffers, outputs,
+//! and accounting behind one lock and running its shards through the
+//! one per-shard body ([`ApSoftmax::shard_phase`]). The thread
+//! executing the vector (the *owner*) opens a phase, runs chunks until
+//! none is unclaimed, waits only for those a *helper* claimed, and runs
+//! the cross-tile combine once. Inline
 //! [`ApSoftmax::execute_codes_into`] is one chunk; a serving replay
 //! picked while a worker idles has one per worker, which idle workers
 //! claim ([`ShardJob::claim`] reads the chunk and its phase under one
@@ -50,8 +51,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 
-use softmap_ap::program::{optimizer, ExecIo, ProgramScratch};
-use softmap_ap::{device, ApError, ApTile, CycleStats, Field, Overflow};
+use softmap_ap::program::{ExecIo, ProgramScratch};
+use softmap_ap::{device, ApError, ApTile, CycleStats, Overflow, RegId};
 
 use super::{accumulate_step, pack_halves, ApSoftmax, ApSoftmaxRun, Layout, StepStats, TileState};
 use crate::plan::{CachedPlan, CompiledPlan, PlanPhase, ShardedPlan};
@@ -214,7 +215,8 @@ pub(super) enum ShardExec<'a> {
     /// Replay the cached sharded plan's phase programs.
     Replay(&'a Arc<ShardedPlan>),
     /// Replay the phase program cached for the shard's shape, or
-    /// record, optimize, and cache one while executing.
+    /// compile one: trace, optimize and plan it, and cache it once its
+    /// costing replay, which executes the shard, succeeded.
     Compile,
 }
 
@@ -235,19 +237,20 @@ struct PhaseCtx<'a> {
 /// ([`softmap_ap::ApProgram::replay_resident`]); on the resident path
 /// they execute the whole phase in SIMD lockstep and are charged only
 /// their input staging ([`softmap_ap::ApProgram::replay_lockstep`]).
-/// Leaders pay full price (their recording execution anchors the phase
-/// program's cost). The rule is a pure function of the partition, so
-/// compile-time totals and replay totals agree.
+/// Leaders pay full price (a compile's costing replay is the leader's
+/// replay, and anchors the phase program's cost). The rule is a pure
+/// function of the partition, so compile-time totals and replay totals
+/// agree.
 fn shard_follower(ranges: &[(usize, usize)], i: usize) -> bool {
     let len = ranges[i].1 - ranges[i].0;
     ranges[..i].iter().any(|&(s, e)| e - s == len)
 }
 
-/// How one shard's phase program replays: full price (leaders), the
-/// hoisted-broadcast discount (re-staged followers), or the
-/// wave-lockstep discount (resident followers).
+/// How one shard's phase program replays: full price (leaders and
+/// whole vectors), the hoisted-broadcast discount (re-staged
+/// followers), or the wave-lockstep discount (resident followers).
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum PhaseReplay {
+pub(super) enum PhaseReplay {
     Full,
     Hoisted,
     Lockstep,
@@ -260,6 +263,15 @@ fn phase_replay(ranges: &[(usize, usize)], i: usize, resident: bool) -> PhaseRep
         (true, false) => PhaseReplay::Hoisted,
         (true, true) => PhaseReplay::Lockstep,
     }
+}
+
+/// One run of a compiled plan: a cached plan's replay, priced as the
+/// [`PhaseReplay`] says, or a freshly traced plan's costing replay
+/// ([`softmap_ap::ApProgram::recost`]), which executes it at full price
+/// — a leader's replay — and prices it.
+pub(super) enum Run<'a> {
+    Replay(&'a CompiledPlan, PhaseReplay),
+    Cost(&'a mut CompiledPlan),
 }
 
 impl ApSoftmax {
@@ -501,11 +513,11 @@ impl ApSoftmax {
 
     /// One shard's share of one phase — the per-shard body of every
     /// mode and chunk count: pack the shard's inputs, pick its tile,
-    /// replay its phase program (or issue the phase, and in compile
-    /// mode record, optimize, and cache its program), and fold the
-    /// result scalar into the chunk's, with its cycles and steps. `slot`
-    /// is the shard's index in the chunk, whose outputs start at
-    /// element `base`.
+    /// replay its phase program (or issue the phase directly, or in
+    /// compile mode trace its program and cache it once its costing
+    /// replay succeeded), and fold the result scalar into the chunk's,
+    /// with its cycles and steps. `slot` is the shard's index in the
+    /// chunk, whose outputs start at element `base`.
     fn shard_phase(
         &self,
         ctx: &PhaseCtx<'_>,
@@ -550,14 +562,13 @@ impl ApSoftmax {
             }
         };
         // A resident exp or divide phase finds its inputs in the pinned
-        // tile: the host stages them only for a re-staged phase, or to
-        // prestage the optimizer's recost of a resident recording.
+        // tile: the host stages them only for a re-staged phase.
         let rearm = resident && phase != PlanPhase::ShardMin;
         let (halves, mut out) = if phase == PlanPhase::ShardDiv {
             let vap = &vapprox[s - base..e - base];
             ([&vap[..rows], &vap[rows.min(vap.len())..]], Some(codes))
         } else {
-            if !rearm || program.is_none() {
+            if !rearm {
                 pack_halves(layout, &ctx.codes[s..e], half0, half1);
             }
             let out = (phase == PlanPhase::ShardExp).then_some(vapprox);
@@ -571,81 +582,51 @@ impl ApSoftmax {
         } else {
             &scalar
         };
-        let mark = out.as_ref().map_or(0, |o| o.len());
-        let outs = out.as_mut_slice();
-        let (stats, cols, result) = if let Some(p) = program {
-            let io = ExecIo::new(inputs, outs).with_scalars(scalars);
-            let mode = phase_replay(ctx.ranges, i, resident);
-            let stats = self.replay_shard_phase(p, tile, scratch, io, steps, mode, rearm)?;
-            if matches!(ctx.exec, ShardExec::Compile) {
-                plans.push(Arc::clone(p));
-            }
-            (stats, p.cols_used(), scratch.reg(p.result_reg()))
-        } else {
-            let record = matches!(ctx.exec, ShardExec::Compile);
-            let started = std::time::Instant::now();
-            // A recording's steps are kept aside: the optimizer may
-            // replace them with the fused schedule's.
-            let mut recorded = Vec::new();
-            let io = ExecIo::new(inputs, &mut *outs).with_scalars(scalars);
-            let target = if record { &mut recorded } else { &mut *steps };
-            let issued = self.issue_phase(
-                phase,
-                resident,
-                tile,
-                scratch,
-                io,
-                halves.len(),
-                rows,
-                target,
-                record,
-            )?;
-            let (mut stats, mut result) = (issued.stats, issued.result);
-            if let Some((mut program, reg)) = issued.program {
-                let report = optimizer::optimize(&mut program, self.opt_level);
-                if report.changed() {
-                    // The recording's outputs and steps describe the
-                    // unoptimized trace: roll the outputs back and charge
-                    // the fused schedule once instead (also re-anchoring
-                    // the program's static cost). A resident recost first
-                    // re-creates, on its cleared tile, the planes the
-                    // previous phase left in the pinned one.
-                    for out in outs.iter_mut() {
-                        out.truncate(mark);
-                    }
-                    let mut prestage: [(Field, &[u64]); 2] = [(Field::new(0, 0), &[]); 2];
-                    let staged = if rearm { halves.len() } else { 0 };
-                    for ((dst, f), &data) in prestage.iter_mut().zip(&issued.fields).zip(halves) {
-                        let field = if phase == PlanPhase::ShardExp {
-                            f.x
-                        } else {
-                            f.vapprox
-                        };
-                        *dst = (field, data);
-                    }
-                    let io = ExecIo::new(inputs, outs).with_scalars(scalars);
-                    let prestage = &prestage[..staged];
-                    stats = self.recost(&mut program, tile, scratch, io, prestage, steps)?;
-                    result = scratch.reg(reg);
-                } else {
-                    for st in &recorded {
-                        accumulate_step(steps, st.name, st.stats);
-                    }
-                }
-                self.apply_blocking(&mut program);
-                let p = Arc::new(CompiledPlan::new(
-                    program,
-                    reg,
+        let io = ExecIo::new(inputs, out.as_mut_slice()).with_scalars(scalars);
+        let (stats, cols, reg) = match (ctx.exec, program) {
+            (ShardExec::Direct, _) => {
+                let issued = self.issue_phase(
+                    phase,
+                    resident,
+                    tile,
+                    scratch,
+                    io,
+                    halves.len(),
                     rows,
-                    issued.cols_used,
-                    report,
-                    started.elapsed().as_secs_f64() * 1e6,
-                ));
-                self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
-                plans.push(p);
+                    steps,
+                    false,
+                )?;
+                (issued.stats, issued.cols_used, issued.reg)
             }
-            (stats, issued.cols_used, result)
+            (_, Some(plan)) => {
+                let run = Run::Replay(plan, phase_replay(ctx.ranges, i, resident));
+                let ran = self.run_plan(run, tile, rearm, io, scratch, |name, stats| {
+                    accumulate_step(steps, name, stats);
+                })?;
+                if matches!(ctx.exec, ShardExec::Compile) {
+                    plans.push(Arc::clone(plan));
+                }
+                ran
+            }
+            (_, None) => {
+                // A shape's first shard is its leader, so the costing
+                // replay is the full-price replay the leader pays.
+                let started = std::time::Instant::now();
+                let mut plan =
+                    self.trace_plan(phase, resident, tile, scratch, halves.len(), rows)?;
+                let run = Run::Cost(&mut plan);
+                let ran = self.run_plan(run, tile, rearm, io, scratch, |name, stats| {
+                    accumulate_step(steps, name, stats);
+                })?;
+                plan.compile_micros = started.elapsed().as_secs_f64() * 1e6;
+                let plan = Arc::new(plan);
+                self.plans
+                    .insert(key, CachedPlan::Program(Arc::clone(&plan)));
+                plans.push(plan);
+                ran
+            }
         };
+        let result = scratch.reg(reg);
         match phase {
             PlanPhase::ShardMin => w.min = w.min.min(result),
             PlanPhase::ShardExp => w.sum += u128::from(result),
@@ -657,35 +638,42 @@ impl ApSoftmax {
         Ok(())
     }
 
-    /// Replays one shard-phase program on a tile. `mode` selects the
-    /// pricing (see [`phase_replay`]); `rearm` keeps the tile's CAM
-    /// cells across the call (resident phases re-arm their pinned tile
-    /// instead of clearing it, so the previous phase's output planes
-    /// survive as this phase's inputs).
-    #[allow(clippy::too_many_arguments)]
-    fn replay_shard_phase(
+    /// Runs `run` on `tile` — re-armed, keeping its CAM cells, when
+    /// `rearm` (a resident phase finds the previous phase's output
+    /// planes there as its inputs), acquired cleared otherwise —
+    /// reporting steps to `on_step`. Returns the tile's statistics, the
+    /// columns the plan's layout uses and the register holding its
+    /// result.
+    pub(super) fn run_plan(
         &self,
-        plan: &CompiledPlan,
+        run: Run<'_>,
         tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        io: ExecIo<'_, '_>,
-        steps: &mut Vec<StepStats>,
-        mode: PhaseReplay,
         rearm: bool,
-    ) -> Result<CycleStats, CoreError> {
-        let config = plan.program().config();
+        io: ExecIo<'_, '_>,
+        scratch: &mut ProgramScratch,
+        on_step: impl FnMut(&'static str, CycleStats),
+    ) -> Result<(CycleStats, usize, RegId), CoreError> {
+        let plan = match &run {
+            Run::Replay(plan, _) => &**plan,
+            Run::Cost(plan) => &**plan,
+        };
+        let (config, cols, reg) = (plan.program().config(), plan.cols_used(), plan.result_reg());
         let ap = if rearm {
             tile.rearm_resident(config, self.backend)?
         } else {
             tile.acquire(config, self.backend)?
         };
-        let on_step = |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-        match mode {
-            PhaseReplay::Full => plan.program().replay(ap, io, scratch, on_step)?,
-            PhaseReplay::Hoisted => plan.program().replay_resident(ap, io, scratch, on_step)?,
-            PhaseReplay::Lockstep => plan.program().replay_lockstep(ap, io, scratch, on_step)?,
-        }
-        Ok(ap.stats())
+        match run {
+            Run::Replay(plan, PhaseReplay::Full) => plan.program().replay(ap, io, scratch, on_step),
+            Run::Replay(plan, PhaseReplay::Hoisted) => {
+                plan.program().replay_resident(ap, io, scratch, on_step)
+            }
+            Run::Replay(plan, PhaseReplay::Lockstep) => {
+                plan.program().replay_lockstep(ap, io, scratch, on_step)
+            }
+            Run::Cost(plan) => plan.program.recost(ap, io, scratch, on_step),
+        }?;
+        Ok((ap.stats(), cols, reg))
     }
 
     /// Combines the exact sum of the per-shard partial sums over the
@@ -973,6 +961,58 @@ pub(crate) mod tests {
                 );
                 execute_helped(&sm, &mut state, &peaked_codes, &mut run, helpers).unwrap();
                 assert_runs_equal(&run, &want, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_compile_caches_no_plan() {
+        // The 14-bit exact sum above, with a shape's first vector the
+        // flat one: its sum overflows in the costing replay of the
+        // whole-vector reduction on one tile, and of the exp phase's
+        // partial reduce on resident shards. No program of that compile
+        // may stay cached, so the peaked vector then compiles and prices
+        // every program it lacks.
+        let cfg = PrecisionConfig::new(6, 0, 8).with_sum_mode(SumMode::Exact);
+        let len = 2048;
+        let flat = vec![0.0; len];
+        let peaked: Vec<f64> = (0..len).map(|i| if i == 0 { 0.0 } else { -8.0 }).collect();
+        for (device, shards) in [(DeviceConfig::default(), 1), (DeviceConfig::new(4, 512), 4)] {
+            let sm = ApSoftmax::new(cfg)
+                .unwrap()
+                .with_autotune(false)
+                .with_backend(ExecBackend::FastWord)
+                .with_layout(Layout::OneWordPerRow)
+                .with_device(device);
+            let mut state = TileState::new();
+            let mut run = ApSoftmaxRun::default();
+            let err = sm
+                .execute_floats_into(&mut state, &flat, &mut run)
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::Ap(ApError::WidthOverflow { .. })),
+                "{device:?}: {err:?}"
+            );
+            sm.execute_floats_into(&mut state, &peaked, &mut run)
+                .unwrap();
+            assert_eq!(run.shards, shards, "{device:?}");
+            let plans: Vec<Arc<CompiledPlan>> = if shards == 1 {
+                let cost = sm.static_vector_cost(len).unwrap();
+                assert_eq!(cost.total, run.total, "{device:?}");
+                assert_eq!(cost.latency_cycles, run.latency_cycles, "{device:?}");
+                vec![sm.plan(len).unwrap()]
+            } else {
+                let plan = sm.sharded_plan(len).unwrap();
+                assert!(plan.resident(), "{device:?}");
+                let phases = [&plan.min_plans, &plan.exp_plans, &plan.div_plans];
+                phases.into_iter().flatten().cloned().collect()
+            };
+            for plan in plans {
+                assert_ne!(
+                    plan.program().static_cost(),
+                    CycleStats::default(),
+                    "{device:?}: an uncosted program was cached"
+                );
             }
         }
     }

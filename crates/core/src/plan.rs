@@ -99,22 +99,23 @@ pub(crate) struct PlanKey {
 /// [`crate::ApSoftmaxRun`] without re-deriving anything.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
-    program: ApProgram,
+    pub(crate) program: ApProgram,
     result_reg: RegId,
     rows: usize,
     cols_used: usize,
     report: PassReport,
-    compile_micros: f64,
+    pub(crate) compile_micros: f64,
 }
 
 impl CompiledPlan {
+    /// A freshly traced plan: its program is uncosted until its costing
+    /// replay ([`ApProgram::recost`]).
     pub(crate) fn new(
         program: ApProgram,
         result_reg: RegId,
         rows: usize,
         cols_used: usize,
         report: PassReport,
-        compile_micros: f64,
     ) -> Self {
         Self {
             program,
@@ -122,7 +123,7 @@ impl CompiledPlan {
             rows,
             cols_used,
             report,
-            compile_micros,
+            compile_micros: 0.0,
         }
     }
 
@@ -159,8 +160,9 @@ impl CompiledPlan {
         self.report
     }
 
-    /// Wall-clock microseconds the compile (record + first execution)
-    /// took — the amortized cost replay saves.
+    /// Wall-clock microseconds the compile took: tracing the dataflow,
+    /// the optimizer pipeline, the blocking plan, and the costing
+    /// replay that executed the first vector of the shape.
     #[must_use]
     pub fn compile_micros(&self) -> f64 {
         self.compile_micros

@@ -26,7 +26,12 @@ fn time<F: FnMut()>(label: &str, reps: u32, mut f: F) -> f64 {
         }
         *p = t.elapsed().as_secs_f64() / f64::from(reps);
     }
-    let s = &mut per[1..];
+    report(label, &mut per[1..])
+}
+
+/// Prints the median and quartiles of [`SAMPLES`] per-call times in
+/// seconds. Returns the median.
+fn report(label: &str, s: &mut [f64]) -> f64 {
     s.sort_by(f64::total_cmp);
     let [q1, median, q3] = [SAMPLES / 4, SAMPLES / 2, 3 * SAMPLES / 4].map(|i| s[i] * 1e6);
     println!("  {label:<28} {median:>10.2} us  (q1 {q1:.2}, q3 {q3:.2})");
@@ -61,12 +66,9 @@ fn divide_program(nums: &[u64], divisor: u64) -> ApProgram {
         core.alloc_field(22).unwrap(),
         core.alloc_field(24).unwrap(),
     );
-    let inputs: [&[u64]; 1] = [nums];
-    let mut out = Vec::new();
-    let mut outs: [&mut Vec<u64>; 1] = [&mut out];
     let mut scratch = ProgramScratch::default();
     let mut on_step = |_: &'static str, _| {};
-    let io = ExecIo::new(&inputs, &mut outs);
+    let io = ExecIo::new(&[], &mut []);
     let mut rec = Recorder::new(&mut core, io, &mut scratch, &mut on_step, true);
     rec.load(num, 0).unwrap();
     rec.broadcast(den, divisor).unwrap();
@@ -74,7 +76,9 @@ fn divide_program(nums: &[u64], divisor: u64) -> ApProgram {
     rec.read(quot, 0).unwrap();
     let mut program = rec.finish().unwrap();
     optimizer::optimize(&mut program, OptLevel::Full);
-    let mut core = ApCore::with_backend(program.config(), ExecBackend::FastWord).unwrap();
+    let inputs: [&[u64]; 1] = [nums];
+    let mut out = Vec::new();
+    let mut outs: [&mut Vec<u64>; 1] = [&mut out];
     let io = ExecIo::new(&inputs, &mut outs);
     program
         .recost(&mut core, io, &mut scratch, |_, _| {})
@@ -256,6 +260,36 @@ fn main() {
         plan.program().static_cost()
     );
     println!("  passes: {}", plan.pass_report());
+
+    // Compile as its own layer, on the default mapping: the wall time a
+    // shape's compile took (trace, optimizer passes, blocking plan and
+    // the costing replay that executes the shape's first vector), from
+    // a fresh mapping per sample, beside a cached replay of the same
+    // vector.
+    println!("compile vs cached replay (default mapping)");
+    for len in [64usize, 512, 2048, 16384] {
+        let scores = peaked_row(len);
+        let fresh = || {
+            ApSoftmax::new(PrecisionConfig::paper_best())
+                .unwrap()
+                .with_backend(ExecBackend::FastWord)
+        };
+        let mut compile = [0f64; SAMPLES + 1];
+        for c in &mut compile {
+            let m = fresh();
+            m.execute_floats_into(&mut state, &scores, &mut run)
+                .unwrap();
+            *c = m.plan_stats().compile_micros / 1e6;
+        }
+        report(&format!("compile len {len}"), &mut compile[1..]);
+        let m = fresh();
+        m.execute_floats_into(&mut state, &scores, &mut run)
+            .unwrap();
+        time(&format!("cached replay len {len}"), 10, || {
+            m.execute_floats_into(&mut state, &scores, &mut run)
+                .unwrap();
+        });
+    }
 
     // Region-blocked strip-mined execution: the blocked replay above is
     // the default at every tile size; compare it against the op-by-op

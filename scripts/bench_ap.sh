@@ -161,8 +161,9 @@ for key, label in [("512", "rows256"), ("1024", "rows512"),
     if reused and replayed:
         speedups[f"plan_replay_gain_{label}"] = round(reused / replayed, 2)
     if compile_ and replayed:
-        # Compile amortization: what one record+execute costs beyond a
-        # replay of the cached plan, in microseconds.
+        # Compile amortization: what one compile (trace + costing
+        # replay) costs beyond a replay of the cached plan, in
+        # microseconds.
         plan[f"plan_compile_us_{label}"] = round(max(compile_ - replayed, 0.0) / 1e3, 1)
     if cyc_unopt and cyc_opt:
         # Simulated-cycle ratio: unoptimized replay / fused schedule at
