@@ -48,7 +48,7 @@
 //! the program's full cost once per distinct shard length per wave
 //! (the "leader"); the remaining shards ride the shared drivers and
 //! pay only their per-tile-distinct input staging
-//! (`ApProgram::replay_lockstep`). The cross-tile reductions are
+//! (`ReplayCharge::Lockstep`). The cross-tile reductions are
 //! unchanged — minima and partial sums still traverse the reduction
 //! network above. When the vector needs more than one wave, a tile
 //! cannot stay pinned (the next wave's shard evicts it), so execution

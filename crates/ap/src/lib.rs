@@ -81,7 +81,9 @@ pub use device::DeviceConfig;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use field::Field;
 pub use program::optimizer::{OptLevel, PassReport};
-pub use program::{ApOp, ApProgram, BlockStats, ExecIo, Operand, ProgramScratch, Recorder, RegId};
+pub use program::{
+    ApOp, ApProgram, BlockStats, ExecIo, Operand, ProgramScratch, Recorder, RegId, ReplayCharge,
+};
 pub use rowset::RowSet;
 pub use stats::CycleStats;
 pub use tile::ApTile;

@@ -62,8 +62,8 @@
 //! ops entirely (they are simply not recorded in the resident phase
 //! programs), and same-length resident shards execute the identical
 //! program in SIMD lockstep across tiles: the wave's first shard of a
-//! length replays at full price, the rest through
-//! [`ApProgram::replay_lockstep`], which charges only per-tile-distinct
+//! length replays at full price, the rest at
+//! [`ReplayCharge::Lockstep`], which charges only per-tile-distinct
 //! input staging. Both discounts charge identical [`CycleStats`] on
 //! both backends. The re-staged path (and the automatic fallback when a
 //! vector's shards exceed the tile grid) is unchanged from before
@@ -73,7 +73,7 @@
 //!
 //! ```
 //! use softmap_ap::{ApConfig, ApCore, CycleStats};
-//! use softmap_ap::program::{ExecIo, ProgramScratch, Recorder};
+//! use softmap_ap::program::{ExecIo, ProgramScratch, Recorder, ReplayCharge};
 //!
 //! // Record: x += 1 over every row, then read x back. Recording only
 //! // traces, so it binds no I/O and charges nothing.
@@ -114,8 +114,9 @@
 //! let inputs2: [&[u64]; 1] = [&data2];
 //! let mut out2 = Vec::new();
 //! let mut outs2: [&mut Vec<u64>; 1] = [&mut out2];
+//! let io = ExecIo::new(&inputs2, &mut outs2);
 //! program
-//!     .replay(&mut core2, ExecIo::new(&inputs2, &mut outs2), &mut scratch, |_, _| {})
+//!     .replay(&mut core2, io, &mut scratch, ReplayCharge::Full, |_, _| {})
 //!     .unwrap();
 //! assert_eq!(out2, vec![11, 21, 31, 41]);
 //! ```
@@ -1186,13 +1187,29 @@ fn charge_region(
     core.tally_buf = tally;
 }
 
-/// How a replay charges the cost model: full price, the hoisted-op
-/// discount of [`ApProgram::replay_resident`], or the wave-lockstep
-/// discount of [`ApProgram::replay_lockstep`].
+/// How [`ApProgram::replay`] charges the cost model. Every pricing
+/// executes the same plane writes; the discounts only leave charges out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplayCharge {
+pub enum ReplayCharge {
+    /// Every op at full price.
     Full,
+    /// The resident-operand discount: ops the optimizer marked as
+    /// hoistable (broadcasts of shard-invariant values — see
+    /// `optimizer`) execute their plane writes but charge no cycles.
+    /// The mapping layer replays every re-staged shard after a wave's
+    /// first of its length with this pricing: an identical-value
+    /// broadcast drives all tiles' write drivers in parallel, so only
+    /// the first shard pays.
     Hoisted,
+    /// The wave-lockstep discount: every op except input staging
+    /// ([`ApOp::Load`]) executes its plane writes but charges no cycles
+    /// and no cell events. Under the residency contract (see the
+    /// `softmap_ap::device` module docs), all resident shards of one
+    /// length execute the *same* phase program in SIMD lockstep across
+    /// tiles — the compare, write, and 2D drivers are shared — so only
+    /// the wave's first shard of each length (the "leader") pays the
+    /// program's cost; followers replay with this pricing and are
+    /// charged only for streaming their per-tile-distinct input planes.
     Lockstep,
 }
 
@@ -1212,7 +1229,7 @@ pub struct ApProgram {
     static_total: CycleStats,
     static_steps: Vec<(&'static str, CycleStats)>,
     /// Op indices the optimizer marked as hoistable out of per-shard
-    /// phase bodies (sorted); see [`ApProgram::replay_resident`].
+    /// phase bodies (sorted); see [`ReplayCharge::Hoisted`].
     hoisted: Vec<u32>,
     /// Region-blocked execution plan computed by
     /// [`ApProgram::plan_blocking`] (`None` until planned; cleared by
@@ -1301,11 +1318,13 @@ impl ApProgram {
     }
 
     /// Replays the program on `core`, which must be freshly acquired at
-    /// [`ApProgram::config`]'s geometry (any backend). `on_step`
-    /// receives the per-step cost deltas of *this* execution.
+    /// [`ApProgram::config`]'s geometry (any backend), priced as
+    /// `charge` says. `on_step` receives the per-step cost deltas of
+    /// *this* execution.
     ///
-    /// Replay is bit- and cycle-exact versus issuing the same ops
-    /// directly, for any input of the program's shape.
+    /// Replay is bit-exact versus issuing the same ops directly, for
+    /// any input of the program's shape, and cycle-exact at
+    /// [`ReplayCharge::Full`].
     ///
     /// # Errors
     ///
@@ -1317,60 +1336,10 @@ impl ApProgram {
         core: &mut ApCore,
         io: ExecIo<'_, '_>,
         scratch: &mut ProgramScratch,
+        charge: ReplayCharge,
         mut on_step: impl FnMut(&'static str, CycleStats),
     ) -> Result<(), ApError> {
-        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Full, None)
-    }
-
-    /// [`ApProgram::replay`] with the resident-operand discount: ops
-    /// the optimizer marked as hoistable (broadcasts of shard-invariant
-    /// values — see `optimizer`) execute their plane writes but charge
-    /// no cycles. The mapping layer replays every shard after a wave's
-    /// first with this variant: an identical-value broadcast drives all
-    /// tiles' write drivers in parallel, so only the first shard pays.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ApProgram::replay`].
-    pub fn replay_resident(
-        &self,
-        core: &mut ApCore,
-        io: ExecIo<'_, '_>,
-        scratch: &mut ProgramScratch,
-        mut on_step: impl FnMut(&'static str, CycleStats),
-    ) -> Result<(), ApError> {
-        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Hoisted, None)
-    }
-
-    /// [`ApProgram::replay`] with the wave-lockstep discount: every op
-    /// except input staging ([`ApOp::Load`]) executes its plane writes
-    /// but charges no cycles and no cell events. Under the residency
-    /// contract (see the `softmap_ap::device` module docs), all
-    /// resident shards of one length execute the *same* phase program
-    /// in SIMD lockstep across tiles — the compare, write, and 2D
-    /// drivers are shared — so only the wave's first shard of each
-    /// length (the "leader") pays the program's cost; followers replay
-    /// through this variant and are charged only for streaming their
-    /// per-tile-distinct input planes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ApProgram::replay`].
-    pub fn replay_lockstep(
-        &self,
-        core: &mut ApCore,
-        io: ExecIo<'_, '_>,
-        scratch: &mut ProgramScratch,
-        mut on_step: impl FnMut(&'static str, CycleStats),
-    ) -> Result<(), ApError> {
-        self.replay_inner(
-            core,
-            io,
-            scratch,
-            &mut on_step,
-            ReplayCharge::Lockstep,
-            None,
-        )
+        self.replay_inner(core, io, scratch, &mut on_step, charge, None)
     }
 
     /// The one execution loop behind every replay and
@@ -1517,7 +1486,7 @@ impl ApProgram {
     }
 
     /// Op indices marked as hoistable by the optimizer (discounted
-    /// under [`ApProgram::replay_resident`]).
+    /// at [`ReplayCharge::Hoisted`]).
     #[must_use]
     pub fn hoisted(&self) -> &[u32] {
         &self.hoisted
@@ -1777,6 +1746,7 @@ mod tests {
                     &mut core,
                     ExecIo::new(&inputs, &mut outs),
                     &mut scratch,
+                    ReplayCharge::Full,
                     |_, _| {},
                 )
                 .unwrap();
@@ -1798,6 +1768,7 @@ mod tests {
                 &mut wrong,
                 ExecIo::new(&inputs, &mut outs),
                 &mut scratch,
+                ReplayCharge::Full,
                 |_, _| {}
             ),
             Err(ApError::BadConfig(_))
@@ -1813,6 +1784,7 @@ mod tests {
                 &mut right,
                 ExecIo::new(&inputs4, &mut outs),
                 &mut scratch,
+                ReplayCharge::Full,
                 |_, _| {}
             ),
             Err(ApError::BadConfig(_))
@@ -1855,6 +1827,7 @@ mod tests {
                 &mut core2,
                 ExecIo::new(&inputs, &mut outs2).with_scalars(&[4]),
                 &mut scratch,
+                ReplayCharge::Full,
                 |_, _| {},
             )
             .unwrap();
@@ -1869,6 +1842,7 @@ mod tests {
                 &mut core3,
                 ExecIo::new(&inputs, &mut outs3),
                 &mut scratch,
+                ReplayCharge::Full,
                 |_, _| {},
             ),
             Err(ApError::BadConfig(_))
@@ -1923,6 +1897,7 @@ mod tests {
                 &mut core2,
                 ExecIo::new(&inputs2, &mut outs2),
                 &mut scratch,
+                ReplayCharge::Full,
                 |_, _| {},
             )
             .unwrap();

@@ -33,7 +33,8 @@
 //! scalar inputs ([`ApOp::RegLoad`] chains). These are shard-invariant:
 //! in a sharded wave every tile receives the identical broadcast, so
 //! the device drives all write drivers in parallel and only the first
-//! shard pays the cycles. [`ApProgram::replay_resident`] applies the
+//! shard pays the cycles. A replay priced at
+//! [`ReplayCharge::Hoisted`](super::ReplayCharge::Hoisted) applies the
 //! discount; plane writes always happen.
 //!
 //! # The two contracts
@@ -107,8 +108,8 @@ pub struct PassReport {
     pub divides_batched: usize,
     /// Dead `Broadcast`/`Load`/`Copy` plane writes removed.
     pub dead_writes: usize,
-    /// Broadcasts marked shard-invariant (hoistable under
-    /// [`ApProgram::replay_resident`]).
+    /// Broadcasts marked shard-invariant (hoistable at
+    /// [`ReplayCharge::Hoisted`](super::ReplayCharge::Hoisted)).
     pub hoisted: usize,
 }
 

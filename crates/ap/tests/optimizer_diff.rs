@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use softmap_ap::program::optimizer::{self, OptLevel};
-use softmap_ap::program::{ApOp, ExecIo, ProgramScratch, Recorder};
+use softmap_ap::program::{ApOp, ExecIo, ProgramScratch, Recorder, ReplayCharge};
 use softmap_ap::{ApConfig, ApCore, ApProgram, CycleStats, DivStyle, ExecBackend, Overflow};
 
 const COLS: usize = 200;
@@ -186,15 +186,14 @@ fn run_replay(
         let mut outs: [&mut Vec<u64>; 3] = [o0, o1, o2];
         let mut scratch = ProgramScratch::default();
         let io = ExecIo::new(&in_slices, &mut outs).with_scalars(&scalars);
-        if resident {
-            program
-                .replay_resident(&mut core, io, &mut scratch, |_, _| {})
-                .unwrap();
+        let charge = if resident {
+            ReplayCharge::Hoisted
         } else {
-            program
-                .replay(&mut core, io, &mut scratch, |_, _| {})
-                .unwrap();
-        }
+            ReplayCharge::Full
+        };
+        program
+            .replay(&mut core, io, &mut scratch, charge, |_, _| {})
+            .unwrap();
     }
     Outcome {
         outs: outs_bufs,

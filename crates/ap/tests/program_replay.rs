@@ -6,7 +6,7 @@
 //! row counts and both division styles.
 
 use proptest::prelude::*;
-use softmap_ap::program::{ExecIo, ProgramScratch, Recorder};
+use softmap_ap::program::{ExecIo, ProgramScratch, Recorder, ReplayCharge};
 use softmap_ap::{ApConfig, ApCore, ApProgram, CycleStats, DivStyle, ExecBackend, Field, Overflow};
 
 /// One execution's observable outcome: outputs, cost, steps, and every
@@ -183,7 +183,9 @@ fn replay_pipeline(
         if cost {
             program.recost(&mut core, io, scratch, on_step).unwrap();
         } else {
-            program.replay(&mut core, io, scratch, on_step).unwrap();
+            program
+                .replay(&mut core, io, scratch, ReplayCharge::Full, on_step)
+                .unwrap();
         }
     }
     Outcome {

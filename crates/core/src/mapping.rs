@@ -25,20 +25,22 @@
 //!
 //! # One generator, one executor, one lookup
 //!
-//! A vector longer than one tile runs **sharded** across the device's
-//! tile grid, in three phases per shard — min search, exponential with
-//! a partial sum, divide — around two cross-tile reductions (see the
-//! `fanout` submodule). One generator issues every program: the
-//! whole-vector dataflow and each shard phase, resident (pinned tiles at
-//! one union geometry) or re-staged. One sharded executor runs every
-//! mode — direct issue, compile, replay — over chunks of shards: one
-//! chunk on the calling thread for [`ApSoftmax::execute_codes_into`],
-//! one per worker when [`crate::SoftmaxServer`] replays a long request,
-//! which idle workers may then help with. One mapping function (the
-//! autotuner's rule, `mapping::autotune`) gives every vector its layout
-//! and partition, and one plan lookup (tile slot → shared cache →
-//! compile lock → re-check → compile → insert) resolves whole-vector
-//! and sharded entries alike.
+//! Every vector runs as a partition into shards, one per tile. A vector
+//! that fits one tile is a partition of one shard, whose one phase is
+//! the whole sixteen-step dataflow; a longer vector runs **sharded**
+//! across the device's tile grid, in three phases per shard — min
+//! search, exponential with a partial sum, divide — around two
+//! cross-tile reductions (see the `fanout` submodule). One generator
+//! issues every program: the whole dataflow and each shard phase,
+//! resident (pinned tiles at one union geometry) or re-staged. One
+//! executor runs every vector in every mode — direct issue, compile,
+//! replay — over chunks of shards: one chunk on the calling thread for
+//! [`ApSoftmax::execute_codes_into`], one per worker when
+//! [`crate::SoftmaxServer`] replays a long request, which idle workers
+//! may then help with. One mapping function (the autotuner's rule,
+//! `mapping::autotune`) gives every vector its layout and partition,
+//! and one plan lookup (tile slot → shared cache → compile lock →
+//! re-check → compile → insert) resolves every vector's plan.
 
 use std::sync::Arc;
 
@@ -59,7 +61,7 @@ use crate::CoreError;
 pub(crate) mod autotune;
 pub(crate) mod fanout;
 
-use fanout::{PhaseReplay, Run, ShardExec, ShardJob, ShardScratch};
+use fanout::{ShardExec, ShardJob, ShardScratch};
 
 /// How vector elements are packed into AP rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -85,7 +87,8 @@ pub enum PlanMode {
     /// Re-issue the dataflow op by op for every vector, exactly like
     /// the pre-plan mapping — the differential-testing baseline and,
     /// outside tests, the `fastword-reused` series of
-    /// `scripts/bench_ap.sh`'s replay gate.
+    /// `scripts/bench_ap.sh`'s replay gate and the direct-issue rows of
+    /// `examples/backend_profile.rs`.
     DirectIssue,
 }
 
@@ -264,12 +267,12 @@ pub struct VectorCost {
     pub reduction: CycleStats,
 }
 
-/// Reusable per-worker execution state for the pooled path: one
-/// persistent simulated tile ([`ApTile`]), the host-side staging
-/// buffers (quantized codes, packed half-vectors), the program
-/// scratch (registers + reduction sums), the sharded executor's
-/// per-host-worker tile pools and buffers, and a one-entry cached-plan
-/// slot so steady-state replay touches no lock.
+/// Reusable per-worker execution state for the pooled path: the
+/// quantized codes, the executor's chunks — each with its persistent
+/// simulated tiles ([`ApTile`]), staging buffers (packed
+/// half-vectors), program scratch (registers + reduction sums) and
+/// outputs — and a one-entry cached-plan slot so steady-state replay
+/// touches no lock.
 ///
 /// SoftmAP's deployment model streams many vectors through fixed
 /// hardware tiles; this is the host analogue. After a warm-up vector
@@ -296,18 +299,14 @@ pub struct VectorCost {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TileState {
-    tile: ApTile,
     codes: Vec<i64>,
-    half0: Vec<u64>,
-    half1: Vec<u64>,
-    scratch: ProgramScratch,
     shard: ShardScratch,
     plan: Option<PlanSlot>,
 }
 
 /// The tile-local cached-plan slot: (cache identity token, shape key,
-/// plan — whole-vector program or sharded vector plan).
-type PlanSlot = ((u64, u64), PlanKey, CachedPlan);
+/// vector plan).
+type PlanSlot = ((u64, u64), PlanKey, Arc<ShardedPlan>);
 
 impl TileState {
     /// Creates an empty state (buffers grow on first use).
@@ -328,29 +327,23 @@ impl TileState {
         &self.shard.job
     }
 
-    /// The underlying tile slot (observer access).
-    #[must_use]
-    pub fn tile(&self) -> &ApTile {
-        &self.tile
-    }
-
-    /// The whole-vector plan cached in this tile's slot, if one has
-    /// been resolved (`None` when the slot holds a sharded plan; see
-    /// [`TileState::cached_sharded_plan`]).
+    /// The program of the one-shard plan cached in this tile's slot,
+    /// if one has been resolved (`None` when the slot holds a plan of
+    /// more shards; see [`TileState::cached_sharded_plan`]).
     #[must_use]
     pub fn cached_plan(&self) -> Option<&CompiledPlan> {
         match self.plan.as_ref() {
-            Some((_, _, CachedPlan::Program(p))) => Some(p),
+            Some((_, _, p)) if p.shards() == 1 => Some(&p.plans[0][0]),
             _ => None,
         }
     }
 
-    /// The sharded vector plan cached in this tile's slot, if one has
-    /// been resolved.
+    /// The plan of more than one shard cached in this tile's slot, if
+    /// one has been resolved.
     #[must_use]
     pub fn cached_sharded_plan(&self) -> Option<&ShardedPlan> {
         match self.plan.as_ref() {
-            Some((_, _, CachedPlan::Sharded(p))) => Some(p),
+            Some((_, _, p)) if p.shards() > 1 => Some(p),
             _ => None,
         }
     }
@@ -420,18 +413,6 @@ struct Issued {
     cols_used: usize,
     reg: RegId,
     program: Option<ApProgram>,
-}
-
-/// Accumulates one step's cost into the named entry of `steps`
-/// (appending on first sight). Per-program step names are unique, so
-/// the whole-vector path degenerates to a plain push; sharded runs
-/// merge the per-shard repetitions of each phase step into one entry.
-fn accumulate_step(steps: &mut Vec<StepStats>, name: &'static str, stats: CycleStats) {
-    if let Some(s) = steps.iter_mut().find(|s| s.name == name) {
-        s.stats.accumulate(&stats);
-    } else {
-        steps.push(StepStats { name, stats });
-    }
 }
 
 /// Packs the |code| magnitudes of a vector (or shard) into its
@@ -540,11 +521,13 @@ impl ApSoftmax {
     /// This is a host-execution optimization only: the device cost
     /// contract is untouched — planes, outputs, and `CycleStats` are
     /// bit-identical either way. Disabled, replays take the op-by-op
-    /// path exactly as before blocking existed; outside tests only
-    /// `backend_compare` disables it, on every series but the blocked
+    /// path exactly as before blocking existed; outside tests,
+    /// `backend_compare` disables it on every series but the blocked
     /// ones, among them the `fastword-optimized` baseline of
-    /// `scripts/bench_ap.sh`'s block gate. Already-compiled plans keep
-    /// their blocking, so the cache starts fresh.
+    /// `scripts/bench_ap.sh`'s block gate, and
+    /// `examples/backend_profile.rs` on its op-by-op rows.
+    /// Already-compiled plans keep their blocking, so the cache starts
+    /// fresh.
     #[must_use]
     pub fn with_blocked(mut self, blocked: bool) -> Self {
         self.blocked = blocked;
@@ -736,10 +719,10 @@ impl ApSoftmax {
     }
 
     /// Tiles a request of `len` elements occupies under its mapping
-    /// (`map_into`): 1 when the vector fits one tile, the shard
-    /// partition's length otherwise (written into the reusable `ranges`
-    /// scratch). The serving layer's admission policy claims this many
-    /// tiles per request.
+    /// (`map_into`): its shard partition's length (written into the
+    /// reusable `ranges` scratch), 1 when the vector fits one tile. The
+    /// serving layer's admission policy claims this many tiles per
+    /// request.
     pub(crate) fn shard_count_into(
         &self,
         len: usize,
@@ -749,7 +732,7 @@ impl ApSoftmax {
             return Err(CoreError::EmptyInput);
         }
         self.map_into(len, ranges)?;
-        Ok(ranges.len().max(1))
+        Ok(ranges.len())
     }
 
     /// The underlying scalar specification.
@@ -899,12 +882,11 @@ impl ApSoftmax {
 
     /// The shared entry point: validates the codes, maps the vector
     /// (`map_into`), then issues the dataflow op by op
-    /// ([`PlanMode::DirectIssue`]) or resolves the vector's cache entry
+    /// ([`PlanMode::DirectIssue`]) or resolves the vector's plan
     /// through [`ApSoftmax::lookup`] — compiling it on a miss, which
-    /// executes this vector — and replays it. A vector that fits one
-    /// tile runs the whole-vector dataflow; a longer one runs sharded
-    /// across the tile grid ([`ApSoftmax::run_sharded`]), its replay
-    /// open to serving helpers when `wake` is given.
+    /// executes this vector — and replays it, all through the one
+    /// executor ([`ApSoftmax::run_sharded`]); a replay of more than one
+    /// shard is open to serving helpers when `wake` is given.
     fn execute_codes_mode(
         &self,
         state: &mut TileState,
@@ -928,7 +910,7 @@ impl ApSoftmax {
     }
 
     /// [`ApSoftmax::execute_codes_mode`] once the vector's `layout` and
-    /// partition `ranges` (empty for a whole vector) are known.
+    /// partition `ranges` are known.
     #[allow(clippy::too_many_arguments)]
     fn execute_mapped(
         &self,
@@ -940,35 +922,17 @@ impl ApSoftmax {
         layout: Layout,
         ranges: &[(usize, usize)],
     ) -> Result<(), CoreError> {
-        let whole = ranges.is_empty();
         if mode == PlanMode::DirectIssue {
             // Direct issue stays on the re-staging path: residency is a
             // plan-level optimization, and the direct-vs-replay
             // differential baseline keeps characterizing the re-staged
             // contract exactly.
-            return if whole {
-                self.execute_whole(state, codes, layout, None, run)
-            } else {
-                self.run_sharded(
-                    &mut state.shard,
-                    codes,
-                    run,
-                    ShardExec::Direct,
-                    ranges,
-                    false,
-                    layout,
-                    None,
-                )
-                .map(drop)
-            };
+            let (shard, exec) = (&mut state.shard, ShardExec::Direct);
+            return self.run_sharded(shard, codes, run, exec, ranges, false, layout, None);
         }
         let key = self.vector_key(codes.len(), layout, ranges);
-        let (entry, compiled) = self.lookup(state, key, |state| {
-            let plan = if whole {
-                self.compile_whole(state, codes, layout, run)
-            } else {
-                self.compile_sharded(state, codes, run, layout, ranges, key.resident)
-            }?;
+        let (plan, compiled) = self.lookup(state, key, |state| {
+            let plan = self.compile_sharded(state, codes, run, layout, ranges, key.resident)?;
             if self.autotune {
                 let balanced = self.balanced(codes.len(), layout, ranges);
                 self.plans.note_autotune(layout != self.layout || balanced);
@@ -979,27 +943,16 @@ impl ApSoftmax {
             // Compiling executed this vector.
             return Ok(());
         }
-        match &entry {
-            CachedPlan::Program(plan) => self.execute_whole(
-                state,
-                codes,
-                layout,
-                Some(Run::Replay(plan, PhaseReplay::Full)),
-                run,
-            ),
-            CachedPlan::Sharded(plan) => self
-                .run_sharded(
-                    &mut state.shard,
-                    codes,
-                    run,
-                    ShardExec::Replay(plan),
-                    &plan.ranges,
-                    plan.resident,
-                    layout,
-                    wake,
-                )
-                .map(drop),
-        }
+        self.run_sharded(
+            &mut state.shard,
+            codes,
+            run,
+            ShardExec::Replay(&plan),
+            &plan.ranges,
+            plan.resident,
+            layout,
+            wake,
+        )
     }
 
     /// The one plan lookup behind every cached execution: the tile's
@@ -1009,125 +962,40 @@ impl ApSoftmax {
     /// inserted once it succeeded, its costing replay included. The
     /// slot is stamped with the token captured before the lookup, so a
     /// `clear_plans()` racing in after the insert still invalidates it
-    /// on its next vector. Returns the entry and whether `compile`
+    /// on its next vector. Returns the plan and whether `compile`
     /// produced it.
     fn lookup(
         &self,
         state: &mut TileState,
         key: PlanKey,
-        compile: impl FnOnce(&mut TileState) -> Result<CachedPlan, CoreError>,
-    ) -> Result<(CachedPlan, bool), CoreError> {
+        compile: impl FnOnce(&mut TileState) -> Result<Arc<ShardedPlan>, CoreError>,
+    ) -> Result<(Arc<ShardedPlan>, bool), CoreError> {
         let token = self.plans.slot_token();
         if let Some((slot_token, slot_key, plan)) = &state.plan {
             if *slot_token == token && *slot_key == key {
                 self.plans.note_hit();
-                return Ok((plan.clone(), false));
+                return Ok((Arc::clone(plan), false));
             }
         }
         let mut compiled = false;
         let plan = match self.plans.get(&key) {
-            Some(plan) => plan,
-            None => {
+            Some(CachedPlan::Sharded(plan)) => plan,
+            _ => {
                 let _compiling = self.plans.lock_for_compile();
                 match self.plans.get(&key) {
-                    Some(plan) => plan,
-                    None => {
+                    Some(CachedPlan::Sharded(plan)) => plan,
+                    _ => {
                         let plan = compile(state)?;
-                        self.plans.insert(key, plan.clone());
+                        self.plans
+                            .insert(key, CachedPlan::Sharded(Arc::clone(&plan)));
                         compiled = true;
                         plan
                     }
                 }
             }
         };
-        state.plan = Some((token, key, plan.clone()));
+        state.plan = Some((token, key, Arc::clone(&plan)));
         Ok((plan, compiled))
-    }
-
-    /// Executes one whole vector on `state`'s tile, packed by `layout`:
-    /// runs `plan` — a cached plan's replay (load → replay → read, no
-    /// per-op host dispatch; bit- and cycle-exact versus direct issue by
-    /// the program-replay contract) or a fresh plan's costing replay —
-    /// or, without one, issues the dataflow op by op. Writes the outcome
-    /// into `run`'s reused buffers.
-    fn execute_whole(
-        &self,
-        state: &mut TileState,
-        codes: &[i64],
-        layout: Layout,
-        plan: Option<Run<'_>>,
-        run: &mut ApSoftmaxRun,
-    ) -> Result<(), CoreError> {
-        let TileState {
-            tile,
-            half0,
-            half1,
-            scratch,
-            ..
-        } = state;
-        let (packed, rows) = pack_halves(layout, codes, half0, half1);
-        let halves = [half0.as_slice(), half1.as_slice()];
-        let halves = &halves[..1 + usize::from(packed)];
-        let ApSoftmaxRun {
-            codes: out,
-            vapprox,
-            steps,
-            ..
-        } = run;
-        out.clear();
-        vapprox.clear();
-        steps.clear();
-        let mut outs = [out, vapprox];
-        let io = ExecIo::new(halves, &mut outs);
-        let (stats, cols_used, sum_reg) = match plan {
-            Some(plan) => self.run_plan(plan, tile, false, io, scratch, |name, stats| {
-                steps.push(StepStats { name, stats });
-            })?,
-            None => {
-                let issued = self.issue_phase(
-                    PlanPhase::Vector,
-                    false,
-                    tile,
-                    scratch,
-                    io,
-                    halves.len(),
-                    rows,
-                    steps,
-                    false,
-                )?;
-                (issued.stats, issued.cols_used, issued.reg)
-            }
-        };
-        run.frac_bits = self.sm.widths().frac_bits();
-        run.sum = scratch.reg(sum_reg);
-        run.total = stats;
-        run.rows = rows;
-        run.cols_used = cols_used;
-        run.shards = 1;
-        run.waves = 1;
-        run.latency_cycles = stats.cycles();
-        run.reduction = CycleStats::default();
-        Ok(())
-    }
-
-    /// Compiles the whole-vector plan for this vector packed by
-    /// `layout` ([`ApSoftmax::trace_plan`]) and prices it by its costing
-    /// replay, which executes this vector into `run`.
-    fn compile_whole(
-        &self,
-        state: &mut TileState,
-        codes: &[i64],
-        layout: Layout,
-        run: &mut ApSoftmaxRun,
-    ) -> Result<CachedPlan, CoreError> {
-        let started = std::time::Instant::now();
-        let (packed, rows) = Self::packing_of(layout, codes.len());
-        let (tile, scratch) = (&mut state.tile, &mut state.scratch);
-        let halves = 1 + usize::from(packed);
-        let mut plan = self.trace_plan(PlanPhase::Vector, false, tile, scratch, halves, rows)?;
-        self.execute_whole(state, codes, layout, Some(Run::Cost(&mut plan)), run)?;
-        plan.compile_micros = started.elapsed().as_secs_f64() * 1e6;
-        Ok(CachedPlan::Program(Arc::new(plan)))
     }
 
     /// Traces `phase`'s program ([`ApSoftmax::issue_phase`] recording
@@ -1145,9 +1013,16 @@ impl ApSoftmax {
         rows: usize,
     ) -> Result<CompiledPlan, CoreError> {
         let io = ExecIo::new(&[], &mut []);
-        let steps = &mut Vec::new();
         let issued = self.issue_phase(
-            phase, resident, tile, scratch, io, halves, rows, steps, true,
+            phase,
+            resident,
+            tile,
+            scratch,
+            io,
+            halves,
+            rows,
+            &mut |_, _| {},
+            true,
         )?;
         let mut program = issued.program.expect("recording returns a program");
         let report = optimizer::optimize(&mut program, self.opt_level);
@@ -1183,7 +1058,8 @@ impl ApSoftmax {
     /// The field widths of `phase`'s program, in allocation order: each
     /// half's `[x, q, work, t, vapprox, res]`, the shared
     /// `[op, sumw, den, minf]`, and the scratch headroom past them. The
-    /// whole-vector program and every resident shard phase allocate
+    /// whole program ([`PlanPhase::Vector`]) and every resident shard
+    /// phase allocate
     /// every field — the **union** geometry, whose column ranges mean
     /// the same thing in every phase, so planes written by one phase
     /// are readable by the next (the residency contract in
@@ -1213,9 +1089,9 @@ impl ApSoftmax {
     }
 
     /// Issues one program of the dataflow through a [`Recorder`] —
-    /// executing it, with step costs accumulating into `steps`, or,
-    /// when `record`, only tracing it on the acquired tile: the sixteen
-    /// whole-vector steps of Fig. 5 ([`PlanPhase::Vector`]), or one
+    /// executing it, with step costs reported to `on_step`, or, when
+    /// `record`, only tracing it on the acquired tile: the sixteen
+    /// steps of Fig. 5 on one tile ([`PlanPhase::Vector`]), or one
     /// phase of the sharded dataflow (see [`ApSoftmax::run_sharded`]) —
     /// the min search, the exponential with its partial sum (the global
     /// minimum is scalar input 0, `v_approx` output slot 0), or the
@@ -1236,7 +1112,7 @@ impl ApSoftmax {
         io: ExecIo<'_, '_>,
         halves: usize,
         rows: usize,
-        steps: &mut Vec<StepStats>,
+        on_step: &mut dyn FnMut(&'static str, CycleStats),
         record: bool,
     ) -> Result<Issued, CoreError> {
         let (half, shared, headroom) = self.phase_widths(phase, resident);
@@ -1255,9 +1131,7 @@ impl ApSoftmax {
         }
         let [op, sumw, den, minf] = alloc_fields(ap, shared)?;
         let hs = &fields[..halves];
-        let mut on_step =
-            |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-        let mut rec = Recorder::new(ap, io, scratch, &mut on_step, record);
+        let mut rec = Recorder::new(ap, io, scratch, on_step, record);
         let reg = match phase {
             PlanPhase::Vector => {
                 // Step 1: write v (as magnitudes |code|).
@@ -1314,7 +1188,7 @@ impl ApSoftmax {
             }
         };
         let program = rec.finish();
-        // A whole-vector plan's columns run through the divisor field, a
+        // The whole program's columns run through the divisor field, a
         // shard phase's through the minimum field.
         let cols_used = if phase == PlanPhase::Vector {
             den.end()
@@ -1373,7 +1247,7 @@ impl ApSoftmax {
 
     /// Steps 3-13 of Fig. 5: Barrett range reduction, the polynomial,
     /// and the variable shift producing `v_approx` — identical between
-    /// the whole-vector dataflow and the sharded exp phase.
+    /// the whole program and the sharded exp phase.
     fn issue_exp_approx(
         &self,
         rec: &mut Recorder<'_, '_>,
@@ -1498,11 +1372,11 @@ impl ApSoftmax {
     }
 
     /// The cache key a vector of `len` elements executes under, given
-    /// its mapped `layout` and shard partition `ranges` (empty when it
-    /// fits one tile): sharded entries carry the effective residency of
-    /// their partition; whole-vector entries are never resident (a
-    /// single tile re-stages by definition). Within one cache the
-    /// partition is a function of the length and the layout.
+    /// its mapped `layout` and shard partition `ranges`: the effective
+    /// residency of the partition, which needs more than one phase to
+    /// keep a tile pinned across, so a one-shard plan is never resident.
+    /// Within one cache the partition is a function of the length and
+    /// the layout.
     fn vector_key(&self, len: usize, layout: Layout, ranges: &[(usize, usize)]) -> PlanKey {
         PlanKey {
             len,
@@ -1510,7 +1384,7 @@ impl ApSoftmax {
             div: self.div_style,
             opt: self.opt_level,
             phase: PlanPhase::Vector,
-            resident: !ranges.is_empty() && self.resident_for(ranges.len()),
+            resident: ranges.len() > 1 && self.resident_for(ranges.len()),
         }
     }
 
@@ -1531,17 +1405,17 @@ impl ApSoftmax {
         Ok(self.vector_key(len, layout, &ranges))
     }
 
-    /// Resolves the vector-level cache entry for length `len`,
-    /// compiling one from [`ApSoftmax::representative_scores`] on this
-    /// thread's pooled tile if the shape has not been seen yet.
-    fn resolve_vector_entry(&self, len: usize) -> Result<CachedPlan, CoreError> {
+    /// Resolves the vector plan for length `len`, compiling one from
+    /// [`ApSoftmax::representative_scores`] on this thread's pooled
+    /// tile if the shape has not been seen yet.
+    fn resolve_vector_entry(&self, len: usize) -> Result<Arc<ShardedPlan>, CoreError> {
         if len == 0 {
             return Err(CoreError::EmptyInput);
         }
         let key = self.cached_key(len)?;
         // Observer lookup: a cost query is not a replay, so it must
         // not count as a cache hit.
-        if let Some(plan) = self.plans.peek(&key) {
+        if let Some(CachedPlan::Sharded(plan)) = self.plans.peek(&key) {
             return Ok(plan);
         }
         let scores = Self::representative_scores(len);
@@ -1557,14 +1431,18 @@ impl ApSoftmax {
         })?;
         // Observer fetch of the plan the compile just inserted — not a
         // replay, so it must not count as a cache hit.
-        self.plans
-            .peek(&key)
-            .ok_or_else(|| CoreError::BadWorkload("plan compilation did not cache".into()))
+        match self.plans.peek(&key) {
+            Some(CachedPlan::Sharded(plan)) => Ok(plan),
+            _ => Err(CoreError::BadWorkload(
+                "plan compilation did not cache".into(),
+            )),
+        }
     }
 
-    /// The compiled whole-vector plan for vectors of length `len`,
-    /// compiling one from [`ApSoftmax::representative_scores`] on this
-    /// thread's pooled tile if the shape has not been seen yet.
+    /// The program of the one-shard plan for vectors of length `len`
+    /// (the whole Fig. 5 dataflow on one tile), compiling the plan from
+    /// [`ApSoftmax::representative_scores`] on this thread's pooled
+    /// tile if the shape has not been seen yet.
     ///
     /// # Errors
     ///
@@ -1573,28 +1451,31 @@ impl ApSoftmax {
     /// [`ApSoftmax::sharded_plan`] or the [`ApSoftmax::static_vector_cost`]
     /// query, which cover both regimes).
     pub fn plan(&self, len: usize) -> Result<Arc<CompiledPlan>, CoreError> {
-        match self.resolve_vector_entry(len)? {
-            CachedPlan::Program(p) => Ok(p),
-            CachedPlan::Sharded(_) => Err(CoreError::BadWorkload(format!(
+        let plan = self.resolve_vector_entry(len)?;
+        if plan.shards() > 1 {
+            return Err(CoreError::BadWorkload(format!(
                 "length {len} shards across tiles; query sharded_plan/static_vector_cost instead"
-            ))),
+            )));
         }
+        Ok(Arc::clone(&plan.plans[0][0]))
     }
 
-    /// The compiled sharded plan for vectors of length `len` (the
-    /// capacity-exceeding counterpart of [`ApSoftmax::plan`]).
+    /// The compiled plan of more than one shard for vectors of length
+    /// `len` (the capacity-exceeding counterpart of
+    /// [`ApSoftmax::plan`]).
     ///
     /// # Errors
     ///
     /// Propagates compilation errors; [`CoreError::BadWorkload`] for
     /// lengths that fit one tile.
     pub fn sharded_plan(&self, len: usize) -> Result<Arc<ShardedPlan>, CoreError> {
-        match self.resolve_vector_entry(len)? {
-            CachedPlan::Sharded(p) => Ok(p),
-            CachedPlan::Program(_) => Err(CoreError::BadWorkload(format!(
+        let plan = self.resolve_vector_entry(len)?;
+        if plan.shards() == 1 {
+            return Err(CoreError::BadWorkload(format!(
                 "length {len} fits one tile; query plan/static_vector_cost instead"
-            ))),
+            )));
         }
+        Ok(plan)
     }
 
     /// Cycle/cell-event totals for one vector of length `len`, answered
@@ -1623,29 +1504,18 @@ impl ApSoftmax {
     ///
     /// Propagates compilation (execution) errors.
     pub fn static_vector_cost(&self, len: usize) -> Result<VectorCost, CoreError> {
-        Ok(Self::entry_vector_cost(&self.resolve_vector_entry(len)?))
+        let plan = self.resolve_vector_entry(len)?;
+        Ok(Self::entry_vector_cost(&plan))
     }
 
-    /// The static device view a cache entry answers with.
-    fn entry_vector_cost(entry: &CachedPlan) -> VectorCost {
-        match entry {
-            CachedPlan::Program(p) => {
-                let total = p.program().static_cost();
-                VectorCost {
-                    total,
-                    latency_cycles: total.cycles(),
-                    shards: 1,
-                    waves: 1,
-                    reduction: CycleStats::default(),
-                }
-            }
-            CachedPlan::Sharded(p) => VectorCost {
-                total: p.total(),
-                latency_cycles: p.latency_cycles(),
-                shards: p.shards(),
-                waves: p.waves(),
-                reduction: p.reduction(),
-            },
+    /// The static device view a vector plan answers with.
+    fn entry_vector_cost(p: &ShardedPlan) -> VectorCost {
+        VectorCost {
+            total: p.total(),
+            latency_cycles: p.latency_cycles(),
+            shards: p.shards(),
+            waves: p.waves(),
+            reduction: p.reduction(),
         }
     }
 
@@ -1657,15 +1527,7 @@ impl ApSoftmax {
     ///
     /// Propagates compilation (execution) errors.
     pub fn static_step_stats(&self, len: usize) -> Result<Vec<StepStats>, CoreError> {
-        match self.resolve_vector_entry(len)? {
-            CachedPlan::Program(p) => Ok(p
-                .program()
-                .static_steps()
-                .iter()
-                .map(|&(name, stats)| StepStats { name, stats })
-                .collect()),
-            CachedPlan::Sharded(p) => Ok(p.steps.clone()),
-        }
+        Ok(self.resolve_vector_entry(len)?.steps.clone())
     }
 }
 
@@ -2427,6 +2289,30 @@ mod tests {
         m.warmup(&[16384]).unwrap();
         let stats = m.cache_stats();
         assert_eq!((stats.plans, stats.resident_entries), (4, 4), "{stats}");
+        // A vector that fits one tile is a one-shard plan: one entry, one
+        // compile, never resident, its program cached only in the plan.
+        // A replay then hits it and compiles nothing.
+        for (len, autotune) in [(64, true), (2048, true), (4096, false)] {
+            let m = fresh()
+                .with_backend(ExecBackend::FastWord)
+                .with_autotune(autotune);
+            m.warmup(&[len]).unwrap();
+            let stats = m.cache_stats();
+            let what = format!("{len} scores, autotune {autotune}: {stats}");
+            assert_eq!(
+                (stats.plans, stats.compiles, stats.resident_entries),
+                (1, 1, 0),
+                "{what}"
+            );
+            m.execute_floats(&ApSoftmax::representative_scores(len))
+                .unwrap();
+            let replayed = m.cache_stats();
+            assert_eq!(
+                (replayed.hits, replayed.compiles),
+                (stats.hits + 1, 1),
+                "{what}"
+            );
+        }
     }
 
     #[test]

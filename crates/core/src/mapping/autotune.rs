@@ -106,9 +106,10 @@ fn words_per_row(layout: Layout) -> usize {
 impl ApSoftmax {
     /// The mapping of a vector of `len` elements: returns the layout it
     /// executes under and writes its shard partition into `ranges`
-    /// (empty when it fits one tile) — the rule's (see the module docs)
-    /// when autotuning, the configured layout and the device's greedy
-    /// split otherwise. Allocation-free once `ranges` has capacity.
+    /// (the one shard `(0, len)` when it fits one tile) — the rule's
+    /// (see the module docs) when autotuning, the configured layout and
+    /// the device's greedy split otherwise. Allocation-free once
+    /// `ranges` has capacity.
     pub(super) fn map_into(
         &self,
         len: usize,
@@ -128,6 +129,7 @@ impl ApSoftmax {
             self.layout
         };
         if whole(layout) {
+            ranges.push((0, len));
             return Ok(layout);
         }
         let wpr = words_per_row(layout);
@@ -162,7 +164,7 @@ impl ApSoftmax {
         let split = self
             .device
             .partition_into(len, words_per_row(layout), &mut greedy);
-        !ranges.is_empty() && split.is_ok() && greedy != ranges
+        split.is_ok() && greedy != ranges
     }
 
     /// The mapping vectors of `len` elements execute under — layout,
@@ -182,12 +184,12 @@ impl ApSoftmax {
         }
         let mut ranges = Vec::new();
         let layout = self.map_into(len, &mut ranges)?;
-        let shards = ranges.len().max(1);
+        let shards = ranges.len();
         Ok(MappingChoice {
             layout,
             div: self.div_style,
             opt: self.opt_level,
-            resident: !ranges.is_empty() && self.resident_for(shards),
+            resident: shards > 1 && self.resident_for(shards),
             shards,
             balanced: self.balanced(len, layout, &ranges),
         })
@@ -197,8 +199,7 @@ impl ApSoftmax {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{ApSoftmaxRun, PlanMode, TileState, VectorCost};
-    use crate::plan::CachedPlan;
+    use crate::mapping::{ApSoftmaxRun, TileState, VectorCost};
     use softmap_ap::{DeviceConfig, ExecBackend};
     use softmap_softmax::PrecisionConfig;
 
@@ -243,10 +244,7 @@ mod tests {
                     let resident = view.resident_for(ranges.len());
                     view.compile_sharded(&mut state, &codes, &mut run, layout, ranges, resident)
                 }
-                None => view
-                    .execute_codes_mode(&mut state, &codes, &mut run, PlanMode::Cached, None)
-                    .and_then(|()| view.cached_key(len))
-                    .map(|key| view.plans.peek(&key).expect("the compile cached")),
+                None => view.resolve_vector_entry(len),
             };
             let Ok(entry) = entry else {
                 continue; // a geometry the grid rejects is pruned
@@ -257,7 +255,7 @@ mod tests {
                     layout,
                     div: m.div_style,
                     opt: m.opt_level,
-                    resident: matches!(&entry, CachedPlan::Sharded(p) if p.resident),
+                    resident: entry.resident,
                     shards: cost.shards,
                     balanced,
                 };

@@ -1,10 +1,14 @@
-//! The sharded executor: one long vector's three phases across its
-//! shards, with the shards split into chunks that idle serving workers
-//! may help with.
+//! The one executor: a vector's phases across its shards, with the
+//! shards split into chunks that idle serving workers may help with.
 //!
-//! A vector whose rows exceed one tile runs **sharded** across the
-//! device's tile grid. The dataflow has two cross-tile synchronization
-//! points (Fig. 5 adapted to a tile grid):
+//! Every vector runs as a partition into shards, one per tile, and its
+//! plan's phase list depends only on the partition. A vector that fits
+//! one tile is the one-shard case: its one phase is the whole Fig. 5
+//! program ([`PlanPhase::Vector`]), which crosses no tile, so it charges
+//! no reduction network and reports the Fig. 5 step names. A vector
+//! whose rows exceed one tile runs **sharded** across the device's tile
+//! grid, in three phases around two cross-tile synchronization points
+//! (Fig. 5 adapted to a tile grid):
 //!
 //! 1. **min phase** — every shard loads its slice and runs the
 //!    bit-serial min search; the shard minima combine over the
@@ -25,64 +29,89 @@
 //! shard pinned in its tile across the three phases, so the exp and
 //! divide phases find their inputs where the previous phase left them.
 //! The cost contract charges the shard programs, the deterministic
-//! reduction-network formula, and wave scheduling when shards exceed
-//! the grid.
+//! reduction-network formula after each phase that ends at a sync
+//! point, and wave scheduling when shards exceed the grid.
 //!
-//! [`ApSoftmax::run_sharded`] is the one executor for every mode —
-//! direct issue, compile (trace, optimize and plan each shard shape's
-//! phase program, then cache it once its costing replay of the shard
-//! succeeded), and cached replay. The shards split into contiguous
-//! chunks of a [`ShardJob`], each owning its tiles, buffers, outputs,
-//! and accounting behind one lock and running its shards through the
-//! one per-shard body ([`ApSoftmax::shard_phase`]). The thread
-//! executing the vector (the *owner*) opens a phase, runs chunks until
-//! none is unclaimed, waits only for those a *helper* claimed, and runs
-//! the cross-tile combine once. Inline
-//! [`ApSoftmax::execute_codes_into`] is one chunk; a serving replay
-//! picked while a worker idles has one per worker, which idle workers
-//! claim ([`ShardJob::claim`] reads the chunk and its phase under one
-//! lock). A sync point returns the lowest failing chunk's error (the
-//! first failing shard's, as on one chunk) and opens no further phase.
-//! Results are bit-exact and cost-identical at every chunk and helper
-//! count: the shard programs, replay pricing ([`phase_replay`]),
-//! reduction charges, and wave-scheduled latency are the same, and the
-//! owner merges the accounting in shard order.
+//! [`ApSoftmax::run_sharded`] is the one executor for every vector and
+//! mode — direct issue, compile (trace, optimize and plan each phase
+//! program; a shard shape's phase program is cached once its costing
+//! replay of the shard succeeded), and cached replay. The shards split
+//! into contiguous chunks, each owning its tiles, buffers, outputs, and
+//! accounting and running its shards through the one per-shard body
+//! ([`ApSoftmax::shard_phase`]). The thread executing the vector (the
+//! *owner*) keeps chunk 0 in its [`TileState`], without a lock; chunks
+//! 1 and on live behind one lock each in a [`ShardJob`]. Per phase the
+//! owner runs chunk 0, then every chunk still unclaimed, waits only for
+//! those a *helper* claimed, and folds the results and accounting once.
+//! Inline [`ApSoftmax::execute_codes_into`] is one chunk; a serving
+//! worker's replay has one per worker, at most one per shard, and when
+//! it was picked while a worker idles, idle workers may claim them
+//! ([`ShardJob::claim`] reads the chunk and its phase under one lock).
+//! A replay posts its phases and wakes helpers only when it splits into
+//! more than one chunk, so a one-shard vector never wakes one. A sync point returns the lowest
+//! failing chunk's error (the first failing shard's, as on one chunk)
+//! and opens no further phase. Results are bit-exact and cost-identical
+//! at every chunk and helper count: the shard programs, replay pricing
+//! ([`phase_replay`]), reduction charges, and wave-scheduled latency are
+//! the same, and the owner merges the accounting in shard order.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard};
 
-use softmap_ap::program::{ExecIo, ProgramScratch};
+use softmap_ap::program::{ExecIo, ProgramScratch, ReplayCharge};
 use softmap_ap::{device, ApError, ApTile, CycleStats, Overflow, RegId};
 
-use super::{accumulate_step, pack_halves, ApSoftmax, ApSoftmaxRun, Layout, StepStats, TileState};
+use super::{pack_halves, ApSoftmax, ApSoftmaxRun, Layout, StepStats, TileState};
 use crate::plan::{CachedPlan, CompiledPlan, PlanPhase, ShardedPlan};
 use crate::{lock, wait, CoreError};
 
-/// The three shard phases, in order.
-const PHASES: [PlanPhase; 3] = [
-    PlanPhase::ShardMin,
-    PlanPhase::ShardExp,
-    PlanPhase::ShardDiv,
-];
+/// The phases a plan of `shards` shards runs, in order: the whole
+/// Fig. 5 program on its one tile, or the three shard phases.
+fn phase_list(shards: usize) -> &'static [PlanPhase] {
+    if shards == 1 {
+        &[PlanPhase::Vector]
+    } else {
+        &[
+            PlanPhase::ShardMin,
+            PlanPhase::ShardExp,
+            PlanPhase::ShardDiv,
+        ]
+    }
+}
 
-/// The sharded executor's reusable state inside a [`TileState`]: the
-/// shard partition, the per-phase shard cycle counts the wave
-/// scheduler consumes, the scheduler's tile-load scratch, and the
-/// [`ShardJob`] holding the chunks. All capacities persist across
-/// vectors, so steady-state sharded execution performs zero heap
-/// allocations.
+/// Adds one step's cost into entry `k` of `steps`, appending it the
+/// first time: every shard of a phase issues the same step sequence,
+/// so the shards' repetitions of a step merge by position.
+fn add_step(steps: &mut Vec<StepStats>, k: usize, name: &'static str, stats: CycleStats) {
+    match steps.get_mut(k) {
+        Some(step) => {
+            debug_assert_eq!(step.name, name, "a phase's shards issue one step sequence");
+            step.stats.accumulate(&stats);
+        }
+        None => steps.push(StepStats { name, stats }),
+    }
+}
+
+/// The executor's reusable state inside a [`TileState`]: the shard
+/// partition, a phase's shard cycle counts the wave scheduler
+/// consumes, the scheduler's tile-load scratch, the owner's chunk 0,
+/// and the [`ShardJob`] holding the chunks helpers may claim. All
+/// capacities persist across vectors, so steady-state execution
+/// performs zero heap allocations.
 #[derive(Debug, Default)]
 pub(super) struct ShardScratch {
     pub(super) ranges: Vec<(usize, usize)>,
-    phase_cycles: [Vec<u64>; 3],
+    cycles: Vec<u64>,
     loads: Vec<u64>,
+    /// Chunk 0: only the owner runs it, so it needs no lock.
+    first: Chunk,
     pub(super) job: Arc<ShardJob>,
 }
 
 impl Clone for ShardScratch {
     /// The clone gets a fresh job of its own, with as many chunks.
     fn clone(&self) -> Self {
-        let job = Arc::new(ShardJob::new(self.job.chunks.len()));
+        let job = Arc::new(ShardJob::new(self.job.chunks.len() + 1));
         Self {
             job,
             ..Self::default()
@@ -91,7 +120,8 @@ impl Clone for ShardScratch {
 }
 
 /// A sharded vector's chunks as tasks (see the module docs), reused
-/// across vectors: a posted vector's codes, its control, and its chunks.
+/// across vectors: a posted vector's codes, its control, and its chunks
+/// after the owner's chunk 0.
 #[derive(Debug)]
 pub(crate) struct ShardJob {
     codes: RwLock<Vec<i64>>,
@@ -99,6 +129,7 @@ pub(crate) struct ShardJob {
     ctl: Mutex<(Claim, usize)>,
     /// A helper finished its chunk.
     done: Condvar,
+    /// Chunks `1..`, which helpers may claim.
     chunks: Vec<Mutex<Chunk>>,
 }
 
@@ -108,7 +139,7 @@ pub(crate) struct ShardJob {
 pub(crate) struct Claim {
     plan: Option<Arc<ShardedPlan>>,
     layout: Layout,
-    /// The phase's index into [`PHASES`].
+    /// The phase's index into the plan's phase list.
     p: usize,
     /// The global minimum (exp) or the combined sum (divide).
     scalar: u64,
@@ -119,8 +150,9 @@ pub(crate) struct Claim {
 /// One chunk's share of a sharded vector: its tile pool (shard
 /// `first + k` pins `tiles[k]` for the vector's lifetime when resident;
 /// re-staged shards share `tiles[0]`), buffers, outputs, and accounting
-/// — per phase the steps, shard cycles, and compiled programs; the
-/// work, widest layout, shard minimum, partial sum, and first error.
+/// — the running phase's steps and shard cycles, per phase the compiled
+/// programs; the work, widest layout, shard minimum, partial sum, and
+/// first error.
 #[derive(Debug, Clone, Default)]
 struct Chunk {
     tiles: Vec<ApTile>,
@@ -129,8 +161,8 @@ struct Chunk {
     half1: Vec<u64>,
     codes: Vec<u64>,
     vapprox: Vec<u64>,
-    steps: [Vec<StepStats>; 3],
-    cycles: [Vec<u64>; 3],
+    steps: Vec<StepStats>,
+    cycles: Vec<u64>,
     plans: [Vec<Arc<CompiledPlan>>; 3],
     total: CycleStats,
     cols: usize,
@@ -146,14 +178,19 @@ impl Default for ShardJob {
 }
 
 impl ShardJob {
-    /// A job of `chunks` chunks (at least one).
+    /// A job of `chunks` chunks (at least one, the owner's).
     pub(crate) fn new(chunks: usize) -> Self {
         Self {
             codes: RwLock::default(),
             ctl: Mutex::default(),
             done: Condvar::new(),
-            chunks: (0..chunks.max(1)).map(|_| Mutex::default()).collect(),
+            chunks: (1..chunks).map(|_| Mutex::default()).collect(),
         }
+    }
+
+    /// Chunk `c`, from 1 on.
+    fn chunk(&self, c: usize) -> MutexGuard<'_, Chunk> {
+        lock(&self.chunks[c - 1])
     }
 
     /// The codes a posted vector runs on (a serving owner's request's).
@@ -187,7 +224,7 @@ impl ShardJob {
             resident: plan.resident,
             claim,
         };
-        let mut w = lock(&self.chunks[c]);
+        let mut w = self.chunk(c);
         if catch_unwind(AssertUnwindSafe(|| mapping.chunk_phase(&ctx, c, &mut w))).is_err() {
             w.err = Some(CoreError::Panicked);
         }
@@ -212,11 +249,13 @@ pub(super) enum ShardExec<'a> {
     /// Issue every op directly (no cache, no recording) — the
     /// differential-testing baseline.
     Direct,
-    /// Replay the cached sharded plan's phase programs.
+    /// Replay the cached vector plan's phase programs.
     Replay(&'a Arc<ShardedPlan>),
-    /// Replay the phase program cached for the shard's shape, or
+    /// Replay the shard-phase program cached for the shard's shape, or
     /// compile one: trace, optimize and plan it, and cache it once its
-    /// costing replay, which executes the shard, succeeded.
+    /// costing replay, which executes the shard, succeeded. A one-shard
+    /// plan's program is compiled every time and cached only in its
+    /// plan.
     Compile,
 }
 
@@ -233,10 +272,9 @@ struct PhaseCtx<'a> {
 /// Whether shard `i` is a *follower*: every shard after the first
 /// occurrence of its shape shares that leader's device-wide drivers.
 /// On the re-staging path followers ride the broadcast of
-/// shard-invariant operands for free
-/// ([`softmap_ap::ApProgram::replay_resident`]); on the resident path
-/// they execute the whole phase in SIMD lockstep and are charged only
-/// their input staging ([`softmap_ap::ApProgram::replay_lockstep`]).
+/// shard-invariant operands for free ([`ReplayCharge::Hoisted`]); on
+/// the resident path they execute the whole phase in SIMD lockstep and
+/// are charged only their input staging ([`ReplayCharge::Lockstep`]).
 /// Leaders pay full price (a compile's costing replay is the leader's
 /// replay, and anchors the phase program's cost). The rule is a pure
 /// function of the partition, so compile-time totals and replay totals
@@ -246,37 +284,31 @@ fn shard_follower(ranges: &[(usize, usize)], i: usize) -> bool {
     ranges[..i].iter().any(|&(s, e)| e - s == len)
 }
 
-/// How one shard's phase program replays: full price (leaders and
-/// whole vectors), the hoisted-broadcast discount (re-staged
-/// followers), or the wave-lockstep discount (resident followers).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(super) enum PhaseReplay {
-    Full,
-    Hoisted,
-    Lockstep,
-}
-
-/// Replay pricing for shard `i` of a partition under a residency mode.
-fn phase_replay(ranges: &[(usize, usize)], i: usize, resident: bool) -> PhaseReplay {
+/// Replay pricing for shard `i` of a partition under a residency mode:
+/// full price for leaders (a one-shard plan's shard among them), the
+/// hoisted-broadcast discount for re-staged followers, the wave-lockstep
+/// discount for resident ones.
+fn phase_replay(ranges: &[(usize, usize)], i: usize, resident: bool) -> ReplayCharge {
     match (shard_follower(ranges, i), resident) {
-        (false, _) => PhaseReplay::Full,
-        (true, false) => PhaseReplay::Hoisted,
-        (true, true) => PhaseReplay::Lockstep,
+        (false, _) => ReplayCharge::Full,
+        (true, false) => ReplayCharge::Hoisted,
+        (true, true) => ReplayCharge::Lockstep,
     }
 }
 
 /// One run of a compiled plan: a cached plan's replay, priced as the
-/// [`PhaseReplay`] says, or a freshly traced plan's costing replay
+/// [`ReplayCharge`] says, or a freshly traced plan's costing replay
 /// ([`softmap_ap::ApProgram::recost`]), which executes it at full price
 /// — a leader's replay — and prices it.
-pub(super) enum Run<'a> {
-    Replay(&'a CompiledPlan, PhaseReplay),
+enum Run<'a> {
+    Replay(&'a CompiledPlan, ReplayCharge),
     Cost(&'a mut CompiledPlan),
 }
 
 impl ApSoftmax {
-    /// Serving's entry point: executes the codes in `state`'s job, a
-    /// sharded replay's phases open to the helpers `wake` rouses.
+    /// Serving's entry point: executes the codes in `state`'s job, the
+    /// phases of a replay of more than one chunk open to the helpers
+    /// `wake` rouses.
     pub(crate) fn execute_posted(
         &self,
         state: &mut TileState,
@@ -288,9 +320,9 @@ impl ApSoftmax {
         self.execute_codes_mode(state, &codes, run, self.plan_mode, wake)
     }
 
-    /// Compiles the sharded plan for this vector, its shards `ranges`
-    /// packed by `layout`, by executing it once in compile mode on the
-    /// calling thread.
+    /// Compiles the plan for this vector, its shards `ranges` packed by
+    /// `layout`, by executing it once in compile mode on the calling
+    /// thread.
     pub(super) fn compile_sharded(
         &self,
         state: &mut TileState,
@@ -299,23 +331,15 @@ impl ApSoftmax {
         layout: Layout,
         ranges: &[(usize, usize)],
         resident: bool,
-    ) -> Result<CachedPlan, CoreError> {
+    ) -> Result<Arc<ShardedPlan>, CoreError> {
         let started = std::time::Instant::now();
-        let [min_plans, exp_plans, div_plans] = self.run_sharded(
-            &mut state.shard,
-            codes,
-            run,
-            ShardExec::Compile,
-            ranges,
-            resident,
-            layout,
-            None,
-        )?;
-        Ok(CachedPlan::Sharded(Arc::new(ShardedPlan {
+        let shard = &mut state.shard;
+        let exec = ShardExec::Compile;
+        self.run_sharded(shard, codes, run, exec, ranges, resident, layout, None)?;
+        Ok(Arc::new(ShardedPlan {
             ranges: ranges.to_vec(),
-            min_plans,
-            exp_plans,
-            div_plans,
+            // Compile mode runs one chunk, which collected every program.
+            plans: std::mem::take(&mut shard.first.plans),
             steps: run.steps.clone(),
             total: run.total,
             reduction: run.reduction,
@@ -325,19 +349,19 @@ impl ApSoftmax {
             cols_used: run.cols_used,
             compile_micros: started.elapsed().as_secs_f64() * 1e6,
             resident,
-        })))
+        }))
     }
 
-    /// The sharded executor (see the module docs): the three phases of
-    /// `codes` over the shards `ranges`. `exec` selects direct issue,
-    /// compile, or replay; `resident` the residency plan (shard tiles
-    /// pinned across phases, phase-boundary staging elided, followers
-    /// charged in lockstep) versus the re-staging path; `layout` the row
-    /// packing the vector maps under. A replay given `wake` splits into
-    /// the job's chunks (at most one per shard) and posts each phase to
-    /// helpers; anything else runs one chunk. Returns the phase programs
-    /// compile mode collected, per phase in shard order (empty
-    /// otherwise).
+    /// The executor (see the module docs): the phases of `codes` over
+    /// the shards `ranges`. `exec` selects direct issue, compile, or
+    /// replay; `resident` the residency plan (shard tiles pinned across
+    /// phases, phase-boundary staging elided, followers charged in
+    /// lockstep) versus the re-staging path; `layout` the row packing
+    /// the vector maps under. A replay splits into the job's chunks (at
+    /// most one per shard) and, given `wake` and more than one chunk,
+    /// posts each phase to helpers; compile and direct issue run one
+    /// chunk, chunk 0, which in compile mode collects the phase
+    /// programs, per phase in shard order.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn run_sharded(
         &self,
@@ -349,17 +373,24 @@ impl ApSoftmax {
         resident: bool,
         layout: Layout,
         wake: Option<&dyn Fn()>,
-    ) -> Result<[Vec<Arc<CompiledPlan>>; 3], CoreError> {
-        let (shards, job) = (ranges.len(), &*shard.job);
+    ) -> Result<(), CoreError> {
+        let shards = ranges.len();
+        // Whoever runs them, a replay's chunks are the same, so every
+        // replay warms the chunks a helped one uses.
+        let chunks = match exec {
+            ShardExec::Replay(_) => (shard.job.chunks.len() + 1).min(shards),
+            _ => 1,
+        };
         let posted = match exec {
-            ShardExec::Replay(plan) => wake.zip(Some(plan)),
+            ShardExec::Replay(plan) if chunks > 1 => wake.zip(Some(plan)),
             _ => None,
         };
-        let chunks = posted.map_or(1, |_| job.chunks.len().min(shards));
+        // Chunk 0 is the owner's; helpers claim from chunk 1 on.
         let claim = Claim {
             plan: posted.map(|(_, plan)| Arc::clone(plan)),
             layout,
             chunks,
+            chunk: 1,
             ..Claim::default()
         };
         let mut ctx = PhaseCtx {
@@ -371,100 +402,81 @@ impl ApSoftmax {
         };
         // Chunk 0 reads its outputs straight into the run's buffers; the
         // other chunks' are appended after the last phase.
-        let mut first = lock(&job.chunks[0]);
-        std::mem::swap(&mut first.codes, &mut run.codes);
-        std::mem::swap(&mut first.vapprox, &mut run.vapprox);
-        drop(first);
-        let sum = self.run_phases(job, &mut ctx, posted.map(|(wake, _)| wake));
-        let mut first = lock(&job.chunks[0]);
-        for chunk in &job.chunks[1..chunks] {
-            let w = lock(chunk);
+        std::mem::swap(&mut shard.first.codes, &mut run.codes);
+        std::mem::swap(&mut shard.first.vapprox, &mut run.vapprox);
+        let ran = self.run_phases(shard, &mut ctx, run, posted.map(|(wake, _)| wake));
+        let (first, job) = (&mut shard.first, &*shard.job);
+        for c in 1..chunks {
+            let w = job.chunk(c);
             first.codes.extend_from_slice(&w.codes);
             first.vapprox.extend_from_slice(&w.vapprox);
         }
         std::mem::swap(&mut first.codes, &mut run.codes);
         std::mem::swap(&mut first.vapprox, &mut run.vapprox);
-        drop(first);
-        run.sum = sum?;
+        ran?;
         debug_assert_eq!(run.codes.len(), codes.len());
-
-        // Merge the chunks' accounting in shard order, phase by phase
-        // with the cross-tile reductions in between: identical step
-        // names, totals, and first-appearance order at any chunk count.
-        let mut compiled: [Vec<Arc<CompiledPlan>>; 3] = Default::default();
-        let mut total = CycleStats::default();
-        let mut reduction = CycleStats::default();
-        let mut latency = 0;
-        let mut cols = 0;
-        let networks = [
-            ("device: cross-tile min", self.cfg().m),
-            ("device: cross-tile sum", self.sum_bits()),
-        ];
-        run.steps.clear();
-        for (p, phase_cycles) in shard.phase_cycles.iter_mut().enumerate() {
-            phase_cycles.clear();
-            for chunk in &job.chunks[..chunks] {
-                let mut w = lock(chunk);
-                for st in &w.steps[p] {
-                    accumulate_step(&mut run.steps, st.name, st.stats);
-                }
-                phase_cycles.extend_from_slice(&w.cycles[p]);
-                compiled[p].append(&mut w.plans[p]);
-                if p == 0 {
-                    total.accumulate(&w.total);
-                    cols = cols.max(w.cols);
-                }
-            }
-            // Device view: critical path = per-phase wave makespans plus
-            // the reduction-network cycles. Under residency the
-            // followers' per-phase cycles are tiny (input staging only)
-            // or zero, so the makespan collapses to the per-wave leader.
-            latency += device::wave_makespan(phase_cycles, self.device.tiles, &mut shard.loads);
-            if let Some(&(name, bits)) = networks.get(p) {
-                let red = self.device.reduction_network(shards, bits);
-                accumulate_step(&mut run.steps, name, red);
-                reduction.accumulate(&red);
-                latency += red.cycles();
-            }
-        }
-        total.accumulate(&reduction);
         run.frac_bits = self.sm.widths().frac_bits();
-        run.total = total;
         run.rows = ranges
             .iter()
             .map(|&(s, e)| Self::packing_of(layout, e - s).1)
             .max()
             .unwrap_or(0);
-        run.cols_used = cols;
         run.shards = shards;
         run.waves = self.device.waves(shards);
-        run.latency_cycles = latency;
-        run.reduction = reduction;
-        Ok(compiled)
+        Ok(())
     }
 
-    /// The owner's side of the phases (see the module docs), each
-    /// announced through `wake` to helpers of a posted replay. Returns
-    /// the combined sum.
+    /// The owner's side of the phases (see the module docs): each phase
+    /// of a posted replay is announced through `wake` to helpers, who
+    /// claim chunks from 1 on while the owner runs its chunk 0 and then
+    /// claims what is left. After each phase the owner folds the
+    /// chunks' results and accounting into `run` in shard order —
+    /// identical steps, totals and step order at any chunk count — and
+    /// charges the phase's wave makespan and, at a sync point, its
+    /// reduction network.
     fn run_phases(
         &self,
-        job: &ShardJob,
+        shard: &mut ShardScratch,
         ctx: &mut PhaseCtx<'_>,
+        run: &mut ApSoftmaxRun,
         wake: Option<&dyn Fn()>,
-    ) -> Result<u64, CoreError> {
-        for (p, &phase) in PHASES.iter().enumerate() {
+    ) -> Result<(), CoreError> {
+        let ShardScratch {
+            cycles,
+            loads,
+            first,
+            job,
+            ..
+        } = shard;
+        let (shards, chunks) = (ctx.ranges.len(), ctx.claim.chunks);
+        run.steps.clear();
+        run.reduction = CycleStats::default();
+        run.latency_cycles = 0;
+        for (p, &phase) in phase_list(shards).iter().enumerate() {
             ctx.claim.p = p;
-            lock(&job.ctl).0 = ctx.claim.clone();
+            if chunks > 1 {
+                lock(&job.ctl).0 = ctx.claim.clone();
+            }
             if let Some(wake) = wake {
                 wake();
             }
-            while let Some(claim) = job.claim(false) {
-                self.chunk_phase(ctx, claim.chunk, &mut lock(&job.chunks[claim.chunk]));
+            self.chunk_phase(ctx, 0, first);
+            if chunks > 1 {
+                while let Some(claim) = job.claim(false) {
+                    self.chunk_phase(ctx, claim.chunk, &mut job.chunk(claim.chunk));
+                }
+                job.close();
             }
-            job.close();
-            let (mut min, mut sum, mut err) = (u64::MAX, 0, None);
-            for chunk in &job.chunks[..ctx.claim.chunks] {
-                let mut w = lock(chunk);
+            let first_step = run.steps.len();
+            run.steps.extend_from_slice(&first.steps);
+            cycles.clone_from(&first.cycles);
+            let (mut min, mut sum, mut err) = (first.min, first.sum, first.err.take());
+            for c in 1..chunks {
+                let mut w = job.chunk(c);
+                for (k, st) in w.steps.iter().enumerate() {
+                    add_step(&mut run.steps, first_step + k, st.name, st.stats);
+                }
+                cycles.extend_from_slice(&w.cycles);
                 min = min.min(w.min);
                 sum += w.sum;
                 err = err.or(w.err.take());
@@ -472,13 +484,44 @@ impl ApSoftmax {
             if let Some(e) = err {
                 return Err(e);
             }
-            match phase {
-                PlanPhase::ShardMin => ctx.claim.scalar = min,
-                PlanPhase::ShardExp => ctx.claim.scalar = self.combine_partials(sum)?,
-                _ => {}
+            // Device view: critical path = per-phase wave makespans plus
+            // the reduction-network cycles. Under residency the
+            // followers' per-phase cycles are tiny (input staging only)
+            // or zero, so the makespan collapses to the per-wave leader.
+            run.latency_cycles += device::wave_makespan(cycles, self.device.tiles, loads);
+            // A phase that ends at a sync point combines its shards'
+            // scalars over the network and pays for it.
+            let network = match phase {
+                PlanPhase::ShardMin => {
+                    ctx.claim.scalar = min;
+                    Some(("device: cross-tile min", self.cfg().m))
+                }
+                PlanPhase::ShardExp => {
+                    ctx.claim.scalar = self.combine_partials(sum)?;
+                    Some(("device: cross-tile sum", self.sum_bits()))
+                }
+                PlanPhase::Vector => {
+                    ctx.claim.scalar = self.combine_partials(sum)?;
+                    None
+                }
+                PlanPhase::ShardDiv => None,
+            };
+            if let Some((name, bits)) = network {
+                let red = self.device.reduction_network(shards, bits);
+                run.steps.push(StepStats { name, stats: red });
+                run.reduction.accumulate(&red);
+                run.latency_cycles += red.cycles();
             }
         }
-        Ok(ctx.claim.scalar)
+        run.sum = ctx.claim.scalar;
+        (run.total, run.cols_used) = (first.total, first.cols);
+        for c in 1..chunks {
+            let w = job.chunk(c);
+            run.total.accumulate(&w.total);
+            run.cols_used = run.cols_used.max(w.cols);
+        }
+        run.total.accumulate(&run.reduction);
+        Ok(())
     }
 
     /// Chunk `c`'s share of the running phase: shards `c·S/n ..
@@ -502,8 +545,8 @@ impl ApSoftmax {
                 w.tiles.resize_with(tiles, ApTile::new);
             }
         }
-        w.steps[p].clear();
-        w.cycles[p].clear();
+        w.steps.clear();
+        w.cycles.clear();
         w.plans[p].clear();
         (w.min, w.sum) = (u64::MAX, 0);
         let base = ctx.ranges[first].0;
@@ -527,7 +570,7 @@ impl ApSoftmax {
         base: usize,
     ) -> Result<(), CoreError> {
         let (p, layout) = (ctx.claim.p, ctx.claim.layout);
-        let (phase, resident) = (PHASES[p], ctx.resident);
+        let (phase, resident) = (phase_list(ctx.ranges.len())[p], ctx.resident);
         let (s, e) = ctx.ranges[i];
         let (packed, rows) = Self::packing_of(layout, e - s);
         let Chunk {
@@ -542,47 +585,60 @@ impl ApSoftmax {
             plans,
             ..
         } = w;
-        let (steps, plans) = (&mut steps[p], &mut plans[p]);
+        let plans = &mut plans[p];
         let tile = &mut tiles[if resident { slot } else { 0 }];
-        let key = self.shard_key(e - s, layout, phase, resident);
+        // A one-shard plan's program has no key of its own: it would be
+        // the plan's vector key.
+        let key =
+            (phase != PlanPhase::Vector).then(|| self.shard_key(e - s, layout, phase, resident));
         let peeked;
         let program = match ctx.exec {
             ShardExec::Direct => None,
-            ShardExec::Replay(plan) => Some(match phase {
-                PlanPhase::ShardMin => &plan.min_plans[i],
-                PlanPhase::ShardExp => &plan.exp_plans[i],
-                _ => &plan.div_plans[i],
-            }),
+            ShardExec::Replay(plan) => Some(&plan.plans[p][i]),
             ShardExec::Compile => {
-                peeked = self.plans.peek(&key);
+                peeked = key.and_then(|key| self.plans.peek(&key));
                 match &peeked {
                     Some(CachedPlan::Program(p)) => Some(p),
                     _ => None,
                 }
             }
         };
-        // A resident exp or divide phase finds its inputs in the pinned
-        // tile: the host stages them only for a re-staged phase.
+        // The phase's I/O. Inputs: a resident exp or divide phase finds
+        // them in the pinned tile; a re-staged divide phase stages its
+        // `v_approx` slice, every other phase the packed codes. Outputs:
+        // the codes and `v_approx` (the whole program), `v_approx` (exp)
+        // or the codes (divide).
         let rearm = resident && phase != PlanPhase::ShardMin;
-        let (halves, mut out) = if phase == PlanPhase::ShardDiv {
+        let (mut one, mut both);
+        let (halves, outs): ([&[u64]; 2], &mut [&mut Vec<u64>]) = if phase == PlanPhase::ShardDiv {
             let vap = &vapprox[s - base..e - base];
-            ([&vap[..rows], &vap[rows.min(vap.len())..]], Some(codes))
+            one = [codes];
+            ([&vap[..rows], &vap[rows.min(vap.len())..]], &mut one)
         } else {
             if !rearm {
                 pack_halves(layout, &ctx.codes[s..e], half0, half1);
             }
-            let out = (phase == PlanPhase::ShardExp).then_some(vapprox);
-            ([half0.as_slice(), half1.as_slice()], out)
+            both = [codes, vapprox];
+            let outs = match phase {
+                PlanPhase::Vector => &mut both[..],
+                PlanPhase::ShardExp => &mut both[1..],
+                _ => &mut both[..0],
+            };
+            ([half0.as_slice(), half1.as_slice()], outs)
         };
         let halves = &halves[..1 + usize::from(packed)];
         let inputs: &[&[u64]] = if rearm { &[] } else { halves };
         let scalar = [ctx.claim.scalar];
-        let scalars: &[u64] = if phase == PlanPhase::ShardMin {
-            &[]
-        } else {
-            &scalar
+        let scalars: &[u64] = match phase {
+            PlanPhase::ShardExp | PlanPhase::ShardDiv => &scalar,
+            _ => &[],
         };
-        let io = ExecIo::new(inputs, out.as_mut_slice()).with_scalars(scalars);
+        let io = ExecIo::new(inputs, outs).with_scalars(scalars);
+        let mut k = 0;
+        let mut on_step = |name, stats| {
+            add_step(steps, k, name, stats);
+            k += 1;
+        };
         let (stats, cols, reg) = match (ctx.exec, program) {
             (ShardExec::Direct, _) => {
                 let issued = self.issue_phase(
@@ -593,16 +649,14 @@ impl ApSoftmax {
                     io,
                     halves.len(),
                     rows,
-                    steps,
+                    &mut on_step,
                     false,
                 )?;
                 (issued.stats, issued.cols_used, issued.reg)
             }
             (_, Some(plan)) => {
                 let run = Run::Replay(plan, phase_replay(ctx.ranges, i, resident));
-                let ran = self.run_plan(run, tile, rearm, io, scratch, |name, stats| {
-                    accumulate_step(steps, name, stats);
-                })?;
+                let ran = self.run_plan(run, tile, rearm, io, scratch, &mut on_step)?;
                 if matches!(ctx.exec, ShardExec::Compile) {
                     plans.push(Arc::clone(plan));
                 }
@@ -615,13 +669,13 @@ impl ApSoftmax {
                 let mut plan =
                     self.trace_plan(phase, resident, tile, scratch, halves.len(), rows)?;
                 let run = Run::Cost(&mut plan);
-                let ran = self.run_plan(run, tile, rearm, io, scratch, |name, stats| {
-                    accumulate_step(steps, name, stats);
-                })?;
+                let ran = self.run_plan(run, tile, rearm, io, scratch, &mut on_step)?;
                 plan.compile_micros = started.elapsed().as_secs_f64() * 1e6;
                 let plan = Arc::new(plan);
-                self.plans
-                    .insert(key, CachedPlan::Program(Arc::clone(&plan)));
+                if let Some(key) = key {
+                    self.plans
+                        .insert(key, CachedPlan::Program(Arc::clone(&plan)));
+                }
                 plans.push(plan);
                 ran
             }
@@ -629,10 +683,10 @@ impl ApSoftmax {
         let result = scratch.reg(reg);
         match phase {
             PlanPhase::ShardMin => w.min = w.min.min(result),
-            PlanPhase::ShardExp => w.sum += u128::from(result),
-            _ => {}
+            PlanPhase::ShardExp | PlanPhase::Vector => w.sum += u128::from(result),
+            PlanPhase::ShardDiv => {}
         }
-        cycles[p].push(stats.cycles());
+        cycles.push(stats.cycles());
         w.total.accumulate(&stats);
         w.cols = w.cols.max(cols);
         Ok(())
@@ -644,7 +698,7 @@ impl ApSoftmax {
     /// reporting steps to `on_step`. Returns the tile's statistics, the
     /// columns the plan's layout uses and the register holding its
     /// result.
-    pub(super) fn run_plan(
+    fn run_plan(
         &self,
         run: Run<'_>,
         tile: &mut ApTile,
@@ -664,13 +718,7 @@ impl ApSoftmax {
             tile.acquire(config, self.backend)?
         };
         match run {
-            Run::Replay(plan, PhaseReplay::Full) => plan.program().replay(ap, io, scratch, on_step),
-            Run::Replay(plan, PhaseReplay::Hoisted) => {
-                plan.program().replay_resident(ap, io, scratch, on_step)
-            }
-            Run::Replay(plan, PhaseReplay::Lockstep) => {
-                plan.program().replay_lockstep(ap, io, scratch, on_step)
-            }
+            Run::Replay(plan, charge) => plan.program().replay(ap, io, scratch, charge, on_step),
             Run::Cost(plan) => plan.program.recost(ap, io, scratch, on_step),
         }?;
         Ok((ap.stats(), cols, reg))
@@ -678,9 +726,10 @@ impl ApSoftmax {
 
     /// Combines the exact sum of the per-shard partial sums over the
     /// reduction network in the scalar spec's overflow mode —
-    /// bit-identical to the whole-vector reduction because
+    /// bit-identical to the one-tile reduction because
     /// saturating/wrapping addition of non-negative values is
-    /// order-independent.
+    /// order-independent. A one-shard plan's sum, already in range,
+    /// passes unchanged.
     fn combine_partials(&self, exact: u128) -> Result<u64, CoreError> {
         let sum_bits = self.sum_bits();
         let mask: u128 = if sum_bits >= 128 {
@@ -896,11 +945,35 @@ pub(crate) mod tests {
         execute_helped(&sm, &mut TileState::with_chunks(1), &codes, &mut one, 1).unwrap();
         assert_runs_equal(&one, &seq, "one-chunk fallback");
 
-        // Unsharded shapes route to the whole-vector path.
+        // An unsharded shape is the one-shard case: neither its compile
+        // nor its replay posts a phase or wakes a helper.
         let short = quantized(&sm, 8);
+        let wakes = AtomicUsize::new(0);
+        let wake = || {
+            wakes.fetch_add(1, Ordering::Relaxed);
+        };
+        *state.job().codes() = short.clone();
         let mut whole = ApSoftmaxRun::default();
-        execute_helped(&sm, &mut state, &short, &mut whole, 2).unwrap();
-        assert_eq!(whole.shards, 1, "8 scores fit one 8-row tile");
+        for _ in 0..2 {
+            sm.execute_posted(&mut state, &mut whole, Some(&wake))
+                .unwrap();
+        }
+        assert_eq!(
+            wakes.load(Ordering::Relaxed),
+            0,
+            "a one-shard vector woke a helper"
+        );
+        let mut want = ApSoftmaxRun::default();
+        sm.execute_codes_into(&mut TileState::new(), &short, &mut want)
+            .unwrap();
+        assert_runs_equal(&whole, &want, "one-shard replay");
+        assert_eq!(
+            (whole.shards, whole.waves),
+            (1, 1),
+            "8 scores fit one 8-row tile"
+        );
+        assert_eq!(whole.reduction, CycleStats::default());
+        assert_eq!(whole.latency_cycles, whole.total.cycles());
 
         // Empty input errors identically to the sequential entry point.
         let mut sink = ApSoftmaxRun::default();
@@ -969,7 +1042,7 @@ pub(crate) mod tests {
     fn a_failed_compile_caches_no_plan() {
         // The 14-bit exact sum above, with a shape's first vector the
         // flat one: its sum overflows in the costing replay of the
-        // whole-vector reduction on one tile, and of the exp phase's
+        // one-shard plan's reduction on one tile, and of the exp phase's
         // partial reduce on resident shards. No program of that compile
         // may stay cached, so the peaked vector then compiles and prices
         // every program it lacks.
@@ -996,20 +1069,17 @@ pub(crate) mod tests {
             sm.execute_floats_into(&mut state, &peaked, &mut run)
                 .unwrap();
             assert_eq!(run.shards, shards, "{device:?}");
-            let plans: Vec<Arc<CompiledPlan>> = if shards == 1 {
+            let plan = sm.resolve_vector_entry(len).unwrap();
+            if shards == 1 {
                 let cost = sm.static_vector_cost(len).unwrap();
                 assert_eq!(cost.total, run.total, "{device:?}");
                 assert_eq!(cost.latency_cycles, run.latency_cycles, "{device:?}");
-                vec![sm.plan(len).unwrap()]
             } else {
-                let plan = sm.sharded_plan(len).unwrap();
                 assert!(plan.resident(), "{device:?}");
-                let phases = [&plan.min_plans, &plan.exp_plans, &plan.div_plans];
-                phases.into_iter().flatten().cloned().collect()
-            };
-            for plan in plans {
+            }
+            for program in plan.plans.iter().flatten() {
                 assert_ne!(
-                    plan.program().static_cost(),
+                    program.program().static_cost(),
                     CycleStats::default(),
                     "{device:?}: an uncosted program was cached"
                 );
@@ -1020,9 +1090,10 @@ pub(crate) mod tests {
     #[test]
     fn a_panicking_helped_chunk_fails_its_vector_without_hanging() {
         // The wake hook helps on the owner's thread, so a helper claims
-        // chunk 0 of every phase deterministically; the injected panic
-        // hits it in the min phase, and the owner returns the panic as
-        // the vector's error at the first sync point.
+        // chunk 1 of every phase deterministically, before the owner
+        // runs its chunk 0; the injected panic hits it in the min phase,
+        // and the owner returns the panic as the vector's error at the
+        // first sync point.
         let sm = ApSoftmax::new(PrecisionConfig::paper_best())
             .unwrap()
             .with_autotune(false)

@@ -9,14 +9,17 @@
 //!
 //! Two kinds of entries share the cache:
 //!
-//! * **whole-vector programs** ([`CompiledPlan`]) for shapes that fit
-//!   one tile, plus the per-phase shard programs (min search, exp +
-//!   partial sum, divide) sharded execution replays, and
-//! * **sharded vector plans** ([`ShardedPlan`]) for shapes that exceed
-//!   the device's tile capacity: the shard partition, the per-shard
-//!   phase programs (as `Arc`s into the same cache), and the cost
+//! * **vector plans** ([`ShardedPlan`]), one per vector length: the
+//!   shard partition, each phase's per-shard programs, and the cost
 //!   metadata (waves, cross-tile reduction charges, critical path)
-//!   recorded at compile time so static queries stay execution-free.
+//!   recorded at compile time so static queries stay execution-free. A
+//!   vector that fits one tile is a plan of one shard, whose one phase
+//!   is the whole Fig. 5 program; and
+//! * **shard-phase programs** ([`CompiledPlan`]: min search, exp +
+//!   partial sum, divide) for the phases of plans with more than one
+//!   shard, shared as `Arc`s by every plan whose shards have their
+//!   length. A one-shard plan's program lives only in its plan: a key
+//!   of its own would be the plan's vector key.
 //!
 //! Every entry is keyed by the layout its vector *maps* under
 //! (`ApSoftmax::map_into`, in `crate::mapping::autotune`): the mapping
@@ -50,14 +53,13 @@ use softmap_ap::{ApProgram, CycleStats, DivStyle, OptLevel, PassReport, RegId};
 
 use crate::mapping::{Layout, StepStats};
 
-/// Which program a cache entry holds: the whole-vector dataflow, one
-/// of the three per-shard phase programs, or the vector-level sharded
-/// plan (under [`PlanPhase::Vector`], disjoint from whole-vector
-/// entries by length).
+/// Which entry a cache key names — a vector plan or one of the three
+/// shard-phase programs — and which program a plan's phase runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum PlanPhase {
-    /// A vector-level entry: the whole-vector program for lengths that
-    /// fit one tile, or the [`ShardedPlan`] for lengths that do not.
+    /// A vector plan ([`ShardedPlan`]) as a key; as a phase, the one
+    /// phase of a one-shard plan: the whole Fig. 5 program (steps 1–16
+    /// on one tile, no cross-tile reduction).
     Vector,
     /// Per-shard load + min-search program.
     ShardMin,
@@ -90,7 +92,7 @@ pub(crate) struct PlanKey {
     /// (shard tiles pinned across phases, staging elided). Part of the
     /// key so resident and re-staged plans for the same shape coexist
     /// in the LRU — the differential baseline never evicts the fast
-    /// path. Always `false` for whole-vector entries.
+    /// path. Always `false` for a one-shard plan.
     pub resident: bool,
 }
 
@@ -134,7 +136,7 @@ impl CompiledPlan {
     }
 
     /// The register holding the program's scalar result after replay:
-    /// the (pre-clamp) reduction sum for the whole-vector program, the
+    /// the (pre-clamp) reduction sum for the whole Fig. 5 program, the
     /// shard minimum / partial sum for the shard phases.
     pub(crate) fn result_reg(&self) -> RegId {
         self.result_reg
@@ -178,9 +180,11 @@ impl CompiledPlan {
     }
 }
 
-/// A compiled **sharded** vector plan: the shard partition, one phase
-/// program triple per shard (`Arc`-shared between same-shape shards),
-/// and the device-level cost metadata recorded at compile time.
+/// A compiled vector plan: the shard partition, one program per shard
+/// for each phase of its phase list (`Arc`-shared between same-shape
+/// shards), and the device-level cost metadata recorded at compile
+/// time. One shard runs one phase, the whole Fig. 5 program; more run
+/// the min, exp and divide phases around the two cross-tile reductions.
 ///
 /// The static numbers are exact for the input the plan was compiled
 /// from (and any input following the same microcode path) — the same
@@ -190,9 +194,8 @@ impl CompiledPlan {
 #[derive(Debug)]
 pub struct ShardedPlan {
     pub(crate) ranges: Vec<(usize, usize)>,
-    pub(crate) min_plans: Vec<Arc<CompiledPlan>>,
-    pub(crate) exp_plans: Vec<Arc<CompiledPlan>>,
-    pub(crate) div_plans: Vec<Arc<CompiledPlan>>,
+    /// Per phase, in phase-list order, each shard's program.
+    pub(crate) plans: [Vec<Arc<CompiledPlan>>; 3],
     pub(crate) steps: Vec<StepStats>,
     pub(crate) total: CycleStats,
     pub(crate) reduction: CycleStats,
@@ -259,7 +262,7 @@ impl ShardedPlan {
         self.cols_used
     }
 
-    /// Wall-clock microseconds the sharded compile took.
+    /// Wall-clock microseconds the plan's compile took.
     #[must_use]
     pub fn compile_micros(&self) -> f64 {
         self.compile_micros
@@ -273,12 +276,7 @@ impl ShardedPlan {
     pub fn block_stats(&self) -> Option<softmap_ap::BlockStats> {
         let mut agg: Option<softmap_ap::BlockStats> = None;
         let mut seen: Vec<*const CompiledPlan> = Vec::new();
-        for plan in self
-            .min_plans
-            .iter()
-            .chain(&self.exp_plans)
-            .chain(&self.div_plans)
-        {
+        for plan in self.plans.iter().flatten() {
             let ptr = Arc::as_ptr(plan);
             if seen.contains(&ptr) {
                 continue;
@@ -323,8 +321,8 @@ pub struct MappingChoice {
     /// Optimization level. Never tuned: cost is non-increasing along
     /// [`OptLevel::ladder`], so the configured level dominates.
     pub opt: OptLevel,
-    /// Whether the chosen plan executes resident (sharded shapes
-    /// only; `false` for whole-vector plans).
+    /// Whether the chosen plan executes resident (plans of more than
+    /// one shard only).
     pub resident: bool,
     /// Shards the chosen plan splits the vector into (1 =
     /// whole-vector).
@@ -367,12 +365,12 @@ impl fmt::Display for MappingChoice {
     }
 }
 
-/// One cache entry: a single compiled program or a sharded plan.
+/// One cache entry: a shard-phase program or a vector plan.
 #[derive(Debug, Clone)]
 pub(crate) enum CachedPlan {
-    /// A whole-vector or shard-phase program.
+    /// A shard-phase program.
     Program(Arc<CompiledPlan>),
-    /// A vector-level sharded plan.
+    /// A vector plan, of one shard or more ([`PlanPhase::Vector`] keys).
     Sharded(Arc<ShardedPlan>),
 }
 
@@ -382,7 +380,7 @@ pub(crate) enum CachedPlan {
 pub struct PlanStats {
     /// Plans currently cached.
     pub plans: usize,
-    /// Shape-miss compilations performed (phase programs and sharded
+    /// Shape-miss compilations performed (shard-phase programs and
     /// vector plans each count one).
     pub compiles: u64,
     /// Cache hits (lock-free tile-slot hits included).
@@ -391,7 +389,7 @@ pub struct PlanStats {
     pub evictions: u64,
     /// Total wall-clock microseconds spent compiling vector-level
     /// plans over the cache's lifetime (survives [`PlanCache::clear`]
-    /// and recompiles). A sharded plan's compile interval contains its
+    /// and recompiles). A vector plan's compile interval contains its
     /// new phase programs', so theirs are not added again.
     pub compile_micros: f64,
 }
@@ -552,14 +550,10 @@ impl PlanCache {
 
     pub(crate) fn insert(&self, key: PlanKey, plan: CachedPlan) {
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        // A sharded compile's interval contains its phase programs'.
-        if key.phase == PlanPhase::Vector {
-            let micros = match &plan {
-                CachedPlan::Program(p) => p.compile_micros(),
-                CachedPlan::Sharded(p) => p.compile_micros(),
-            };
+        // A vector plan's compile interval contains its phase programs'.
+        if let CachedPlan::Sharded(p) = &plan {
             self.compile_nanos
-                .fetch_add((micros * 1e3) as u64, Ordering::Relaxed);
+                .fetch_add((p.compile_micros() * 1e3) as u64, Ordering::Relaxed);
         }
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut map = self.plans.lock().expect("plan cache poisoned");

@@ -505,8 +505,7 @@ impl SoftmaxServer {
         }
         let idx = q.free.pop_front().expect("free ring non-empty");
         // Quantize into the slot's warm buffer and size the request in
-        // shard tiles (whole-vector lengths never touch the partition
-        // scratch) — both allocation-free in steady state.
+        // shard tiles — both allocation-free in steady state.
         let mut codes = std::mem::take(&mut q.slots[idx].codes);
         shared.mapping.spec().quantize_into(scores, &mut codes);
         let mut ranges = std::mem::take(&mut q.scratch_ranges);

@@ -6,7 +6,7 @@
 
 use softmap::{ApSoftmax, ApSoftmaxRun, PlanMode, TileState};
 use softmap_ap::program::optimizer::{self, OptLevel};
-use softmap_ap::program::{ExecIo, ProgramScratch, Recorder};
+use softmap_ap::program::{ExecIo, ProgramScratch, Recorder, ReplayCharge};
 use softmap_ap::{ApConfig, ApCore, ApProgram, ApTile, DivStyle, ExecBackend, Field, Overflow};
 use softmap_softmax::{IntSoftmax, PrecisionConfig};
 use std::time::Instant;
@@ -202,7 +202,7 @@ fn main() {
                     let mut outs: [&mut Vec<u64>; 1] = [&mut readout];
                     let io = ExecIo::new(&inputs, &mut outs);
                     program
-                        .replay(&mut core, io, &mut scratch, |_, _| {})
+                        .replay(&mut core, io, &mut scratch, ReplayCharge::Full, |_, _| {})
                         .unwrap();
                 });
             }
