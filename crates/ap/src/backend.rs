@@ -53,12 +53,13 @@ use crate::{ApCore, ApError, CycleStats, DivStyle, Field};
 /// Which engine executes [`ApCore`] operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
-    /// Bit-serial LUT microcode over CAM planes (ground truth).
-    #[default]
+    /// Bit-serial LUT microcode over CAM planes (ground truth, the
+    /// oracle of the differential tests).
     Microcode,
     /// Fused word-parallel execution with analytic cost charging
     /// (bit- and cycle-exact vs. `Microcode`, roughly an order of
-    /// magnitude faster on wide operations).
+    /// magnitude faster on wide operations). The default.
+    #[default]
     FastWord,
 }
 

@@ -1603,7 +1603,7 @@ mod tests {
     use super::*;
 
     fn core(rows: usize, cols: usize) -> ApCore {
-        ApCore::new(ApConfig::new(rows, cols)).unwrap()
+        ApCore::with_backend(ApConfig::new(rows, cols), ExecBackend::Microcode).unwrap()
     }
 
     #[test]

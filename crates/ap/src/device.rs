@@ -253,8 +253,8 @@ impl DeviceConfig {
 /// goes to the least-loaded tile), the natural policy for a stream of
 /// near-identical shards. `loads` is reusable scratch (cleared first).
 ///
-/// With fewer jobs than tiles this degenerates to `max(jobs)`; the
-/// unbounded-grid makespan of `BatchStats::aggregate`.
+/// With fewer jobs than tiles this degenerates to `max(jobs)`, the
+/// unbounded-grid makespan.
 ///
 /// # Examples
 ///

@@ -1639,7 +1639,8 @@ mod tests {
     /// it or issuing it directly. Returns the program (when recording),
     /// the outputs, the core's statistics and the reported steps.
     fn pipeline(data: &[u64], record: bool) -> (Option<ApProgram>, Vec<u64>, CycleStats, Steps) {
-        let mut core = ApCore::new(ApConfig::new(data.len(), 24)).unwrap();
+        let mut core =
+            ApCore::with_backend(ApConfig::new(data.len(), 24), ExecBackend::Microcode).unwrap();
         let x = core.alloc_field(8).unwrap();
         let k = core.alloc_field(8).unwrap();
         let inputs: [&[u64]; 1] = [data];
@@ -1674,7 +1675,7 @@ mod tests {
         data: &[u64],
         scalars: &[u64],
     ) -> (Vec<u64>, CycleStats, Steps) {
-        let mut core = ApCore::new(program.config()).unwrap();
+        let mut core = ApCore::with_backend(program.config(), ExecBackend::Microcode).unwrap();
         let inputs: [&[u64]; 1] = [data];
         let mut out = Vec::new();
         let mut outs: [&mut Vec<u64>; 1] = [&mut out];
@@ -1757,7 +1758,7 @@ mod tests {
     #[test]
     fn replay_rejects_geometry_and_slot_mismatches() {
         let program = record(&[1, 2, 3, 4]);
-        let mut wrong = ApCore::new(ApConfig::new(8, 24)).unwrap();
+        let mut wrong = ApCore::with_backend(ApConfig::new(8, 24), ExecBackend::Microcode).unwrap();
         let data: Vec<u64> = vec![0; 8];
         let inputs: [&[u64]; 1] = [&data];
         let mut out = Vec::new();
@@ -1774,7 +1775,7 @@ mod tests {
             Err(ApError::BadConfig(_))
         ));
 
-        let mut right = ApCore::new(program.config()).unwrap();
+        let mut right = ApCore::with_backend(program.config(), ExecBackend::Microcode).unwrap();
         let mut scratch = ProgramScratch::default();
         let mut outs: [&mut Vec<u64>; 0] = [];
         let data4: Vec<u64> = vec![0; 4];
@@ -1795,7 +1796,7 @@ mod tests {
     fn scalar_inputs_feed_registers_at_replay() {
         // Record: x -= scalar_input(0), broadcast through a register.
         let data: Vec<u64> = vec![9, 4, 7, 12];
-        let mut core = ApCore::new(ApConfig::new(4, 40)).unwrap();
+        let mut core = ApCore::with_backend(ApConfig::new(4, 40), ExecBackend::Microcode).unwrap();
         let x = core.alloc_field(8).unwrap();
         let m = core.alloc_field(8).unwrap();
         let inputs: [&[u64]; 1] = [&data];
@@ -1819,7 +1820,7 @@ mod tests {
         assert_eq!(out, vec![6, 1, 4, 9]);
 
         // Replay with another scalar binding: the register re-derives.
-        let mut core2 = ApCore::new(program.config()).unwrap();
+        let mut core2 = ApCore::with_backend(program.config(), ExecBackend::Microcode).unwrap();
         let mut out2 = Vec::new();
         let mut outs2: [&mut Vec<u64>; 1] = [&mut out2];
         program
@@ -1834,7 +1835,7 @@ mod tests {
         assert_eq!(out2, vec![5, 0, 3, 8]);
 
         // A replay missing the scalar binding is rejected.
-        let mut core3 = ApCore::new(program.config()).unwrap();
+        let mut core3 = ApCore::with_backend(program.config(), ExecBackend::Microcode).unwrap();
         let mut out3 = Vec::new();
         let mut outs3: [&mut Vec<u64>; 1] = [&mut out3];
         assert!(matches!(
@@ -1852,7 +1853,7 @@ mod tests {
     #[test]
     fn registers_thread_runtime_values() {
         let data: Vec<u64> = vec![9, 4, 7, 12];
-        let mut core = ApCore::new(ApConfig::new(4, 40)).unwrap();
+        let mut core = ApCore::with_backend(ApConfig::new(4, 40), ExecBackend::Microcode).unwrap();
         let x = core.alloc_field(8).unwrap();
         let m = core.alloc_field(8).unwrap();
         let inputs: [&[u64]; 1] = [&data];
@@ -1887,7 +1888,7 @@ mod tests {
         assert_eq!(scratch.reg(r), 4);
 
         // Replay with other data re-derives the min at run time.
-        let mut core2 = ApCore::new(program.config()).unwrap();
+        let mut core2 = ApCore::with_backend(program.config(), ExecBackend::Microcode).unwrap();
         let data2: Vec<u64> = vec![30, 11, 20, 11];
         let inputs2: [&[u64]; 1] = [&data2];
         let mut out2 = Vec::new();

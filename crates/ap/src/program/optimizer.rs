@@ -592,7 +592,7 @@ fn mark_hoistable(ops: &[ApOp]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::program::{ExecIo, ProgramScratch, Recorder};
-    use crate::{ApConfig, ApCore};
+    use crate::{ApConfig, ApCore, ExecBackend};
 
     /// Records the ops `build` issues on fields of `widths`, allocated
     /// in order on a `rows` x `cols` core.
@@ -602,7 +602,8 @@ mod tests {
         widths: &[usize],
         build: impl FnOnce(&mut Recorder<'_, '_>, &[Field]),
     ) -> ApProgram {
-        let mut core = ApCore::new(ApConfig::new(rows, cols)).unwrap();
+        let mut core =
+            ApCore::with_backend(ApConfig::new(rows, cols), ExecBackend::Microcode).unwrap();
         let fields: Vec<Field> = widths
             .iter()
             .map(|&w| core.alloc_field(w).unwrap())

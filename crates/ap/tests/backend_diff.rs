@@ -423,7 +423,10 @@ fn fields_wider_than_64_bits_agree() {
 
 #[test]
 fn backend_switch_preserves_state() {
-    let mut ap = ApCore::new(ApConfig::new(4, 24)).expect("core");
+    let default = ApCore::new(ApConfig::new(4, 24)).expect("core");
+    assert_eq!(default.backend(), ExecBackend::FastWord);
+    assert_eq!(ExecBackend::default(), ExecBackend::FastWord);
+    let mut ap = ApCore::with_backend(ApConfig::new(4, 24), ExecBackend::Microcode).expect("core");
     let f = ap.alloc_field(8).unwrap();
     ap.load(f, &[1, 2, 3, 4]).unwrap();
     assert_eq!(ap.backend(), ExecBackend::Microcode);

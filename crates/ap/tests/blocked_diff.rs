@@ -155,7 +155,7 @@ fn run_direct(
 
 /// The pipeline recorded at `rows` rows (uncosted).
 fn record(rows: usize, style: DivStyle, phase: bool) -> ApProgram {
-    let mut core = ApCore::new(ApConfig::new(rows, COLS)).unwrap();
+    let mut core = ApCore::with_backend(ApConfig::new(rows, COLS), ExecBackend::Microcode).unwrap();
     let fields = alloc_fields(&mut core);
     let mut scratch = ProgramScratch::default();
     let mut on_step = |_: &'static str, _: CycleStats| {};
@@ -215,7 +215,7 @@ fn planned(program: &ApProgram, strip: Option<usize>) -> ApProgram {
 fn optimized(program: &ApProgram, level: OptLevel, inputs: &Inputs<'_>) -> ApProgram {
     let mut opt = program.clone();
     optimizer::optimize(&mut opt, level);
-    let mut core = ApCore::new(opt.config()).unwrap();
+    let mut core = ApCore::with_backend(opt.config(), ExecBackend::Microcode).unwrap();
     let in_slices: [&[u64]; 3] = [inputs.xs, inputs.ys, inputs.amts];
     let scalars = [inputs.ext];
     let mut o0 = Vec::new();
@@ -448,7 +448,7 @@ fn block_plan_lifecycle() {
 /// plan, so observability always has stats to report.
 #[test]
 fn boundary_only_trace_records_empty_plan() {
-    let mut core = ApCore::new(ApConfig::new(8, 40)).unwrap();
+    let mut core = ApCore::with_backend(ApConfig::new(8, 40), ExecBackend::Microcode).unwrap();
     let f = core.alloc_field(8).unwrap();
     let mut scratch = ProgramScratch::default();
     let mut on_step = |_: &'static str, _: CycleStats| {};
@@ -475,7 +475,7 @@ fn boundary_only_trace_records_empty_plan() {
 #[test]
 fn wide_shift_amounts_stay_exact_blocked() {
     let rows = 70;
-    let mut core = ApCore::new(ApConfig::new(rows, 240)).unwrap();
+    let mut core = ApCore::with_backend(ApConfig::new(rows, 240), ExecBackend::Microcode).unwrap();
     let f = core.alloc_field(8).unwrap();
     let a = core.alloc_field(40).unwrap();
     let b = core.alloc_field(26).unwrap();

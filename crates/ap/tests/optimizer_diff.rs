@@ -155,7 +155,7 @@ fn run_direct(
 
 /// The pipeline recorded at `rows` rows (uncosted).
 fn record(rows: usize, style: DivStyle, phase: bool) -> ApProgram {
-    let mut core = ApCore::new(ApConfig::new(rows, COLS)).unwrap();
+    let mut core = ApCore::with_backend(ApConfig::new(rows, COLS), ExecBackend::Microcode).unwrap();
     let fields = alloc_fields(&mut core);
     let mut scratch = ProgramScratch::default();
     let mut on_step = |_: &'static str, _: CycleStats| {};
@@ -211,7 +211,7 @@ fn optimized(
 ) -> (ApProgram, optimizer::PassReport) {
     let mut opt = program.clone();
     let report = optimizer::optimize(&mut opt, level);
-    let mut core = ApCore::new(opt.config()).unwrap();
+    let mut core = ApCore::with_backend(opt.config(), ExecBackend::Microcode).unwrap();
     let in_slices: [&[u64]; 3] = [inputs.xs, inputs.ys, inputs.amts];
     let scalars = [inputs.ext];
     let mut o0 = Vec::new();
@@ -353,7 +353,8 @@ fn fused_price_programs(
     frac: usize,
     channels: usize,
 ) -> (ApProgram, ApProgram) {
-    let mut core = ApCore::new(ApConfig::new(xs.len(), COLS)).unwrap();
+    let mut core =
+        ApCore::with_backend(ApConfig::new(xs.len(), COLS), ExecBackend::Microcode).unwrap();
     let a = core.alloc_field(8).unwrap();
     let k = core.alloc_field(13).unwrap();
     let r = core.alloc_field(21).unwrap();
@@ -388,7 +389,7 @@ fn fused_price_programs(
     let mut opt = program.clone();
     optimizer::optimize(&mut opt, OptLevel::Full);
     for p in [&mut program, &mut opt] {
-        let mut core = ApCore::new(p.config()).unwrap();
+        let mut core = ApCore::with_backend(p.config(), ExecBackend::Microcode).unwrap();
         let io = ExecIo::new(&in_slices, &mut outs);
         p.recost(&mut core, io, &mut scratch, |_, _| {}).unwrap();
     }

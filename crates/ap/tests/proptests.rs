@@ -2,10 +2,10 @@
 //! integer arithmetic for arbitrary operands and widths.
 
 use proptest::prelude::*;
-use softmap_ap::{ApConfig, ApCore, DivStyle};
+use softmap_ap::{ApConfig, ApCore, DivStyle, ExecBackend};
 
 fn core(rows: usize, cols: usize) -> ApCore {
-    ApCore::new(ApConfig::new(rows, cols)).unwrap()
+    ApCore::with_backend(ApConfig::new(rows, cols), ExecBackend::Microcode).unwrap()
 }
 
 /// One of `n`'s divisors, chosen by `pick`.

@@ -368,8 +368,8 @@ fn bench(c: &mut Criterion) {
     for len in [512usize, 1024, 2048, 4096] {
         let unopt = mapping(ExecBackend::FastWord).with_opt_level(OptLevel::None);
         let opt = mapping(ExecBackend::FastWord).with_opt_level(OptLevel::Full);
-        let u = unopt.static_cost(len).unwrap().cycles();
-        let o = opt.static_cost(len).unwrap().cycles();
+        let u = unopt.static_vector_cost(len).unwrap().total.cycles();
+        let o = opt.static_vector_cost(len).unwrap().total.cycles();
         emit_cycles(&format!("cycles/fastword/{}", len / 2), u);
         emit_cycles(&format!("cycles/fastword-optimized/{}", len / 2), o);
         if len == 4096 {
@@ -442,8 +442,8 @@ fn bench(c: &mut Criterion) {
         let tuned = tuned_mapping();
         let default = tuned_mapping().with_autotune(false);
         for len in [64usize, 512, 1024, 2048, 4096, 8192, 16384, 32768] {
-            let t = tuned.static_cost(len).unwrap().cycles();
-            let d = default.static_cost(len).unwrap().cycles();
+            let t = tuned.static_vector_cost(len).unwrap().total.cycles();
+            let d = default.static_vector_cost(len).unwrap().total.cycles();
             emit_cycles(&format!("cycles/fastword-autotuned/{}", len / 2), t);
             emit_cycles(&format!("cycles/fastword-default/{}", len / 2), d);
         }
@@ -458,8 +458,8 @@ fn bench(c: &mut Criterion) {
         println!(
             "autotune @4096: chose [{choice}] — {} vs default {} simulated cycles \
              ({} compile, {:.1} us)",
-            tuned.static_cost(4096).unwrap().cycles(),
-            default.static_cost(4096).unwrap().cycles(),
+            tuned.static_vector_cost(4096).unwrap().total.cycles(),
+            default.static_vector_cost(4096).unwrap().total.cycles(),
             tuned.cache_stats().candidates_scored / tuned.cache_stats().shapes_tuned,
             compile_us
         );

@@ -3,7 +3,7 @@
 //! formula-vs-measured table once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use softmap_ap::{ApConfig, ApCore, DivStyle};
+use softmap_ap::{ApConfig, ApCore, DivStyle, ExecBackend};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -17,7 +17,8 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("table2/add_m6", |b| {
         b.iter(|| {
-            let mut ap = ApCore::new(ApConfig::new(rows, 24)).unwrap();
+            let mut ap =
+                ApCore::with_backend(ApConfig::new(rows, 24), ExecBackend::Microcode).unwrap();
             let x = ap.alloc_field(6).unwrap();
             let acc = ap.alloc_field(7).unwrap();
             ap.load(x, &data).unwrap();
@@ -28,7 +29,8 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("table2/mul_m6", |b| {
         b.iter(|| {
-            let mut ap = ApCore::new(ApConfig::new(rows, 32)).unwrap();
+            let mut ap =
+                ApCore::with_backend(ApConfig::new(rows, 32), ExecBackend::Microcode).unwrap();
             let x = ap.alloc_field(6).unwrap();
             let y = ap.alloc_field(6).unwrap();
             let r = ap.alloc_field(12).unwrap();
@@ -40,7 +42,8 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("table2/reduce_2048", |b| {
         b.iter(|| {
-            let mut ap = ApCore::new(ApConfig::new(rows, 32)).unwrap();
+            let mut ap =
+                ApCore::with_backend(ApConfig::new(rows, 32), ExecBackend::Microcode).unwrap();
             let x = ap.alloc_field(6).unwrap();
             let s = ap.alloc_field(18).unwrap();
             ap.load(x, &data).unwrap();
@@ -49,7 +52,8 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("table2/divide_m6", |b| {
         b.iter(|| {
-            let mut ap = ApCore::new(ApConfig::new(256, 96)).unwrap();
+            let mut ap =
+                ApCore::with_backend(ApConfig::new(256, 96), ExecBackend::Microcode).unwrap();
             let n = ap.alloc_field(12).unwrap();
             let d = ap.alloc_field(12).unwrap();
             let q = ap.alloc_field(24).unwrap();

@@ -18,7 +18,7 @@
 //! across the head's tiles — per-phase waves plus the cross-tile
 //! reduction-network cycles — instead of being rejected.
 
-use softmap_ap::{AreaModel, CycleStats, DeviceConfig, DivStyle, EnergyModel, ExecBackend};
+use softmap_ap::{AreaModel, DeviceConfig, DivStyle, EnergyModel};
 use softmap_softmax::PrecisionConfig;
 
 use crate::mapping::ApSoftmax;
@@ -52,11 +52,6 @@ pub struct ApDeployment {
     /// Whether several short vectors may share a tile (requires a
     /// segmented reduction network; ablation knob).
     pub packing: bool,
-    /// Simulation backend used to characterize the microcode. Both
-    /// backends charge identical [`CycleStats`] (the dual-backend
-    /// contract), so this only trades host simulation time; the default
-    /// is the fast word-level engine.
-    pub backend: ExecBackend,
     /// Whether sharded vectors keep their shards **pinned** in tiles
     /// across the three phases (the residency plan; see
     /// `softmap_ap::device`). On: phase-boundary staging is elided and
@@ -87,7 +82,6 @@ impl Default for ApDeployment {
             clock_ghz: 1.0,
             div_style: DivStyle::Restoring,
             packing: false,
-            backend: ExecBackend::FastWord,
             resident: true,
             autotune: false,
         }
@@ -165,7 +159,6 @@ impl WorkloadModel {
         Ok(Self {
             mapping: ApSoftmax::new(cfg)?
                 .with_div_style(deploy.div_style)
-                .with_backend(deploy.backend)
                 .with_resident(deploy.resident)
                 .with_autotune(deploy.autotune)
                 .with_device(DeviceConfig::new(
@@ -196,23 +189,11 @@ impl WorkloadModel {
         self.energy
     }
 
-    /// Per-vector microcode statistics for a softmax of length
-    /// `seq_len`, answered by the compiled plan's static cost
-    /// ([`ApSoftmax::static_cost`]): the shape's plan is compiled once
-    /// from the mapping's deterministic representative input, and every
-    /// further query is an execution-free cache lookup. Sequences past
-    /// the tile capacity answer with the **sharded** total (every
-    /// shard's work plus the cross-tile reduction charges).
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping execution errors.
-    pub fn vector_stats(&self, seq_len: usize) -> Result<CycleStats, CoreError> {
-        self.mapping.static_cost(seq_len)
-    }
-
     /// The full static device view per vector ([`crate::VectorCost`]):
-    /// shards, waves, reduction charges, and the critical path.
+    /// total work, shards, waves, reduction charges, and the critical
+    /// path, from [`ApSoftmax::static_vector_cost`]. The shape's plan
+    /// is compiled once from the mapping's deterministic representative
+    /// input; every further query is an execution-free cache lookup.
     ///
     /// # Errors
     ///
@@ -464,7 +445,7 @@ mod tests {
         assert_eq!(vc.waves, 1, "48 tiles hold 4 shards in one wave");
         assert!(vc.reduction.cycles() > 0);
         assert!(vc.latency_cycles < vc.total.cycles());
-        assert_eq!(m.vector_stats(16384).unwrap(), vc.total);
+        assert_eq!(m.mapping().static_vector_cost(16384).unwrap(), vc);
     }
 
     #[test]
@@ -500,8 +481,9 @@ mod tests {
     #[test]
     fn vector_stats_memoized() {
         let m = model();
-        let a = m.vector_stats(512).unwrap();
-        let b = m.vector_stats(512).unwrap();
+        let a = m.vector_cost(512).unwrap();
+        let b = m.vector_cost(512).unwrap();
         assert_eq!(a, b);
+        assert_eq!(m.mapping().cache_stats().compiles, 1);
     }
 }

@@ -44,10 +44,8 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 pub use deploy::{ApDeployment, ApWorkloadCost, WorkloadModel};
 pub use llm_bridge::ApMappedSoftmax;
-pub use mapping::{
-    ApSoftmax, ApSoftmaxRun, CacheStats, Layout, PlanMode, StepStats, TileState, VectorCost,
-};
-pub use plan::{AutotuneStats, CompiledPlan, MappingChoice, PlanCache, PlanStats, ShardedPlan};
+pub use mapping::{ApSoftmax, ApSoftmaxRun, Layout, PlanMode, StepStats, TileState, VectorCost};
+pub use plan::{CacheStats, CompiledPlan, MappingChoice, PlanCache, ShardedPlan};
 pub use serve::{ServeConfig, ServeStats, SoftmaxServer, Ticket};
 
 /// Errors from the co-design layer.

@@ -55,7 +55,7 @@ struct ApWorkerState {
 /// let probs = apply_batch_parallel(&sm, &rows).map_err(softmap::CoreError::BadWorkload)?;
 /// assert_eq!(probs.len(), 4);
 /// // One shape across the batch: one compile, replays after.
-/// assert_eq!(sm.mapping().plan_stats().compiles, 1);
+/// assert_eq!(sm.mapping().cache_stats().compiles, 1);
 /// # Ok::<(), softmap::CoreError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -69,15 +69,14 @@ pub struct ApMappedSoftmax {
 
 impl ApMappedSoftmax {
     /// Builds the adapter at one precision point with the mapping's
-    /// defaults (fast backend plan-cached execution is selected by
-    /// [`ApSoftmax`] itself).
+    /// defaults (plan-cached execution on the FastWord backend).
     ///
     /// # Errors
     ///
     /// Propagates configuration errors.
     pub fn new(cfg: PrecisionConfig) -> Result<Self, CoreError> {
         Ok(Self {
-            mapping: ApSoftmax::new(cfg)?.with_backend(softmap_ap::ExecBackend::FastWord),
+            mapping: ApSoftmax::new(cfg)?,
             serve: None,
         })
     }
@@ -205,8 +204,8 @@ mod tests {
         }
         // One shape across the whole batch: exactly one compile, every
         // other row replays (possibly across several workers).
-        assert_eq!(ap.mapping().plan_stats().compiles, 1);
-        assert!(ap.mapping().plan_stats().hits >= 12);
+        assert_eq!(ap.mapping().cache_stats().compiles, 1);
+        assert!(ap.mapping().cache_stats().hits >= 12);
     }
 
     #[test]
@@ -282,7 +281,7 @@ mod tests {
             assert_eq!(&scalar.apply(row).unwrap(), got);
         }
         // One row shape: at most one sharded plan + six phase programs.
-        assert!(ap.mapping().plan_stats().compiles <= 7);
-        assert!(ap.mapping().plan_stats().hits >= 5);
+        assert!(ap.mapping().cache_stats().compiles <= 7);
+        assert!(ap.mapping().cache_stats().hits >= 5);
     }
 }

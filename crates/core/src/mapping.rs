@@ -21,7 +21,7 @@
 //! executes as load → replay → read with no per-op host dispatch (and
 //! zero heap allocations through a warmed [`TileState`]). The compiled
 //! program also answers analytic cost queries without touching a CAM:
-//! see [`ApSoftmax::static_cost`].
+//! see [`ApSoftmax::static_vector_cost`].
 //!
 //! # One generator, one executor, one lookup
 //!
@@ -44,7 +44,7 @@
 
 use std::sync::Arc;
 
-use softmap_ap::batch::{self, BatchStats};
+use softmap_ap::batch;
 use softmap_ap::device::DeviceConfig;
 use softmap_ap::program::{optimizer, ExecIo, ProgramScratch, Recorder};
 use softmap_ap::{
@@ -54,7 +54,7 @@ use softmap_ap::{
 use softmap_softmax::{IntSoftmax, PrecisionConfig, SumMode};
 
 use crate::plan::{
-    CachedPlan, CompiledPlan, PlanCache, PlanKey, PlanPhase, PlanStats, ShardedPlan,
+    CacheStats, CachedPlan, CompiledPlan, PlanCache, PlanKey, PlanPhase, ShardedPlan,
 };
 use crate::CoreError;
 
@@ -184,66 +184,6 @@ pub struct ApSoftmax {
     /// explicitly, so the autotuner keeps it.
     layout_pinned: bool,
     plans: Arc<PlanCache>,
-}
-
-/// Aggregate plan-cache counters surfaced as one struct; see
-/// [`ApSoftmax::cache_stats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheStats {
-    /// Plans currently cached.
-    pub plans: usize,
-    /// Shape-miss compilations performed.
-    pub compiles: u64,
-    /// Cache hits (lock-free tile-slot hits included).
-    pub hits: u64,
-    /// LRU evictions over the cache's lifetime.
-    pub evictions: u64,
-    /// Currently cached entries compiled for resident execution.
-    pub resident_entries: usize,
-    /// Shapes the autotuner compiled a mapping for.
-    pub shapes_tuned: u64,
-    /// Mappings the autotuner compiled: one per tuned shape.
-    pub candidates_scored: u64,
-    /// Tuned shapes mapped differently from the configured default
-    /// (another layout or a balanced partition; see
-    /// [`ApSoftmax::mapping_choice`]).
-    pub tuned_wins: u64,
-    /// Requests accepted into the serving queue (zero unless queried
-    /// through a [`crate::SoftmaxServer`]).
-    pub queued: u64,
-    /// Admission passes that dispatched at least one request into a
-    /// device wave (zero unless queried through a server).
-    pub waves_formed: u64,
-    /// Requests packed into a wave beyond each admission pass's first
-    /// (zero unless queried through a server).
-    pub coalesced: u64,
-    /// Submissions that found the queue at its bound — blocked callers
-    /// and [`crate::CoreError::QueueFull`] rejections (zero unless
-    /// queried through a server).
-    pub backpressure: u64,
-}
-
-impl std::fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} plans ({} resident), {} compiles, {} hits, {} evictions, \
-             {} shapes tuned ({} candidates, {} wins), \
-             {} queued ({} waves, {} coalesced, {} backpressure)",
-            self.plans,
-            self.resident_entries,
-            self.compiles,
-            self.hits,
-            self.evictions,
-            self.shapes_tuned,
-            self.candidates_scored,
-            self.tuned_wins,
-            self.queued,
-            self.waves_formed,
-            self.coalesced,
-            self.backpressure
-        )
-    }
 }
 
 /// Static per-vector cost of one softmax, covering both regimes: a
@@ -660,34 +600,10 @@ impl ApSoftmax {
     }
 
     /// Counters of the shared plan cache (plans, compiles, hits,
-    /// compile time).
-    #[must_use]
-    pub fn plan_stats(&self) -> PlanStats {
-        self.plans.stats()
-    }
-
-    /// One-stop plan-cache counters (compiles, hits, evictions,
-    /// resident entries, autotune activity) — the single query tests
-    /// and profiling examples read instead of scattering per-counter
-    /// probes.
+    /// evictions, resident entries, autotune activity, compile time).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        let s = self.plans.stats();
-        let a = self.plans.autotune_stats();
-        CacheStats {
-            plans: s.plans,
-            compiles: s.compiles,
-            hits: s.hits,
-            evictions: s.evictions,
-            resident_entries: self.plans.resident_entries(),
-            shapes_tuned: a.shapes_tuned,
-            candidates_scored: a.candidates_scored,
-            tuned_wins: a.wins,
-            queued: 0,
-            waves_formed: 0,
-            coalesced: 0,
-            backpressure: 0,
-        }
+        self.plans.stats()
     }
 
     /// Drops every cached plan (compile-cost benchmarking; tile slots
@@ -807,38 +723,6 @@ impl ApSoftmax {
             self.execute_floats_into(state, scores, &mut run)?;
             Ok(run)
         })
-    }
-
-    /// Batched [`ApSoftmax::execute_codes`] with per-worker tile reuse;
-    /// see [`ApSoftmax::execute_batch_floats`].
-    ///
-    /// # Errors
-    ///
-    /// The first failing vector's error.
-    pub fn execute_batch_codes(&self, batch: &[Vec<i64>]) -> Result<Vec<ApSoftmaxRun>, CoreError> {
-        batch::try_parallel_map_with(batch, TileState::new, |state, codes| {
-            let mut run = ApSoftmaxRun::default();
-            self.execute_codes_into(state, codes, &mut run)?;
-            Ok(run)
-        })
-    }
-
-    /// Aggregate tile statistics for a batch of runs: total work across
-    /// tiles plus the concurrent-hardware makespan (one tile per run —
-    /// the unbounded-grid view).
-    #[must_use]
-    pub fn batch_stats(runs: &[ApSoftmaxRun]) -> BatchStats {
-        let per_tile: Vec<CycleStats> = runs.iter().map(|r| r.total).collect();
-        BatchStats::aggregate(&per_tile)
-    }
-
-    /// [`ApSoftmax::batch_stats`] on a **finite** grid of `tiles`
-    /// concurrent tiles: runs beyond the grid execute in waves and the
-    /// makespan is the wave-scheduled critical path.
-    #[must_use]
-    pub fn batch_stats_on(runs: &[ApSoftmaxRun], tiles: usize) -> BatchStats {
-        let per_tile: Vec<CycleStats> = runs.iter().map(|r| r.total).collect();
-        BatchStats::aggregate_on(&per_tile, tiles)
     }
 
     /// Executes the sixteen-step dataflow of Fig. 5 on quantized codes.
@@ -1478,27 +1362,17 @@ impl ApSoftmax {
         Ok(plan)
     }
 
-    /// Cycle/cell-event totals for one vector of length `len`, answered
-    /// from the compiled plan **without executing anything** once the
-    /// shape's plan exists — [`softmap_ap::ApProgram::static_cost`]
-    /// surfaced at the mapping level, extended to sharded shapes (all
-    /// shards plus the cross-tile reduction charges). The cost is exact
-    /// for the input the plan was compiled from (the cost tables
-    /// compile from [`ApSoftmax::representative_scores`], so table
-    /// queries are deterministic); see the static-cost contract in the
-    /// `softmap_ap` program-module docs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation (execution) errors.
-    pub fn static_cost(&self, len: usize) -> Result<CycleStats, CoreError> {
-        Ok(self.static_vector_cost(len)?.total)
-    }
-
-    /// The full static device view for one vector of length `len`:
-    /// total work, shard count, waves, reduction charges, and the
-    /// device critical path — for both regimes (`shards == 1` when the
-    /// vector fits one tile).
+    /// The static device view of one vector of length `len` — total
+    /// work (cycles and cell events), shard count, waves, reduction
+    /// charges and the device critical path, for both regimes
+    /// (`shards == 1` when the vector fits one tile) — answered from
+    /// the compiled plan **without executing anything** once the
+    /// shape's plan exists ([`softmap_ap::ApProgram::static_cost`]
+    /// surfaced at the mapping level, extended to sharded shapes). The
+    /// cost is exact for the input the plan was compiled from (the cost
+    /// tables compile from [`ApSoftmax::representative_scores`], so
+    /// table queries are deterministic); see the static-cost contract
+    /// in the `softmap_ap` program-module docs.
     ///
     /// # Errors
     ///
@@ -1718,6 +1592,7 @@ mod tests {
             let micro = ApSoftmax::new(PrecisionConfig::paper_best())
                 .unwrap()
                 .with_div_style(style)
+                .with_backend(softmap_ap::ExecBackend::Microcode)
                 .execute_floats(&scores)
                 .unwrap();
             let fast = ApSoftmax::new(PrecisionConfig::paper_best())
@@ -1755,13 +1630,9 @@ mod tests {
             assert_eq!(run.codes, single.codes);
             assert_eq!(run.total, single.total);
         }
-        let agg = ApSoftmax::batch_stats(&runs);
-        assert_eq!(agg.tiles, 9);
-        assert!(agg.makespan_cycles > 0);
-        assert!(agg.total.cycles() >= agg.makespan_cycles * 9 / 10);
         // One shape across the whole batch: exactly one compile, the
         // rest replays from the shared cache.
-        assert_eq!(mapping.plan_stats().compiles, 1);
+        assert_eq!(mapping.cache_stats().compiles, 1);
     }
 
     #[test]
@@ -1832,7 +1703,7 @@ mod tests {
         let slow = baseline.execute_floats(&scores).unwrap();
         assert_eq!(fast.codes, slow.codes);
         assert!(fast.total.cycles() < slow.total.cycles());
-        let stats = optimized.plan_stats();
+        let stats = optimized.cache_stats();
         assert_eq!(stats.plans, 2, "same shape, two levels: two entries");
         assert_eq!(stats.compiles, 2);
         assert_eq!(stats.evictions, 0);
@@ -1840,7 +1711,7 @@ mod tests {
         // recompiles.
         optimized.execute_floats(&scores).unwrap();
         baseline.execute_floats(&scores).unwrap();
-        let stats = optimized.plan_stats();
+        let stats = optimized.cache_stats();
         assert_eq!(stats.compiles, 2, "replays must hit, not recompile");
         assert!(stats.hits >= 2);
         assert_eq!(stats.evictions, 0);
@@ -1855,7 +1726,7 @@ mod tests {
         tight.execute_floats(&scores).unwrap();
         tight_base.execute_floats(&scores).unwrap();
         tight.execute_floats(&scores).unwrap();
-        let stats = tight.plan_stats();
+        let stats = tight.cache_stats();
         assert_eq!(stats.plans, 1);
         assert_eq!(stats.compiles, 3, "thrashing recompiles every time");
         assert_eq!(stats.evictions, 2);
@@ -1865,14 +1736,14 @@ mod tests {
     fn static_cost_matches_executed_representative() {
         let mapping = ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
         let len = 64;
-        let cost = mapping.static_cost(len).unwrap();
+        let cost = mapping.static_vector_cost(len).unwrap().total;
         let run = mapping
             .execute_floats(&ApSoftmax::representative_scores(len))
             .unwrap();
         assert_eq!(cost, run.total);
         let steps = mapping.static_step_stats(len).unwrap();
         assert_eq!(steps, run.steps);
-        assert_eq!(mapping.plan_stats().compiles, 1);
+        assert_eq!(mapping.cache_stats().compiles, 1);
         assert!(mapping.plan(len).unwrap().compile_micros() > 0.0);
     }
 
@@ -1886,16 +1757,36 @@ mod tests {
             .execute_floats_into(&mut state, &scores, &mut run)
             .unwrap();
         let first = run.codes.clone();
-        assert_eq!(mapping.plan_stats().compiles, 1);
+        let compiled = mapping.cache_stats();
+        assert_eq!((compiled.plans, compiled.compiles), (1, 1), "{compiled}");
+        assert!(compiled.compile_micros > 0.0, "{compiled}");
+        mapping
+            .execute_floats_into(&mut state, &scores, &mut run)
+            .unwrap();
+        let replayed = mapping.cache_stats();
+        assert_eq!(replayed.hits, compiled.hits + 1, "{replayed}");
+        assert_eq!(replayed.compiles, 1, "{replayed}");
+        assert_eq!(replayed.compile_micros, compiled.compile_micros);
         mapping.clear_plans();
+        let cleared = mapping.cache_stats();
+        assert_eq!((cleared.plans, cleared.compiles), (0, 1), "{cleared}");
+        assert_eq!(
+            cleared.compile_micros, compiled.compile_micros,
+            "compile time survives a clear"
+        );
         mapping
             .execute_floats_into(&mut state, &scores, &mut run)
             .unwrap();
         assert_eq!(run.codes, first);
+        let recompiled = mapping.cache_stats();
         assert_eq!(
-            mapping.plan_stats().compiles,
-            2,
+            (recompiled.plans, recompiled.compiles),
+            (1, 2),
             "cleared cache must recompile, not reuse the stale slot"
+        );
+        assert!(
+            recompiled.compile_micros > compiled.compile_micros,
+            "{recompiled}"
         );
     }
 
@@ -1905,7 +1796,7 @@ mod tests {
         fn unwrap_execute_pair(&self, warm: &[f64], scores: &[f64]) -> ApSoftmaxRun {
             self.execute_floats(warm).unwrap();
             let run = self.execute_floats(scores).unwrap();
-            assert!(self.plan_stats().hits >= 1, "second run must replay");
+            assert!(self.cache_stats().hits >= 1, "second run must replay");
             run
         }
     }
@@ -2040,7 +1931,7 @@ mod tests {
         assert_eq!(vc.shards, run.shards);
         assert_eq!(vc.waves, run.waves);
         assert_eq!(vc.reduction, run.reduction);
-        assert_eq!(mapping.static_cost(len).unwrap(), run.total);
+        assert_eq!(mapping.static_vector_cost(len).unwrap().total, run.total);
         assert_eq!(mapping.static_step_stats(len).unwrap(), run.steps);
         // Step segments account for every cycle, reductions included.
         let step_total: u64 = run.steps.iter().map(|s| s.stats.cycles()).sum();
@@ -2125,7 +2016,7 @@ mod tests {
         }
         // One vector shape: one sharded plan + its phase programs, no
         // recompiles across workers.
-        let stats = mapping.plan_stats();
+        let stats = mapping.cache_stats();
         assert!(
             stats.compiles <= 7,
             "one shape must compile at most 1 sharded + 6 phase plans (got {})",
@@ -2142,7 +2033,7 @@ mod tests {
             let scores: Vec<f64> = (0..len).map(|i| -(i as f64) * 0.3).collect();
             mapping.execute_floats(&scores).unwrap();
         }
-        let stats = mapping.plan_stats();
+        let stats = mapping.cache_stats();
         assert!(
             stats.plans <= 2,
             "LRU cap must hold (plans = {})",
@@ -2158,7 +2049,11 @@ mod tests {
             .run_floats(&scores)
             .unwrap();
         assert_eq!(run.codes, scalar.codes);
-        assert_eq!(mapping.plan_stats().compiles, 4, "evicted shape recompiles");
+        assert_eq!(
+            mapping.cache_stats().compiles,
+            4,
+            "evicted shape recompiles"
+        );
     }
 
     #[test]
@@ -2189,13 +2084,13 @@ mod tests {
         assert!(choice.resident && !choice.balanced, "{choice}");
         let cost = tuned.static_vector_cost(4096).unwrap();
         assert_eq!((cost.total, cost.shards), (t.total, t.shards));
-        let default = untuned.static_cost(4096).unwrap();
+        let default = untuned.static_vector_cost(4096).unwrap().total;
         assert_eq!(default, u.total);
         assert!(cost.total.cycles() < default.cycles());
         let stats = tuned.cache_stats();
         assert_eq!(stats.shapes_tuned, 1);
         assert_eq!(stats.tuned_wins, 1);
-        assert_eq!(stats.candidates_scored, 1);
+        assert_eq!(stats.candidates_scored, stats.shapes_tuned);
         // The untuned mapping is the configured one and never counts.
         let choice = untuned.mapping_choice(4096).unwrap();
         assert_eq!((choice.layout, choice.shards), (Layout::TwoWordsPerRow, 1));
@@ -2212,10 +2107,12 @@ mod tests {
         let scores = ApSoftmax::representative_scores(256);
         tuned.execute_floats(&scores).unwrap();
         let choice = tuned.mapping_choice(256).unwrap();
-        assert_eq!(tuned.cache_stats().candidates_scored, 1, "one compile");
+        let stats = tuned.cache_stats();
+        assert_eq!(stats.candidates_scored, 1, "one compile");
+        assert_eq!(stats.candidates_scored, stats.shapes_tuned);
         assert_eq!((choice.layout, choice.shards), (Layout::TwoWordsPerRow, 1));
         assert!(!choice.balanced);
-        assert_eq!(tuned.cache_stats().tuned_wins, 0);
+        assert_eq!(stats.tuned_wins, 0);
     }
 
     #[test]
@@ -2233,7 +2130,7 @@ mod tests {
         for (m, first) in [(&tuned, &t), (&untuned, &u)] {
             let again = m.execute_floats(&scores).unwrap();
             assert_eq!(again.total, first.total);
-            let stats = m.plan_stats();
+            let stats = m.cache_stats();
             assert_eq!((stats.plans, stats.compiles), (1, 1), "{stats:?}");
             assert!(stats.hits >= 1, "{stats:?}");
         }
@@ -2275,7 +2172,7 @@ mod tests {
                 let started = std::time::Instant::now();
                 m.warmup(&[len]).unwrap();
                 let wall = started.elapsed().as_secs_f64() * 1e6;
-                let counted = m.plan_stats().compile_micros;
+                let counted = m.cache_stats().compile_micros;
                 assert!(
                     counted > 0.0 && counted <= wall,
                     "autotune {autotune}, {len}: {counted} us counted in a {wall} us warm-up"
@@ -2364,18 +2261,5 @@ mod tests {
                 assert_eq!(run.sum, want.sum, "{backend:?}");
             }
         }
-    }
-
-    #[test]
-    fn batch_stats_on_respects_grid() {
-        let mapping = ApSoftmax::new(PrecisionConfig::paper_best()).unwrap();
-        let batch: Vec<Vec<f64>> = (0..4).map(|_| vec![0.0, -1.0, -2.0, -3.0]).collect();
-        let runs = mapping.execute_batch_floats(&batch).unwrap();
-        let unbounded = ApSoftmax::batch_stats(&runs);
-        let grid = ApSoftmax::batch_stats_on(&runs, 2);
-        assert_eq!(unbounded.waves, 1);
-        assert_eq!(grid.waves, 2);
-        assert_eq!(grid.total, unbounded.total);
-        assert!(grid.makespan_cycles >= unbounded.makespan_cycles * 2);
     }
 }

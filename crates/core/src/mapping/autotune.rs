@@ -289,7 +289,7 @@ mod tests {
                 "len {len}: rule [{rule}] {rule_cost:?} vs search [{best}] {best_cost:?}"
             );
             let (cycles, best_cycles) = (rule_cost.total.cycles(), best_cost.total.cycles());
-            let default = untuned.static_cost(len).unwrap().cycles();
+            let default = untuned.static_vector_cost(len).unwrap().total.cycles();
             assert!(
                 cycles <= default,
                 "len {len}: rule {cycles} vs default {default}"

@@ -763,7 +763,7 @@ pub(crate) mod tests {
 
     /// Test hooks, one per test that injects a panic: the next chunk of
     /// a vector of a hook's length panics (once).
-    pub(crate) static PANIC_LEN: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+    pub(crate) static PANIC_LEN: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
 
     pub(super) fn inject_panic(len: usize) {
         let hit = |hook: &AtomicUsize| {
@@ -878,12 +878,12 @@ pub(crate) mod tests {
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         for helpers in 0..=2 {
-            let hits_before = sm.plan_stats().hits;
+            let hits_before = sm.cache_stats().hits;
             let mut out = ApSoftmaxRun::default();
             execute_helped(&sm, &mut state, &codes, &mut out, helpers).unwrap();
             assert_runs_equal(&out, &seq, &format!("tuned winner, helpers={helpers}"));
             assert!(
-                sm.plan_stats().hits > hits_before,
+                sm.cache_stats().hits > hits_before,
                 "the helped replay must count as a plan-cache hit"
             );
         }
@@ -927,7 +927,7 @@ pub(crate) mod tests {
         let mut first = ApSoftmaxRun::default();
         execute_helped(&sm, &mut state, &codes, &mut first, 2).unwrap();
         assert!(
-            sm.plan_stats().compiles >= 1,
+            sm.cache_stats().compiles >= 1,
             "the sequential fallback must compile the shape"
         );
         let mut seq = ApSoftmaxRun::default();

@@ -51,6 +51,7 @@ use std::sync::{Arc, Mutex};
 
 use softmap_ap::{ApProgram, CycleStats, DivStyle, OptLevel, PassReport, RegId};
 
+use crate::lock;
 use crate::mapping::{Layout, StepStats};
 
 /// Which entry a cache key names — a vector plan or one of the three
@@ -374,10 +375,11 @@ pub(crate) enum CachedPlan {
     Sharded(Arc<ShardedPlan>),
 }
 
-/// Aggregate counters of a [`PlanCache`]; see
-/// [`crate::ApSoftmax::plan_stats`].
+/// The counters of a [`PlanCache`], from [`PlanCache::stats`] and
+/// [`crate::ApSoftmax::cache_stats`]. Serving counters are
+/// [`crate::SoftmaxServer::stats`]'s.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanStats {
+pub struct CacheStats {
     /// Plans currently cached.
     pub plans: usize,
     /// Shape-miss compilations performed (shard-phase programs and
@@ -387,6 +389,17 @@ pub struct PlanStats {
     pub hits: u64,
     /// LRU evictions over the cache's lifetime.
     pub evictions: u64,
+    /// Currently cached entries compiled for resident execution.
+    pub resident_entries: usize,
+    /// Shapes the autotuner compiled a mapping for.
+    pub shapes_tuned: u64,
+    /// Mappings the autotuner compiled: one per tuned shape, so always
+    /// equal to `shapes_tuned`.
+    pub candidates_scored: u64,
+    /// Tuned shapes mapped differently from the configured default
+    /// (another layout or a balanced partition; see
+    /// [`crate::ApSoftmax::mapping_choice`]).
+    pub tuned_wins: u64,
     /// Total wall-clock microseconds spent compiling vector-level
     /// plans over the cache's lifetime (survives [`PlanCache::clear`]
     /// and recompiles). A vector plan's compile interval contains its
@@ -394,19 +407,22 @@ pub struct PlanStats {
     pub compile_micros: f64,
 }
 
-/// Autotune counters of a [`PlanCache`]; all zero until a mapping with
-/// autotuning enabled compiles a shape. See
-/// [`crate::ApSoftmax::cache_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AutotuneStats {
-    /// Shapes the autotuner compiled a mapping for.
-    pub shapes_tuned: u64,
-    /// Mappings the autotuner compiled: one per tuned shape.
-    pub candidates_scored: u64,
-    /// Tuned shapes mapped differently from the configured default:
-    /// another layout or a balanced partition (see
-    /// [`crate::ApSoftmax::mapping_choice`]).
-    pub wins: u64,
+impl fmt::Display for CacheStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} plans ({} resident), {} compiles ({:.0} us), {} hits, {} evictions, \
+             {} shapes tuned ({} wins)",
+            self.plans,
+            self.resident_entries,
+            self.compiles,
+            self.compile_micros,
+            self.hits,
+            self.evictions,
+            self.shapes_tuned,
+            self.tuned_wins
+        )
+    }
 }
 
 static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
@@ -433,7 +449,7 @@ struct Entry {
 /// let mapping = ApSoftmax::new(PrecisionConfig::paper_best())?;
 /// mapping.execute_floats(&[0.0, -1.0, -2.0, -3.0])?; // compiles
 /// mapping.execute_floats(&[0.0, -0.5, -1.5, -2.5])?; // replays
-/// let stats = mapping.plan_stats();
+/// let stats = mapping.cache_stats();
 /// assert_eq!((stats.plans, stats.compiles), (1, 1));
 /// assert!(stats.hits >= 1);
 /// # Ok::<(), softmap::CoreError>(())
@@ -457,7 +473,6 @@ pub struct PlanCache {
     /// summing over the currently cached plans).
     compile_nanos: AtomicU64,
     shapes_tuned: AtomicU64,
-    candidates_scored: AtomicU64,
     tuned_wins: AtomicU64,
 }
 
@@ -500,7 +515,6 @@ impl PlanCache {
             evictions: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
             shapes_tuned: AtomicU64::new(0),
-            candidates_scored: AtomicU64::new(0),
             tuned_wins: AtomicU64::new(0),
         }
     }
@@ -515,7 +529,7 @@ impl PlanCache {
     /// and compiles only if the shape is still missing, so racing
     /// workers converge on a single plan per shape.
     pub(crate) fn lock_for_compile(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.compiling.lock().expect("plan compile lock poisoned")
+        lock(&self.compiling)
     }
 
     /// The cache's identity for tile-slot validation: the
@@ -541,7 +555,7 @@ impl PlanCache {
 
     fn touch(&self, key: &PlanKey) -> Option<CachedPlan> {
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.plans.lock().expect("plan cache poisoned");
+        let mut map = lock(&self.plans);
         map.get_mut(key).map(|e| {
             e.used = now;
             e.plan.clone()
@@ -556,7 +570,7 @@ impl PlanCache {
                 .fetch_add((p.compile_micros() * 1e3) as u64, Ordering::Relaxed);
         }
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.plans.lock().expect("plan cache poisoned");
+        let mut map = lock(&self.plans);
         map.insert(key, Entry { plan, used: now });
         while map.len() > self.capacity {
             let Some(victim) = map.iter().min_by_key(|(_, e)| e.used).map(|(k, _)| *k) else {
@@ -577,19 +591,8 @@ impl PlanCache {
     /// default.
     pub(crate) fn note_autotune(&self, win: bool) {
         self.shapes_tuned.fetch_add(1, Ordering::Relaxed);
-        self.candidates_scored.fetch_add(1, Ordering::Relaxed);
         if win {
             self.tuned_wins.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Lifetime autotune counters (kept across [`PlanCache::clear`]).
-    #[must_use]
-    pub fn autotune_stats(&self) -> AutotuneStats {
-        AutotuneStats {
-            shapes_tuned: self.shapes_tuned.load(Ordering::Relaxed),
-            candidates_scored: self.candidates_scored.load(Ordering::Relaxed),
-            wins: self.tuned_wins.load(Ordering::Relaxed),
         }
     }
 
@@ -597,30 +600,27 @@ impl PlanCache {
     /// warmed before the clear re-resolve. Counters are kept.
     pub fn clear(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
-        self.plans.lock().expect("plan cache poisoned").clear();
+        lock(&self.plans).clear();
     }
 
-    /// Number of currently cached entries compiled for resident
-    /// execution (see [`crate::ApSoftmax::cache_stats`]).
+    /// Current counters; the autotune and compile-time counters are
+    /// kept across [`PlanCache::clear`].
     #[must_use]
-    pub fn resident_entries(&self) -> usize {
-        self.plans
-            .lock()
-            .expect("plan cache poisoned")
-            .keys()
-            .filter(|k| k.resident)
-            .count()
-    }
-
-    /// Current counters.
-    #[must_use]
-    pub fn stats(&self) -> PlanStats {
-        let plans = self.plans.lock().expect("plan cache poisoned").len();
-        PlanStats {
+    pub fn stats(&self) -> CacheStats {
+        let (plans, resident_entries) = {
+            let map = lock(&self.plans);
+            (map.len(), map.keys().filter(|k| k.resident).count())
+        };
+        let shapes_tuned = self.shapes_tuned.load(Ordering::Relaxed);
+        CacheStats {
             plans,
             compiles: self.compiles.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            resident_entries,
+            shapes_tuned,
+            candidates_scored: shapes_tuned,
+            tuned_wins: self.tuned_wins.load(Ordering::Relaxed),
             compile_micros: self.compile_nanos.load(Ordering::Relaxed) as f64 / 1e3,
         }
     }

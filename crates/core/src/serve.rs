@@ -617,17 +617,12 @@ impl SoftmaxServer {
         }
     }
 
-    /// The device model's [`ApSoftmax::cache_stats`] with this server's
-    /// serving counters filled in.
+    /// The served mapping's plan-cache counters
+    /// ([`ApSoftmax::cache_stats`]); the serving counters are
+    /// [`SoftmaxServer::stats`].
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        let mut cs = self.shared.mapping.cache_stats();
-        let q = lock(&self.shared.state);
-        cs.queued = q.queued;
-        cs.waves_formed = q.waves_formed;
-        cs.coalesced = q.coalesced;
-        cs.backpressure = q.backpressure;
-        cs
+        self.shared.mapping.cache_stats()
     }
 
     /// The served device model.
@@ -897,6 +892,45 @@ mod tests {
             );
         }
         assert_settled(&server, lens.len() as u64 + 4);
+    }
+
+    #[test]
+    fn a_panicking_compile_fails_alone_and_later_compiles_serve() {
+        // No warm-up, so every shape compiles on its request's worker:
+        // the hook panics the first chunk of the 50-score vector inside
+        // its compile, while the compile lock is held. No other test
+        // runs a vector of that length.
+        let mapping = || {
+            ApSoftmax::new(PrecisionConfig::paper_best())
+                .unwrap()
+                .with_autotune(false)
+                .with_device(DeviceConfig::new(4, 8))
+        };
+        let cfg = ServeConfig {
+            workers: 2,
+            queue_depth: 8,
+            warmup_shapes: Vec::new(),
+            shard_parallel: true,
+        };
+        let server = SoftmaxServer::new(mapping(), cfg).unwrap();
+        let reference = mapping();
+        PANIC_LEN[2].store(50, Ordering::Relaxed);
+        let err = server.submit(&scores(50, 0)).unwrap().wait().unwrap_err();
+        assert_eq!(err, CoreError::Panicked);
+        assert_eq!(PANIC_LEN[2].load(Ordering::Relaxed), 0, "the hook fired");
+        // Every later compile serves: a new sharded shape, the shape
+        // whose compile panicked, and a one-shard shape.
+        for (salt, len) in [36usize, 50, 6].into_iter().enumerate() {
+            let got = server.submit(&scores(len, salt)).unwrap().wait().unwrap();
+            let want = inline(&reference, &scores(len, salt));
+            assert_exact(&got, &want, &format!("len {len} after the panic"));
+        }
+        assert_settled(&server, 4);
+        // The panicked compile cached nothing.
+        assert_eq!(
+            server.cache_stats().compiles,
+            reference.cache_stats().compiles
+        );
     }
 
     #[test]

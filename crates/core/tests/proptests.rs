@@ -88,7 +88,7 @@ proptest! {
         warm.truncate(scores.len());
         cached.execute_floats(&warm).unwrap();
         let replayed = cached.execute_floats(&scores).unwrap();
-        prop_assert!(cached.plan_stats().hits >= 1, "second run must replay");
+        prop_assert!(cached.cache_stats().hits >= 1, "second run must replay");
         prop_assert_eq!(&replayed.codes, &direct.codes);
         prop_assert_eq!(&replayed.vapprox, &direct.vapprox);
         prop_assert_eq!(replayed.sum, direct.sum);
@@ -182,7 +182,7 @@ proptest! {
         warm.truncate(scores.len());
         cached.execute_floats(&warm).unwrap();
         let replayed = cached.execute_floats(&scores).unwrap();
-        prop_assert!(cached.plan_stats().hits >= 1, "second run must replay");
+        prop_assert!(cached.cache_stats().hits >= 1, "second run must replay");
         prop_assert_eq!(&replayed.codes, &direct.codes);
         prop_assert_eq!(&replayed.vapprox, &direct.vapprox);
         prop_assert_eq!(replayed.sum, direct.sum);
@@ -253,7 +253,7 @@ proptest! {
         prop_assert!(res.latency_cycles <= base.latency_cycles);
         // Replaying the cached resident plan is cycle-stable.
         let again = resident.execute_floats(&scores).unwrap();
-        prop_assert!(resident.plan_stats().hits >= 1, "second run must replay");
+        prop_assert!(resident.cache_stats().hits >= 1, "second run must replay");
         prop_assert_eq!(again.total, res.total);
         prop_assert_eq!(&again.steps, &res.steps);
         prop_assert_eq!(&again.codes, &res.codes);
@@ -284,7 +284,7 @@ proptest! {
         prop_assert!(t.total.cycles() <= d.total.cycles(),
             "tuned {} must not exceed default {}", t.total.cycles(), d.total.cycles());
         // static == simulated for the installed winner.
-        prop_assert_eq!(tuned.static_cost(len).unwrap(), t.total);
+        prop_assert_eq!(tuned.static_vector_cost(len).unwrap().total, t.total);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn main() {
             .unwrap();
         let reference = run.codes.clone();
         assert_eq!(
-            mapping.plan_stats().compiles,
+            mapping.cache_stats().compiles,
             1,
             "one shape must compile exactly one plan"
         );
@@ -106,7 +106,7 @@ fn main() {
             "steady-state {backend:?} plan replay must not allocate (got {allocs} allocations over 10 vectors)"
         );
         assert_eq!(run.codes, reference, "replayed path must stay bit-exact");
-        let stats = mapping.plan_stats();
+        let stats = mapping.cache_stats();
         assert_eq!(stats.compiles, 1, "steady state must not recompile");
         assert!(
             stats.hits >= 11,

@@ -42,7 +42,8 @@ pub fn run() -> EvalResult<Vec<Ablation>> {
         let stats = ApSoftmax::new(cfg)?
             .with_autotune(false)
             .with_div_style(style)
-            .static_cost(1024)?;
+            .static_vector_cost(1024)?
+            .total;
         out.push(Ablation {
             axis: "division",
             variant: label.to_string(),
@@ -57,7 +58,10 @@ pub fn run() -> EvalResult<Vec<Ablation>> {
         ("two words/row (paper)", Layout::TwoWordsPerRow),
         ("one word/row", Layout::OneWordPerRow),
     ] {
-        let stats = ApSoftmax::new(cfg)?.with_layout(layout).static_cost(1024)?;
+        let stats = ApSoftmax::new(cfg)?
+            .with_layout(layout)
+            .static_vector_cost(1024)?
+            .total;
         out.push(Ablation {
             axis: "row layout",
             variant: label.to_string(),

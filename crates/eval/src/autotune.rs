@@ -181,7 +181,7 @@ mod tests {
             assert_eq!(t.sum, scalar.sum, "len {len}");
             assert_eq!(t.codes, d.codes, "len {len}: tuned vs default");
             assert_eq!(
-                tuned.static_cost(len).unwrap(),
+                tuned.static_vector_cost(len).unwrap().total,
                 t.total,
                 "len {len}: static != simulated for the tuned plan"
             );

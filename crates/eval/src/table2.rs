@@ -8,12 +8,13 @@
 //! this table reports.
 
 use crate::table::AsciiTable;
-use softmap_ap::{cost, ApConfig, ApCore};
+use softmap_ap::{cost, ApConfig, ApCore, ExecBackend};
 
 fn measure_matmul_wavefront(m: usize, j: usize) -> u64 {
     // One output element of a matrix-matrix product: a j-deep dot
     // product (multiply word-parallel, reduce with the 2D tree).
-    let mut ap = ApCore::new(ApConfig::new(j, 8 * m + 24)).unwrap();
+    let mut ap =
+        ApCore::with_backend(ApConfig::new(j, 8 * m + 24), ExecBackend::Microcode).unwrap();
     let a = ap.alloc_field(m).unwrap();
     let b = ap.alloc_field(m).unwrap();
     let prod = ap.alloc_field(2 * m).unwrap();
@@ -45,7 +46,8 @@ pub struct Row {
 }
 
 fn measure_add(m: usize, rows: usize) -> u64 {
-    let mut ap = ApCore::new(ApConfig::new(rows, 4 * m + 8)).unwrap();
+    let mut ap =
+        ApCore::with_backend(ApConfig::new(rows, 4 * m + 8), ExecBackend::Microcode).unwrap();
     let a = ap.alloc_field(m).unwrap();
     let acc = ap.alloc_field(m + 1).unwrap();
     let data: Vec<u64> = (0..rows as u64).map(|i| i % (1 << m)).collect();
@@ -60,7 +62,8 @@ fn measure_add(m: usize, rows: usize) -> u64 {
 }
 
 fn measure_mul(m: usize, rows: usize) -> u64 {
-    let mut ap = ApCore::new(ApConfig::new(rows, 6 * m + 8)).unwrap();
+    let mut ap =
+        ApCore::with_backend(ApConfig::new(rows, 6 * m + 8), ExecBackend::Microcode).unwrap();
     let a = ap.alloc_field(m).unwrap();
     let b = ap.alloc_field(m).unwrap();
     let r = ap.alloc_field(2 * m).unwrap();
@@ -77,7 +80,8 @@ fn measure_reduction(m: usize, l: usize) -> u64 {
     // word-width add (combining the packed pair) plus the 2D tree over
     // L/2 rows.
     let rows = l / 2;
-    let mut ap = ApCore::new(ApConfig::new(rows, 4 * m + 24)).unwrap();
+    let mut ap =
+        ApCore::with_backend(ApConfig::new(rows, 4 * m + 24), ExecBackend::Microcode).unwrap();
     let h0 = ap.alloc_field(m).unwrap();
     let h1 = ap.alloc_field(m).unwrap();
     let sum = ap

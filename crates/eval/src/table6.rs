@@ -63,7 +63,7 @@ pub fn run() -> EvalResult<Vec<Row>> {
     // Pinned to the paper's fixed mapping: this row reproduces the
     // paper's energy number, not the autotuned one.
     let mapping = ApSoftmax::new(PrecisionConfig::paper_best())?.with_autotune(false);
-    let stats = mapping.static_cost(1024)?;
+    let stats = mapping.static_vector_cost(1024)?.total;
     let energy = EnergyModel::nm16();
     let pj = energy
         .energy_per_op_pj(&stats)

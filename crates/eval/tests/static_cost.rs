@@ -3,7 +3,7 @@
 //! [`softmap_ap::ApProgram::static_cost`] must equal the `CycleStats`
 //! of actually simulating the representative input the plan was
 //! compiled from — on both backends, per step, and through the
-//! deployment model's `vector_stats` query.
+//! deployment model's `vector_cost` query.
 
 use softmap::{ApDeployment, ApSoftmax, WorkloadModel};
 use softmap_ap::{ExecBackend, OptLevel};
@@ -30,7 +30,7 @@ fn static_cost_equals_simulated_for_every_table_configuration() {
             let mapping = ApSoftmax::new(cfg)
                 .unwrap()
                 .with_backend(ExecBackend::FastWord);
-            let stat = mapping.static_cost(len).unwrap();
+            let stat = mapping.static_vector_cost(len).unwrap().total;
             let run = mapping
                 .execute_floats(&ApSoftmax::representative_scores(len))
                 .unwrap();
@@ -55,8 +55,8 @@ fn static_cost_is_backend_independent_and_stepwise_exact() {
         .unwrap()
         .with_backend(ExecBackend::Microcode);
     assert_eq!(
-        fast.static_cost(len).unwrap(),
-        micro.static_cost(len).unwrap(),
+        fast.static_vector_cost(len).unwrap().total,
+        micro.static_vector_cost(len).unwrap().total,
         "the dual-backend contract extends to static costs"
     );
     // The per-step static breakdown matches a simulated run of the
@@ -79,7 +79,7 @@ fn static_cost_tracks_simulated_at_every_opt_level() {
             .unwrap()
             .with_backend(ExecBackend::FastWord)
             .with_opt_level(level);
-        let stat = mapping.static_cost(len).unwrap();
+        let stat = mapping.static_vector_cost(len).unwrap().total;
         let run = mapping
             .execute_floats(&ApSoftmax::representative_scores(len))
             .unwrap();
@@ -106,8 +106,8 @@ fn optimizer_gate_default_deployment_tile() {
         .with_backend(ExecBackend::FastWord)
         .with_opt_level(OptLevel::None);
     let opt = base.clone().with_opt_level(OptLevel::Full);
-    let unopt = base.static_cost(len).unwrap().cycles();
-    let fused = opt.static_cost(len).unwrap().cycles();
+    let unopt = base.static_vector_cost(len).unwrap().total.cycles();
+    let fused = opt.static_vector_cost(len).unwrap().total.cycles();
     assert!(
         fused * 100 <= unopt * 85,
         "optimizer gate: {fused} fused vs {unopt} unoptimized cycles \
@@ -132,8 +132,7 @@ fn static_cost_equals_simulated_for_sharded_shapes() {
         // mapping, so the reference simulation must too.
         let mapping = ApSoftmax::new(PrecisionConfig::paper_best())
             .unwrap()
-            .with_autotune(false)
-            .with_backend(deploy.backend);
+            .with_autotune(false);
         let run = mapping
             .execute_floats(&ApSoftmax::representative_scores(len))
             .unwrap();
@@ -141,7 +140,7 @@ fn static_cost_equals_simulated_for_sharded_shapes() {
         assert_eq!(vc.latency_cycles, run.latency_cycles, "len {len}");
         assert_eq!(vc.shards, run.shards);
         assert_eq!(vc.waves, run.waves);
-        assert_eq!(model.vector_stats(len).unwrap(), run.total);
+        assert_eq!(model.vector_cost(len).unwrap().total, run.total);
     }
 }
 
@@ -217,20 +216,21 @@ fn sharded_static_cost_is_backend_independent() {
 
 #[test]
 fn workload_model_latency_tables_use_the_static_path() {
-    // `vector_stats` (the entry every Fig. 6/7/8 and Table V number
+    // `vector_cost` (the entry every Fig. 6/7/8 and Table V number
     // funnels through) must agree with an actual simulation of the
     // representative input, and repeated queries must not recompile.
     let model = WorkloadModel::new(PrecisionConfig::paper_best(), ApDeployment::default()).unwrap();
-    for len in [128usize, 512, 1024] {
-        let stats = model.vector_stats(len).unwrap();
+    let lens = [128usize, 512, 1024];
+    for len in lens {
+        let stats = model.vector_cost(len).unwrap().total;
         let mapping = ApSoftmax::new(PrecisionConfig::paper_best())
             .unwrap()
-            .with_autotune(false)
-            .with_backend(ApDeployment::default().backend);
+            .with_autotune(false);
         let run = mapping
             .execute_floats(&ApSoftmax::representative_scores(len))
             .unwrap();
-        assert_eq!(stats, run.total, "vector_stats diverges at len {len}");
-        assert_eq!(model.vector_stats(len).unwrap(), stats);
+        assert_eq!(stats, run.total, "vector_cost diverges at len {len}");
+        assert_eq!(model.vector_cost(len).unwrap().total, stats);
     }
+    assert_eq!(model.mapping().cache_stats().compiles, lens.len() as u64);
 }

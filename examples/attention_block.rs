@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Leave row `row`'s result in `run` for the report below.
     let scores = row_scores(row);
     mapping.execute_floats_into(&mut state, &scores, &mut run)?;
-    let plans = mapping.plan_stats();
+    let plans = mapping.cache_stats();
     assert_eq!(plans.compiles, 1, "one shape, one compiled plan");
 
     println!(

@@ -279,7 +279,7 @@ fn main() {
             let m = fresh();
             m.execute_floats_into(&mut state, &scores, &mut run)
                 .unwrap();
-            *c = m.plan_stats().compile_micros / 1e6;
+            *c = m.cache_stats().compile_micros / 1e6;
         }
         report(&format!("compile len {len}"), &mut compile[1..]);
         let m = fresh();
@@ -380,18 +380,23 @@ fn main() {
             1 => tuned.plan(len).unwrap().compile_micros(),
             _ => tuned.sharded_plan(len).unwrap().compile_micros(),
         };
-        let default = tuned.clone().with_autotune(false).static_cost(len).unwrap();
+        let default = tuned
+            .clone()
+            .with_autotune(false)
+            .static_vector_cost(len)
+            .unwrap();
         println!(
             "  len {len}: chose [{choice}] — {} cyc vs default {} cyc (compile {compile_us:.1} us)",
-            tuned.static_cost(len).unwrap().cycles(),
-            default.cycles(),
+            tuned.static_vector_cost(len).unwrap().total.cycles(),
+            default.total.cycles(),
         );
     }
     println!("  cache (tuned mapping): {}", tuned.cache_stats());
 
     // Serving layer: a mixed burst through the bounded queue — waves
-    // coalesce at admission, long vectors fan their shards across the
-    // workers, and the cache summary now carries the serving counters.
+    // coalesce at admission and long vectors fan their shards across
+    // the workers. `stats()` holds the serving counters, `cache_stats()`
+    // the served mapping's plan cache.
     println!("serving layer (mixed burst)");
     let server = softmap::SoftmaxServer::new(
         ApSoftmax::new(PrecisionConfig::paper_best())

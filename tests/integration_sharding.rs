@@ -42,7 +42,7 @@ fn seq_16384_on_2048_row_tiles_is_bit_exact_and_statically_costed() {
     assert_eq!(vc.latency_cycles, run.latency_cycles);
     assert_eq!(vc.shards, run.shards);
     let wm = WorkloadModel::new(cfg, ApDeployment::default()).unwrap();
-    assert_eq!(wm.vector_stats(16384).unwrap(), run.total);
+    assert_eq!(wm.vector_cost(16384).unwrap().total, run.total);
     let cost = wm.cost(1, 1, 16384, 1).unwrap();
     assert_eq!(cost.shards_per_vector, 4);
     assert!(cost.latency_s > 0.0 && cost.energy_j > 0.0);
